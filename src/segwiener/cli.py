@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 all checks confirmed (or nothing to check), 1 a verification
-reported a violation, 2 usage or input errors.
+Exit codes: 0 all checks confirmed, 1 a verification reported a violation,
+2 usage or input errors, including a verify run that checks nothing.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ across runtimes that lack big integers.
 
 from __future__ import annotations
 
+import math
+
 I128_MAX = 2**127 - 1
 I128_MIN = -(2**127)
-
-MAX_BINOMIAL_N = 128
 
 
 class CountOverflowError(ArithmeticError):
@@ -25,36 +25,16 @@ def checked(value: int) -> int:
     return value
 
 
-# Pascal triangle rows, built on demand up to MAX_BINOMIAL_N.  Entries that
-# would exceed I128_MAX are stored as None and raise on access.
-_PASCAL: list[list[int | None]] = [[1]]
-
-
 def binomial(n: int, k: int) -> int:
-    """C(n, k), with C(n, k) = 0 outside 0 <= k <= n.
-
-    n is capped at MAX_BINOMIAL_N; larger arguments and entries outside the
-    signed 128-bit range raise CountOverflowError.
-    """
+    """C(n, k), with C(n, k) = 0 outside 0 <= k <= n; values outside the
+    signed 128-bit range raise CountOverflowError."""
     if n < 0:
         raise ValueError("binomial: n must be non-negative")
-    if n > MAX_BINOMIAL_N:
-        raise CountOverflowError(f"binomial table is capped at n={MAX_BINOMIAL_N}")
     if k < 0 or k > n:
         return 0
-    while len(_PASCAL) <= n:
-        prev = _PASCAL[-1]
-        row: list[int | None] = [1]
-        for i in range(1, len(prev)):
-            a, b = prev[i - 1], prev[i]
-            if a is None or b is None:
-                row.append(None)
-            else:
-                total = a + b
-                row.append(total if total <= I128_MAX else None)
-        row.append(1)
-        _PASCAL.append(row)
-    value = _PASCAL[n][k]
-    if value is None:
+    value = math.comb(n, k)
+    # inline check: a call to checked() here would double the cost of this
+    # innermost call of sw_k; C(n, k) >= 0, so only the upper bound can fail
+    if value > I128_MAX:
         raise CountOverflowError(f"C({n},{k}) exceeds the signed 128-bit range")
     return value

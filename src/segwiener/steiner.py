@@ -83,15 +83,19 @@ def _check_k(t: Tree, k: int) -> None:
         raise ValueError(f"k={k} out of range 1..{t.n}")
 
 
+def _edge_contributions(n: int, sides: list[int], k: int) -> int:
+    """Sum over edges with side sizes a, n - a of C(n,k) - C(a,k) - C(n-a,k)."""
+    total_sets = binomial(n, k)
+    total = 0
+    for a in sides:
+        total += total_sets - binomial(a, k) - binomial(n - a, k)
+    return checked(total)
+
+
 def sw_k(t: Tree, k: int) -> int:
     """Steiner k-Wiener index by edge contribution."""
     _check_k(t, k)
-    n = t.n
-    total_sets = binomial(n, k)
-    total = 0
-    for a in _edge_side_sizes(t):
-        total += total_sets - binomial(a, k) - binomial(n - a, k)
-    return checked(total)
+    return _edge_contributions(t.n, _edge_side_sizes(t), k)
 
 
 def sw_k_bruteforce(t: Tree, k: int) -> int:
@@ -104,13 +108,5 @@ def sw_k_bruteforce(t: Tree, k: int) -> int:
 
 def sw_profile(t: Tree) -> tuple[int, ...]:
     """(SW_1, ..., SW_n) in one pass over the edge side sizes."""
-    n = t.n
     sides = _edge_side_sizes(t)
-    values = []
-    for k in range(1, n + 1):
-        total_sets = binomial(n, k)
-        total = 0
-        for a in sides:
-            total += total_sets - binomial(a, k) - binomial(n - a, k)
-        values.append(checked(total))
-    return tuple(values)
+    return tuple(_edge_contributions(t.n, sides, k) for k in range(1, t.n + 1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .enumeration import all_trees, segment_sequences_of_order
 from .generators import (
@@ -182,149 +182,154 @@ def is_unit_pendant_caterpillar(t: Tree) -> bool:
 # ---------------------------------------------------------------------------
 # exhaustive instance classes
 
-def _check_order(max_n: int) -> None:
-    if max_n > MAX_VERIFY_ORDER:
-        raise ValueError(f"verification is guarded to max_n <= {MAX_VERIFY_ORDER}")
+Entry = tuple[str, Tree]
+# per-k check of one class: argmin/argmax entries -> (predicate outcomes,
+# verdict, notes after the class size)
+Check = Callable[[list[Entry]], tuple[dict | None, str, list[str]]]
 
 
 def _ks_for(n: int, k_set: Sequence[int]) -> list[int]:
     return [k for k in sorted(set(k_set)) if 1 <= k <= n]
 
 
-def _sequence_buckets(n: int) -> dict[tuple[int, ...], list[tuple[str, Tree]]]:
-    buckets: dict[tuple[int, ...], list[tuple[str, Tree]]] = {}
+def _code(t: Tree) -> str:
+    return canonical_code(t).decode("ascii")
+
+
+def _classes(n: int, by_count: bool) -> list[tuple[dict, list[Entry]]]:
+    """Instance classes of order *n* with their instance fields: one per
+    segment sequence (in `segment_sequences_of_order` order) or one per
+    segment count (ascending).  Entries are sorted by canonical code."""
+    buckets: dict[object, list[Entry]] = {}
     for t in all_trees(n):
         seq = segment_sequence(t)
-        buckets.setdefault(seq, []).append((canonical_code(t).decode("ascii"), t))
-    return buckets
+        buckets.setdefault(len(seq) if by_count else seq, []).append((_code(t), t))
+    if by_count:
+        keyed = [({"n": n, "m": m}, buckets[m]) for m in sorted(buckets)]
+    else:
+        keyed = [({"n": n, "segments": list(seq)}, buckets[seq]) for seq in segment_sequences_of_order(n)]
+    return [(fields, sorted(entries, key=lambda e: e[0])) for fields, entries in keyed]
 
 
-def _extreme(entries: list[tuple[str, Tree]], k: int, want_max: bool) -> tuple[int, list[tuple[str, Tree]]]:
-    values = [(sw_k(tree, k), code, tree) for code, tree in entries]
-    best = max(v for v, _, _ in values) if want_max else min(v for v, _, _ in values)
-    arg = sorted(((code, tree) for v, code, tree in values if v == best), key=lambda e: e[0])
-    return best, arg
+def _verify(
+    theorem: str,
+    max_n: int,
+    k_set: Sequence[int],
+    by_count: bool,
+    want_max: bool,
+    judge: Callable[[dict], Check],
+) -> list[VerificationReport]:
+    """Enumerate every class of order 2..max_n, evaluate the index of each
+    tree for each k, and let *judge*'s check rule on the extremal trees.
+
+    A run that yields no instance checked nothing and raises ValueError."""
+    if max_n > MAX_VERIFY_ORDER:
+        raise ValueError(f"verification is guarded to max_n <= {MAX_VERIFY_ORDER}")
+    pick = max if want_max else min
+    reports = []
+    for n in range(2, max_n + 1):
+        ks = _ks_for(n, k_set)
+        if not ks:
+            continue
+        for fields, entries in _classes(n, by_count):
+            check = judge(fields)
+            for k in ks:
+                values = [sw_k(tree, k) for _, tree in entries]
+                best = pick(values)
+                arg = [e for e, v in zip(entries, values) if v == best]
+                outcomes, verdict, notes = check(arg)
+                reports.append(
+                    VerificationReport(
+                        theorem=theorem,
+                        instance={**fields, "k": k},
+                        extremal_value=best,
+                        arg_trees=tuple(code for code, _ in arg),
+                        predicate_outcomes=outcomes,
+                        verdict=verdict,
+                        notes="; ".join([f"class size {len(entries)}", *notes]),
+                    )
+                )
+    if not reports:
+        raise ValueError(f"verify {theorem}: no instance with 2 <= n <= {max_n} and k in {sorted(set(k_set))}")
+    return reports
+
+
+def _attains(t: Tree) -> Check:
+    """Check: *t* is among the extremal trees."""
+    code = _code(t)
+    return lambda arg: (None, CONFIRMED if any(c == code for c, _ in arg) else VIOLATED, [])
+
+
+def _quasi_caterpillar_check(arg: list[Entry]) -> tuple[dict, str, list[str]]:
+    outcomes = {code: {"is_quasi_caterpillar": is_quasi_caterpillar(tree)} for code, tree in arg}
+    flags = [v["is_quasi_caterpillar"] for v in outcomes.values()]
+    return outcomes, CONFIRMED if any(flags) else VIOLATED, [f"all_argmax_quasi_caterpillar={all(flags)}"]
+
+
+def _structure_check(arg: list[Entry]) -> tuple[dict | None, str, list[str]]:
+    outcomes = {}
+    ok = True
+    for code, tree in arg:
+        if not is_quasi_caterpillar(tree):
+            continue
+        preds, all_at_once = structure_assessment(tree)
+        outcomes[code] = preds.as_dict()
+        ok = ok and all_at_once
+    notes = [] if outcomes else ["no quasi-caterpillar maximizer (see theorem2)"]
+    return outcomes or None, CONFIRMED if ok else VIOLATED, notes
+
+
+def _family_check(n: int, m: int) -> Check:
+    """Check: some maximizer is a unit-pendant caterpillar; which of the
+    named families defined for (n, m) are among the maximizers goes to the
+    notes."""
+    family_codes: dict[str, tuple[str, str]] = {}
+    for which in FAMILY_LABELS:
+        try:
+            build = caterpillar_family(n, m, which)
+        except (ParityMismatchError, InconsistentOrderError, UnrealizableError):
+            continue
+        family_codes[which] = (_code(build.tree), f"t_used={build.t_used}, t_formula={build.params.t}")
+
+    def check(arg: list[Entry]) -> tuple[dict, str, list[str]]:
+        outcomes = {code: {"caterpillar_unit_pendants": is_unit_pendant_caterpillar(tree)} for code, tree in arg}
+        exists_cat = any(v["caterpillar_unit_pendants"] for v in outcomes.values())
+        matches = sorted(which for which, (fcode, _) in family_codes.items() if fcode in outcomes)
+        if matches:
+            note = "matches family " + ", ".join(f"{w} ({family_codes[w][1]})" for w in matches)
+        else:
+            note = "no family construction matches the maximizer"
+        return outcomes, CONFIRMED_WITH_NOTES if exists_cat else VIOLATED, [note]
+
+    return check
 
 
 def verify_min_starlike(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
     """For every segment sequence of order <= max_n and every k: the starlike
     tree attains the minimum of the index over its class."""
-    _check_order(max_n)
-    reports = []
-    for n in range(2, max_n + 1):
-        buckets = _sequence_buckets(n)
-        for seq in segment_sequences_of_order(n):
-            entries = buckets[seq]
-            star_code = canonical_code(starlike(seq)).decode("ascii")
-            for k in _ks_for(n, k_set):
-                best, arg = _extreme(entries, k, want_max=False)
-                ok = any(code == star_code for code, _ in arg)
-                reports.append(
-                    VerificationReport(
-                        theorem="theorem1",
-                        instance={"n": n, "segments": list(seq), "k": k},
-                        extremal_value=best,
-                        arg_trees=tuple(code for code, _ in arg),
-                        predicate_outcomes=None,
-                        verdict=CONFIRMED if ok else VIOLATED,
-                        notes=f"class size {len(entries)}",
-                    )
-                )
-    return reports
+    return _verify("theorem1", max_n, k_set, by_count=False, want_max=False,
+                   judge=lambda c: _attains(starlike(c["segments"])))
 
 
 def verify_max_quasi_caterpillar(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
     """For every (sequence, k): some maximizer is a quasi-caterpillar.  The
     universal variant (all maximizers) is reported as supplementary data."""
-    _check_order(max_n)
-    reports = []
-    for n in range(2, max_n + 1):
-        buckets = _sequence_buckets(n)
-        for seq in segment_sequences_of_order(n):
-            entries = buckets[seq]
-            for k in _ks_for(n, k_set):
-                best, arg = _extreme(entries, k, want_max=True)
-                outcomes = {code: {"is_quasi_caterpillar": is_quasi_caterpillar(tree)} for code, tree in arg}
-                flags = [v["is_quasi_caterpillar"] for v in outcomes.values()]
-                reports.append(
-                    VerificationReport(
-                        theorem="theorem2",
-                        instance={"n": n, "segments": list(seq), "k": k},
-                        extremal_value=best,
-                        arg_trees=tuple(code for code, _ in arg),
-                        predicate_outcomes=outcomes,
-                        verdict=CONFIRMED if any(flags) else VIOLATED,
-                        notes=f"class size {len(entries)}; all_argmax_quasi_caterpillar={all(flags)}",
-                    )
-                )
-    return reports
+    return _verify("theorem2", max_n, k_set, by_count=False, want_max=True,
+                   judge=lambda c: _quasi_caterpillar_check)
 
 
 def verify_structure(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
     """Every quasi-caterpillar maximizer satisfies the degree, backbone
     unimodality and pendant anti-unimodality constraints under some backbone."""
-    _check_order(max_n)
-    reports = []
-    for n in range(2, max_n + 1):
-        buckets = _sequence_buckets(n)
-        for seq in segment_sequences_of_order(n):
-            entries = buckets[seq]
-            for k in _ks_for(n, k_set):
-                best, arg = _extreme(entries, k, want_max=True)
-                outcomes = {}
-                ok = True
-                checked_any = False
-                for code, tree in arg:
-                    if not is_quasi_caterpillar(tree):
-                        continue
-                    checked_any = True
-                    preds, all_at_once = structure_assessment(tree)
-                    outcomes[code] = preds.as_dict()
-                    ok = ok and all_at_once
-                notes = f"class size {len(entries)}"
-                if not checked_any:
-                    notes += "; no quasi-caterpillar maximizer (see theorem2)"
-                reports.append(
-                    VerificationReport(
-                        theorem="structure",
-                        instance={"n": n, "segments": list(seq), "k": k},
-                        extremal_value=best,
-                        arg_trees=tuple(code for code, _ in arg),
-                        predicate_outcomes=outcomes or None,
-                        verdict=CONFIRMED if ok else VIOLATED,
-                        notes=notes,
-                    )
-                )
-    return reports
+    return _verify("structure", max_n, k_set, by_count=False, want_max=True,
+                   judge=lambda c: _structure_check)
 
 
 def verify_min_balanced(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
     """For every order and segment count: the balanced starlike tree attains
     the minimum of the index."""
-    _check_order(max_n)
-    reports = []
-    for n in range(2, max_n + 1):
-        by_count: dict[int, list[tuple[str, Tree]]] = {}
-        for seq, entries in _sequence_buckets(n).items():
-            by_count.setdefault(len(seq), []).extend(entries)
-        for m in sorted(by_count):
-            entries = sorted(by_count[m], key=lambda e: e[0])
-            balanced_code = canonical_code(balanced_starlike(n, m)).decode("ascii")
-            for k in _ks_for(n, k_set):
-                best, arg = _extreme(entries, k, want_max=False)
-                ok = any(code == balanced_code for code, _ in arg)
-                reports.append(
-                    VerificationReport(
-                        theorem="theorem5min",
-                        instance={"n": n, "m": m, "k": k},
-                        extremal_value=best,
-                        arg_trees=tuple(code for code, _ in arg),
-                        predicate_outcomes=None,
-                        verdict=CONFIRMED if ok else VIOLATED,
-                        notes=f"class size {len(entries)}",
-                    )
-                )
-    return reports
+    return _verify("theorem5min", max_n, k_set, by_count=True, want_max=False,
+                   judge=lambda c: _attains(balanced_starlike(c["n"], c["m"])))
 
 
 def verify_max_caterpillar_family(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
@@ -332,59 +337,8 @@ def verify_max_caterpillar_family(max_n: int, k_set: Sequence[int]) -> list[Veri
     with unit pendant segments, and it is matched against the four named
     families (backbone length taken from order accounting; the published
     formula value is recorded in the notes)."""
-    _check_order(max_n)
-    reports = []
-    for n in range(2, max_n + 1):
-        by_count: dict[int, list[tuple[str, Tree]]] = {}
-        for seq, entries in _sequence_buckets(n).items():
-            by_count.setdefault(len(seq), []).extend(entries)
-        for m in sorted(by_count):
-            entries = sorted(by_count[m], key=lambda e: e[0])
-            family_codes: dict[str, tuple[str, str]] = {}
-            for which in FAMILY_LABELS:
-                try:
-                    build = caterpillar_family(n, m, which)
-                except (ParityMismatchError, InconsistentOrderError, UnrealizableError):
-                    continue
-                family_codes[which] = (
-                    canonical_code(build.tree).decode("ascii"),
-                    f"t_used={build.t_used}, t_formula={build.params.t}",
-                )
-            for k in _ks_for(n, k_set):
-                best, arg = _extreme(entries, k, want_max=True)
-                outcomes = {
-                    code: {"caterpillar_unit_pendants": is_unit_pendant_caterpillar(tree)}
-                    for code, tree in arg
-                }
-                exists_cat = any(v["caterpillar_unit_pendants"] for v in outcomes.values())
-                matches = sorted(
-                    which
-                    for which, (fcode, _) in family_codes.items()
-                    if any(code == fcode for code, _ in arg)
-                )
-                note_parts = [f"class size {len(entries)}"]
-                if matches:
-                    note_parts.append(
-                        "matches family " + ", ".join(f"{w} ({family_codes[w][1]})" for w in matches)
-                    )
-                else:
-                    note_parts.append("no family construction matches the maximizer")
-                if not exists_cat:
-                    verdict = VIOLATED
-                else:
-                    verdict = CONFIRMED_WITH_NOTES
-                reports.append(
-                    VerificationReport(
-                        theorem="theorem5max",
-                        instance={"n": n, "m": m, "k": k},
-                        extremal_value=best,
-                        arg_trees=tuple(code for code, _ in arg),
-                        predicate_outcomes=outcomes,
-                        verdict=verdict,
-                        notes="; ".join(note_parts),
-                    )
-                )
-    return reports
+    return _verify("theorem5max", max_n, k_set, by_count=True, want_max=True,
+                   judge=lambda c: _family_check(c["n"], c["m"]))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +419,8 @@ def verify_lemma31(samples: int, seed: int, k_set: Sequence[int]) -> Verificatio
             checked += 1
             if apply_switch(tree, move, k).delta <= 0:
                 violations += 1
+    if checked == 0:
+        raise ValueError(f"verify lemma31: no k in {sorted(set(k_set))} fits any sampled tree")
     return VerificationReport(
         theorem="lemma31",
         instance={"samples": samples, "seed": seed, "k": sorted(set(k_set))},

@@ -119,6 +119,21 @@ def test_verify_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem1", "--max-n", "-3"],
+        ["theorem1", "--k", "0,-1"],
+        ["theorem1", "--k", "99", "--max-n", "4"],
+        ["lemma31", "--k", "0"],
+    ],
+)
+def test_verify_that_checks_nothing_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "error" in err
+
+
 def test_verify_violation_exits_one(capsys, monkeypatch):
     import segwiener.verify as verify
 

@@ -22,10 +22,12 @@ def test_binomial_rejects_negative_n():
         binomial(-1, 0)
 
 
-def test_binomial_table_cap():
-    assert binomial(128, 1) == 128
+def test_binomial_is_bounded_by_i128_not_by_order():
+    assert binomial(129, 1) == 129
+    assert binomial(1000, 2) == 499500
+    assert math.comb(200, 100) > I128_MAX
     with pytest.raises(CountOverflowError):
-        binomial(129, 1)
+        binomial(200, 100)
 
 
 def test_full_table_fits_the_checked_range():

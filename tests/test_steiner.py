@@ -113,10 +113,11 @@ class TestSWk:
                 for k in range(1, n + 1):
                     assert sw_k(t, k) == sw_k_bruteforce(t, k)
 
-    def test_large_order_overflows_binomial_table(self):
-        chain = path_tree(200)
+    def test_large_orders_limited_only_by_i128(self):
+        # SW_2 of a path is its Wiener index C(n + 1, 3)
+        assert sw_k(path_tree(129), 2) == 357760
         with pytest.raises(CountOverflowError):
-            sw_k(chain, 3)
+            sw_k(path_tree(200), 100)
 
 
 class TestProfile:

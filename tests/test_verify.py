@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -206,3 +207,21 @@ class TestReports:
             for code in rep.arg_trees:
                 t = tree_from_code(code)
                 assert sw_k(t, k) == rep.extremal_value
+
+    # sha256 of the report bytes for max_n = 9, k = 2, 3, 4, recorded before
+    # the verifiers shared one loop; any change to enumeration order,
+    # tie-breaks, notes or serialization shows up here.
+    @pytest.mark.parametrize(
+        "verifier, digest",
+        [
+            (verify_min_starlike, "fddfbf1fc096419370818ce9dca0dd8b203edf4ca3abf9a99e347bb35d8356f8"),
+            (verify_max_quasi_caterpillar, "145794257118fea4342306cad2bdd106294ad31d349b1d7fba87436159ff166b"),
+            (verify_structure, "ea44b14d65d56be93ec599bac8653a5b31de35a136763e2e66c11ab85747a225"),
+            (verify_min_balanced, "b729d4955fd3b670a135375cdc53253326f0b68c4120c83724958e0a02fcc0fa"),
+            (verify_max_caterpillar_family, "35d93488729a09015e4b33888f3d3548b9f1dc79aff6a527cf0f983830424044"),
+        ],
+        ids=["theorem1", "theorem2", "structure", "theorem5min", "theorem5max"],
+    )
+    def test_golden_report_bytes(self, verifier, digest):
+        text = reports_to_json(verifier(9, [2, 3, 4]))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
