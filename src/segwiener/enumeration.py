@@ -1,17 +1,20 @@
 """Exhaustive generation of free trees up to isomorphism, with segment filters.
 
-The generator is networkx's level-sequence successor enumerator
-(`nonisomorphic_trees`), which emits each isomorphism class exactly once in
-a deterministic order; the independent Prüfer-plus-canonical-dedup oracle
-lives in the test suite.  Streams are lazy so filters compose without
-materializing a whole order class.
+The generator is the free-tree successor of Wright, Richmond, Odlyzko &
+McKay (1986, "Constant time generation of free trees", SIAM J. Comput. 15),
+which walks centre-rooted level sequences with the rooted-tree successor of
+Beyer & Hedetniemi (1980, "Constant time generation of rooted trees", SIAM
+J. Comput. 9).  It emits each isomorphism class exactly once, in a
+deterministic order (that of networkx's ``nonisomorphic_trees``, with
+vertices labelled by preorder index), and builds each ``Tree`` straight from
+its level sequence.  The independent Prüfer-plus-canonical-dedup oracle and
+the Cayley-formula check live in the test suite.  Streams are lazy so
+filters compose without materializing a whole order class.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
-
-import networkx as nx
 
 from .generators import UnrealizableError, normalize_segment_lengths
 from .trees import Tree, segment_sequence
@@ -24,13 +27,80 @@ def all_trees(n: int) -> Iterator[Tree]:
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     if n == 1:
-        yield Tree.from_edges([], n=1)
+        yield Tree(1, ((),))
         return
-    if n == 2:
-        yield Tree.from_edges([(0, 1)], n=2)
+    # the first candidate is the path, rooted at its centre
+    level = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        _next_free(level)
+        yield _tree_from_levels(level)
+        if not _next_rooted(level):
+            return
+
+
+def _tree_from_levels(level: list[int]) -> Tree:
+    """The tree of a preorder level sequence: vertex v's parent is the latest
+    vertex before it one level up, so ``adj[v] = (parent, *children)`` comes
+    out sorted and the result is a tree by construction."""
+    n = len(level)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    latest = [0] * n
+    for v in range(1, n):
+        depth = level[v]
+        u = latest[depth - 1]
+        adj[u].append(v)
+        adj[v].append(u)
+        latest[depth] = v
+    return Tree(n, tuple(map(tuple, adj)))
+
+
+def _next_rooted(level: list[int], p: int | None = None) -> bool:
+    """Beyer–Hedetniemi step in place: the next rooted level sequence, found
+    by repeating the subtree above position *p* (default: the last vertex
+    deeper than level 1).  False when *level* was the last one."""
+    n = len(level)
+    if p is None:
+        p = n - 1
+        while level[p] == 1:
+            p -= 1
+        if p == 0:
+            return False
+    q = p - 1
+    while level[q] != level[p] - 1:
+        q -= 1
+    for i in range(p, n):
+        level[i] = level[i - p + q]
+    return True
+
+
+def _first_subtree_end(level: list[int]) -> int:
+    """Index of the root's second child (n if it has only one)."""
+    for i in range(2, len(level)):
+        if level[i] == 1:
+            return i
+    return len(level)
+
+
+def _next_free(level: list[int]) -> None:
+    """WROM step in place: keep *level* if it is the canonical centre-rooted
+    sequence of a free tree (the root's first subtree is no higher than the
+    rest; at equal height no larger; at equal size not lexicographically
+    later), else jump to the next candidate."""
+    n = len(level)
+    m = _first_subtree_end(level)
+    left = [x - 1 for x in level[1:m]]
+    rest = [0] + level[m:]
+    left_height, rest_height = max(left), max(rest)
+    if rest_height > left_height or (
+        rest_height == left_height and (len(left), left) <= (len(rest), rest)
+    ):
         return
-    for g in nx.nonisomorphic_trees(n):
-        yield Tree.from_edges(g.edges(), n=n)
+    p = m - 1
+    deep = level[p] > 2
+    _next_rooted(level, p)
+    if deep:
+        height = max(level[1 : _first_subtree_end(level)])
+        level[n - height :] = range(1, height + 1)
 
 
 def trees_with_segment_sequence(lengths: Iterable[int]) -> Iterator[Tree]:

@@ -1,7 +1,8 @@
 """Free trees on dense 0-based vertex ids.
 
-Trees are immutable and validated on construction, so they can be shared
-freely across parallel workers; every function in this module is pure.
+Trees are immutable and valid from construction on (``from_edges``
+validates outside input), so they can be shared freely across parallel
+workers; every function in this module is pure.
 
 Conventions for degenerate cases (the literature does not pin these down):
 
@@ -31,7 +32,12 @@ class NotQuasiCaterpillarError(ValueError):
 
 @dataclass(frozen=True)
 class Tree:
-    """Immutable free tree; ``adj[v]`` is the sorted tuple of neighbours of v."""
+    """Immutable free tree; ``adj[v]`` is the sorted tuple of neighbours of v.
+
+    Trees from outside input go through ``from_edges``, which validates
+    them.  The enumerator builds trees that are valid by construction (one
+    parent per vertex, sorted adjacency) and calls the constructor directly.
+    """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
@@ -190,8 +196,28 @@ def segment_decomposition(t: Tree) -> list[Segment]:
 
 
 def segment_sequence(t: Tree) -> tuple[int, ...]:
-    """Segment lengths in non-increasing order."""
-    return tuple(sorted((s.length for s in segment_decomposition(t)), reverse=True))
+    """Segment lengths in non-increasing order.
+
+    Walks the degree-2 chain behind every edge at a vertex of degree != 2;
+    each segment is walked from both ends and kept from its smaller-id end.
+    """
+    if t.n < 2:
+        raise EmptyDecompositionError("a single-vertex tree has no segments")
+    adj = t.adj
+    lengths = []
+    for u in range(t.n):
+        if len(adj[u]) == 2:
+            continue
+        for w in adj[u]:
+            prev, cur, length = u, w, 1
+            while len(adj[cur]) == 2:
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+                length += 1
+            if u < cur:
+                lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def is_starlike(t: Tree) -> bool:

@@ -2,13 +2,15 @@
 
 Nothing here shares an algorithm with the package: distances are summed from
 BFS, Steiner distances come from enumerating connected supersets, tree
-enumeration walks all Prüfer sequences, and the quasi-caterpillar test
-re-derives pendant removal from leaf walks.
+enumeration walks all Prüfer sequences, automorphism counts come from
+nested-tuple AHU codes, and the quasi-caterpillar test re-derives pendant
+removal from leaf walks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -103,9 +105,8 @@ def random_labeled_tree(n: int, rng: random.Random) -> Tree:
     return Tree.from_edges([(u, v) for u in range(n) for v in adj[u] if u < v], n=n)
 
 
-def _interned_class_key(adj: list[list[int]], n: int, intern: dict) -> tuple:
-    """Isomorphism class key: interned bottom-up encoding rooted at the
-    centre(s), found by leaf peeling."""
+def _centres(adj, n: int) -> list[int]:
+    """The one or two central vertices of a tree with n >= 2, by leaf peeling."""
     degc = [len(a) for a in adj]
     layer = [i for i in range(n) if degc[i] == 1]
     remaining = n
@@ -120,7 +121,13 @@ def _interned_class_key(adj: list[list[int]], n: int, intern: dict) -> tuple:
                     if degc[w] == 1:
                         nxt.append(w)
         layer = nxt
-    centers = sorted(layer)
+    return sorted(layer)
+
+
+def _interned_class_key(adj: list[list[int]], n: int, intern: dict) -> tuple:
+    """Isomorphism class key: interned bottom-up encoding rooted at the
+    centre(s)."""
+    centers = _centres(adj, n)
     if len(centers) == 1:
         return ("c", _interned_rooted(adj, centers[0], -1, intern))
     c1, c2 = centers
@@ -151,6 +158,42 @@ def _interned_rooted(adj: list[list[int]], root: int, rootparent: int, intern: d
             intern[key] = cid
         code[v] = cid
     return code[root]
+
+
+def automorphism_count(t: Tree) -> int:
+    """|Aut T| for n >= 2, from tuple AHU codes rooted at the centre: every
+    vertex contributes the factorials of the multiplicities of equal child
+    codes; a bicentral tree multiplies its two halves, and doubles when the
+    halves are equal (the central edge can be flipped)."""
+    centers = _centres(t.adj, t.n)
+    if len(centers) == 1:
+        return _rooted_automorphisms(t, centers[0], -1)[1]
+    c1, c2 = centers
+    code1, aut1 = _rooted_automorphisms(t, c1, c2)
+    code2, aut2 = _rooted_automorphisms(t, c2, c1)
+    return aut1 * aut2 * (2 if code1 == code2 else 1)
+
+
+def _rooted_automorphisms(t: Tree, root: int, rootparent: int) -> tuple[tuple, int]:
+    """(code, |Aut|) of the subtree at *root* away from *rootparent*."""
+    order = [root]
+    parent = {root: rootparent}
+    for v in order:
+        for w in t.adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    code: dict[int, tuple] = {}
+    aut: dict[int, int] = {}
+    for v in reversed(order):
+        kids = [w for w in t.adj[v] if w != parent[v]]
+        codes = sorted(code[w] for w in kids)
+        count = math.prod(aut[w] for w in kids)
+        for _, equal in itertools.groupby(codes):
+            count *= math.factorial(len(list(equal)))
+        code[v] = tuple(codes)
+        aut[v] = count
+    return code[root], aut[root]
 
 
 def free_trees_by_prufer(n: int) -> tuple[int, list[Tree]]:

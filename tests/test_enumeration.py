@@ -1,7 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from math import factorial
+from pathlib import Path
+
 import pytest
 
+from segwiener.cli import main
 from segwiener.enumeration import (
     MAX_ORDER,
     all_trees,
@@ -10,13 +19,17 @@ from segwiener.enumeration import (
     trees_with_segment_sequence,
 )
 from segwiener.generators import UnrealizableError
-from segwiener.trees import canonical_code, is_starlike, segment_sequence
+from segwiener.trees import Tree, canonical_code, is_starlike, segment_sequence
 
 from .conftest import path_tree
-from .oracles import free_trees_by_prufer
+from .oracles import automorphism_count, free_trees_by_prufer
 
 # number of free trees per order (verified against the Prüfer dedup oracle)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+
+# sha256 of `segwiener enumerate --n 12` stdout: pins the enumeration order,
+# which the order-free code-set checks below do not
+ENUMERATE_12_SHA256 = "0d4c08c3da03f5c3a3d60ac996db64278e08451510e23644be00a5b5a63cbf79"
 
 
 class TestAllTrees:
@@ -45,6 +58,23 @@ class TestAllTrees:
             list(all_trees(0))
         with pytest.raises(ValueError):
             list(all_trees(MAX_ORDER + 1))
+
+    def test_every_tree_passes_edge_list_validation(self):
+        # the generator builds Trees without from_edges; its checks must agree
+        for n in range(1, 15):
+            for t in all_trees(n):
+                assert t == Tree.from_edges(list(t.edges()), n=n)
+
+    def test_enumeration_order_is_pinned(self, capsys):
+        assert main(["enumerate", "--n", "12"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == ENUMERATE_12_SHA256
+
+    def test_cayley_orbit_stabilizer(self):
+        # each class T stands for n!/|Aut T| labeled trees; Cayley counts n^(n-2)
+        for n in range(2, MAX_ORDER + 1):
+            labeled = sum(Fraction(factorial(n), automorphism_count(t)) for t in all_trees(n))
+            assert labeled == n ** (n - 2), n
 
     def test_matches_prufer_oracle_class_sets_small(self):
         for n in range(1, 8):
@@ -108,3 +138,16 @@ class TestSequenceUniverse:
             assert sum(seq) == 8
             assert len(seq) == 1 or len(seq) >= 3
             assert list(seq) == sorted(seq, reverse=True)
+
+
+def test_cli_import_does_not_load_networkx():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import segwiener.cli, sys; assert 'networkx' not in sys.modules"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

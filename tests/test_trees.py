@@ -81,6 +81,15 @@ class TestSegments:
     def test_single_vertex_rejected(self):
         with pytest.raises(EmptyDecompositionError):
             segment_decomposition(Tree.from_edges([], n=1))
+        with pytest.raises(EmptyDecompositionError):
+            segment_sequence(Tree.from_edges([], n=1))
+
+    def test_sequence_matches_decomposition(self):
+        # two routes: lengths-only chain walk vs. the Segment objects
+        for n in range(2, 13):
+            for t in all_trees(n):
+                lengths = sorted((s.length for s in segment_decomposition(t)), reverse=True)
+                assert segment_sequence(t) == tuple(lengths)
 
     def test_sequence_examples(self, fig1_top, fig1_bottom):
         assert segment_sequence(path_tree(5)) == (4,)
