@@ -53,8 +53,6 @@ def starlike(lengths: Iterable[int]) -> Tree:
     m = len(lens)
     if m == 2:
         raise UnrealizableError("no tree has exactly two segments")
-    if m == 1:
-        return _path_tree(lens[0] + 1)
     edges = []
     nxt = 1
     for length in lens:
@@ -75,12 +73,6 @@ def balanced_starlike(n: int, m: int) -> Tree:
     long_legs = (n - 1) % m
     base = (n - 1) // m
     return starlike([base + 1] * long_legs + [base] * (m - long_legs))
-
-
-def _path_tree(n: int) -> Tree:
-    if n == 1:
-        return Tree.from_edges([], n=1)
-    return Tree.from_edges([(i, i + 1) for i in range(n - 1)], n=n)
 
 
 def quasi_caterpillar(

@@ -4,6 +4,16 @@ Trees are immutable and valid from construction on (``from_edges``
 validates outside input), so they can be shared freely across parallel
 workers; every function in this module is pure.
 
+Both shapes the extremal results name are read off the segments at each
+vertex (a segment is a maximal path whose interior vertices have degree 2):
+
+* a *quasi-caterpillar* is a tree in which no vertex has more than two
+  segments that do not end in a leaf, so removing every pendant segment
+  (keeping its non-leaf end) leaves a path;
+* a *caterpillar* is a tree in which no vertex has more than two non-leaf
+  neighbours, so removing the leaves leaves a path (Harary & Schwenk 1973);
+  ``verify.is_unit_pendant_caterpillar`` is this test.
+
 Conventions for degenerate cases (the literature does not pin these down):
 
 * a path, and any starlike tree, counts as a quasi-caterpillar;
@@ -167,32 +177,38 @@ class BackboneView:
     pendant_segment_lengths: tuple[int, ...]
 
 
+def _walk(adj: tuple[tuple[int, ...], ...], u: int, w: int) -> tuple[int, ...]:
+    """The vertices of the segment that leaves *u* through its neighbour *w*,
+    from *u* to the first vertex whose degree is not 2."""
+    verts = [u, w]
+    while len(adj[w]) == 2:
+        a, b = adj[w]
+        w = b if a == verts[-2] else a
+        verts.append(w)
+    return tuple(verts)
+
+
+def _inner_segments(adj: tuple[tuple[int, ...], ...], u: int) -> int:
+    """How many segments at *u* end at a branch vertex rather than a leaf."""
+    return sum(len(adj[_walk(adj, u, w)[-1]]) > 1 for w in adj[u])
+
+
 def segment_decomposition(t: Tree) -> list[Segment]:
     """Partition the edges of *t* into segments.
 
-    Deterministic: segments are discovered from the smallest-id endpoint of
-    each, endpoints scanned in ascending order.
+    Deterministic: each segment is walked from its smaller-id end, ends
+    scanned in ascending order and neighbours in adjacency order.
     """
     if t.n < 2:
         raise EmptyDecompositionError("a single-vertex tree has no segments")
-    stops = [v for v in range(t.n) if t.degree(v) != 2]
-    seen: set[tuple[int, int]] = set()
-    segments: list[Segment] = []
-    for u in stops:
-        for w in t.adj[u]:
-            key = (u, w) if u < w else (w, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            verts = [u, w]
-            prev, cur = u, w
-            while t.degree(cur) == 2:
-                nxt = t.adj[cur][0] if t.adj[cur][0] != prev else t.adj[cur][1]
-                seen.add((cur, nxt) if cur < nxt else (nxt, cur))
-                verts.append(nxt)
-                prev, cur = cur, nxt
-            segments.append(Segment(tuple(verts)))
-    return segments
+    adj = t.adj
+    return [
+        Segment(verts)
+        for u in range(t.n)
+        if len(adj[u]) != 2
+        for verts in (_walk(adj, u, w) for w in adj[u])
+        if u < verts[-1]
+    ]
 
 
 def segment_sequence(t: Tree) -> tuple[int, ...]:
@@ -225,118 +241,50 @@ def is_starlike(t: Tree) -> bool:
     return len(t.branch_vertices()) <= 1
 
 
-def pendant_segments(t: Tree) -> list[Segment]:
-    """Segments with at least one leaf endpoint."""
-    return [s for s in segment_decomposition(t) if t.degree(s.vertices[0]) == 1 or t.degree(s.vertices[-1]) == 1]
-
-
 def is_quasi_caterpillar(t: Tree) -> bool:
-    """True iff removing every pendant segment (keeping its non-leaf end)
-    leaves a path, a single vertex, or nothing."""
-    if t.n == 1:
-        return True
-    removed: set[int] = set()
-    for seg in pendant_segments(t):
-        a, b = seg.endpoints
-        keep = a if t.degree(a) > 1 else (b if t.degree(b) > 1 else None)
-        removed.update(v for v in seg.vertices if v != keep)
-    rest = [v for v in range(t.n) if v not in removed]
-    if len(rest) <= 1:
-        return True
-    rset = set(rest)
-    deg = {v: sum(1 for w in t.adj[v] if w in rset) for v in rest}
-    if any(d > 2 for d in deg.values()):
-        return False
-    # induced subgraph of a tree is acyclic; connected + max degree 2 = path
-    start = rest[0]
-    stack = [start]
-    reached = {start}
-    while stack:
-        v = stack.pop()
-        for w in t.adj[v]:
-            if w in rset and w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return len(reached) == len(rest)
+    """True iff no branch vertex has more than two segments that do not end
+    in a leaf, i.e. removing every pendant segment (keeping its non-leaf
+    end) leaves a path, a single vertex, or nothing."""
+    return all(_inner_segments(t.adj, v) <= 2 for v in t.branch_vertices())
 
 
 def _pendant_path(t: Tree, start: int, first: int) -> tuple[int, ...]:
     """Walk from *start* through neighbour *first* to the far end of the
     hanging path.  The component must be a bare path (caller guarantees)."""
-    out = [first]
-    prev, cur = start, first
-    while t.degree(cur) == 2:
-        nxt = t.adj[cur][0] if t.adj[cur][0] != prev else t.adj[cur][1]
-        out.append(nxt)
-        prev, cur = cur, nxt
-    if t.degree(cur) != 1:
+    out = _walk(t.adj, start, first)[1:]
+    if t.degree(out[-1]) != 1:
         raise NotQuasiCaterpillarError(f"component hanging at {start} is not a pendant path")
-    return tuple(out)
+    return out
 
 
 def all_backbones(t: Tree) -> list[tuple[int, ...]]:
     """Every longest path containing all branch vertices, one orientation each.
 
-    For a quasi-caterpillar the candidates differ only in which maximal
-    pendant segment extends each end of the spine of branch vertices.
+    For a quasi-caterpillar the candidates differ only in which pendant
+    segments extend the two ends of the spine of branch vertices: every
+    pair of legs, one at each end (two distinct legs when the spine is a
+    single vertex), whose total length is largest.
     """
     if t.n == 1:
         return [(0,)]
     if not is_quasi_caterpillar(t):
         raise NotQuasiCaterpillarError("backbone is only defined for quasi-caterpillars")
+    adj = t.adj
     branch = t.branch_vertices()
     if not branch:
-        a, b = t.leaves()
-        return [t.path(a, b)]
-    if len(branch) == 1:
-        c = branch[0]
-        legs = [_pendant_path(t, c, w) for w in t.adj[c]]
-        # two longest distinct legs; enumerate every pair attaining the max sum
-        lengths = sorted((len(p) for p in legs), reverse=True)
-        target = lengths[0] + lengths[1]
-        out = []
-        for i in range(len(legs)):
-            for j in range(i + 1, len(legs)):
-                if len(legs[i]) + len(legs[j]) == target:
-                    out.append(tuple(reversed(legs[i])) + (c,) + legs[j])
-        return out
-    # spine between the two extreme branch vertices
-    dist = _bfs_distances(t, branch[0])
-    b1 = min((v for v in branch), key=lambda v: (-dist[v], v))
-    dist = _bfs_distances(t, b1)
-    b2 = min((v for v in branch), key=lambda v: (-dist[v], v))
+        leaf = t.leaves()[0]
+        return [_walk(adj, leaf, adj[leaf][0])]
+    # the spine ends: branch vertices with at most one segment leading to
+    # another branch vertex (a starlike tree's spine is its centre alone)
+    ends = [v for v in branch if _inner_segments(adj, v) <= 1]
+    b1, b2 = ends[0], ends[-1]
     spine = t.path(b1, b2)
     on_spine = set(spine)
-    if any(v not in on_spine for v in branch):
-        raise NotQuasiCaterpillarError("branch vertices do not lie on a common path")
-    left = [_pendant_path(t, b1, w) for w in t.adj[b1] if w != spine[1]]
-    right = [_pendant_path(t, b2, w) for w in t.adj[b2] if w != spine[-2]]
-    lmax = max(len(p) for p in left)
-    rmax = max(len(p) for p in right)
-    out = []
-    for p in left:
-        if len(p) != lmax:
-            continue
-        for q in right:
-            if len(q) != rmax:
-                continue
-            out.append(tuple(reversed(p)) + spine + q)
-    return out
-
-
-def _bfs_distances(t: Tree, source: int) -> list[int]:
-    dist = [-1] * t.n
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in t.adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+    left = [_pendant_path(t, b1, w) for w in adj[b1] if w not in on_spine]
+    right = [_pendant_path(t, b2, w) for w in adj[b2] if w not in on_spine]
+    pairs = [(p, q) for i, p in enumerate(left) for j, q in enumerate(right) if b1 != b2 or i < j]
+    best = max(len(p) + len(q) for p, q in pairs)
+    return [tuple(reversed(p)) + spine + q for p, q in pairs if len(p) + len(q) == best]
 
 
 def _orientation_key(t: Tree, path: tuple[int, ...]) -> tuple:
@@ -357,7 +305,6 @@ def _orientation_key(t: Tree, path: tuple[int, ...]) -> tuple:
 
 def backbone_view(t: Tree, path: tuple[int, ...]) -> BackboneView:
     """Read off the segment structure of a quasi-caterpillar along *path*."""
-    on_path = set(path)
     branch_idx = [i for i, v in enumerate(path) if t.degree(v) >= 3]
     stops = [0] + branch_idx + [len(path) - 1]
     r = tuple(stops[i + 1] - stops[i] for i in range(len(stops) - 1) if stops[i + 1] > stops[i])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import all_trees, segment_sequences_of_order
@@ -85,13 +85,7 @@ class StructurePredicateSet:
     pendants_anti_unimodal: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "is_quasi_caterpillar": self.is_quasi_caterpillar,
-            "max_degree_le4": self.max_degree_le4,
-            "degree4_only_at_ends": self.degree4_only_at_ends,
-            "backbone_unimodal": self.backbone_unimodal,
-            "pendants_anti_unimodal": self.pendants_anti_unimodal,
-        }
+        return asdict(self)
 
 
 def is_unimodal(seq: Sequence[int]) -> bool:
@@ -170,13 +164,12 @@ def structure_assessment(t: Tree) -> tuple[StructurePredicateSet, bool]:
 
 
 def is_unit_pendant_caterpillar(t: Tree) -> bool:
-    """Quasi-caterpillar whose off-backbone segments all have length 1."""
-    if not is_quasi_caterpillar(t):
-        return False
-    if t.n == 1:
-        return True
-    view = backbone_view(t, all_backbones(t)[0])
-    return all(length == 1 for length in view.pendant_segment_lengths)
+    """Caterpillar: no vertex has more than two non-leaf neighbours.
+
+    Equivalently, a quasi-caterpillar whose off-backbone segments all have
+    length 1."""
+    adj = t.adj
+    return all(sum(len(adj[w]) > 1 for w in adj[v]) <= 2 for v in range(t.n))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ def test_gen_starlike_edgelist(capsys):
     assert segment_sequence(t) == (3, 2, 2)
 
 
+def test_gen_starlike_single_segment_is_the_path(capsys):
+    code, out, _ = run(capsys, "gen", "starlike", "--segments", "4")
+    assert code == 0 and out == "0 1\n1 2\n2 3\n3 4\n"
+
+
 def test_gen_starlike_dot(capsys):
     code, out, _ = run(capsys, "gen", "starlike", "--segments", "1,1,1", "--format", "dot")
     assert code == 0 and out.startswith("graph tree {")

@@ -91,6 +91,13 @@ class TestSegments:
                 lengths = sorted((s.length for s in segment_decomposition(t)), reverse=True)
                 assert segment_sequence(t) == tuple(lengths)
 
+    def test_decomposition_matches_sequence_on_random_trees(self):
+        rng = random.Random(404)
+        for _ in range(1500):
+            t = random_labeled_tree(rng.randint(2, 40), rng)
+            lengths = sorted((s.length for s in segment_decomposition(t)), reverse=True)
+            assert segment_sequence(t) == tuple(lengths)
+
     def test_sequence_examples(self, fig1_top, fig1_bottom):
         assert segment_sequence(path_tree(5)) == (4,)
         assert segment_sequence(fig1_top) == (3, 2, 2, 2, 1, 1, 1, 1, 1)
@@ -136,6 +143,12 @@ class TestPredicates:
         for n in range(2, 10):
             for t in all_trees(n):
                 assert is_quasi_caterpillar(t) == quasi_caterpillar_by_leaf_walks(t)
+
+    def test_quasi_caterpillar_matches_oracle_on_random_trees(self):
+        rng = random.Random(404)
+        for _ in range(1500):
+            t = random_labeled_tree(rng.randint(2, 40), rng)
+            assert is_quasi_caterpillar(t) == quasi_caterpillar_by_leaf_walks(t)
 
     def test_two_joined_stars_with_mid_branch_decided_by_oracle(self):
         # two degree-3 star centres joined by a length-3 path, with an extra

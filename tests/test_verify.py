@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from segwiener.enumeration import all_trees
 from segwiener.generators import balanced_starlike, caterpillar_family, quasi_caterpillar, starlike
 from segwiener.steiner import sw_k
-from segwiener.trees import canonical_code, tree_from_code
+from segwiener.trees import all_backbones, backbone, canonical_code, is_quasi_caterpillar, tree_from_code
 from segwiener.verify import (
     CONFIRMED,
     CONFIRMED_WITH_NOTES,
@@ -93,6 +94,30 @@ class TestShapePredicates:
         assert is_unit_pendant_caterpillar(path_tree(6))
         assert is_unit_pendant_caterpillar(caterpillar_family(9, 5, "ii").tree)
         assert not is_unit_pendant_caterpillar(quasi_caterpillar((2, 2), [(1, 3)]))
+
+    def test_unit_pendant_caterpillar_matches_backbone_read_off(self):
+        for n in range(1, 13):
+            for t in all_trees(n):
+                by_backbone = is_quasi_caterpillar(t) and all(
+                    length == 1 for length in backbone(t).pendant_segment_lengths
+                )
+                assert is_unit_pendant_caterpillar(t) == by_backbone
+
+    def test_golden_backbones_and_structure(self):
+        # every quasi-caterpillar of order <= 12: its backbone candidates
+        # (each taken in its smaller orientation) and structure assessment
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(1, 13):
+            for t in all_trees(n):
+                if not is_quasi_caterpillar(t):
+                    continue
+                count += 1
+                cands = sorted(min(c, c[::-1]) for c in all_backbones(t))
+                preds, all_at_once = structure_assessment(t)
+                digest.update(json.dumps([n, cands, preds.as_dict(), all_at_once]).encode() + b"\n")
+        assert count == 963
+        assert digest.hexdigest() == "926cf62641188573c2753f278bfc7376285a611780b62bb646fcd2f2197e181e"
 
 
 class TestTheorem1:
