@@ -1,14 +1,27 @@
 """Constructors for the extremal tree families.
 
-The caterpillar families i..iv come with a published backbone-length formula
-that disagrees with the order accounting n = (t + 1) + #pendant edges by one
-(consistently, for every family).  The constructor trusts the accounting,
-builds an order-n tree, and records both values in the result metadata.
+Every construction is a spine 0..t with pendant paths hung at chosen spine
+vertices.  A caterpillar family i..iv hangs unit pendants so that the
+internal spine vertices v_1 .. v_{t-1} get the degrees head + (2,)*gap +
+tail, where the degree runs depend only on the segment count m:
+
+    family  m               head                    tail
+    i       odd, >= 7       (4,) + (3,)*((m-7)//4)  (3,)*((m-4)//4) + (4,)
+    ii      odd             (3,)*((m-1)//4)         (3,)*((m+2)//4)
+    iii     = 0 mod 4, >= 8 (4,) + (3,)*(m//4-2)    (3,)*(m//4)
+    iv      = 2 mod 4, >= 6 (4,) + (3,)*((m-6)//4)  (3,)*((m-2)//4)
+
+The order then fixes t = n - 1 - sum(d - 2) and the gap of degree-2
+vertices.  The published backbone-length formula disagrees with this order
+accounting by one (consistently, for every family).  The constructor trusts
+the accounting, builds an order-n tree, and records both values in the
+result metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .trees import Tree, segment_sequence
@@ -43,6 +56,19 @@ def normalize_segment_lengths(lengths: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _hang(spine: int, pendants: Iterable[tuple[int, int]]) -> Tree:
+    """The path 0..spine with a pendant path of each (spine vertex, length)
+    hung in turn; new vertices are numbered in order from spine + 1."""
+    edges = [(i, i + 1) for i in range(spine)]
+    nxt = spine + 1
+    for prev, length in pendants:
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return Tree.from_edges(edges, n=nxt)
+
+
 def starlike(lengths: Iterable[int]) -> Tree:
     """The unique starlike tree with the given segment lengths.
 
@@ -50,18 +76,9 @@ def starlike(lengths: Iterable[int]) -> Tree:
     yields the path.  m = 2 is unrealizable (the two segments would merge).
     """
     lens = normalize_segment_lengths(lengths)
-    m = len(lens)
-    if m == 2:
+    if len(lens) == 2:
         raise UnrealizableError("no tree has exactly two segments")
-    edges = []
-    nxt = 1
-    for length in lens:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Tree.from_edges(edges, n=nxt)
+    return _hang(0, ((0, length) for length in lens))
 
 
 def balanced_starlike(n: int, m: int) -> Tree:
@@ -99,19 +116,8 @@ def quasi_caterpillar(
     missing = [i for i in range(1, k) if i not in joints_used]
     if missing:
         raise JointWithoutPendantError(f"joints {missing} have no pendant segment")
-    total = sum(r)
-    edges = [(i, i + 1) for i in range(total)]
-    cum = [0]
-    for x in r:
-        cum.append(cum[-1] + x)
-    nxt = total + 1
-    for i, length in pend:
-        prev = cum[i]
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    tree = Tree.from_edges(edges, n=nxt)
+    cum = list(accumulate(r, initial=0))
+    tree = _hang(cum[-1], ((cum[i], length) for i, length in pend))
     wanted = tuple(sorted(r + [length for _, length in pend], reverse=True))
     if segment_sequence(tree) != wanted:
         raise UnrealizableError("constructed tree does not re-decompose to the requested segments")
@@ -119,6 +125,8 @@ def quasi_caterpillar(
 
 
 FAMILY_LABELS = ("i", "ii", "iii", "iv")
+# the published backbone edge count is t = (2n - m + offset) // 2
+_T_FORMULA_OFFSET = {"i": -1, "ii": 1, "iii": 0, "iv": 0}
 
 
 @dataclass(frozen=True)
@@ -149,97 +157,44 @@ class FamilyBuild:
         )
 
 
-def _family_blocks(m: int, which: str) -> tuple[int, int, int]:
-    """(pendant edge count, prefix degree-3 run, suffix degree-3 run)."""
+def _degree_runs(m: int, which: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Degrees of the internal spine vertices from v_1 on (head) and up to
+    v_{t-1} (tail) for family *which* with m segments."""
     if which == "i":
         if m % 2 == 0 or m < 7:
             raise ParityMismatchError("family i needs an odd segment count m >= 7")
-        a, b = (m - 7) // 4, (m - 7 + 3) // 4
-        return 4 + a + b, a, b
+        return (4,) + (3,) * ((m - 7) // 4), (3,) * ((m - 4) // 4) + (4,)
     if which == "ii":
         if m % 2 == 0:
             raise ParityMismatchError("family ii needs an odd segment count")
-        a, b = (m - 1) // 4, (m - 1 + 3) // 4
-        return a + b, a, b
+        return (3,) * ((m - 1) // 4), (3,) * ((m + 2) // 4)
     if which == "iii":
         if m % 4 != 0 or m < 8:
             raise ParityMismatchError("family iii needs m = 0 (mod 4), m >= 8")
-        a, b = m // 4 - 2, m // 4
-        return 2 + a + b, a, b
-    if which == "iv":
-        if m % 4 != 2 or m < 6:
-            raise ParityMismatchError("family iv needs m = 2 (mod 4), m >= 6")
-        a, b = (m - 6) // 4, (m - 2) // 4
-        return 2 + a + b, a, b
-    raise ValueError(f"unknown family {which!r}; expected one of {FAMILY_LABELS}")
+        return (4,) + (3,) * (m // 4 - 2), (3,) * (m // 4)
+    if m % 4 != 2 or m < 6:
+        raise ParityMismatchError("family iv needs m = 2 (mod 4), m >= 6")
+    return (4,) + (3,) * ((m - 6) // 4), (3,) * ((m - 2) // 4)
 
 
 def caterpillar_family(n: int, m: int, which: str) -> FamilyBuild:
-    """Caterpillar of order n with m segments following family *which*.
-
-    Degree assignments along the internal path: family i puts degree 4 at
-    v_1 and v_{t-1} with balanced degree-3 blocks next to them; family ii is
-    all degree 3 in two balanced end blocks; families iii/iv put a single
-    degree 4 at v_1.  All pendant segments have length 1.
-    """
+    """Caterpillar of order n with m segments following family *which*:
+    unit pendants hung so that v_1 .. v_{t-1} have the degrees
+    head + (2,)*gap + tail of the family's degree runs."""
     if which not in FAMILY_LABELS:
         raise ValueError(f"unknown family {which!r}; expected one of {FAMILY_LABELS}")
     if m < 1 or m == 2 or m > n - 1:
         raise UnrealizableError(f"no tree of order {n} has {m} segments")
-    pendant_edges, pre3, suf3 = _family_blocks(m, which)
-    t_used = n - 1 - pendant_edges
-    t_paper = {
-        "i": (2 * n - m - 1) // 2,
-        "ii": (2 * n - m + 1) // 2,
-        "iii": (2 * n - m) // 2,
-        "iv": (2 * n - m) // 2,
-    }[which]
-
-    # degree map over internal positions 1..t_used-1
-    degree_at: dict[int, int] = {}
-
-    def put(pos: int, deg: int) -> None:
-        if not 1 <= pos <= t_used - 1 or pos in degree_at:
-            raise InconsistentOrderError(
-                f"family {which} with n={n}, m={m} does not fit a backbone of {t_used} edges"
-            )
-        degree_at[pos] = deg
-
-    if t_used < 1 or (pendant_edges > 0 and t_used < 2):
-        raise InconsistentOrderError(f"family {which} with n={n}, m={m} leaves no room for a backbone")
-    if which == "i":
-        put(1, 4)
-        put(t_used - 1, 4)
-        for idx in range(pre3):
-            put(2 + idx, 3)
-        for idx in range(suf3):
-            put(t_used - 2 - idx, 3)
-    elif which == "ii":
-        for idx in range(pre3):
-            put(1 + idx, 3)
-        for idx in range(suf3):
-            put(t_used - 1 - idx, 3)
-    else:
-        put(1, 4)
-        for idx in range(pre3):
-            put(2 + idx, 3)
-        for idx in range(suf3):
-            put(t_used - 1 - idx, 3)
-
-    edges = [(i, i + 1) for i in range(t_used)]
-    nxt = t_used + 1
-    for pos in sorted(degree_at):
-        for _ in range(degree_at[pos] - 2):
-            edges.append((pos, nxt))
-            nxt += 1
-    tree = Tree.from_edges(edges, n=nxt)
-    if tree.n != n:
-        raise InconsistentOrderError(f"family {which} construction yields order {tree.n}, wanted {n}")
-    seq = segment_sequence(tree) if n >= 2 else ()
+    head, tail = _degree_runs(m, which)
+    t_used = n - 1 - sum(d - 2 for d in head + tail)
+    gap = t_used - 1 - len(head) - len(tail)
+    t_paper = (2 * n - m + _T_FORMULA_OFFSET[which]) // 2
+    if gap < 0:  # also covers t_used < 1
+        raise InconsistentOrderError(f"family {which} with n={n}, m={m} does not fit a backbone of {t_used} edges")
+    pattern = head + (2,) * gap + tail
+    tree = _hang(t_used, ((pos, 1) for pos, d in enumerate(pattern, 1) for _ in range(d - 2)))
+    seq = segment_sequence(tree)
     if len(seq) != m:
-        raise InconsistentOrderError(
-            f"family {which} construction yields {len(seq)} segments, wanted {m}"
-        )
-    pattern = tuple(degree_at.get(pos, 2) for pos in range(1, t_used))
+        raise InconsistentOrderError(f"family {which} construction yields {len(seq)} segments, wanted {m}")
     params = CaterpillarFamilyParams(n=n, m=m, which=which, t=t_paper, degree_pattern=pattern)
     return FamilyBuild(tree=tree, params=params, t_used=t_used, t_adjusted=t_used != t_paper)

@@ -113,8 +113,17 @@ def apply_switch(t: Tree, move: Switch, k: int) -> MoveOutcome:
     return _outcome(t, move, result, k)
 
 
-def _slide_interval(t: Tree, path: tuple[int, ...]) -> tuple[int, int]:
-    """Indices of the first and last interior attachment on the path."""
+def _slide_on(t: Tree, path: tuple[int, ...]) -> Slide | None:
+    """The slide on an anchored path: its first interior attachment lands on
+    the mirror of its last one.  None when nothing is attached in between."""
+    attachments = [i for i in range(1, len(path) - 1) if t.degree(path[i]) >= 3]
+    if not attachments:
+        return None
+    return Slide(path=tuple(path), source=path[attachments[0]], dest=path[len(path) - 1 - attachments[-1]])
+
+
+def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
+    """Build the slide descriptor for an anchored path."""
     if len(path) < 3:
         raise InvalidDescriptorError("slide path needs interior vertices")
     for a, b in zip(path, path[1:]):
@@ -125,25 +134,19 @@ def _slide_interval(t: Tree, path: tuple[int, ...]) -> tuple[int, int]:
     for endpoint in (path[0], path[-1]):
         if t.degree(endpoint) == 2:
             raise InvalidDescriptorError(f"anchor {endpoint} must be a leaf or a branch vertex")
-    attachments = [i for i in range(1, len(path) - 1) if t.degree(path[i]) >= 3]
-    if not attachments:
+    move = _slide_on(t, path)
+    if move is None:
         raise InvalidDescriptorError("slide path has nothing attached between its anchors")
-    return attachments[0], attachments[-1]
-
-
-def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
-    """Build the slide descriptor for an anchored path."""
-    i, j = _slide_interval(t, path)
-    last = len(path) - 1
-    return Slide(path=tuple(path), source=path[i], dest=path[last - j])
+    return move
 
 
 def apply_slide(t: Tree, move: Slide, k: int) -> MoveOutcome:
     path = move.path
-    i, j = _slide_interval(t, path)
-    last = len(path) - 1
-    if move.source != path[i] or move.dest != path[last - j]:
+    expected = slide_move(t, path)
+    if (move.source, move.dest) != (expected.source, expected.dest):
         raise InvalidDescriptorError("slide source/destination do not match the path attachments")
+    last = len(path) - 1
+    i, j = path.index(move.source), last - path.index(move.dest)
     shift = (last - j) - i
     if shift == 0:
         return MoveOutcome(move=move, tree=t, delta=0)
@@ -210,16 +213,9 @@ def slide_moves(t: Tree) -> Iterator[Slide]:
     anchors = [v for v in range(t.n) if t.degree(v) != 2]
     for idx, x in enumerate(anchors):
         for y in anchors[idx + 1 :]:
-            path = t.path(x, y)
-            if len(path) < 3:
-                continue
-            attachments = [i for i in range(1, len(path) - 1) if t.degree(path[i]) >= 3]
-            if not attachments:
-                continue
-            i, j = attachments[0], attachments[-1]
-            if (len(path) - 1 - j) - i == 0:
-                continue
-            yield Slide(path=path, source=path[i], dest=path[len(path) - 1 - j])
+            move = _slide_on(t, t.path(x, y))
+            if move is not None and move.source != move.dest:
+                yield move
 
 
 def neighbors(t: Tree, k: int) -> list[MoveOutcome]:

@@ -273,9 +273,9 @@ def _structure_check(arg: list[Entry]) -> tuple[dict | None, str, list[str]]:
 
 
 def _family_check(n: int, m: int) -> Check:
-    """Check: some maximizer is a unit-pendant caterpillar; which of the
-    named families defined for (n, m) are among the maximizers goes to the
-    notes."""
+    """Check: some maximizer is a unit-pendant caterpillar and, when a named
+    family is defined for (n, m), one of them is among the maximizers; which
+    of them are goes to the notes."""
     family_codes: dict[str, tuple[str, str]] = {}
     for which in FAMILY_LABELS:
         try:
@@ -292,7 +292,8 @@ def _family_check(n: int, m: int) -> Check:
             note = "matches family " + ", ".join(f"{w} ({family_codes[w][1]})" for w in matches)
         else:
             note = "no family construction matches the maximizer"
-        return outcomes, CONFIRMED_WITH_NOTES if exists_cat else VIOLATED, [note]
+        ok = exists_cat and (matches or not family_codes)
+        return outcomes, CONFIRMED_WITH_NOTES if ok else VIOLATED, [note]
 
     return check
 
@@ -337,21 +338,12 @@ def verify_max_caterpillar_family(max_n: int, k_set: Sequence[int]) -> list[Veri
 # ---------------------------------------------------------------------------
 # randomized switch instances (strict-inequality lemma)
 
-def _attach_random_component(
-    edges: list[tuple[int, int]], anchor: int, size: int, next_id: int, rng: random.Random
-) -> tuple[int, int]:
-    """Attach a random tree of *size* vertices at *anchor*; returns the root
-    id of the component and the next free vertex id."""
-    root = next_id
-    edges.append((anchor, root))
-    members = [root]
-    next_id += 1
-    for _ in range(size - 1):
-        parent = rng.choice(members)
-        edges.append((parent, next_id))
-        members.append(next_id)
-        next_id += 1
-    return root, next_id
+def _attach(edges: list[tuple[int, int]], anchor: int, shape: Sequence[int], next_id: int) -> int:
+    """Hang at *anchor* the tree on ids next_id, next_id + 1, ... whose
+    vertex i > 0 is a child of vertex shape[i] < i; returns the next free id."""
+    edges.append((anchor, next_id))
+    edges.extend((next_id + shape[i], next_id + i) for i in range(1, len(shape)))
+    return next_id + len(shape)
 
 
 def random_switch_instance(
@@ -372,28 +364,19 @@ def random_switch_instance(
     x_extra = y_extra + rng.randint(1, 3)
     if relation == "mirrored":
         x_extra, y_extra = y_extra, x_extra
+
+    def shape(size: int) -> list[int]:
+        return [0] + [rng.randrange(i) for i in range(1, size)]
+
     edges = [(i, i + 1) for i in range(s)]
     w0, ws = 0, s
-    next_id = s + 1
-    if relation == "equal":
-        shape = [0] + [rng.randrange(i) for i in range(1, size_a)]
-        a_root = next_id
-        for i, rel_parent in enumerate(shape):
-            if i > 0:
-                edges.append((a_root + rel_parent, a_root + i))
-        edges.append((w0, a_root))
-        next_id += size_a
-        b_root = next_id
-        for i, rel_parent in enumerate(shape):
-            if i > 0:
-                edges.append((b_root + rel_parent, b_root + i))
-        edges.append((ws, b_root))
-        next_id += size_a
-    else:
-        a_root, next_id = _attach_random_component(edges, w0, size_a, next_id, rng)
-        b_root, next_id = _attach_random_component(edges, ws, size_b, next_id, rng)
-    _, next_id = _attach_random_component(edges, w0, x_extra, next_id, rng)
-    _, next_id = _attach_random_component(edges, ws, y_extra, next_id, rng)
+    # the shapes are drawn in the order A, B, X, Y, which fixes the seeded instances
+    a_shape = shape(size_a)
+    a_root = s + 1
+    b_root = _attach(edges, w0, a_shape, a_root)
+    next_id = _attach(edges, ws, a_shape if relation == "equal" else shape(size_b), b_root)
+    next_id = _attach(edges, w0, shape(x_extra), next_id)
+    next_id = _attach(edges, ws, shape(y_extra), next_id)
     tree = Tree.from_edges(edges, n=next_id)
     return tree, Switch(w0=w0, ws=ws, a_root=a_root, b_root=b_root)
 

@@ -10,7 +10,13 @@ from __future__ import annotations
 import random
 
 from segwiener.enumeration import all_trees
-from segwiener.generators import caterpillar_family
+from segwiener.generators import (
+    FAMILY_LABELS,
+    InconsistentOrderError,
+    ParityMismatchError,
+    UnrealizableError,
+    caterpillar_family,
+)
 from segwiener.moves import apply_reattach, apply_slide, apply_switch, reattach_moves, slide_moves, switch_moves
 from segwiener.steiner import sw_k, sw_k_bruteforce, wiener
 from segwiener.trees import canonical_code, is_isomorphic, segment_sequence
@@ -84,16 +90,31 @@ def test_criterion_6_odd_segment_count_maximizer_is_the_balanced_caterpillar():
     reports = verify_max_caterpillar_family(11, [2, 3, 4])
     assert not any_violated(reports)
     odd_checked = 0
+    defined_checked = 0
     for rep in reports:
         assert rep.verdict in ("confirmed", "confirmed-with-notes")
         n, m = rep.instance["n"], rep.instance["m"]
+        family_codes = set()
+        for which in FAMILY_LABELS:
+            try:
+                family_codes.add(canonical_code(caterpillar_family(n, m, which).tree).decode("ascii"))
+            except (ParityMismatchError, InconsistentOrderError, UnrealizableError):
+                continue
+        if family_codes:
+            # some family defined for (n, m), odd or even m, is a maximizer
+            assert family_codes & set(rep.arg_trees), rep.instance
+            defined_checked += 1
         if m % 2 == 0:
             continue
         # all-degree-3 pattern with near-balanced end blocks
         build = caterpillar_family(n, m, "ii")
         assert canonical_code(build.tree).decode("ascii") in rep.arg_trees, rep.instance
         odd_checked += 1
-    _announce("6", f"{odd_checked} odd-m instances matched the all-degree-3 family exactly")
+    _announce(
+        "6",
+        f"{odd_checked} odd-m instances matched the all-degree-3 family exactly; "
+        f"{defined_checked} instances with a defined family had one among the maximizers",
+    )
 
 
 def test_criterion_7_switch_lemma_property_suite():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from segwiener.enumeration import segment_sequences_of_order
@@ -14,6 +17,7 @@ from segwiener.generators import (
     quasi_caterpillar,
     starlike,
 )
+from segwiener.io import format_edge_list
 from segwiener.trees import (
     backbone,
     canonical_code,
@@ -189,3 +193,45 @@ class TestCaterpillarFamily:
                     assert build.t_used + 1 + pendant_edges == n
                     assert build.params.t - build.t_used == 1
         assert built > 40
+
+
+def _outcome(build, *args) -> str:
+    """The edge list of the built tree (plus the family metadata for a
+    FamilyBuild), or the type and message of the error it raised."""
+    try:
+        out = build(*args)
+    except ValueError as exc:
+        return f"{args!r} {type(exc).__name__}: {exc}\n"
+    if hasattr(out, "params"):
+        meta = f"{out.params!r} {out.t_used} {out.t_adjusted} {out.note!r}"
+        return f"{args!r} {meta}\n{format_edge_list(out.tree)}"
+    return f"{args!r}\n{format_edge_list(out)}"
+
+
+def test_golden_constructions():
+    # sha256 over every construction below; any change to a tree or its
+    # labels, to the family metadata or to an error message shows up here
+    digest = hashlib.sha256()
+    for n in range(2, 15):
+        for seq in segment_sequences_of_order(n):
+            digest.update(_outcome(starlike, seq).encode())
+    for seq in [(), (2, 2), (2, 0, 1), (-1,), (3, 1, 2)]:
+        digest.update(_outcome(starlike, seq).encode())
+    for n in range(0, 15):
+        for m in range(-1, n + 2):
+            digest.update(_outcome(balanced_starlike, n, m).encode())
+    rng = random.Random(5)
+    for _ in range(1500):  # every joint carries one or two pendants
+        r = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5)))
+        pend = [(j, rng.randint(1, 3)) for j in range(1, len(r)) for _ in range(rng.randint(1, 2))]
+        rng.shuffle(pend)
+        digest.update(_outcome(quasi_caterpillar, r, pend).encode())
+    for _ in range(500):  # mostly invalid
+        r = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 4)))
+        pend = [(rng.randint(0, len(r)), rng.randint(0, 3)) for _ in range(rng.randint(0, 5))]
+        digest.update(_outcome(quasi_caterpillar, r, pend).encode())
+    for n in range(0, 31):
+        for m in range(-1, n + 2):
+            for which in FAMILY_LABELS + ("v",):
+                digest.update(_outcome(caterpillar_family, n, m, which).encode())
+    assert digest.hexdigest() == "18898cc4f6563e6924eef562235dc40cdcc49130489fb9e6d7d827899d2d89f6"

@@ -14,6 +14,7 @@ from segwiener.verify import (
     CONFIRMED,
     CONFIRMED_WITH_NOTES,
     VIOLATED,
+    _family_check,
     any_violated,
     groups_admit_valley,
     is_unimodal,
@@ -188,6 +189,26 @@ class TestTheorem5:
                 continue
             fam = caterpillar_family(n, m, "ii")
             assert canonical_code(fam.tree).decode() in r.arg_trees
+
+    def test_max_family_missing_from_argmax_is_violated(self):
+        def entry(t):
+            return canonical_code(t).decode(), t
+
+        # (8, 5) defines family ii only; another unit-pendant caterpillar
+        # with 5 segments does not confirm it
+        family_ii = caterpillar_family(8, 5, "ii").tree
+        other = quasi_caterpillar((1, 1, 3), [(1, 1), (2, 1)])
+        assert is_unit_pendant_caterpillar(other)
+        assert canonical_code(other) != canonical_code(family_ii)
+        check = _family_check(8, 5)
+        assert check([entry(other)])[1] == VIOLATED
+        assert check([entry(other), entry(family_ii)])[1] == CONFIRMED_WITH_NOTES
+        # (8, 4) defines no family, so a unit-pendant caterpillar is enough
+        four = quasi_caterpillar((1, 4), [(1, 1), (1, 1)])
+        _, verdict, notes = _family_check(8, 4)([entry(four)])
+        assert verdict == CONFIRMED_WITH_NOTES
+        assert notes == ["no family construction matches the maximizer"]
+        assert _family_check(8, 4)([entry(quasi_caterpillar((2, 2), [(1, 3)]))])[1] == VIOLATED
 
 
 class TestLemma31:
