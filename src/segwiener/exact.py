@@ -33,8 +33,8 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     value = math.comb(n, k)
-    # inline check: a call to checked() here would double the cost of this
-    # innermost call of sw_k; C(n, k) >= 0, so only the upper bound can fail
+    # inline check rather than checked(): C(n, k) >= 0, so only the upper
+    # bound can fail, and the message names the coefficient
     if value > I128_MAX:
         raise CountOverflowError(f"C({n},{k}) exceeds the signed 128-bit range")
     return value

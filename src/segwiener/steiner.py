@@ -1,15 +1,20 @@
 """Exact Steiner distances and the Steiner k-Wiener index.
 
 Two independent routes are kept on purpose: the edge-contribution formula
-(`sw_k`, the default) and literal summation over all k-subsets
+(`sw_k`, `sw_profile` and `wiener`) and literal summation over all k-subsets
 (`sw_k_bruteforce`, the cross-check, guarded to small orders).  An edge lies
 in the minimal subtree spanning a set S exactly when S meets both sides of
 the edge, so with side sizes a and n-a the edge is counted by
-C(n,k) - C(a,k) - C(n-a,k) sets.
+w_{n,k}[a] = C(n,k) - C(a,k) - C(n-a,k) sets, and SW_k is the sum of these
+weights over the edges.  The weights depend only on (n, k): each row
+w_{n,k}[0..n] is computed once and kept in a cache of at most 1024 rows, so
+the cache holds at most 1024 * (n + 1) integers of at most 128 bits for the
+largest order n evaluated.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -53,15 +58,10 @@ def steiner_distance(t: Tree, subset: Iterable[int]) -> int:
 def _edge_side_sizes(t: Tree) -> list[int]:
     """For every edge, the vertex count of one fixed side (the child side
     when rooted at vertex 0)."""
-    if t.n == 1:
-        return []
     parent = [-1] * t.n
     parent[0] = 0
     order = [0]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    for v in order:
         for w in t.adj[v]:
             if parent[w] < 0:
                 parent[w] = v
@@ -72,10 +72,19 @@ def _edge_side_sizes(t: Tree) -> list[int]:
     return [size[v] for v in order[1:]]
 
 
+@lru_cache(maxsize=1024)
+def _weights(n: int, k: int) -> tuple[int, ...]:
+    """w[a] = C(n,k) - C(a,k) - C(n-a,k) for a = 0..n.  C(a,k) <= C(n,k),
+    so a row raises CountOverflowError exactly when C(n,k) leaves i128."""
+    total = binomial(n, k)
+    low = [binomial(a, k) for a in range(n + 1)]
+    return tuple(total - low[a] - low[n - a] for a in range(n + 1))
+
+
 def wiener(t: Tree) -> int:
-    """Sum of pairwise distances, via edge contributions a * (n - a)."""
-    n = t.n
-    return checked(sum(a * (n - a) for a in _edge_side_sizes(t)))
+    """Sum of pairwise distances: SW_2, whose weights are a * (n - a)."""
+    w = _weights(t.n, 2)
+    return checked(sum(w[a] for a in _edge_side_sizes(t)))
 
 
 def _check_k(t: Tree, k: int) -> None:
@@ -83,19 +92,11 @@ def _check_k(t: Tree, k: int) -> None:
         raise ValueError(f"k={k} out of range 1..{t.n}")
 
 
-def _edge_contributions(n: int, sides: list[int], k: int) -> int:
-    """Sum over edges with side sizes a, n - a of C(n,k) - C(a,k) - C(n-a,k)."""
-    total_sets = binomial(n, k)
-    total = 0
-    for a in sides:
-        total += total_sets - binomial(a, k) - binomial(n - a, k)
-    return checked(total)
-
-
 def sw_k(t: Tree, k: int) -> int:
     """Steiner k-Wiener index by edge contribution."""
     _check_k(t, k)
-    return _edge_contributions(t.n, _edge_side_sizes(t), k)
+    w = _weights(t.n, k)
+    return checked(sum(w[a] for a in _edge_side_sizes(t)))
 
 
 def sw_k_bruteforce(t: Tree, k: int) -> int:
@@ -109,4 +110,5 @@ def sw_k_bruteforce(t: Tree, k: int) -> int:
 def sw_profile(t: Tree) -> tuple[int, ...]:
     """(SW_1, ..., SW_n) in one pass over the edge side sizes."""
     sides = _edge_side_sizes(t)
-    return tuple(_edge_contributions(t.n, sides, k) for k in range(1, t.n + 1))
+    rows = (_weights(t.n, k) for k in range(1, t.n + 1))
+    return tuple(checked(sum(w[a] for a in sides)) for w in rows)

@@ -14,7 +14,7 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
-from .enumeration import all_trees, segment_sequences_of_order
+from .enumeration import MAX_ORDER, all_trees, segment_sequences_of_order
 from .generators import (
     FAMILY_LABELS,
     ParityMismatchError,
@@ -25,7 +25,7 @@ from .generators import (
     starlike,
 )
 from .moves import Switch, apply_switch
-from .steiner import sw_k
+from .steiner import sw_profile
 from .trees import (
     Tree,
     all_backbones,
@@ -34,8 +34,6 @@ from .trees import (
     is_quasi_caterpillar,
     segment_sequence,
 )
-
-MAX_VERIFY_ORDER = 12
 
 CONFIRMED = "confirmed"
 CONFIRMED_WITH_NOTES = "confirmed-with-notes"
@@ -189,19 +187,17 @@ def _code(t: Tree) -> str:
     return canonical_code(t).decode("ascii")
 
 
-def _classes(n: int, by_count: bool) -> list[tuple[dict, list[Entry]]]:
+def _classes(n: int, by_count: bool) -> list[tuple[dict, list[Tree]]]:
     """Instance classes of order *n* with their instance fields: one per
     segment sequence (in `segment_sequences_of_order` order) or one per
-    segment count (ascending).  Entries are sorted by canonical code."""
-    buckets: dict[object, list[Entry]] = {}
+    segment count (ascending).  Trees are in enumeration order."""
+    buckets: dict[object, list[Tree]] = {}
     for t in all_trees(n):
         seq = segment_sequence(t)
-        buckets.setdefault(len(seq) if by_count else seq, []).append((_code(t), t))
+        buckets.setdefault(len(seq) if by_count else seq, []).append(t)
     if by_count:
-        keyed = [({"n": n, "m": m}, buckets[m]) for m in sorted(buckets)]
-    else:
-        keyed = [({"n": n, "segments": list(seq)}, buckets[seq]) for seq in segment_sequences_of_order(n)]
-    return [(fields, sorted(entries, key=lambda e: e[0])) for fields, entries in keyed]
+        return [({"n": n, "m": m}, buckets[m]) for m in sorted(buckets)]
+    return [({"n": n, "segments": list(seq)}, buckets[seq]) for seq in segment_sequences_of_order(n)]
 
 
 def _verify(
@@ -212,24 +208,26 @@ def _verify(
     want_max: bool,
     judge: Callable[[dict], Check],
 ) -> list[VerificationReport]:
-    """Enumerate every class of order 2..max_n, evaluate the index of each
-    tree for each k, and let *judge*'s check rule on the extremal trees.
+    """Enumerate every class of order 2..max_n, evaluate the index profile
+    of each tree once, and let *judge*'s check rule, for each k, on the
+    extremal trees sorted by canonical code.
 
     A run that yields no instance checked nothing and raises ValueError."""
-    if max_n > MAX_VERIFY_ORDER:
-        raise ValueError(f"verification is guarded to max_n <= {MAX_VERIFY_ORDER}")
+    if max_n > MAX_ORDER:
+        raise ValueError(f"verification is guarded to max_n <= {MAX_ORDER}")
     pick = max if want_max else min
     reports = []
     for n in range(2, max_n + 1):
         ks = _ks_for(n, k_set)
         if not ks:
             continue
-        for fields, entries in _classes(n, by_count):
+        for fields, trees in _classes(n, by_count):
             check = judge(fields)
+            profiles = [sw_profile(t) for t in trees]
             for k in ks:
-                values = [sw_k(tree, k) for _, tree in entries]
-                best = pick(values)
-                arg = [e for e, v in zip(entries, values) if v == best]
+                best = pick(p[k - 1] for p in profiles)
+                arg = [(_code(t), t) for t, p in zip(trees, profiles) if p[k - 1] == best]
+                arg.sort(key=lambda e: e[0])
                 outcomes, verdict, notes = check(arg)
                 reports.append(
                     VerificationReport(
@@ -239,7 +237,7 @@ def _verify(
                         arg_trees=tuple(code for code, _ in arg),
                         predicate_outcomes=outcomes,
                         verdict=verdict,
-                        notes="; ".join([f"class size {len(entries)}", *notes]),
+                        notes="; ".join([f"class size {len(trees)}", *notes]),
                     )
                 )
     if not reports:

@@ -139,6 +139,12 @@ def test_verify_that_checks_nothing_is_usage_error(capsys, argv):
     assert "error" in err
 
 
+def test_verify_above_enumeration_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "theorem1", "--max-n", "17")
+    assert code == 2 and out == ""
+    assert "max_n <= 16" in err
+
+
 def test_verify_violation_exits_one(capsys, monkeypatch):
     import segwiener.verify as verify
 

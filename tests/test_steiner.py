@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -138,3 +139,29 @@ class TestProfile:
     def test_sw3_identity_spot(self, fig1_top, fig1_bottom):
         for t in (fig1_top, fig1_bottom):
             assert 2 * sw_k(t, 3) == (t.n - 2) * wiener(t)
+
+    def test_golden_index_values(self):
+        # sha256 of (profile, Wiener index) over every tree of order <= 13
+        # and 300 seeded random labelled trees of order 14..100; on the
+        # random trees the profile also agrees with sw_k for every k and is
+        # unchanged by a seeded relabelling
+        digest = hashlib.sha256()
+
+        def record(t):
+            profile = sw_profile(t)
+            digest.update(f"{t.n} {profile} {wiener(t)}\n".encode())
+            return profile
+
+        for n in range(1, 14):
+            for t in all_trees(n):
+                record(t)
+        rng, relabel_rng = random.Random(20), random.Random(21)
+        for _ in range(300):
+            n = rng.randint(14, 100)
+            t = random_labeled_tree(n, rng)
+            profile = record(t)
+            assert all(profile[k - 1] == sw_k(t, k) for k in range(1, n + 1))
+            perm = list(range(n))
+            relabel_rng.shuffle(perm)
+            assert sw_profile(t.relabel(perm)) == profile
+        assert digest.hexdigest() == "b0c38bcede6a3ff24867cace647bfd72a2471cb16095e30b8197a9c47a24ff57"

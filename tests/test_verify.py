@@ -8,6 +8,7 @@ import pytest
 
 from segwiener.enumeration import all_trees
 from segwiener.generators import balanced_starlike, caterpillar_family, quasi_caterpillar, starlike
+from segwiener.moves import apply_switch
 from segwiener.steiner import sw_k
 from segwiener.trees import all_backbones, backbone, canonical_code, is_quasi_caterpillar, tree_from_code
 from segwiener.verify import (
@@ -142,14 +143,30 @@ class TestTheorem1:
         assert rep.verdict == CONFIRMED and "class size 1" in rep.notes
 
     def test_guard(self):
-        with pytest.raises(ValueError):
-            verify_min_starlike(13, [2])
+        # verification is capped only by the enumerator's order limit
+        with pytest.raises(ValueError, match="max_n <= 16"):
+            verify_min_starlike(17, [2])
+        reports = verify_min_starlike(13, [2])
+        assert any(r.instance["n"] == 13 for r in reports)
 
 
 class TestTheorem2AndStructure:
     def test_no_violations_small(self):
         assert not any_violated(verify_max_quasi_caterpillar(8, [2, 3]))
         assert not any_violated(verify_structure(8, [2, 3]))
+
+    def test_violation_map(self):
+        # the universal reading of `structure` fails only at k = 1 or
+        # n - k <= 3, where many trees tie; on every violated instance some
+        # quasi-caterpillar maximizer passes all predicates under one backbone
+        reports = verify_structure(12, range(1, 13))
+        violated = [r for r in reports if r.verdict == VIOLATED]
+        assert (len(reports), len(violated)) == (1651, 222)
+        for r in violated:
+            n, k = r.instance["n"], r.instance["k"]
+            assert k == 1 or n - k <= 3, r.instance
+            trees = [tree_from_code(code) for code in r.arg_trees]
+            assert any(structure_assessment(t)[1] for t in trees), r.instance
 
     def test_spot_instance_predicates_all_true(self):
         reports = verify_structure(10, [2])
@@ -222,6 +239,22 @@ class TestLemma31:
         b = verify_lemma31(40, 7, [2, 3])
         assert a == b
 
+    def test_deltas_are_never_negative(self):
+        # every 2 <= k <= n on seeded strict instances: no switch lowers the
+        # index, and a zero delta occurs only close to k = n
+        rng = random.Random(1)
+        applications = zeros = 0
+        for _ in range(300):
+            tree, move = random_switch_instance(rng)
+            for k in range(2, tree.n + 1):
+                delta = apply_switch(tree, move, k).delta
+                applications += 1
+                assert delta >= 0, (tree, move, k)
+                if delta == 0:
+                    zeros += 1
+                    assert tree.n - k <= 6, (tree, move, k)
+        assert (applications, zeros) == (4245, 1522)
+
     def test_instance_builder_relations(self):
         rng = random.Random(3)
         tree, move = random_switch_instance(rng, relation="strict")
@@ -248,7 +281,16 @@ class TestReports:
             int(rec["extremal_value"])
 
     def test_arg_trees_reparse_to_reported_value(self):
-        for rep in verify_max_quasi_caterpillar(7, [2, 3]):
+        verifiers = (
+            verify_min_starlike,
+            verify_max_quasi_caterpillar,
+            verify_structure,
+            verify_min_balanced,
+            verify_max_caterpillar_family,
+        )
+        # every k, so that k = 1 and k close to n give many tied trees
+        for rep in (rep for verifier in verifiers for rep in verifier(8, range(1, 9))):
+            assert list(rep.arg_trees) == sorted(rep.arg_trees)
             k = rep.instance["k"]
             for code in rep.arg_trees:
                 t = tree_from_code(code)
