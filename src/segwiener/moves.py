@@ -11,16 +11,21 @@ components so that the segment-length multiset never changes:
 * reattach — move every off-segment component of one branch endpoint of a
             segment to the other endpoint, turning the segment pendant.
 
-Deltas are always full recomputations of the index, never incremental sums.
+Deltas are always full recomputations of the index, never incremental sums:
+each neighbour's SW_k is evaluated from scratch.  Within one neighbourhood
+the unchanged source tree's segment sequence and SW_k are evaluated once and
+shared by every neighbour.  Moves rewire the source's adjacency directly;
+a result that is not a tree raises InvalidTreeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from itertools import chain
+from typing import Iterable, Iterator, Union
 
 from .steiner import sw_k
-from .trees import Tree, canonical_code, segment_decomposition, segment_sequence
+from .trees import InvalidTreeError, Tree, _bfs, canonical_code, segment_decomposition, segment_sequence
 
 
 class InvalidDescriptorError(ValueError):
@@ -82,35 +87,73 @@ def _segment_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
 
 
 def _rewire(t: Tree, drop: list[tuple[int, int]], add: list[tuple[int, int]]) -> Tree:
-    edges = {(u, v) if u < v else (v, u) for u, v in t.edges()}
+    """*t* with the edges *drop* removed, then the edges *add* inserted.
+    Raises InvalidTreeError unless the result is again a tree."""
+    adj: list = list(t.adj)
+    touched: set[int] = set()
+
+    def nbrs(v: int) -> list[int]:
+        if v not in touched:
+            touched.add(v)
+            adj[v] = list(adj[v])
+        return adj[v]
+
     for u, v in drop:
-        key = (u, v) if u < v else (v, u)
-        if key not in edges:
+        if v not in nbrs(u):
             raise InvalidDescriptorError(f"edge ({u}, {v}) not present")
-        edges.remove(key)
+        nbrs(u).remove(v)
+        nbrs(v).remove(u)
     for u, v in add:
-        edges.add((u, v) if u < v else (v, u))
-    return Tree.from_edges(sorted(edges), n=t.n)
+        if u == v or v in nbrs(u):
+            raise InvalidTreeError(f"added edge ({u}, {v}) is a self-loop or already present")
+        nbrs(u).append(v)
+        nbrs(v).append(u)
+    for v in touched:
+        adj[v] = tuple(sorted(adj[v]))
+    # n - 1 edges + connected <=> tree
+    if len(add) != len(drop):
+        raise InvalidTreeError(f"rewiring leaves {t.n - 1 - len(drop) + len(add)} edges for {t.n} vertices")
+    if len(_bfs(adj, 0)[1]) != t.n:
+        raise InvalidTreeError("rewiring disconnects the tree")
+    return Tree(t.n, tuple(adj))
 
 
-def _outcome(t: Tree, move: MoveDescriptor, result: Tree, k: int) -> MoveOutcome:
-    if segment_sequence(result) != segment_sequence(t):
-        raise InvalidDescriptorError("move would change the segment sequence")
-    return MoveOutcome(move=move, tree=result, delta=sw_k(result, k) - sw_k(t, k))
+def _outcomes(t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Tree]]) -> list[MoveOutcome]:
+    """The outcome of each (move, result tree) on the source *t*.  The
+    source's segment sequence and SW_k are evaluated once, when first
+    needed, so a tree without moves (a path, a star, one vertex) is never
+    evaluated; a result that is *t* itself is the identity move."""
+    seq = value = None
+    out = []
+    for move, result in results:
+        if result is t:
+            out.append(MoveOutcome(move=move, tree=t, delta=0))
+            continue
+        if seq is None:
+            seq = segment_sequence(t)
+        if segment_sequence(result) != seq:
+            raise InvalidDescriptorError("move would change the segment sequence")
+        if value is None:
+            value = sw_k(t, k)
+        out.append(MoveOutcome(move=move, tree=result, delta=sw_k(result, k) - value))
+    return out
 
 
-def apply_switch(t: Tree, move: Switch, k: int) -> MoveOutcome:
+def _switched(t: Tree, move: Switch) -> Tree:
     path = _segment_path(t, move.w0, move.ws)
     if move.a_root not in t.adj[move.w0] or move.a_root == path[1]:
         raise InvalidDescriptorError(f"{move.a_root} is not an off-segment neighbour of {move.w0}")
     if move.b_root not in t.adj[move.ws] or move.b_root == path[-2]:
         raise InvalidDescriptorError(f"{move.b_root} is not an off-segment neighbour of {move.ws}")
-    result = _rewire(
+    return _rewire(
         t,
         drop=[(move.w0, move.a_root), (move.ws, move.b_root)],
         add=[(move.ws, move.a_root), (move.w0, move.b_root)],
     )
-    return _outcome(t, move, result, k)
+
+
+def apply_switch(t: Tree, move: Switch, k: int) -> MoveOutcome:
+    return _outcomes(t, k, [(move, _switched(t, move))])[0]
 
 
 def _slide_on(t: Tree, path: tuple[int, ...]) -> Slide | None:
@@ -140,7 +183,8 @@ def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
     return move
 
 
-def apply_slide(t: Tree, move: Slide, k: int) -> MoveOutcome:
+def _slid(t: Tree, move: Slide) -> Tree:
+    """The slid tree; *t* itself when the slide mirrors onto itself."""
     path = move.path
     expected = slide_move(t, path)
     if (move.source, move.dest) != (expected.source, expected.dest):
@@ -149,7 +193,7 @@ def apply_slide(t: Tree, move: Slide, k: int) -> MoveOutcome:
     i, j = path.index(move.source), last - path.index(move.dest)
     shift = (last - j) - i
     if shift == 0:
-        return MoveOutcome(move=move, tree=t, delta=0)
+        return t
     drop: list[tuple[int, int]] = []
     add: list[tuple[int, int]] = []
     for x in range(i, j + 1):
@@ -159,23 +203,29 @@ def apply_slide(t: Tree, move: Slide, k: int) -> MoveOutcome:
                 continue
             drop.append((v, w))
             add.append((path[x + shift], w))
-    result = _rewire(t, drop, add)
-    return _outcome(t, move, result, k)
+    return _rewire(t, drop, add)
 
 
-def apply_reattach(t: Tree, move: Reattach, k: int) -> MoveOutcome:
+def apply_slide(t: Tree, move: Slide, k: int) -> MoveOutcome:
+    return _outcomes(t, k, [(move, _slid(t, move))])[0]
+
+
+def _reattached(t: Tree, move: Reattach) -> Tree:
     path = _segment_path(t, move.u1, move.u2)
     expected = tuple(sorted(w for w in t.adj[move.u1] if w != path[1]))
     if tuple(sorted(move.moved)) != expected:
         raise InvalidDescriptorError(
             f"reattach must move every off-segment neighbour of {move.u1}: {expected}"
         )
-    result = _rewire(
+    return _rewire(
         t,
         drop=[(move.u1, w) for w in expected],
         add=[(move.u2, w) for w in expected],
     )
-    return _outcome(t, move, result, k)
+
+
+def apply_reattach(t: Tree, move: Reattach, k: int) -> MoveOutcome:
+    return _outcomes(t, k, [(move, _reattached(t, move))])[0]
 
 
 def _branch_segments(t: Tree) -> Iterator[tuple[int, ...]]:
@@ -209,25 +259,30 @@ def reattach_moves(t: Tree) -> Iterator[Reattach]:
 
 
 def slide_moves(t: Tree) -> Iterator[Slide]:
-    """Non-trivial slides only: the mirrored position must differ."""
+    """Non-trivial slides only: the mirrored position must differ.  One
+    search from each anchor gives its paths to all later anchors."""
     anchors = [v for v in range(t.n) if t.degree(v) != 2]
     for idx, x in enumerate(anchors):
+        parent = _bfs(t.adj, x)[0]
         for y in anchors[idx + 1 :]:
-            move = _slide_on(t, t.path(x, y))
+            path = [y]
+            while y != x:
+                y = parent[y]
+                path.append(y)
+            path.reverse()
+            move = _slide_on(t, tuple(path))
             if move is not None and move.source != move.dest:
                 yield move
 
 
 def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
     """Every valid switch, slide and reattach on *t*, each applied."""
-    out: list[MoveOutcome] = []
-    for sw in switch_moves(t):
-        out.append(apply_switch(t, sw, k))
-    for sl in slide_moves(t):
-        out.append(apply_slide(t, sl, k))
-    for re_ in reattach_moves(t):
-        out.append(apply_reattach(t, re_, k))
-    return out
+    results = chain(
+        ((sw, _switched(t, sw)) for sw in switch_moves(t)),
+        ((sl, _slid(t, sl)) for sl in slide_moves(t)),
+        ((re_, _reattached(t, re_)) for re_ in reattach_moves(t)),
+    )
+    return _outcomes(t, k, results)
 
 
 @dataclass(frozen=True)
@@ -240,8 +295,10 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     """Steepest ascent/descent over the move neighbourhood.
 
     Applies the best strictly improving neighbour until none exists; ties
-    are broken deterministically by (delta, canonical code of the result).
-    The endpoint is a local optimum within the segment-sequence class.
+    are broken deterministically by (delta, canonical code of the result),
+    and codes are computed only among the neighbours that tie on the best
+    delta.  The endpoint is a local optimum within the segment-sequence
+    class.
     """
     if direction not in ("minimize", "maximize"):
         raise ValueError("direction must be 'minimize' or 'maximize'")
@@ -249,9 +306,11 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     current = t
     steps: list[MoveOutcome] = []
     while True:
-        improving = [o for o in neighbors(current, k) if sign * o.delta > 0]
-        if not improving:
+        outcomes = neighbors(current, k)
+        gain = max((sign * o.delta for o in outcomes), default=0)
+        if gain <= 0:
             return ClimbResult(tree=current, steps=tuple(steps))
-        best = min(improving, key=lambda o: (-sign * o.delta, canonical_code(o.tree)))
+        ties = [o for o in outcomes if sign * o.delta == gain]
+        best = ties[0] if len(ties) == 1 else min(ties, key=lambda o: canonical_code(o.tree))
         steps.append(best)
         current = best.tree

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .exact import binomial, checked
-from .trees import Tree
+from .trees import Tree, _bfs
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -58,14 +58,7 @@ def steiner_distance(t: Tree, subset: Iterable[int]) -> int:
 def _edge_side_sizes(t: Tree) -> list[int]:
     """For every edge, the vertex count of one fixed side (the child side
     when rooted at vertex 0)."""
-    parent = [-1] * t.n
-    parent[0] = 0
-    order = [0]
-    for v in order:
-        for w in t.adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
+    parent, order = _bfs(t.adj, 0)
     size = [1] * t.n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
@@ -79,6 +72,14 @@ def _weights(n: int, k: int) -> tuple[int, ...]:
     total = binomial(n, k)
     low = [binomial(a, k) for a in range(n + 1)]
     return tuple(total - low[a] - low[n - a] for a in range(n + 1))
+
+
+def _index_sums(t: Tree, ks: Iterable[int]) -> tuple[int, ...]:
+    """SW_k for each k in *ks* (unchecked, 1 <= k <= n), from one pass over
+    the edge side sizes."""
+    sides = _edge_side_sizes(t)
+    rows = (_weights(t.n, k) for k in ks)
+    return tuple(checked(sum(w[a] for a in sides)) for w in rows)
 
 
 def wiener(t: Tree) -> int:
@@ -109,6 +110,4 @@ def sw_k_bruteforce(t: Tree, k: int) -> int:
 
 def sw_profile(t: Tree) -> tuple[int, ...]:
     """(SW_1, ..., SW_n) in one pass over the edge side sizes."""
-    sides = _edge_side_sizes(t)
-    rows = (_weights(t.n, k) for k in range(1, t.n + 1))
-    return tuple(checked(sum(w[a] for a in sides)) for w in rows)
+    return _index_sums(t, range(1, t.n + 1))

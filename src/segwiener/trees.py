@@ -40,6 +40,21 @@ class NotQuasiCaterpillarError(ValueError):
     """A backbone was requested for a tree that is not a quasi-caterpillar."""
 
 
+def _bfs(adj, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search of the graph *adj* from *root*: the parent of
+    each reached vertex (*root* is its own, unreached vertices have -1) and
+    the reached vertices in visiting order."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    return parent, order
+
+
 @dataclass(frozen=True)
 class Tree:
     """Immutable free tree; ``adj[v]`` is the sorted tuple of neighbours of v.
@@ -83,18 +98,7 @@ class Tree:
             nbrs[v].append(u)
         tree = Tree(n, tuple(tuple(sorted(a)) for a in nbrs))
         # n-1 edges + connected <=> tree
-        reached = 1
-        visited = bytearray(n)
-        visited[0] = 1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in tree.adj[v]:
-                if not visited[w]:
-                    visited[w] = 1
-                    reached += 1
-                    stack.append(w)
-        if reached != n:
+        if len(_bfs(tree.adj, 0)[1]) != n:
             raise InvalidTreeError("edge list is not connected")
         return tree
 

@@ -25,7 +25,7 @@ from .generators import (
     starlike,
 )
 from .moves import Switch, apply_switch
-from .steiner import sw_profile
+from .steiner import _index_sums
 from .trees import (
     Tree,
     all_backbones,
@@ -208,9 +208,10 @@ def _verify(
     want_max: bool,
     judge: Callable[[dict], Check],
 ) -> list[VerificationReport]:
-    """Enumerate every class of order 2..max_n, evaluate the index profile
-    of each tree once, and let *judge*'s check rule, for each k, on the
-    extremal trees sorted by canonical code.
+    """Enumerate every class of order 2..max_n, evaluate the requested
+    indices of each tree in one pass over its edge side sizes, and let
+    *judge*'s check rule, for each k, on the extremal trees sorted by
+    canonical code.
 
     A run that yields no instance checked nothing and raises ValueError."""
     if max_n > MAX_ORDER:
@@ -223,10 +224,10 @@ def _verify(
             continue
         for fields, trees in _classes(n, by_count):
             check = judge(fields)
-            profiles = [sw_profile(t) for t in trees]
-            for k in ks:
-                best = pick(p[k - 1] for p in profiles)
-                arg = [(_code(t), t) for t, p in zip(trees, profiles) if p[k - 1] == best]
+            values = [_index_sums(t, ks) for t in trees]
+            for i, k in enumerate(ks):
+                best = pick(v[i] for v in values)
+                arg = [(_code(t), t) for t, v in zip(trees, values) if v[i] == best]
                 arg.sort(key=lambda e: e[0])
                 outcomes, verdict, notes = check(arg)
                 reports.append(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import defaultdict
 
@@ -10,6 +11,7 @@ from segwiener.generators import quasi_caterpillar, starlike
 from segwiener.moves import (
     InvalidDescriptorError,
     Reattach,
+    _rewire,
     Slide,
     Switch,
     apply_reattach,
@@ -33,6 +35,7 @@ from segwiener.trees import (
 from segwiener.verify import random_switch_instance
 
 from .conftest import path_tree
+from .oracles import random_labeled_tree, slide_descriptor_count
 
 
 class TestSwitch:
@@ -199,6 +202,37 @@ class TestNeighbors:
                 assert sum(1 for _ in slide_moves(t)) == slide_descriptor_count(t)
                 assert sum(1 for _ in reattach_moves(t)) == reattach_descriptor_count(t)
 
+    def test_random_neighbourhoods_match_oracles(self):
+        # each neighbour is a valid tree in the source's class, and the
+        # slide scan finds exactly the slides of the pairwise oracle
+        rng = random.Random(40)
+        for _ in range(200):
+            n = rng.randint(2, 30)
+            t = random_labeled_tree(n, rng)
+            assert sum(1 for _ in slide_moves(t)) == slide_descriptor_count(t)
+            k = rng.randint(1, n)
+            seq = segment_sequence(t)
+            for o in neighbors(t, k):
+                assert o.tree == Tree.from_edges(list(o.tree.edges()), n=n)
+                assert segment_sequence(o.tree) == seq
+                assert o.delta == sw_k(o.tree, k) - sw_k(t, k)
+
+    def test_rewire_refuses_non_trees(self):
+        t = path_tree(5)  # 0-1-2-3-4
+        assert _rewire(t, drop=[(0, 1)], add=[(0, 4)]) == Tree.from_edges([(1, 2), (2, 3), (3, 4), (4, 0)])
+        with pytest.raises(InvalidDescriptorError):
+            _rewire(t, drop=[(0, 2)], add=[(0, 2)])
+        for drop, add in (
+            ([(0, 1)], [(2, 4)]),  # n - 1 edges, but 0 is cut off and 2-3-4 is a cycle
+            ([(0, 1)], [(1, 2)]),  # the added edge is already there
+            ([(0, 1)], [(1, 1)]),  # a self-loop
+            ([(0, 1)], []),  # too few edges
+            ([], [(0, 4)]),  # too many edges
+            ([(0, 1), (3, 4)], [(0, 4), (0, 4)]),  # one edge added twice
+        ):
+            with pytest.raises(ValueError):
+                _rewire(t, drop, add)
+
     def test_closure_small(self):
         for n in range(2, 8):
             for t in all_trees(n):
@@ -235,6 +269,22 @@ class TestHillClimb:
         assert all(o.delta > 0 for o in res.steps)
         res = hill_climb(fig1_bottom, 2, "minimize")
         assert all(o.delta < 0 for o in res.steps)
+
+    def test_golden_climbs(self):
+        # sha256 over seeded climbs in both directions, k = 2..4, n <= 20:
+        # the final tree, and each step's descriptor, delta and tree;
+        # recorded before the neighbourhood evaluated its source once
+        digest = hashlib.sha256()
+        rng = random.Random(70)
+        for _ in range(40):
+            t = random_labeled_tree(rng.randint(4, 20), rng)
+            for k in (2, 3, 4):
+                for direction in ("minimize", "maximize"):
+                    res = hill_climb(t, k, direction)
+                    digest.update(f"{t.n} {k} {direction} {list(res.tree.edges())}\n".encode())
+                    for o in res.steps:
+                        digest.update(f"{o.move!r} {o.delta} {list(o.tree.edges())}\n".encode())
+        assert digest.hexdigest() == "a2d32eb6aba7f21102f658580b39359dbe6a2452f2cd42285de0cccc5f561ec3"
 
     def test_direction_validated(self, k13):
         with pytest.raises(ValueError):
