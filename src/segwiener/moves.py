@@ -184,11 +184,17 @@ def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
 
 
 def _slid(t: Tree, move: Slide) -> Tree:
-    """The slid tree; *t* itself when the slide mirrors onto itself."""
-    path = move.path
-    expected = slide_move(t, path)
+    """The slid tree, after validating *move* against *t*."""
+    expected = slide_move(t, move.path)
     if (move.source, move.dest) != (expected.source, expected.dest):
         raise InvalidDescriptorError("slide source/destination do not match the path attachments")
+    return _slide_rewired(t, move)
+
+
+def _slide_rewired(t: Tree, move: Slide) -> Tree:
+    """The slid tree for a descriptor that matches *t* (from `slide_move` or
+    `slide_moves`); *t* itself when the slide mirrors onto itself."""
+    path = move.path
     last = len(path) - 1
     i, j = path.index(move.source), last - path.index(move.dest)
     shift = (last - j) - i
@@ -276,10 +282,12 @@ def slide_moves(t: Tree) -> Iterator[Slide]:
 
 
 def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
-    """Every valid switch, slide and reattach on *t*, each applied."""
+    """Every valid switch, slide and reattach on *t*, each applied.  The
+    slides come from `slide_moves`, which builds them valid, so they are
+    rewired without a second validation."""
     results = chain(
         ((sw, _switched(t, sw)) for sw in switch_moves(t)),
-        ((sl, _slid(t, sl)) for sl in slide_moves(t)),
+        ((sl, _slide_rewired(t, sl)) for sl in slide_moves(t)),
         ((re_, _reattached(t, re_)) for re_ in reattach_moves(t)),
     )
     return _outcomes(t, k, results)

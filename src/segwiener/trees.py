@@ -392,9 +392,28 @@ def canonical_code(t: Tree) -> bytes:
     """Canonical encoding; two trees get equal codes iff they are isomorphic.
 
     The code is the AHU encoding rooted at the centre, taking the smaller of
-    the two rooted encodings for bicentral trees.
+    the two rooted encodings for bicentral trees.  It is built in one pass:
+    rooted at the first centre c, every vertex's code is built bottom-up
+    over the breadth-first order.  For a bicentral tree the encoding rooted
+    at the other centre d reuses those codes: c's side without d becomes
+    one more child of d.
     """
-    return min(_rooted_code(t, c) for c in _centers(t))
+    centres = _centers(t)
+    c = centres[0]
+    adj = t.adj
+    parent, order = _bfs(adj, c)
+    code = [b""] * t.n
+    for v in reversed(order):
+        p = parent[v]
+        kids = [code[w] for w in adj[v] if w != p]
+        kids.sort()
+        code[v] = b"(" + b"".join(kids) + b")"
+    if len(centres) == 1:
+        return code[c]
+    d = centres[1]
+    c_side = b"(" + b"".join(sorted(code[w] for w in adj[c] if w != d)) + b")"
+    at_d = b"(" + b"".join(sorted([c_side, *(code[w] for w in adj[d] if w != c)])) + b")"
+    return min(code[c], at_d)
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:

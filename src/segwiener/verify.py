@@ -174,9 +174,23 @@ def is_unit_pendant_caterpillar(t: Tree) -> bool:
 # exhaustive instance classes
 
 Entry = tuple[str, Tree]
-# per-k check of one class: argmin/argmax entries -> (predicate outcomes,
-# verdict, notes after the class size)
-Check = Callable[[list[Entry]], tuple[dict | None, str, list[str]]]
+# the rule's result for one k: (predicate outcomes, verdict, notes after the
+# class size)
+Ruling = tuple[dict | None, str, list[str]]
+
+
+@dataclass(frozen=True)
+class _Judge:
+    """How the extremal trees of one class are judged: *outcome* reads one
+    tree, and *rule* decides one k from the (code, outcome) pairs of all its
+    tied trees, sorted by code.  Calling the judge on (code, tree) entries
+    runs both, as `_verify` does with its memo."""
+
+    outcome: Callable[[Tree], object]
+    rule: Callable[[list[tuple[str, object]]], Ruling]
+
+    def __call__(self, arg: list[Entry]) -> Ruling:
+        return self.rule([(code, self.outcome(tree)) for code, tree in arg])
 
 
 def _ks_for(n: int, k_set: Sequence[int]) -> list[int]:
@@ -206,12 +220,17 @@ def _verify(
     k_set: Sequence[int],
     by_count: bool,
     want_max: bool,
-    judge: Callable[[dict], Check],
+    judge: Callable[[dict], _Judge],
 ) -> list[VerificationReport]:
     """Enumerate every class of order 2..max_n, evaluate the requested
     indices of each tree in one pass over its edge side sizes, and let
-    *judge*'s check rule, for each k, on the extremal trees sorted by
+    *judge*'s rule decide each k on all the extremal trees, sorted by
     canonical code.
+
+    Within a class a tree is coded and judged at most once, when it first
+    ties on an extremum, and a set of tied trees is ruled on once: another k
+    with the same ties reuses the codes, the outcomes and the ruling.  The
+    memo lives in this call.
 
     A run that yields no instance checked nothing and raises ValueError."""
     if max_n > MAX_ORDER:
@@ -223,22 +242,34 @@ def _verify(
         if not ks:
             continue
         for fields, trees in _classes(n, by_count):
-            check = judge(fields)
+            class_judge = judge(fields)
             values = [_index_sums(t, ks) for t in trees]
+            judged: dict[int, tuple[str, object]] = {}
+            rulings: dict[tuple[int, ...], tuple[tuple[str, ...], dict | None, str, str]] = {}
+            size_note = f"class size {len(trees)}"
             for i, k in enumerate(ks):
                 best = pick(v[i] for v in values)
-                arg = [(_code(t), t) for t, v in zip(trees, values) if v[i] == best]
-                arg.sort(key=lambda e: e[0])
-                outcomes, verdict, notes = check(arg)
+                ties = tuple(j for j, v in enumerate(values) if v[i] == best)
+                ruling = rulings.get(ties)
+                if ruling is None:
+                    for j in ties:
+                        if j not in judged:
+                            judged[j] = (_code(trees[j]), class_judge.outcome(trees[j]))
+                    arg = sorted((judged[j] for j in ties), key=lambda e: e[0])
+                    outcomes, verdict, notes = class_judge.rule(arg)
+                    ruling = rulings[ties] = (
+                        tuple(code for code, _ in arg), outcomes, verdict, "; ".join([size_note, *notes])
+                    )
+                arg_trees, outcomes, verdict, notes = ruling
                 reports.append(
                     VerificationReport(
                         theorem=theorem,
                         instance={**fields, "k": k},
                         extremal_value=best,
-                        arg_trees=tuple(code for code, _ in arg),
+                        arg_trees=arg_trees,
                         predicate_outcomes=outcomes,
                         verdict=verdict,
-                        notes="; ".join([f"class size {len(trees)}", *notes]),
+                        notes=notes,
                     )
                 )
     if not reports:
@@ -246,33 +277,38 @@ def _verify(
     return reports
 
 
-def _attains(t: Tree) -> Check:
-    """Check: *t* is among the extremal trees."""
+def _attains(t: Tree) -> _Judge:
+    """Judge: *t* is among the extremal trees."""
     code = _code(t)
-    return lambda arg: (None, CONFIRMED if any(c == code for c, _ in arg) else VIOLATED, [])
+    return _Judge(lambda tree: None, lambda arg: (None, CONFIRMED if any(c == code for c, _ in arg) else VIOLATED, []))
 
 
-def _quasi_caterpillar_check(arg: list[Entry]) -> tuple[dict, str, list[str]]:
-    outcomes = {code: {"is_quasi_caterpillar": is_quasi_caterpillar(tree)} for code, tree in arg}
-    flags = [v["is_quasi_caterpillar"] for v in outcomes.values()]
+def _quasi_caterpillar_rule(arg: list[tuple[str, bool]]) -> Ruling:
+    flags = [qc for _, qc in arg]
+    outcomes = {code: {"is_quasi_caterpillar": qc} for code, qc in arg}
     return outcomes, CONFIRMED if any(flags) else VIOLATED, [f"all_argmax_quasi_caterpillar={all(flags)}"]
 
 
-def _structure_check(arg: list[Entry]) -> tuple[dict | None, str, list[str]]:
+def _structure_rule(arg: list[tuple[str, tuple[StructurePredicateSet, bool]]]) -> Ruling:
     outcomes = {}
     ok = True
-    for code, tree in arg:
-        if not is_quasi_caterpillar(tree):
+    for code, (preds, all_at_once) in arg:
+        if not preds.is_quasi_caterpillar:
             continue
-        preds, all_at_once = structure_assessment(tree)
         outcomes[code] = preds.as_dict()
         ok = ok and all_at_once
     notes = [] if outcomes else ["no quasi-caterpillar maximizer (see theorem2)"]
     return outcomes or None, CONFIRMED if ok else VIOLATED, notes
 
 
-def _family_check(n: int, m: int) -> Check:
-    """Check: some maximizer is a unit-pendant caterpillar and, when a named
+# the outcomes look their predicate up when called, so that a replaced
+# module attribute (a tracer, a counting test) sees every call
+_QUASI_CATERPILLAR = _Judge(lambda t: is_quasi_caterpillar(t), _quasi_caterpillar_rule)
+_STRUCTURE = _Judge(lambda t: structure_assessment(t), _structure_rule)
+
+
+def _family_check(n: int, m: int) -> _Judge:
+    """Judge: some maximizer is a unit-pendant caterpillar and, when a named
     family is defined for (n, m), one of them is among the maximizers; which
     of them are goes to the notes."""
     family_codes: dict[str, tuple[str, str]] = {}
@@ -283,9 +319,9 @@ def _family_check(n: int, m: int) -> Check:
             continue
         family_codes[which] = (_code(build.tree), f"t_used={build.t_used}, t_formula={build.params.t}")
 
-    def check(arg: list[Entry]) -> tuple[dict, str, list[str]]:
-        outcomes = {code: {"caterpillar_unit_pendants": is_unit_pendant_caterpillar(tree)} for code, tree in arg}
-        exists_cat = any(v["caterpillar_unit_pendants"] for v in outcomes.values())
+    def rule(arg: list[tuple[str, bool]]) -> Ruling:
+        outcomes = {code: {"caterpillar_unit_pendants": cat} for code, cat in arg}
+        exists_cat = any(cat for _, cat in arg)
         matches = sorted(which for which, (fcode, _) in family_codes.items() if fcode in outcomes)
         if matches:
             note = "matches family " + ", ".join(f"{w} ({family_codes[w][1]})" for w in matches)
@@ -294,7 +330,7 @@ def _family_check(n: int, m: int) -> Check:
         ok = exists_cat and (matches or not family_codes)
         return outcomes, CONFIRMED_WITH_NOTES if ok else VIOLATED, [note]
 
-    return check
+    return _Judge(lambda t: is_unit_pendant_caterpillar(t), rule)
 
 
 def verify_min_starlike(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
@@ -308,14 +344,14 @@ def verify_max_quasi_caterpillar(max_n: int, k_set: Sequence[int]) -> list[Verif
     """For every (sequence, k): some maximizer is a quasi-caterpillar.  The
     universal variant (all maximizers) is reported as supplementary data."""
     return _verify("theorem2", max_n, k_set, by_count=False, want_max=True,
-                   judge=lambda c: _quasi_caterpillar_check)
+                   judge=lambda c: _QUASI_CATERPILLAR)
 
 
 def verify_structure(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
     """Every quasi-caterpillar maximizer satisfies the degree, backbone
     unimodality and pendant anti-unimodality constraints under some backbone."""
     return _verify("structure", max_n, k_set, by_count=False, want_max=True,
-                   judge=lambda c: _structure_check)
+                   judge=lambda c: _STRUCTURE)
 
 
 def verify_min_balanced(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:

@@ -3,8 +3,9 @@
 Nothing here shares an algorithm with the package: distances are summed from
 BFS, Steiner distances come from enumerating connected supersets, tree
 enumeration walks all Prüfer sequences, automorphism counts come from
-nested-tuple AHU codes, and the quasi-caterpillar test re-derives pendant
-removal from leaf walks.
+nested-tuple AHU codes, canonical codes from recursive string encodings at
+the middle of a longest path, and the quasi-caterpillar test re-derives
+pendant removal from leaf walks.
 """
 
 from __future__ import annotations
@@ -194,6 +195,43 @@ def _rooted_automorphisms(t: Tree, root: int, rootparent: int) -> tuple[tuple, i
         code[v] = tuple(codes)
         aut[v] = count
     return code[root], aut[root]
+
+
+def _farthest(t: Tree, source: int) -> tuple[int, dict[int, int]]:
+    """A vertex farthest from *source* and the depth-first parent map."""
+    parent = {source: source}
+    depth = {source: 0}
+    stack = [source]
+    while stack:
+        v = stack.pop()
+        for w in t.adj[v]:
+            if w not in parent:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                stack.append(w)
+    return max(depth, key=lambda v: (depth[v], -v)), parent
+
+
+def centres_by_longest_path(t: Tree) -> list[int]:
+    """The one or two middle vertices of a longest path, found by two
+    farthest-vertex sweeps (not by leaf peeling)."""
+    u, _ = _farthest(t, 0)
+    v, parent = _farthest(t, u)
+    diameter = [v]
+    while diameter[-1] != u:
+        diameter.append(parent[diameter[-1]])
+    mid = (len(diameter) - 1) // 2
+    return diameter[mid : mid + 1] if len(diameter) % 2 else diameter[mid : mid + 2]
+
+
+def ahu_code_by_recursion(t: Tree) -> bytes:
+    """Canonical code as the least recursive string AHU encoding over the
+    centres of `centres_by_longest_path`."""
+
+    def encode(x: int, up: int) -> str:
+        return "(" + "".join(sorted(encode(w, x) for w in t.adj[x] if w != up)) + ")"
+
+    return min(encode(c, -1) for c in centres_by_longest_path(t)).encode("ascii")
 
 
 def free_trees_by_prufer(n: int) -> tuple[int, list[Tree]]:

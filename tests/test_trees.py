@@ -24,7 +24,12 @@ from segwiener.trees import (
 )
 
 from .conftest import path_tree
-from .oracles import quasi_caterpillar_by_leaf_walks, random_labeled_tree
+from .oracles import (
+    ahu_code_by_recursion,
+    centres_by_longest_path,
+    quasi_caterpillar_by_leaf_walks,
+    random_labeled_tree,
+)
 
 
 class TestConstruction:
@@ -265,6 +270,21 @@ class TestCanonicalCode:
                 again = tree_from_code(code)
                 assert again.n == t.n
                 assert canonical_code(again) == code
+
+    def test_matches_recursive_oracle(self):
+        # every tree of order 1..12, then random labelled trees up to order
+        # 200 of both kinds (one centre, two centres); each code must also
+        # survive a relabelling and rebuild a tree with the same code
+        rng = random.Random(8)
+        random_trees = [random_labeled_tree(rng.randint(1, 200), rng) for _ in range(500)]
+        for t in itertools.chain((t for n in range(1, 13) for t in all_trees(n)), random_trees):
+            code = canonical_code(t)
+            assert code == ahu_code_by_recursion(t)
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            assert canonical_code(t.relabel(perm)) == code
+            assert canonical_code(tree_from_code(code)) == code
+        assert {len(centres_by_longest_path(t)) for t in random_trees} == {1, 2}
 
     def test_bad_codes_rejected(self):
         for bad in ("", "(", "(()", "()()", "(x)"):

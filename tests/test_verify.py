@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from segwiener import verify as verify_module
 from segwiener.enumeration import all_trees
 from segwiener.generators import balanced_starlike, caterpillar_family, quasi_caterpillar, starlike
 from segwiener.moves import apply_switch
@@ -313,3 +314,61 @@ class TestReports:
     def test_golden_report_bytes(self, verifier, digest):
         text = reports_to_json(verifier(9, [2, 3, 4]))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # the same over every k = 1..9, recorded before the verifier shared
+    # codes and rulings across k: at k = 1 and near k = n many trees tie,
+    # and the same ties recur for several k, so this pins the predicate
+    # outcomes, verdicts and notes a ruling shares across k (the bench
+    # digest leaves them out)
+    @pytest.mark.parametrize(
+        "verifier, digest",
+        [
+            (verify_min_starlike, "e8cf1f3b43af170f0e7f727aa8691dbe0a5de7168adcd13c932d5d388a163203"),
+            (verify_max_quasi_caterpillar, "223262ab68d2193193b7f2b784768a0518f3cf554ce7b7f1c968c91483126626"),
+            (verify_structure, "c10a919b86ac65f83047756aa94f9872e91880422a3700b30c82a459d9beb91c"),
+            (verify_min_balanced, "d4d2b60a4c8cc2ffa12a71792d4616c7ef4433a50fb1320f2173026176aa45d1"),
+            (verify_max_caterpillar_family, "52ebd406ba17770dd8cb9814b2a5c7b74330dd0dcf70421ba4427fe76ba38bbc"),
+        ],
+        ids=["theorem1", "theorem2", "structure", "theorem5min", "theorem5max"],
+    )
+    def test_golden_report_bytes_every_k(self, verifier, digest):
+        text = reports_to_json(verifier(9, range(1, 10)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "verifier, judgements",
+        [
+            (verify_min_starlike, ()),
+            (verify_max_quasi_caterpillar, ("is_quasi_caterpillar",)),
+            (verify_structure, ("structure_assessment", "is_quasi_caterpillar")),
+            (verify_min_balanced, ()),
+            (verify_max_caterpillar_family, ("is_unit_pendant_caterpillar",)),
+        ],
+        ids=["theorem1", "theorem2", "structure", "theorem5min", "theorem5max"],
+    )
+    def test_each_tree_coded_and_judged_once_per_class(self, monkeypatch, verifier, judgements):
+        # the calls made from the verifier: a tree is coded at most once per
+        # class, and so is every judgement on it; each construction built
+        # adds one code (a family undefined for (n, m) raises, uncounted)
+        counted = (
+            "canonical_code", "structure_assessment", "is_quasi_caterpillar", "is_unit_pendant_caterpillar",
+            "starlike", "balanced_starlike", "caterpillar_family",
+        )
+        calls = dict.fromkeys(counted, 0)
+        for name in counted:
+            def counting(*args, _name=name, _fn=getattr(verify_module, name)):
+                result = _fn(*args)
+                calls[_name] += 1
+                return result
+
+            monkeypatch.setattr(verify_module, name, counting)
+        reports = verifier(10, range(1, 11))
+        arg_codes: dict[str, set[str]] = {}
+        for r in reports:
+            instance = json.dumps({key: value for key, value in r.instance.items() if key != "k"})
+            arg_codes.setdefault(instance, set()).update(r.arg_trees)
+        distinct = sum(len(codes) for codes in arg_codes.values())
+        constructions = calls["starlike"] + calls["balanced_starlike"] + calls["caterpillar_family"]
+        assert calls["canonical_code"] <= distinct + constructions
+        for name in judgements:
+            assert 0 < calls[name] <= distinct, name
