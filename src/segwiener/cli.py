@@ -73,24 +73,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.segments is not None and args.num_segments is not None:
         print("enumerate: --segments and --num-segments are mutually exclusive", file=sys.stderr)
         return 2
+    if args.segments is not None and args.n != 1 + sum(args.segments):
+        print(
+            f"enumerate: --segments sums to {sum(args.segments)} edges, "
+            f"which needs --n {1 + sum(args.segments)}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.count_only:
+        print(enumeration.count_trees(args.n, args.segments, args.num_segments))
+        return 0
     if args.segments is not None:
-        if args.n != 1 + sum(args.segments):
-            print(
-                f"enumerate: --segments sums to {sum(args.segments)} edges, "
-                f"which needs --n {1 + sum(args.segments)}",
-                file=sys.stderr,
-            )
-            return 2
         stream = enumeration.trees_with_segment_sequence(args.segments)
     elif args.num_segments is not None:
         stream = enumeration.trees_with_segment_count(args.n, args.num_segments)
     else:
         stream = enumeration.all_trees(args.n)
-    if args.count_only:
-        print(sum(1 for _ in stream))
-    else:
-        for t in stream:
-            print(canonical_code(t).decode("ascii"))
+    for t in stream:
+        print(canonical_code(t).decode("ascii"))
     return 0
 
 

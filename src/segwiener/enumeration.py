@@ -6,10 +6,17 @@ which walks centre-rooted level sequences with the rooted-tree successor of
 Beyer & Hedetniemi (1980, "Constant time generation of rooted trees", SIAM
 J. Comput. 9).  It emits each isomorphism class exactly once, in a
 deterministic order (that of networkx's ``nonisomorphic_trees``, with
-vertices labelled by preorder index), and builds each ``Tree`` straight from
-its level sequence.  The independent Prüfer-plus-canonical-dedup oracle and
-the Cayley-formula check live in the test suite.  Streams are lazy so
-filters compose without materializing a whole order class.
+vertices labelled by preorder index).
+
+Building a ``Tree`` costs more than generating its level sequence, so a tree
+is built only where a caller keeps it.  One reader takes the segment
+sequence and the edge side sizes straight off the level sequence; the
+segment filters test what it reads and build only the trees they yield,
+``count_trees`` builds none, and ``read_trees`` hands the verifier what it
+reads plus the level sequence to build a tree from later.  The independent
+Prüfer-plus-canonical-dedup oracle and the Cayley-formula check live in the
+test suite.  Streams are lazy so filters compose without materializing a
+whole order class.
 """
 
 from __future__ import annotations
@@ -17,25 +24,85 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .generators import UnrealizableError, normalize_segment_lengths
-from .trees import Tree, segment_sequence
+from .trees import Tree
 
 MAX_ORDER = 16
 
 
-def all_trees(n: int) -> Iterator[Tree]:
-    """Every free tree of order *n*, one representative per isomorphism class."""
+def _level_sequences(n: int) -> Iterator[list[int]]:
+    """The canonical centre-rooted preorder level sequence of every free
+    tree of order *n*.  Every step rewrites the one list it yields: copy it
+    to keep it."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     if n == 1:
-        yield Tree(1, ((),))
+        yield [0]
         return
     # the first candidate is the path, rooted at its centre
     level = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
         _next_free(level)
-        yield _tree_from_levels(level)
+        yield level
         if not _next_rooted(level):
             return
+
+
+def all_trees(n: int) -> Iterator[Tree]:
+    """Every free tree of order *n*, one representative per isomorphism
+    class, each built from its level sequence (vertex v is the v-th vertex
+    in preorder from the centre)."""
+    for level in _level_sequences(n):
+        yield _tree_from_levels(level)
+
+
+def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
+    """Every free tree of order *n*, in `all_trees` order, read without
+    building it: (segment sequence, edge side sizes, level sequence).  The
+    level sequence is rewritten by the next step; keep a copy to build the
+    tree from with `_tree_from_levels`."""
+    for level in _level_sequences(n):
+        sides, segments = _read_levels(level)
+        yield segments, sides, level
+
+
+def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The vertex count on the child side of every edge, and the segment
+    sequence (empty for a single vertex), of the tree of a level sequence.
+
+    One forward pass finds each vertex's parent and degree, one reverse pass
+    over the parents sums the subtree sizes and the runs: the run of v is
+    the length of the segment piece from v's parent down through v, which
+    goes on into v's only child v + 1 while v has degree 2.  A run ends a
+    segment at a parent of degree other than 2; the two runs at a root of
+    degree 2 join into one.
+    """
+    n = len(level)
+    parent = [0] * n
+    degree = [1] * n
+    degree[0] = 0
+    latest = [0] * n
+    for v in range(1, n):
+        depth = level[v]
+        u = latest[depth - 1]
+        parent[v] = u
+        degree[u] += 1
+        latest[depth] = v
+    size = [1] * n
+    run = [1] * n
+    lengths = []
+    through_root = 0
+    for v in range(n - 1, 0, -1):
+        p = parent[v]
+        size[p] += size[v]
+        r = run[v] = run[v + 1] + 1 if degree[v] == 2 else 1
+        if degree[p] != 2:
+            lengths.append(r)
+        elif p == 0:
+            through_root += r
+    if through_root:
+        lengths.append(through_root)
+    lengths.sort(reverse=True)
+    return size[1:], tuple(lengths)
 
 
 def _tree_from_levels(level: list[int]) -> Tree:
@@ -105,24 +172,46 @@ def _next_free(level: list[int]) -> None:
 
 def trees_with_segment_sequence(lengths: Iterable[int]) -> Iterator[Tree]:
     """All trees whose segment sequence equals *lengths* (up to isomorphism)."""
-    target = normalize_segment_lengths(lengths)
-    if len(target) == 2:
-        raise UnrealizableError("no tree has exactly two segments")
-    n = 1 + sum(target)
-    for t in all_trees(n):
-        if segment_sequence(t) == target:
-            yield t
+    for level in _levels_with_segment_sequence(lengths):
+        yield _tree_from_levels(level)
 
 
 def trees_with_segment_count(n: int, m: int) -> Iterator[Tree]:
     """All trees of order *n* with exactly *m* segments (possibly none)."""
-    for t in all_trees(n):
-        if t.n == 1:
-            if m == 0:
-                yield t
-            continue
-        if len(segment_sequence(t)) == m:
-            yield t
+    for level in _levels_with_segment_count(n, m):
+        yield _tree_from_levels(level)
+
+
+def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> int:
+    """How many trees `trees_with_segment_sequence(segments)`,
+    `trees_with_segment_count(n, num_segments)` or `all_trees(n)` yields,
+    the first whose argument is given; the level sequences are counted and
+    no tree is built.  *segments* must sum to n - 1."""
+    if segments is not None:
+        segments = list(segments)
+        if 1 + sum(segments) != n:
+            raise ValueError(f"segments summing to {sum(segments)} give order {1 + sum(segments)}, not {n}")
+        levels = _levels_with_segment_sequence(segments)
+    elif num_segments is not None:
+        levels = _levels_with_segment_count(n, num_segments)
+    else:
+        levels = _level_sequences(n)
+    return sum(1 for _ in levels)
+
+
+def _levels_with_segment_sequence(lengths: Iterable[int]) -> Iterator[list[int]]:
+    target = normalize_segment_lengths(lengths)
+    if len(target) == 2:
+        raise UnrealizableError("no tree has exactly two segments")
+    for segments, _, level in read_trees(1 + sum(target)):
+        if segments == target:
+            yield level
+
+
+def _levels_with_segment_count(n: int, m: int) -> Iterator[list[int]]:
+    for segments, _, level in read_trees(n):
+        if len(segments) == m:
+            yield level
 
 
 def segment_sequences_of_order(n: int) -> list[tuple[int, ...]]:

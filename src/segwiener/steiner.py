@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exact import binomial, checked
 from .trees import Tree, _bfs
@@ -74,11 +74,10 @@ def _weights(n: int, k: int) -> tuple[int, ...]:
     return tuple(total - low[a] - low[n - a] for a in range(n + 1))
 
 
-def _index_sums(t: Tree, ks: Iterable[int]) -> tuple[int, ...]:
-    """SW_k for each k in *ks* (unchecked, 1 <= k <= n), from one pass over
-    the edge side sizes."""
-    sides = _edge_side_sizes(t)
-    rows = (_weights(t.n, k) for k in ks)
+def _index_sums(n: int, sides: Sequence[int], ks: Iterable[int]) -> tuple[int, ...]:
+    """SW_k for each k in *ks* (unchecked, 1 <= k <= n) of the tree of order
+    *n* with these edge side sizes: one weight row summed over them per k."""
+    rows = (_weights(n, k) for k in ks)
     return tuple(checked(sum(w[a] for a in sides)) for w in rows)
 
 
@@ -110,4 +109,4 @@ def sw_k_bruteforce(t: Tree, k: int) -> int:
 
 def sw_profile(t: Tree) -> tuple[int, ...]:
     """(SW_1, ..., SW_n) in one pass over the edge side sizes."""
-    return _index_sums(t, range(1, t.n + 1))
+    return _index_sums(t.n, _edge_side_sizes(t), range(1, t.n + 1))

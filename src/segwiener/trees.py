@@ -271,16 +271,19 @@ def all_backbones(t: Tree) -> list[tuple[int, ...]]:
     """
     if t.n == 1:
         return [(0,)]
-    if not is_quasi_caterpillar(t):
-        raise NotQuasiCaterpillarError("backbone is only defined for quasi-caterpillars")
     adj = t.adj
     branch = t.branch_vertices()
     if not branch:
         leaf = t.leaves()[0]
         return [_walk(adj, leaf, adj[leaf][0])]
-    # the spine ends: branch vertices with at most one segment leading to
-    # another branch vertex (a starlike tree's spine is its centre alone)
-    ends = [v for v in branch if _inner_segments(adj, v) <= 1]
+    # one walk per branch vertex both tests the tree (`is_quasi_caterpillar`)
+    # and finds the spine ends: branch vertices with at most one segment
+    # leading to another branch vertex (a starlike tree's spine is its
+    # centre alone)
+    inner = [_inner_segments(adj, v) for v in branch]
+    if max(inner) > 2:
+        raise NotQuasiCaterpillarError("backbone is only defined for quasi-caterpillars")
+    ends = [v for v, count in zip(branch, inner) if count <= 1]
     b1, b2 = ends[0], ends[-1]
     spine = t.path(b1, b2)
     on_spine = set(spine)

@@ -9,12 +9,12 @@ order, tie-breaks and report ordering are all deterministic.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, Iterable, Sequence
 
-from .enumeration import MAX_ORDER, all_trees, segment_sequences_of_order
+from .enumeration import MAX_ORDER, _tree_from_levels, read_trees, segment_sequences_of_order
 from .generators import (
     FAMILY_LABELS,
     ParityMismatchError,
@@ -32,7 +32,6 @@ from .trees import (
     backbone_view,
     canonical_code,
     is_quasi_caterpillar,
-    segment_sequence,
 )
 
 CONFIRMED = "confirmed"
@@ -51,20 +50,63 @@ class VerificationReport:
     notes: str
 
 
-def report_to_dict(r: VerificationReport) -> dict:
-    return {
-        "theorem": r.theorem,
-        "instance": r.instance,
-        "extremal_value": None if r.extremal_value is None else str(r.extremal_value),
-        "arg_trees": list(r.arg_trees),
-        "predicate_outcomes": r.predicate_outcomes,
-        "verdict": r.verdict,
-        "notes": r.notes,
-    }
+_FIELD = "    "  # a report field's indent
+
+
+def _json(value: object, indent: str) -> str:
+    """*value* as ``json.dumps(value, indent=2)`` writes it at *indent*, for
+    the report's value types: str, int, bool, None, lists, tuples and dicts
+    with str keys."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        fields = ",\n".join(f"{inner}{_string(key)}: {_json(item, inner)}" for key, item in value.items())
+        return "{\n" + fields + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json(item, inner) for item in value) + "\n" + indent + "]"
+    raise TypeError(f"no report encoding for {type(value).__name__}")
 
 
 def reports_to_json(reports: Iterable[VerificationReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+    """The reports as a JSON list, byte for byte what
+    ``json.dumps(..., indent=2)`` writes for their dicts, plus a newline
+    (`extremal_value` as a decimal string).  Reports that share a ruling
+    hold the same `arg_trees` and `predicate_outcomes` objects, which are
+    encoded once."""
+    reports = list(reports)  # alive for the call, so their ids stay unique
+    shared: dict[tuple[int, int], str] = {}
+    items = []
+    for r in reports:
+        key = (id(r.arg_trees), id(r.predicate_outcomes))
+        block = shared.get(key)
+        if block is None:
+            block = shared[key] = (
+                f'"arg_trees": {_json(r.arg_trees, _FIELD)},\n'
+                f'{_FIELD}"predicate_outcomes": {_json(r.predicate_outcomes, _FIELD)}'
+            )
+        value = None if r.extremal_value is None else str(r.extremal_value)
+        items.append(
+            f'  {{\n{_FIELD}"theorem": {_string(r.theorem)},\n'
+            f'{_FIELD}"instance": {_json(r.instance, _FIELD)},\n'
+            f'{_FIELD}"extremal_value": {_json(value, _FIELD)},\n'
+            f"{_FIELD}{block},\n"
+            f'{_FIELD}"verdict": {_string(r.verdict)},\n'
+            f'{_FIELD}"notes": {_string(r.notes)}\n  }}'
+        )
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def any_violated(reports: Iterable[VerificationReport]) -> bool:
@@ -174,6 +216,8 @@ def is_unit_pendant_caterpillar(t: Tree) -> bool:
 # exhaustive instance classes
 
 Entry = tuple[str, Tree]
+# one tree of a class, unbuilt: (level sequence, edge side sizes)
+Member = tuple[list[int], list[int]]
 # the rule's result for one k: (predicate outcomes, verdict, notes after the
 # class size)
 Ruling = tuple[dict | None, str, list[str]]
@@ -201,14 +245,15 @@ def _code(t: Tree) -> str:
     return canonical_code(t).decode("ascii")
 
 
-def _classes(n: int, by_count: bool) -> list[tuple[dict, list[Tree]]]:
+def _classes(n: int, by_count: bool) -> list[tuple[dict, list[Member]]]:
     """Instance classes of order *n* with their instance fields: one per
     segment sequence (in `segment_sequences_of_order` order) or one per
-    segment count (ascending).  Trees are in enumeration order."""
-    buckets: dict[object, list[Tree]] = {}
-    for t in all_trees(n):
-        seq = segment_sequence(t)
-        buckets.setdefault(len(seq) if by_count else seq, []).append(t)
+    segment count (ascending).  Members are in enumeration order, each a
+    kept copy of its level sequence with its edge side sizes; no tree is
+    built here."""
+    buckets: dict[object, list[Member]] = {}
+    for seq, sides, level in read_trees(n):
+        buckets.setdefault(len(seq) if by_count else seq, []).append((level[:], sides))
     if by_count:
         return [({"n": n, "m": m}, buckets[m]) for m in sorted(buckets)]
     return [({"n": n, "segments": list(seq)}, buckets[seq]) for seq in segment_sequences_of_order(n)]
@@ -223,14 +268,14 @@ def _verify(
     judge: Callable[[dict], _Judge],
 ) -> list[VerificationReport]:
     """Enumerate every class of order 2..max_n, evaluate the requested
-    indices of each tree in one pass over its edge side sizes, and let
-    *judge*'s rule decide each k on all the extremal trees, sorted by
-    canonical code.
+    indices of each tree in one pass over the edge side sizes the enumerator
+    read, and let *judge*'s rule decide each k on all the extremal trees,
+    sorted by canonical code.
 
-    Within a class a tree is coded and judged at most once, when it first
-    ties on an extremum, and a set of tied trees is ruled on once: another k
-    with the same ties reuses the codes, the outcomes and the ruling.  The
-    memo lives in this call.
+    Within a class a tree is built, coded and judged at most once, when it
+    first ties on an extremum, and a set of tied trees is ruled on once:
+    another k with the same ties reuses the codes, the outcomes and the
+    ruling.  The memo lives in this call.
 
     A run that yields no instance checked nothing and raises ValueError."""
     if max_n > MAX_ORDER:
@@ -241,12 +286,12 @@ def _verify(
         ks = _ks_for(n, k_set)
         if not ks:
             continue
-        for fields, trees in _classes(n, by_count):
+        for fields, members in _classes(n, by_count):
             class_judge = judge(fields)
-            values = [_index_sums(t, ks) for t in trees]
+            values = [_index_sums(n, sides, ks) for _, sides in members]
             judged: dict[int, tuple[str, object]] = {}
             rulings: dict[tuple[int, ...], tuple[tuple[str, ...], dict | None, str, str]] = {}
-            size_note = f"class size {len(trees)}"
+            size_note = f"class size {len(members)}"
             for i, k in enumerate(ks):
                 best = pick(v[i] for v in values)
                 ties = tuple(j for j, v in enumerate(values) if v[i] == best)
@@ -254,7 +299,8 @@ def _verify(
                 if ruling is None:
                     for j in ties:
                         if j not in judged:
-                            judged[j] = (_code(trees[j]), class_judge.outcome(trees[j]))
+                            tree = _tree_from_levels(members[j][0])
+                            judged[j] = (_code(tree), class_judge.outcome(tree))
                     arg = sorted((judged[j] for j in ties), key=lambda e: e[0])
                     outcomes, verdict, notes = class_judge.rule(arg)
                     ruling = rulings[ties] = (

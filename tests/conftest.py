@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from segwiener import enumeration
 from segwiener.generators import quasi_caterpillar, starlike
 from segwiener.trees import Tree
 
@@ -29,3 +32,20 @@ def fig1_bottom() -> Tree:
 @pytest.fixture
 def k13() -> Tree:
     return starlike((1, 1, 1))
+
+
+@pytest.fixture
+def tree_builds(monkeypatch) -> list[int]:
+    """Counts the trees built from level sequences, in a one-item list: the
+    builder is replaced in every loaded segwiener module that binds it."""
+    count = [0]
+    build = enumeration._tree_from_levels
+
+    def counting(level):
+        count[0] += 1
+        return build(level)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("segwiener") and getattr(module, "_tree_from_levels", None) is build:
+            monkeypatch.setattr(module, "_tree_from_levels", counting)
+    return count

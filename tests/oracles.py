@@ -4,18 +4,21 @@ Nothing here shares an algorithm with the package: distances are summed from
 BFS, Steiner distances come from enumerating connected supersets, tree
 enumeration walks all Prüfer sequences, automorphism counts come from
 nested-tuple AHU codes, canonical codes from recursive string encodings at
-the middle of a longest path, and the quasi-caterpillar test re-derives
-pendant removal from leaf walks.
+the middle of a longest path, the quasi-caterpillar test re-derives
+pendant removal from leaf walks, and reports are written by the stdlib
+``json`` encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import deque
 
 from segwiener.trees import Tree
+from segwiener.verify import VerificationReport
 
 
 def wiener_by_distances(t: Tree) -> int:
@@ -348,3 +351,20 @@ def slide_descriptor_count(t: Tree) -> int:
             if inner[0] != len(path) - 1 - inner[-1]:
                 count += 1
     return count
+
+
+def report_to_dict(r: VerificationReport) -> dict:
+    return {
+        "theorem": r.theorem,
+        "instance": r.instance,
+        "extremal_value": None if r.extremal_value is None else str(r.extremal_value),
+        "arg_trees": list(r.arg_trees),
+        "predicate_outcomes": r.predicate_outcomes,
+        "verdict": r.verdict,
+        "notes": r.notes,
+    }
+
+
+def reports_to_json_by_stdlib(reports: list[VerificationReport]) -> str:
+    """The report schema written by ``json.dumps(indent=2)``."""
+    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"

@@ -13,12 +13,17 @@ import pytest
 from segwiener.cli import main
 from segwiener.enumeration import (
     MAX_ORDER,
+    _level_sequences,
+    _read_levels,
+    _tree_from_levels,
     all_trees,
+    count_trees,
     segment_sequences_of_order,
     trees_with_segment_count,
     trees_with_segment_sequence,
 )
 from segwiener.generators import UnrealizableError
+from segwiener.steiner import _edge_side_sizes
 from segwiener.trees import Tree, canonical_code, is_starlike, segment_sequence
 
 from .conftest import path_tree
@@ -119,6 +124,62 @@ class TestCountFilter:
         ts = list(trees_with_segment_count(6, 3))
         assert len(ts) == 2
         assert {segment_sequence(t) for t in ts} == {(3, 1, 1), (2, 2, 1)}
+
+
+class TestLevelReader:
+    def test_matches_the_built_tree(self):
+        # the reader against the tree walks it replaces, on every tree of
+        # order 2..16; side sizes are compared as multisets
+        assert _read_levels([0]) == ([], ())
+        for n in range(2, MAX_ORDER + 1):
+            for level in _level_sequences(n):
+                sides, segments = _read_levels(level)
+                t = _tree_from_levels(level)
+                assert segments == segment_sequence(t), level
+                assert sorted(sides) == sorted(_edge_side_sizes(t)), level
+
+    def test_filters_match_filtering_all_trees(self):
+        for n in range(1, 13):
+            trees = list(all_trees(n))
+            segments = [segment_sequence(t) if n > 1 else () for t in trees]
+            for seq in segment_sequences_of_order(n):
+                expected = [t for t, s in zip(trees, segments) if s == seq]
+                assert list(trees_with_segment_sequence(seq)) == expected, seq
+                assert count_trees(n, seq) == len(expected), seq
+            for m in range(n + 1):
+                expected = [t for t, s in zip(trees, segments) if len(s) == m]
+                assert list(trees_with_segment_count(n, m)) == expected, (n, m)
+                assert count_trees(n, num_segments=m) == len(expected), (n, m)
+            assert count_trees(n) == len(trees)
+
+
+class TestBuildsOnlyWhatIsLookedAt:
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--num-segments", "5"], ["--segments", "3,2,2,1,1,1,1"]],
+        ids=["all", "num-segments", "segments"],
+    )
+    def test_count_only_builds_no_tree(self, capsys, tree_builds, extra):
+        assert main(["enumerate", "--n", "12", "--count-only", *extra]) == 0
+        assert int(capsys.readouterr().out) > 0
+        assert tree_builds[0] == 0
+
+    def test_filters_build_what_they_yield(self, tree_builds):
+        yielded = sum(1 for _ in trees_with_segment_sequence((3, 2, 2, 1, 1, 1, 1)))
+        assert yielded > 0 and tree_builds[0] == yielded
+        tree_builds[0] = 0
+        yielded = sum(1 for _ in trees_with_segment_count(12, 5))
+        assert yielded > 0 and tree_builds[0] == yielded
+
+    def test_count_trees_guards_and_errors(self):
+        with pytest.raises(ValueError):
+            count_trees(MAX_ORDER + 1)
+        with pytest.raises(UnrealizableError):
+            count_trees(3, (1, 1))
+        with pytest.raises(ValueError):
+            count_trees(5, (1, 1, 1))
+        assert count_trees(1) == count_trees(1, num_segments=0) == 1
+        assert count_trees(1, num_segments=1) == 0
 
 
 class TestSequenceUniverse:

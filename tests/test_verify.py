@@ -16,6 +16,7 @@ from segwiener.verify import (
     CONFIRMED,
     CONFIRMED_WITH_NOTES,
     VIOLATED,
+    VerificationReport,
     _family_check,
     any_violated,
     groups_admit_valley,
@@ -33,6 +34,16 @@ from segwiener.verify import (
 )
 
 from .conftest import path_tree
+from .oracles import reports_to_json_by_stdlib
+
+VERIFIERS = (
+    verify_min_starlike,
+    verify_max_quasi_caterpillar,
+    verify_structure,
+    verify_min_balanced,
+    verify_max_caterpillar_family,
+)
+VERIFIER_IDS = ["theorem1", "theorem2", "structure", "theorem5min", "theorem5max"]
 
 
 class TestShapePredicates:
@@ -282,15 +293,8 @@ class TestReports:
             int(rec["extremal_value"])
 
     def test_arg_trees_reparse_to_reported_value(self):
-        verifiers = (
-            verify_min_starlike,
-            verify_max_quasi_caterpillar,
-            verify_structure,
-            verify_min_balanced,
-            verify_max_caterpillar_family,
-        )
         # every k, so that k = 1 and k close to n give many tied trees
-        for rep in (rep for verifier in verifiers for rep in verifier(8, range(1, 9))):
+        for rep in (rep for verifier in VERIFIERS for rep in verifier(8, range(1, 9))):
             assert list(rep.arg_trees) == sorted(rep.arg_trees)
             k = rep.instance["k"]
             for code in rep.arg_trees:
@@ -372,3 +376,54 @@ class TestReports:
         assert calls["canonical_code"] <= distinct + constructions
         for name in judgements:
             assert 0 < calls[name] <= distinct, name
+
+    @pytest.mark.parametrize("ks", [range(1, 11), (2, 3)], ids=["every-k", "k-2-3"])
+    @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
+    def test_builds_only_the_trees_it_codes(self, tree_builds, verifier, ks):
+        # a tree is built from its level sequence only when it first ties
+        # on an extremum of its class, and then it is among the arg trees;
+        # at k = 1 every tree ties, so only the k = 2, 3 case tells a
+        # verifier that builds every tree apart
+        reports = verifier(10, ks)
+        arg_codes: dict[str, set[str]] = {}
+        for r in reports:
+            instance = json.dumps({key: value for key, value in r.instance.items() if key != "k"})
+            arg_codes.setdefault(instance, set()).update(r.arg_trees)
+        assert 0 < tree_builds[0] <= sum(len(codes) for codes in arg_codes.values())
+
+
+class TestReportEncoder:
+    @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
+    def test_matches_stdlib_every_k(self, verifier):
+        reports = verifier(9, range(1, 10))
+        assert reports_to_json(reports) == reports_to_json_by_stdlib(reports)
+
+    def test_matches_stdlib_on_lemma31_and_empty(self):
+        reports = [verify_lemma31(20, 7, [2, 3, 9])]
+        assert reports_to_json(reports) == reports_to_json_by_stdlib(reports)
+        assert reports_to_json([]) == reports_to_json_by_stdlib([]) == "[]\n"
+
+    def test_escapes_strings_like_json(self):
+        odd = 'quote " backslash \\ newline \n tab \t non-ASCII é ∑ 😀 \x01'
+        reports = [
+            VerificationReport(
+                theorem=odd,
+                instance={odd: [odd, True, False, None, -3], "empty": {}, "none": []},
+                extremal_value=None,
+                arg_trees=(),
+                predicate_outcomes=None,
+                verdict=odd,
+                notes=odd,
+            ),
+            VerificationReport(
+                theorem="t",
+                instance={},
+                extremal_value=-(2**127),
+                arg_trees=(odd, "(())"),
+                predicate_outcomes={odd: {odd: True}, "(())": {}},
+                verdict="confirmed",
+                notes="",
+            ),
+        ]
+        assert reports_to_json(reports) == reports_to_json_by_stdlib(reports)
+        assert reports_to_json(iter(reports)) == reports_to_json_by_stdlib(reports)
