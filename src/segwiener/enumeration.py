@@ -9,11 +9,12 @@ deterministic order (that of networkx's ``nonisomorphic_trees``, with
 vertices labelled by preorder index).
 
 Building a ``Tree`` costs more than generating its level sequence, so a tree
-is built only where a caller keeps it.  One reader takes the segment
-sequence and the edge side sizes straight off the level sequence; the
-segment filters test what it reads and build only the trees they yield,
-``count_trees`` builds none, and ``read_trees`` hands the verifier what it
-reads plus the level sequence to build a tree from later.  The independent
+is built only where a caller keeps it.  The reader that evaluates a built
+tree (``trees._read``) takes the segment sequence and the edge side sizes
+straight off the level sequence's preorder parents; the segment filters
+test what it reads and build only the trees they yield, ``count_trees``
+builds none, and ``read_trees`` hands the verifier what it reads plus the
+level sequence to build a tree from later.  The independent
 Prüfer-plus-canonical-dedup oracle and the Cayley-formula check live in the
 test suite.  Streams are lazy so filters compose without materializing a
 whole order class.
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .generators import UnrealizableError, normalize_segment_lengths
-from .trees import Tree
+from .trees import Tree, _read
 
 MAX_ORDER = 16
 
@@ -67,15 +68,10 @@ def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]
 
 def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
     """The vertex count on the child side of every edge, and the segment
-    sequence (empty for a single vertex), of the tree of a level sequence.
-
-    One forward pass finds each vertex's parent and degree, one reverse pass
-    over the parents sums the subtree sizes and the runs: the run of v is
-    the length of the segment piece from v's parent down through v, which
-    goes on into v's only child v + 1 while v has degree 2.  A run ends a
-    segment at a parent of degree other than 2; the two runs at a root of
-    degree 2 join into one.
-    """
+    sequence (empty for a single vertex), of the tree of a level sequence:
+    one forward pass finds each vertex's parent and degree, and the reader
+    (`trees._read`) takes both off the preorder, which lists every parent
+    before its children."""
     n = len(level)
     parent = [0] * n
     degree = [1] * n
@@ -87,22 +83,7 @@ def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
         parent[v] = u
         degree[u] += 1
         latest[depth] = v
-    size = [1] * n
-    run = [1] * n
-    lengths = []
-    through_root = 0
-    for v in range(n - 1, 0, -1):
-        p = parent[v]
-        size[p] += size[v]
-        r = run[v] = run[v + 1] + 1 if degree[v] == 2 else 1
-        if degree[p] != 2:
-            lengths.append(r)
-        elif p == 0:
-            through_root += r
-    if through_root:
-        lengths.append(through_root)
-    lengths.sort(reverse=True)
-    return size[1:], tuple(lengths)
+    return _read(parent, range(n), degree)
 
 
 def _tree_from_levels(level: list[int]) -> Tree:

@@ -12,10 +12,11 @@ components so that the segment-length multiset never changes:
             segment to the other endpoint, turning the segment pendant.
 
 Deltas are always full recomputations of the index, never incremental sums:
-each neighbour's SW_k is evaluated from scratch.  Within one neighbourhood
-the unchanged source tree's segment sequence and SW_k are evaluated once and
-shared by every neighbour.  Moves rewire the source's adjacency directly;
-a result that is not a tree raises InvalidTreeError.
+each neighbour's SW_k is evaluated from scratch, over the side sizes of the
+one read (`trees._read`) that also checks its segment sequence.  Within one
+neighbourhood the unchanged source tree's segment sequence and SW_k are
+evaluated once and shared by every neighbour.  Moves rewire the source's
+adjacency directly; a result that is not a tree raises InvalidTreeError.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Union
 
-from .steiner import sw_k
-from .trees import InvalidTreeError, Tree, _bfs, canonical_code, segment_decomposition, segment_sequence
+from .steiner import _index_sums, sw_k
+from .trees import InvalidTreeError, Tree, _bfs, _read, canonical_code, segment_decomposition, segment_sequence
 
 
 class InvalidDescriptorError(ValueError):
@@ -77,6 +78,9 @@ def _segment_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     """Path from u to v, validated to be a segment with branch endpoints."""
     if u == v:
         raise InvalidDescriptorError("segment endpoints must differ")
+    for x in (u, v):
+        if not 0 <= x < t.n:
+            raise InvalidDescriptorError(f"vertex {x} out of range 0..{t.n - 1}")
     path = t.path(u, v)
     if t.degree(u) < 3 or t.degree(v) < 3:
         raise InvalidDescriptorError(f"segment endpoints {u}, {v} must both be branch vertices")
@@ -122,7 +126,9 @@ def _outcomes(t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Tree]]) -
     """The outcome of each (move, result tree) on the source *t*.  The
     source's segment sequence and SW_k are evaluated once, when first
     needed, so a tree without moves (a path, a star, one vertex) is never
-    evaluated; a result that is *t* itself is the identity move."""
+    evaluated; a result that is *t* itself is the identity move.  Each
+    result is read once (`_read`): the read gives its segment sequence and
+    the side sizes its SW_k is summed over."""
     seq = value = None
     out = []
     for move, result in results:
@@ -131,11 +137,12 @@ def _outcomes(t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Tree]]) -
             continue
         if seq is None:
             seq = segment_sequence(t)
-        if segment_sequence(result) != seq:
+        sides, segments = _read(*_bfs(result.adj, 0), [len(a) for a in result.adj])
+        if segments != seq:
             raise InvalidDescriptorError("move would change the segment sequence")
         if value is None:
             value = sw_k(t, k)
-        out.append(MoveOutcome(move=move, tree=result, delta=sw_k(result, k) - value))
+        out.append(MoveOutcome(move=move, tree=result, delta=_index_sums(t.n, sides, (k,))[0] - value))
     return out
 
 
@@ -169,6 +176,9 @@ def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
     """Build the slide descriptor for an anchored path."""
     if len(path) < 3:
         raise InvalidDescriptorError("slide path needs interior vertices")
+    # the adjacency checks below cover every later vertex
+    if not 0 <= path[0] < t.n:
+        raise InvalidDescriptorError(f"vertex {path[0]} out of range 0..{t.n - 1}")
     for a, b in zip(path, path[1:]):
         if b not in t.adj[a]:
             raise InvalidDescriptorError(f"{a} and {b} are not adjacent")

@@ -6,10 +6,11 @@ Two independent routes are kept on purpose: the edge-contribution formula
 in the minimal subtree spanning a set S exactly when S meets both sides of
 the edge, so with side sizes a and n-a the edge is counted by
 w_{n,k}[a] = C(n,k) - C(a,k) - C(n-a,k) sets, and SW_k is the sum of these
-weights over the edges.  The weights depend only on (n, k): each row
-w_{n,k}[0..n] is computed once and kept in a cache of at most 1024 rows, so
-the cache holds at most 1024 * (n + 1) integers of at most 128 bits for the
-largest order n evaluated.
+weights over the edges; the side sizes come from the same one-pass reader
+(``trees._read``) that gives the segment sequence.  The weights depend only
+on (n, k): each row w_{n,k}[0..n] is computed once and kept in a cache of
+at most 1024 rows, so the cache holds at most 1024 * (n + 1) integers of at
+most 128 bits for the largest order n evaluated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exact import binomial, checked
-from .trees import Tree, _bfs
+from .trees import Tree, _bfs, _read
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -55,16 +56,6 @@ def steiner_distance(t: Tree, subset: Iterable[int]) -> int:
     return alive - 1
 
 
-def _edge_side_sizes(t: Tree) -> list[int]:
-    """For every edge, the vertex count of one fixed side (the child side
-    when rooted at vertex 0)."""
-    parent, order = _bfs(t.adj, 0)
-    size = [1] * t.n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    return [size[v] for v in order[1:]]
-
-
 @lru_cache(maxsize=1024)
 def _weights(n: int, k: int) -> tuple[int, ...]:
     """w[a] = C(n,k) - C(a,k) - C(n-a,k) for a = 0..n.  C(a,k) <= C(n,k),
@@ -81,10 +72,16 @@ def _index_sums(n: int, sides: Sequence[int], ks: Iterable[int]) -> tuple[int, .
     return tuple(checked(sum(w[a] for a in sides)) for w in rows)
 
 
+def _tree_sums(t: Tree, ks: Iterable[int]) -> tuple[int, ...]:
+    """`_index_sums` of *t*, over the side sizes read (`_read`) off the
+    breadth-first search from vertex 0."""
+    sides = _read(*_bfs(t.adj, 0), [len(a) for a in t.adj])[0]
+    return _index_sums(t.n, sides, ks)
+
+
 def wiener(t: Tree) -> int:
     """Sum of pairwise distances: SW_2, whose weights are a * (n - a)."""
-    w = _weights(t.n, 2)
-    return checked(sum(w[a] for a in _edge_side_sizes(t)))
+    return _tree_sums(t, (2,))[0]
 
 
 def _check_k(t: Tree, k: int) -> None:
@@ -95,8 +92,7 @@ def _check_k(t: Tree, k: int) -> None:
 def sw_k(t: Tree, k: int) -> int:
     """Steiner k-Wiener index by edge contribution."""
     _check_k(t, k)
-    w = _weights(t.n, k)
-    return checked(sum(w[a] for a in _edge_side_sizes(t)))
+    return _tree_sums(t, (k,))[0]
 
 
 def sw_k_bruteforce(t: Tree, k: int) -> int:
@@ -109,4 +105,4 @@ def sw_k_bruteforce(t: Tree, k: int) -> int:
 
 def sw_profile(t: Tree) -> tuple[int, ...]:
     """(SW_1, ..., SW_n) in one pass over the edge side sizes."""
-    return _index_sums(t.n, _edge_side_sizes(t), range(1, t.n + 1))
+    return _tree_sums(t, range(1, t.n + 1))

@@ -4,6 +4,14 @@ Trees are immutable and valid from construction on (``from_edges``
 validates outside input), so they can be shared freely across parallel
 workers; every function in this module is pure.
 
+A tree's two evaluated objects, its segment sequence and the side sizes of
+its edges (which SW_k sums weights over), come out of one reader, `_read`:
+one reverse pass over a rooted order, either a breadth-first search of a
+``Tree`` or an enumerator's level sequence.  Every other walk over a tree
+(paths, subtree codes) goes through the breadth-first search `_bfs`, and
+``segment_decomposition`` keeps its own segment walks as the independent
+route.
+
 Both shapes the extremal results name are read off the segments at each
 vertex (a segment is a maximal path whose interior vertices have degree 2):
 
@@ -25,7 +33,7 @@ Conventions for degenerate cases (the literature does not pin these down):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class InvalidTreeError(ValueError):
@@ -53,6 +61,36 @@ def _bfs(adj, root: int) -> tuple[list[int], list[int]]:
                 parent[w] = v
                 order.append(w)
     return parent, order
+
+
+def _read(parent: Sequence[int], order: Sequence[int], degree: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The vertex count on the child side of every non-root vertex's edge to
+    its parent (indexed by vertex, from 1) and the segment sequence (empty
+    for a single vertex), in one reverse pass over *order*, which is rooted
+    at vertex 0 and lists every parent before its children.
+
+    The run of v is the length of the segment piece from v's parent down
+    through v.  A run ends a segment at a parent whose degree is not 2 and
+    otherwise moves up to the parent; the two runs at a root of degree 2
+    join into one.
+    """
+    size = [1] * len(order)
+    run = [1] * len(order)
+    lengths = []
+    through_root = 0
+    for v in order[:0:-1]:
+        p = parent[v]
+        size[p] += size[v]
+        if degree[p] != 2:
+            lengths.append(run[v])
+        elif p:
+            run[p] = run[v] + 1
+        else:
+            through_root += run[v]
+    if through_root:
+        lengths.append(through_root)
+    lengths.sort(reverse=True)
+    return size[1:], tuple(lengths)
 
 
 @dataclass(frozen=True)
@@ -122,20 +160,12 @@ class Tree:
         return tuple(v for v in range(self.n) if len(self.adj[v]) >= 3)
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
-        """The unique path from u to v, inclusive."""
-        if u == v:
-            return (u,)
-        parent = [-1] * self.n
-        parent[u] = u
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for w in self.adj[x]:
-                if parent[w] < 0:
-                    parent[w] = x
-                    stack.append(w)
+        """The unique path from u to v, inclusive: v's ancestors in the
+        breadth-first search from u."""
+        for x in (u, v):
+            if not 0 <= x < self.n:
+                raise ValueError(f"vertex {x} out of range 0..{self.n - 1}")
+        parent = _bfs(self.adj, u)[0]
         out = [v]
         while out[-1] != u:
             out.append(parent[out[-1]])
@@ -216,28 +246,11 @@ def segment_decomposition(t: Tree) -> list[Segment]:
 
 
 def segment_sequence(t: Tree) -> tuple[int, ...]:
-    """Segment lengths in non-increasing order.
-
-    Walks the degree-2 chain behind every edge at a vertex of degree != 2;
-    each segment is walked from both ends and kept from its smaller-id end.
-    """
+    """Segment lengths in non-increasing order, read (`_read`) off the
+    breadth-first search from vertex 0."""
     if t.n < 2:
         raise EmptyDecompositionError("a single-vertex tree has no segments")
-    adj = t.adj
-    lengths = []
-    for u in range(t.n):
-        if len(adj[u]) == 2:
-            continue
-        for w in adj[u]:
-            prev, cur, length = u, w, 1
-            while len(adj[cur]) == 2:
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-                length += 1
-            if u < cur:
-                lengths.append(length)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
+    return _read(*_bfs(t.adj, 0), [len(a) for a in t.adj])[1]
 
 
 def is_starlike(t: Tree) -> bool:
@@ -295,19 +308,11 @@ def all_backbones(t: Tree) -> list[tuple[int, ...]]:
 
 
 def _orientation_key(t: Tree, path: tuple[int, ...]) -> tuple:
-    """Label-invariant encoding of the tree as read along an oriented path."""
+    """Label-invariant encoding of the tree as read along an oriented path:
+    the codes of the components hanging at each path vertex."""
+    code = _subtree_codes(t.adj, path[0])
     on_path = set(path)
-    key = []
-    for i, v in enumerate(path):
-        hanging = []
-        for w in t.adj[v]:
-            if w in on_path and (
-                (i > 0 and w == path[i - 1]) or (i + 1 < len(path) and w == path[i + 1])
-            ):
-                continue
-            hanging.append(_rooted_code(t, w, v))
-        key.append(tuple(sorted(hanging)))
-    return tuple(key)
+    return tuple(tuple(sorted(code[w] for w in t.adj[v] if w not in on_path)) for v in path)
 
 
 def backbone_view(t: Tree, path: tuple[int, ...]) -> BackboneView:
@@ -349,25 +354,17 @@ def backbone(t: Tree) -> BackboneView:
     return backbone_view(t, best_path)
 
 
-def _rooted_code(t: Tree, root: int, parent: int = -1) -> bytes:
-    """AHU code of the component containing *root* when the edge to *parent*
-    is ignored."""
-    order = [root]
-    par = [-2] * t.n
-    par[root] = parent
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in t.adj[v]:
-            if w != par[v]:
-                par[w] = v
-                order.append(w)
-    code: dict[int, bytes] = {}
+def _subtree_codes(adj: tuple[tuple[int, ...], ...], root: int) -> list[bytes]:
+    """The AHU code of every vertex's subtree with the tree rooted at *root*,
+    built bottom-up over the breadth-first order."""
+    parent, order = _bfs(adj, root)
+    code = [b""] * len(adj)
     for v in reversed(order):
-        kids = sorted(code[w] for w in t.adj[v] if w != par[v])
+        p = parent[v]
+        kids = [code[w] for w in adj[v] if w != p]
+        kids.sort()
         code[v] = b"(" + b"".join(kids) + b")"
-    return code[root]
+    return code
 
 
 def _centers(t: Tree) -> list[int]:
@@ -397,20 +394,14 @@ def canonical_code(t: Tree) -> bytes:
     The code is the AHU encoding rooted at the centre, taking the smaller of
     the two rooted encodings for bicentral trees.  It is built in one pass:
     rooted at the first centre c, every vertex's code is built bottom-up
-    over the breadth-first order.  For a bicentral tree the encoding rooted
-    at the other centre d reuses those codes: c's side without d becomes
-    one more child of d.
+    over the breadth-first order (`_subtree_codes`).  For a bicentral tree
+    the encoding rooted at the other centre d reuses those codes: c's side
+    without d becomes one more child of d.
     """
     centres = _centers(t)
     c = centres[0]
     adj = t.adj
-    parent, order = _bfs(adj, c)
-    code = [b""] * t.n
-    for v in reversed(order):
-        p = parent[v]
-        kids = [code[w] for w in adj[v] if w != p]
-        kids.sort()
-        code[v] = b"(" + b"".join(kids) + b")"
+    code = _subtree_codes(adj, c)
     if len(centres) == 1:
         return code[c]
     d = centres[1]

@@ -1,8 +1,10 @@
 """Independent reference implementations used to compute expected values.
 
 Nothing here shares an algorithm with the package: distances are summed from
-BFS, Steiner distances come from enumerating connected supersets, tree
-enumeration walks all Prüfer sequences, automorphism counts come from
+BFS, edge side sizes are subtree sizes summed over the package's `_bfs` in
+a pass of their own (the package reads them together with the segment
+sequence), Steiner distances come from enumerating connected supersets,
+tree enumeration walks all Prüfer sequences, automorphism counts come from
 nested-tuple AHU codes, canonical codes from recursive string encodings at
 the middle of a longest path, the quasi-caterpillar test re-derives
 pendant removal from leaf walks, and reports are written by the stdlib
@@ -17,7 +19,7 @@ import math
 import random
 from collections import deque
 
-from segwiener.trees import Tree
+from segwiener.trees import Tree, _bfs
 from segwiener.verify import VerificationReport
 
 
@@ -97,6 +99,16 @@ def prufer_to_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
                 adj[i].append(u)
                 break
     return adj
+
+
+def edge_side_sizes(t: Tree) -> list[int]:
+    """For every edge, the vertex count of one fixed side (the child side
+    when rooted at vertex 0)."""
+    parent, order = _bfs(t.adj, 0)
+    size = [1] * t.n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return [size[v] for v in order[1:]]
 
 
 def random_labeled_tree(n: int, rng: random.Random) -> Tree:
@@ -256,16 +268,14 @@ def free_trees_by_prufer(n: int) -> tuple[int, list[Tree]]:
     return len(classes), reps
 
 
-def prufer_class_count(n: int) -> int:
-    """Count-only variant (skips building representative Trees)."""
-    if n in (1, 2):
-        return 1
-    intern: dict = {}
-    seen: set[tuple] = set()
-    for seq in itertools.product(range(n), repeat=n - 2):
-        adj = prufer_to_adjacency(seq, n)
-        seen.add(_interned_class_key(adj, n, intern))
-    return len(seen)
+def prufer_class_keys(n: int, intern: dict) -> set[tuple]:
+    """The `_interned_class_key` of every isomorphism class among all
+    n^(n-2) labeled trees (n >= 2), interned in *intern* so that they
+    compare with keys of other trees interned there."""
+    return {
+        _interned_class_key(prufer_to_adjacency(seq, n), n, intern)
+        for seq in itertools.product(range(n), repeat=n - 2)
+    }
 
 
 def quasi_caterpillar_by_leaf_walks(t: Tree) -> bool:

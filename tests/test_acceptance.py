@@ -31,7 +31,7 @@ from segwiener.verify import (
     verify_structure,
 )
 
-from .oracles import prufer_class_count
+from .oracles import _interned_class_key, prufer_class_keys
 
 
 def _announce(criterion: str, detail: str) -> None:
@@ -159,11 +159,14 @@ def test_criterion_8_move_closure_and_reattach_sign():
 def test_criterion_9_enumeration_matches_prufer_oracle():
     counts = {}
     for n in range(4, 10):
-        counts[n] = sum(1 for _ in all_trees(n))
-        assert counts[n] == prufer_class_count(n), n
+        intern: dict = {}
+        keys = [_interned_class_key(t.adj, n, intern) for t in all_trees(n)]
+        counts[n] = len(keys)
+        assert len(set(keys)) == counts[n], n
+        assert set(keys) == prufer_class_keys(n, intern), n
     streams_equal = all(
         [tuple(t.edges()) for t in all_trees(n)] == [tuple(t.edges()) for t in all_trees(n)]
         for n in range(4, 10)
     )
     assert streams_equal
-    _announce("9", f"counts {counts} match the labeled-tree oracle; streams byte-identical")
+    _announce("9", f"class key sets of sizes {counts} match the labeled-tree oracle; streams byte-identical")

@@ -23,11 +23,10 @@ from segwiener.enumeration import (
     trees_with_segment_sequence,
 )
 from segwiener.generators import UnrealizableError
-from segwiener.steiner import _edge_side_sizes
-from segwiener.trees import Tree, canonical_code, is_starlike, segment_sequence
+from segwiener.trees import Tree, canonical_code, is_starlike, segment_decomposition, segment_sequence
 
 from .conftest import path_tree
-from .oracles import automorphism_count, free_trees_by_prufer
+from .oracles import automorphism_count, edge_side_sizes, free_trees_by_prufer
 
 # number of free trees per order (verified against the Prüfer dedup oracle)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -128,15 +127,17 @@ class TestCountFilter:
 
 class TestLevelReader:
     def test_matches_the_built_tree(self):
-        # the reader against the tree walks it replaces, on every tree of
-        # order 2..16; side sizes are compared as multisets
+        # the reader against two routes that do not share it, on every tree
+        # of order 2..16: the subtree-size oracle (side sizes compared as
+        # multisets) and the segment walks of `segment_decomposition`
         assert _read_levels([0]) == ([], ())
         for n in range(2, MAX_ORDER + 1):
             for level in _level_sequences(n):
                 sides, segments = _read_levels(level)
                 t = _tree_from_levels(level)
-                assert segments == segment_sequence(t), level
-                assert sorted(sides) == sorted(_edge_side_sizes(t)), level
+                walked = sorted((s.length for s in segment_decomposition(t)), reverse=True)
+                assert segments == tuple(walked), level
+                assert sorted(sides) == sorted(edge_side_sizes(t)), level
 
     def test_filters_match_filtering_all_trees(self):
         for n in range(1, 13):

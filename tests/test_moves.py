@@ -233,6 +233,28 @@ class TestNeighbors:
             with pytest.raises(ValueError):
                 _rewire(t, drop, add)
 
+    def test_out_of_range_vertex_ids_are_invalid_descriptors(self):
+        t = Tree.from_edges([(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)])
+        # the valid moves these are bent from
+        apply_switch(t, Switch(w0=0, ws=4, a_root=1, b_root=5), 2)
+        apply_reattach(t, Reattach(u1=0, u2=4, moved=(1, 2)), 2)
+        apply_slide(t, slide_move(t, (1, 0, 3, 4, 5)), 2)
+        for bad in (t.n, 99, -t.n):  # -n would alias vertex 0
+            with pytest.raises(InvalidDescriptorError):
+                apply_switch(t, Switch(w0=bad, ws=4, a_root=1, b_root=5), 2)
+            with pytest.raises(InvalidDescriptorError):
+                apply_switch(t, Switch(w0=0, ws=bad, a_root=1, b_root=5), 2)
+            with pytest.raises(InvalidDescriptorError):
+                apply_reattach(t, Reattach(u1=bad, u2=4, moved=(1, 2)), 2)
+            with pytest.raises(InvalidDescriptorError):
+                apply_reattach(t, Reattach(u1=0, u2=bad, moved=(1, 2)), 2)
+            with pytest.raises(InvalidDescriptorError):
+                slide_move(t, (bad, 1, 0, 3, 4, 5))
+            with pytest.raises(InvalidDescriptorError):
+                apply_slide(t, Slide(path=(bad, 1, 0, 3, 4, 5), source=0, dest=1), 2)
+            with pytest.raises(InvalidDescriptorError):
+                apply_slide(t, Slide(path=(1, 0, 3, 4, 5, bad), source=0, dest=0), 2)
+
     def test_closure_small(self):
         for n in range(2, 8):
             for t in all_trees(n):

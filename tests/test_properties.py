@@ -1,5 +1,7 @@
 """Property tests on random labelled trees up to order 200: the index, the
-segment sequence and the canonical code do not depend on the labels."""
+segment sequence and the canonical code do not depend on the labels; the
+one read of a tree agrees with the reference routes; paths are paths; and
+every move keeps the segment sequence."""
 
 from __future__ import annotations
 
@@ -7,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segwiener.exact import CountOverflowError
+from segwiener.moves import neighbors
 from segwiener.steiner import sw_k
-from segwiener.trees import Tree, canonical_code, segment_sequence
+from segwiener.trees import Tree, _bfs, _read, canonical_code, segment_decomposition, segment_sequence
 
-from .oracles import prufer_to_adjacency
+from .oracles import edge_side_sizes, prufer_to_adjacency
 
 MAX_N = 200
 
@@ -54,3 +57,44 @@ def test_relabel_invariance(case):
             return
         raise AssertionError(f"SW_{k} overflows on one labelling of an order-{t.n} tree only")
     assert sw_k(u, k) == value
+
+
+def _walked_lengths(t: Tree) -> tuple[int, ...]:
+    """The segment lengths found by `segment_decomposition`'s walks."""
+    return tuple(sorted((s.length for s in segment_decomposition(t)), reverse=True))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(labelled_trees())
+def test_one_read_matches_the_reference_routes(t):
+    sides, segments = _read(*_bfs(t.adj, 0), [len(a) for a in t.adj])
+    assert sorted(sides) == sorted(edge_side_sizes(t))
+    if t.n >= 2:
+        assert segment_sequence(t) == segments == _walked_lengths(t)
+
+
+@st.composite
+def tree_and_two_vertices(draw) -> tuple[Tree, int, int]:
+    t = draw(labelled_trees())
+    return t, draw(st.integers(0, t.n - 1)), draw(st.integers(0, t.n - 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(tree_and_two_vertices())
+def test_path_is_a_path(case):
+    t, u, v = case
+    path = t.path(u, v)
+    assert path[0] == u and path[-1] == v
+    assert len(set(path)) == len(path)
+    assert all(b in t.adj[a] for a, b in zip(path, path[1:]))
+
+
+# a neighbourhood at order 200 has a few thousand moves, about 3 s to build
+# and check on a 2-core machine, so this draws fewer trees than the tests
+# above (every tree of order <= 7 is checked in test_moves.py)
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(labelled_trees(), st.integers(1, 4))
+def test_moves_keep_the_segment_sequence(t, k):
+    lengths = _walked_lengths(t) if t.n >= 2 else ()
+    for outcome in neighbors(t, min(k, t.n)):
+        assert _walked_lengths(outcome.tree) == lengths

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from segwiener.enumeration import all_trees
-from segwiener.generators import starlike
+from segwiener.generators import quasi_caterpillar, starlike
 from segwiener.trees import (
     EmptyDecompositionError,
     InvalidTreeError,
@@ -30,6 +31,10 @@ from .oracles import (
     quasi_caterpillar_by_leaf_walks,
     random_labeled_tree,
 )
+
+# sha256 of `TestBackbone.test_golden_backbones`, recorded before the
+# orientation key took its codes from `_subtree_codes`
+GOLDEN_BACKBONES_SHA256 = "0b44563b00b6c391e4e0f9cb602f2567ad9932c0c1f4cc7761d55b666c87fb4d"
 
 
 class TestConstruction:
@@ -68,6 +73,9 @@ class TestConstruction:
         assert t.path(0, 5) == (0, 1, 2, 3, 4, 5)
         assert t.path(4, 1) == (4, 3, 2, 1)
         assert t.path(3, 3) == (3,)
+        for u, v in ((-1, 0), (0, -6), (6, 0), (0, 99)):  # a negative id must not alias a vertex
+            with pytest.raises(ValueError):
+                t.path(u, v)
 
 
 class TestSegments:
@@ -224,6 +232,25 @@ class TestBackbone:
                 a, b = backbone(t), backbone(t.relabel(perm))
                 assert a.backbone_segment_lengths == b.backbone_segment_lengths
                 assert a.pendant_groups == b.pendant_groups
+
+    def test_golden_backbones(self):
+        # sha256 over the full view (oriented path, backbone segments,
+        # pendant groups) of every quasi-caterpillar of order <= 12 and of
+        # seeded random ones, relabelled: pins which orientation wins a tie
+        digest = hashlib.sha256()
+        for n in range(1, 13):
+            for t in all_trees(n):
+                if is_quasi_caterpillar(t):
+                    digest.update(f"{backbone(t)!r}\n".encode())
+        rng = random.Random(10)
+        for _ in range(300):
+            r = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+            pend = [(j, rng.randint(1, 3)) for j in range(1, len(r)) for _ in range(rng.randint(1, 3))]
+            t = quasi_caterpillar(r, pend)
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            digest.update(f"{backbone(t)!r}\n{backbone(t.relabel(perm))!r}\n".encode())
+        assert digest.hexdigest() == GOLDEN_BACKBONES_SHA256
 
 
 class TestCanonicalCode:
