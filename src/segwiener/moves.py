@@ -11,26 +11,37 @@ components so that the segment-length multiset never changes:
 * reattach — move every off-segment component of one branch endpoint of a
             segment to the other endpoint, turning the segment pendant.
 
-Deltas are always full recomputations of the index, never incremental sums:
-each neighbour's SW_k is evaluated from scratch, over the side sizes of the
-one read (`trees._read`) that also checks its segment sequence.  Within one
-neighbourhood the unchanged source tree's segment sequence and SW_k are
-evaluated once and shared by every neighbour.  Moves rewire the source's
-adjacency directly; a result that is not a tree raises InvalidTreeError.
+Two routes give a move's delta.  `neighbors` and the `apply_*` functions
+build each result by rewiring the source's adjacency (a result that is not
+a tree raises InvalidTreeError) and recompute its SW_k from scratch, over
+the side sizes of the one read (`trees._read`) that also checks its segment
+sequence; within one neighbourhood the source's segment sequence and SW_k
+are evaluated once.  `hill_climb` ranks a neighbourhood by closed forms
+instead: a move changes edge side sizes only on the edges of its segment or
+anchored path, so its delta is a sum of one `_weights(n, k)` row over those
+edges, with the sizes taken off the source's one read.  Only the
+neighbours that tie on the best gain are built, through the same rewiring
+and read as `neighbors`, and a built step whose recomputed delta differs
+from its closed form raises ClosedFormMismatchError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .steiner import _index_sums, sw_k
+from .exact import checked
+from .steiner import _check_k, _index_sums, _weights, sw_k
 from .trees import InvalidTreeError, Tree, _bfs, _read, canonical_code, segment_decomposition, segment_sequence
 
 
 class InvalidDescriptorError(ValueError):
     """The move descriptor does not match the tree."""
+
+
+class ClosedFormMismatchError(RuntimeError):
+    """A built step's recomputed delta differs from its closed form."""
 
 
 @dataclass(frozen=True)
@@ -163,17 +174,9 @@ def apply_switch(t: Tree, move: Switch, k: int) -> MoveOutcome:
     return _outcomes(t, k, [(move, _switched(t, move))])[0]
 
 
-def _slide_on(t: Tree, path: tuple[int, ...]) -> Slide | None:
-    """The slide on an anchored path: its first interior attachment lands on
-    the mirror of its last one.  None when nothing is attached in between."""
-    attachments = [i for i in range(1, len(path) - 1) if t.degree(path[i]) >= 3]
-    if not attachments:
-        return None
-    return Slide(path=tuple(path), source=path[attachments[0]], dest=path[len(path) - 1 - attachments[-1]])
-
-
 def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
-    """Build the slide descriptor for an anchored path."""
+    """Build the slide descriptor for an anchored path: its first interior
+    attachment lands on the mirror of its last one."""
     if len(path) < 3:
         raise InvalidDescriptorError("slide path needs interior vertices")
     # the adjacency checks below cover every later vertex
@@ -187,10 +190,10 @@ def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
     for endpoint in (path[0], path[-1]):
         if t.degree(endpoint) == 2:
             raise InvalidDescriptorError(f"anchor {endpoint} must be a leaf or a branch vertex")
-    move = _slide_on(t, path)
-    if move is None:
+    attachments = [i for i in range(1, len(path) - 1) if t.degree(path[i]) >= 3]
+    if not attachments:
         raise InvalidDescriptorError("slide path has nothing attached between its anchors")
-    return move
+    return Slide(path=tuple(path), source=path[attachments[0]], dest=path[len(path) - 1 - attachments[-1]])
 
 
 def _slid(t: Tree, move: Slide) -> Tree:
@@ -201,13 +204,19 @@ def _slid(t: Tree, move: Slide) -> Tree:
     return _slide_rewired(t, move)
 
 
+def _slide_span(move: Slide) -> tuple[int, int, int]:
+    """Positions i <= j of the first and last interior attachments on the
+    path, and the shift that carries i onto the mirror of j."""
+    last = len(move.path) - 1
+    i, j = move.path.index(move.source), last - move.path.index(move.dest)
+    return i, j, (last - j) - i
+
+
 def _slide_rewired(t: Tree, move: Slide) -> Tree:
     """The slid tree for a descriptor that matches *t* (from `slide_move` or
     `slide_moves`); *t* itself when the slide mirrors onto itself."""
     path = move.path
-    last = len(path) - 1
-    i, j = path.index(move.source), last - path.index(move.dest)
-    shift = (last - j) - i
+    i, j, shift = _slide_span(move)
     if shift == 0:
         return t
     drop: list[tuple[int, int]] = []
@@ -255,52 +264,150 @@ def _branch_segments(t: Tree) -> Iterator[tuple[int, ...]]:
             yield seg.vertices if a < b else tuple(reversed(seg.vertices))
 
 
+def _switches_on(t: Tree, path: tuple[int, ...]) -> Iterator[Switch]:
+    w0, ws = path[0], path[-1]
+    for a in t.adj[w0]:
+        if a == path[1]:
+            continue
+        for b in t.adj[ws]:
+            if b == path[-2]:
+                continue
+            yield Switch(w0=w0, ws=ws, a_root=a, b_root=b)
+
+
 def switch_moves(t: Tree) -> Iterator[Switch]:
     for path in _branch_segments(t):
-        w0, ws = path[0], path[-1]
-        for a in t.adj[w0]:
-            if a == path[1]:
-                continue
-            for b in t.adj[ws]:
-                if b == path[-2]:
-                    continue
-                yield Switch(w0=w0, ws=ws, a_root=a, b_root=b)
+        yield from _switches_on(t, path)
+
+
+def _reattaches_on(t: Tree, path: tuple[int, ...]) -> Iterator[tuple[Reattach, tuple[int, ...]]]:
+    """The two reattaches across the segment *path*, each with the path
+    oriented from u1 to u2."""
+    for p in (path, path[::-1]):
+        yield Reattach(u1=p[0], u2=p[-1], moved=tuple(sorted(w for w in t.adj[p[0]] if w != p[1]))), p
 
 
 def reattach_moves(t: Tree) -> Iterator[Reattach]:
     for path in _branch_segments(t):
-        w0, ws = path[0], path[-1]
-        yield Reattach(u1=w0, u2=ws, moved=tuple(sorted(w for w in t.adj[w0] if w != path[1])))
-        yield Reattach(u1=ws, u2=w0, moved=tuple(sorted(w for w in t.adj[ws] if w != path[-2])))
+        for move, _ in _reattaches_on(t, path):
+            yield move
 
 
 def slide_moves(t: Tree) -> Iterator[Slide]:
     """Non-trivial slides only: the mirrored position must differ.  One
-    search from each anchor gives its paths to all later anchors."""
-    anchors = [v for v in range(t.n) if t.degree(v) != 2]
+    search from each anchor gives its paths to all later anchors, and the
+    depths of the first and last interior attachment on each (0 for none);
+    a path is built only for a slide it yields."""
+    adj = t.adj
+    anchors = [v for v in range(t.n) if len(adj[v]) != 2]
     for idx, x in enumerate(anchors):
-        parent = _bfs(t.adj, x)[0]
+        parent, order = _bfs(adj, x)
+        depth, first, last = [0] * t.n, [0] * t.n, [0] * t.n
+        for v in order[1:]:
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            if p != x and len(adj[p]) >= 3:
+                first[v], last[v] = first[p] or depth[p], depth[p]
+            else:
+                first[v], last[v] = first[p], last[p]
         for y in anchors[idx + 1 :]:
-            path = [y]
-            while y != x:
-                y = parent[y]
-                path.append(y)
-            path.reverse()
-            move = _slide_on(t, tuple(path))
-            if move is not None and move.source != move.dest:
-                yield move
+            i, mirror = first[y], depth[y] - last[y]
+            if i and i != mirror:
+                path = [y]
+                while y != x:
+                    y = parent[y]
+                    path.append(y)
+                path.reverse()
+                yield Slide(path=tuple(path), source=path[i], dest=path[mirror])
+
+
+# the result of each move kind; the slides come from `slide_moves`, which
+# builds them valid, so they are rewired without a second validation
+_BUILD = {Switch: _switched, Slide: _slide_rewired, Reattach: _reattached}
 
 
 def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
-    """Every valid switch, slide and reattach on *t*, each applied.  The
-    slides come from `slide_moves`, which builds them valid, so they are
-    rewired without a second validation."""
-    results = chain(
-        ((sw, _switched(t, sw)) for sw in switch_moves(t)),
-        ((sl, _slide_rewired(t, sl)) for sl in slide_moves(t)),
-        ((re_, _reattached(t, re_)) for re_ in reattach_moves(t)),
+    """Every valid switch, slide and reattach on *t*, each applied and
+    evaluated from scratch."""
+    moves = chain(switch_moves(t), slide_moves(t), reattach_moves(t))
+    return _outcomes(t, k, ((move, _BUILD[type(move)](t, move)) for move in moves))
+
+
+# Closed-form deltas.  Every move keeps the components it carries whole and
+# changes no edge off its segment or anchored path, so only the side sizes
+# along that path change.  Each routine takes the `_weights(n, k)` row *w*
+# and side(u, v), the vertex count on v's side of the edge u-v, both of the
+# source tree, and the move's segment (from u1 for a reattach) or anchored
+# path.
+
+Side = Callable[[int, int], int]
+
+
+def _sides(t: Tree) -> tuple[list[int], Side]:
+    """The side sizes of *t* and side(u, v), off one read of it."""
+    parent, order = _bfs(t.adj, 0)
+    sides = _read(parent, order, [len(a) for a in t.adj])[0]
+    n = t.n
+    size = [n, *sides]
+
+    def side(u: int, v: int) -> int:
+        return size[v] if parent[v] == u else n - size[u]
+
+    return sides, side
+
+
+def _switch_delta(w: Sequence[int], side: Side, path: tuple[int, ...], move: Switch) -> int:
+    """The w0 side of the i-th segment edge, L + i, loses A and gains B."""
+    low = side(path[1], path[0])
+    high = low - side(move.w0, move.a_root) + side(move.ws, move.b_root)
+    return sum(w[high + i] - w[low + i] for i in range(len(path) - 1))
+
+
+def _slide_delta(w: Sequence[int], side: Side, path: tuple[int, ...], move: Slide) -> int:
+    """With S(t) the path[0] side of the t-th path edge, the mass hanging at
+    interior position x is S(x + 1) - S(x) - 1.  The slide carries each mass
+    in [i, j] from x to x + shift; S'(1) = S(1) and the rest follow."""
+    i, j, shift = _slide_span(move)
+    before = [side(path[t], path[t - 1]) for t in range(1, len(path))]
+    mass = [0] * len(path)
+    for x in range(i, j + 1):
+        mass[x + shift] = before[x] - before[x - 1] - 1
+    after = [before[0]]
+    for x in range(1, len(path) - 1):
+        after.append(after[-1] + 1 + mass[x])
+    return sum(w[a] - w[b] for a, b in zip(after, before))
+
+
+def _reattach_delta(w: Sequence[int], side: Side, path: tuple[int, ...], move: Reattach) -> int:
+    """u1 keeps only the segment, so its side of the i-th segment edge
+    drops from L + i to 1 + i."""
+    low = side(path[1], path[0])
+    return sum(w[1 + i] - w[low + i] for i in range(len(path) - 1))
+
+
+_DELTA = {Switch: _switch_delta, Slide: _slide_delta, Reattach: _reattach_delta}
+
+
+def _move_deltas(t: Tree, k: int) -> Iterator[tuple[MoveDescriptor, int]]:
+    """Every move of `neighbors(t, k)`, in its order, with its closed-form
+    delta, off one read of *t* and without building a neighbour.  As in
+    `neighbors`, the source is evaluated only once it has a move, and a
+    source or neighbour whose SW_k leaves i128 raises CountOverflowError."""
+    segments = list(_branch_segments(t))
+    moves = chain(
+        ((move, path) for path in segments for move in _switches_on(t, path)),
+        ((move, move.path) for move in slide_moves(t)),
+        (pair for path in segments for pair in _reattaches_on(t, path)),
     )
-    return _outcomes(t, k, results)
+    w = None
+    for move, path in moves:
+        if w is None:
+            sides, side = _sides(t)
+            value = _index_sums(t.n, sides, (k,))[0]
+            w = _weights(t.n, k)
+        delta = _DELTA[type(move)](w, side, path, move)
+        checked(value + delta)
+        yield move, delta
 
 
 @dataclass(frozen=True)
@@ -312,23 +419,36 @@ class ClimbResult:
 def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     """Steepest ascent/descent over the move neighbourhood.
 
-    Applies the best strictly improving neighbour until none exists; ties
-    are broken deterministically by (delta, canonical code of the result),
-    and codes are computed only among the neighbours that tie on the best
-    delta.  The endpoint is a local optimum within the segment-sequence
-    class.
+    Each step ranks every move of `neighbors` by its closed-form delta, off
+    one read of the current tree, and builds only the moves that tie on the
+    best strictly improving gain.  Each of those goes through the rewiring
+    and the one read of `neighbors` (tree check, segment-sequence check and
+    SW_k recomputed from scratch), and a recomputed delta that differs from
+    its closed form raises ClosedFormMismatchError.  Ties are broken
+    deterministically by (delta, canonical code of the result), the first
+    in move order among equal codes.  The climb stops when no move
+    improves; the endpoint is a local optimum within the segment-sequence
+    class.  Raises ValueError unless 1 <= k <= n.
     """
     if direction not in ("minimize", "maximize"):
         raise ValueError("direction must be 'minimize' or 'maximize'")
+    _check_k(t, k)
     sign = -1 if direction == "minimize" else 1
     current = t
     steps: list[MoveOutcome] = []
     while True:
-        outcomes = neighbors(current, k)
-        gain = max((sign * o.delta for o in outcomes), default=0)
-        if gain <= 0:
+        gain, ties = 0, []
+        for move, delta in _move_deltas(current, k):
+            if sign * delta > gain:
+                gain, ties = sign * delta, [(move, delta)]
+            elif sign * delta == gain and gain:
+                ties.append((move, delta))
+        if not ties:
             return ClimbResult(tree=current, steps=tuple(steps))
-        ties = [o for o in outcomes if sign * o.delta == gain]
-        best = ties[0] if len(ties) == 1 else min(ties, key=lambda o: canonical_code(o.tree))
+        built = _outcomes(current, k, [(move, _BUILD[type(move)](current, move)) for move, _ in ties])
+        for (move, delta), outcome in zip(ties, built):
+            if outcome.delta != delta:
+                raise ClosedFormMismatchError(f"{move!r}: closed form {delta}, recomputed {outcome.delta}")
+        best = built[0] if len(built) == 1 else min(built, key=lambda o: canonical_code(o.tree))
         steps.append(best)
         current = best.tree

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from segwiener.cli import main
-from segwiener.io import parse_edge_list
+from segwiener.io import format_edge_list, parse_edge_list
 from segwiener.trees import canonical_code, segment_sequence
+
+from .oracles import random_labeled_tree
 
 
 def run(capsys, *argv):
@@ -175,3 +179,22 @@ def test_optimize_trace(tmp_path, capsys):
     result = parse_edge_list("\n".join(l for l in out.splitlines() if not l.startswith("#")))
     assert segment_sequence(result) == segment_sequence(parse_edge_list(tree_file.read_text()))
     assert canonical_code(result) != b""
+
+
+def test_optimize_trace_golden(tmp_path, capsys):
+    # sha256 over the stdout of `optimize --trace` on 168 seeded labelled
+    # trees, one per order 12..32, k 2..5 and direction; recorded before the
+    # climber ranked its moves by closed-form deltas
+    digest = hashlib.sha256()
+    rng = random.Random(1168)
+    tree_file = tmp_path / "start.edges"
+    for n in range(12, 33):
+        for k in (2, 3, 4, 5):
+            for direction in ("max", "min"):
+                tree_file.write_text(format_edge_list(random_labeled_tree(n, rng)))
+                code, out, _ = run(
+                    capsys, "optimize", "--in", str(tree_file), "--k", str(k), "--direction", direction, "--trace"
+                )
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == "3f1110baf64d175672197aab4e075d39ef2e54e2fe5dc3d93292d64fe002e3b1"

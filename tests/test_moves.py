@@ -8,9 +8,12 @@ import pytest
 
 from segwiener.enumeration import all_trees
 from segwiener.generators import quasi_caterpillar, starlike
+import segwiener.moves as moves
 from segwiener.moves import (
+    ClosedFormMismatchError,
     InvalidDescriptorError,
     Reattach,
+    _move_deltas,
     _rewire,
     Slide,
     Switch,
@@ -36,6 +39,17 @@ from segwiener.verify import random_switch_instance
 
 from .conftest import path_tree
 from .oracles import random_labeled_tree, slide_descriptor_count
+
+
+def hanging_size(t: Tree, root: int, at: int) -> int:
+    """The vertex count of the component hanging at *at* through *root*."""
+    seen, stack = {at, root}, [root]
+    while stack:
+        for w in t.adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) - 1
 
 
 class TestSwitch:
@@ -71,6 +85,27 @@ class TestSwitch:
             found += 1
             out = apply_switch(tree, move, 3)
             assert out.delta == sw_k_bruteforce(out.tree, 3) - sw_k_bruteforce(tree, 3)
+
+    def test_closed_form_on_seeded_instances(self):
+        # Lemma 3.1's strict instances at every k: the closed form equals
+        # the rebuilt tree's delta, and for k >= 2 it is 0 exactly when
+        # k > n - 1 - |Y| - |B| (= x + |A| + s) and positive below; SW_1 is
+        # 0 on every tree
+        rng = random.Random(31)
+        zeros = 0
+        for _ in range(300):
+            tree, move = random_switch_instance(rng)
+            path = tree.path(move.w0, move.ws)
+            size_b = hanging_size(tree, move.b_root, move.ws)
+            size_y = sum(hanging_size(tree, v, move.ws) for v in tree.adj[move.ws] if v not in (move.b_root, path[-2]))
+            for k in range(1, tree.n + 1):
+                closed = dict(_move_deltas(tree, k))[move]
+                assert closed == apply_switch(tree, move, k).delta
+                if k >= 2:
+                    assert (closed == 0) == (k > tree.n - 1 - size_y - size_b)
+                    assert closed >= 0
+                    zeros += closed == 0
+        assert zeros > 0
 
     def test_rejects_non_branch_endpoint(self):
         t = path_tree(6)
@@ -311,6 +346,36 @@ class TestHillClimb:
     def test_direction_validated(self, k13):
         with pytest.raises(ValueError):
             hill_climb(k13, 2, "sideways")
+
+    def test_k_validated(self, k13, fig1_bottom):
+        # a path and a star have no move: k is checked before any is sought
+        for t in (path_tree(4), k13, fig1_bottom):
+            for k in (0, t.n + 1):
+                with pytest.raises(ValueError):
+                    hill_climb(t, k)
+
+    def test_builds_only_the_ties_on_the_best_gain(self, fig1_bottom, monkeypatch):
+        # each step rewires exactly the moves that tie on its best gain
+        rewired = []
+        rewire = moves._rewire
+        monkeypatch.setattr(moves, "_rewire", lambda t, drop, add: rewired.append(t) or rewire(t, drop, add))
+        for k, direction in ((2, "maximize"), (3, "minimize")):
+            rewired.clear()
+            res = hill_climb(fig1_bottom, k, direction)
+            sign = 1 if direction == "maximize" else -1
+            expected, moves_seen = [], 0
+            for source in (fig1_bottom, *(o.tree for o in res.steps[:-1])):
+                gains = [sign * delta for _, delta in _move_deltas(source, k)]
+                expected += [source] * gains.count(max(gains))
+                moves_seen += len(gains)
+            assert res.steps and rewired == expected
+            assert len(rewired) < moves_seen
+
+    def test_closed_form_mismatch_raises(self, fig1_bottom, monkeypatch):
+        off_by_one = {kind: (lambda f: lambda *a: f(*a) + 1)(f) for kind, f in moves._DELTA.items()}
+        monkeypatch.setattr(moves, "_DELTA", off_by_one)
+        with pytest.raises(ClosedFormMismatchError):
+            hill_climb(fig1_bottom, 2, "maximize")
 
     def test_reach_fraction_reported(self):
         # how often steepest ascent lands on the global maximum is measured,

@@ -1,7 +1,8 @@
 """Property tests on random labelled trees up to order 200: the index, the
 segment sequence and the canonical code do not depend on the labels; the
-one read of a tree agrees with the reference routes; paths are paths; and
-every move keeps the segment sequence."""
+one read of a tree agrees with the reference routes; paths are paths;
+every move keeps the segment sequence; and the hill climber's closed-form
+move deltas equal the recomputed ones of `neighbors`."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segwiener.exact import CountOverflowError
-from segwiener.moves import neighbors
+from segwiener.moves import _move_deltas, neighbors
 from segwiener.steiner import sw_k
 from segwiener.trees import Tree, _bfs, _read, canonical_code, segment_decomposition, segment_sequence
 
@@ -29,16 +30,26 @@ def labelled_trees(draw) -> Tree:
     return Tree.from_edges([(u, v) for u in range(n) for v in adj[u] if u < v], n=n)
 
 
+def ks(n: int) -> st.SearchStrategy[int]:
+    """A k in 1..n: small (SW_k fits in i128 for every order up to 200) or
+    near n in half the draws, anywhere in 1..n otherwise, where C(n, k) may
+    overflow."""
+    small = min(n, 12)
+    return st.one_of(st.integers(1, small), st.integers(n - small + 1, n), st.integers(1, n))
+
+
 @st.composite
 def relabelled(draw) -> tuple[Tree, Tree, int]:
-    """A tree, a relabelled copy and a k; k is small (SW_k fits in i128 for
-    every order up to 200) or near n in half the draws, anywhere in 1..n
-    otherwise, where C(n, k) may overflow."""
+    """A tree, a relabelled copy and a k from `ks`."""
     t = draw(labelled_trees())
     perm = draw(st.permutations(range(t.n)))
-    small = min(t.n, 12)
-    k = draw(st.one_of(st.integers(1, small), st.integers(t.n - small + 1, t.n), st.integers(1, t.n)))
-    return t, t.relabel(perm), k
+    return t, t.relabel(perm), draw(ks(t.n))
+
+
+@st.composite
+def tree_and_k(draw) -> tuple[Tree, int]:
+    t = draw(labelled_trees())
+    return t, draw(ks(t.n))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -98,3 +109,20 @@ def test_moves_keep_the_segment_sequence(t, k):
     lengths = _walked_lengths(t) if t.n >= 2 else ()
     for outcome in neighbors(t, min(k, t.n)):
         assert _walked_lengths(outcome.tree) == lengths
+
+
+# every move of `neighbors`, in its order, by both routes; k may overflow,
+# and then both routes must raise
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(tree_and_k())
+def test_closed_form_deltas_match_neighbors(case):
+    t, k = case
+    try:
+        recomputed = [(o.move, o.delta) for o in neighbors(t, k)]
+    except CountOverflowError:
+        recomputed = None
+    try:
+        closed = list(_move_deltas(t, k))
+    except CountOverflowError:
+        closed = None
+    assert closed == recomputed
