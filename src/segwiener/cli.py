@@ -13,7 +13,7 @@ from pathlib import Path
 from . import enumeration, generators, io, moves, verify
 from .exact import CountOverflowError
 from .steiner import sw_k, sw_profile
-from .trees import Tree, canonical_code
+from .trees import Tree
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -83,14 +83,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(enumeration.count_trees(args.n, args.segments, args.num_segments))
         return 0
-    if args.segments is not None:
-        stream = enumeration.trees_with_segment_sequence(args.segments)
-    elif args.num_segments is not None:
-        stream = enumeration.trees_with_segment_count(args.n, args.num_segments)
-    else:
-        stream = enumeration.all_trees(args.n)
-    for t in stream:
-        print(canonical_code(t).decode("ascii"))
+    for level in enumeration._levels(args.n, args.segments, args.num_segments):
+        print(enumeration._level_code(level).decode("ascii"))
     return 0
 
 

@@ -8,16 +8,14 @@ J. Comput. 9).  It emits each isomorphism class exactly once, in a
 deterministic order (that of networkx's ``nonisomorphic_trees``, with
 vertices labelled by preorder index).
 
-Building a ``Tree`` costs more than generating its level sequence, so a tree
-is built only where a caller keeps it.  The reader that evaluates a built
-tree (``trees._read``) takes the segment sequence and the edge side sizes
-straight off the level sequence's preorder parents; the segment filters
-test what it reads and build only the trees they yield, ``count_trees``
-builds none, and ``read_trees`` hands the verifier what it reads plus the
-level sequence to build a tree from later.  The independent
-Prüfer-plus-canonical-dedup oracle and the Cayley-formula check live in the
-test suite.  Streams are lazy so filters compose without materializing a
-whole order class.
+A tree is read, coded and filtered straight off its level sequence, and a
+``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
+picks the level stream (every tree of an order, one segment sequence or one
+segment count) for ``count_trees``, the ``Tree`` streams and the codes
+``segwiener enumerate`` prints; one pass, `_parents`, gives the preorder
+parents that the reader (``trees._read``), the coder (``trees._codes``) and
+`_tree_from_levels` share.  The Prüfer-plus-canonical-dedup oracle and the
+Cayley-formula check live in the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .generators import UnrealizableError, normalize_segment_lengths
-from .trees import Tree, _read
+from .trees import Tree, _codes, _read
 
 MAX_ORDER = 16
 
@@ -52,7 +50,7 @@ def all_trees(n: int) -> Iterator[Tree]:
     """Every free tree of order *n*, one representative per isomorphism
     class, each built from its level sequence (vertex v is the v-th vertex
     in preorder from the centre)."""
-    for level in _level_sequences(n):
+    for level in _levels(n):
         yield _tree_from_levels(level)
 
 
@@ -66,12 +64,10 @@ def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]
         yield segments, sides, level
 
 
-def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
-    """The vertex count on the child side of every edge, and the segment
-    sequence (empty for a single vertex), of the tree of a level sequence:
-    one forward pass finds each vertex's parent and degree, and the reader
-    (`trees._read`) takes both off the preorder, which lists every parent
-    before its children."""
+def _parents(level: list[int]) -> tuple[list[int], list[int]]:
+    """Each vertex's parent (the root is its own) and degree in the tree of
+    a preorder level sequence: vertex v's parent is the latest vertex before
+    it one level up."""
     n = len(level)
     parent = [0] * n
     degree = [1] * n
@@ -83,23 +79,36 @@ def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
         parent[v] = u
         degree[u] += 1
         latest[depth] = v
-    return _read(parent, range(n), degree)
+    return parent, degree
+
+
+def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The vertex count on the child side of every edge, and the segment
+    sequence (empty for a single vertex), of the tree of a level sequence,
+    read (`trees._read`) off its preorder parents."""
+    parent, degree = _parents(level)
+    return _read(parent, range(len(level)), degree)
+
+
+def _level_code(level: list[int]) -> bytes:
+    """The canonical code of the tree of a level sequence, coded
+    (`trees._codes`) over its preorder parents.  The root is a centre; the
+    tree is bicentral exactly when the root's first subtree is higher than
+    the rest, and then vertex 1 is the other centre."""
+    m = _first_subtree_end(level)
+    other = 1 if max(level[1:m], default=0) > max(level[m:], default=0) else -1
+    return _codes(_parents(level)[0], range(len(level)), other)[1]
 
 
 def _tree_from_levels(level: list[int]) -> Tree:
-    """The tree of a preorder level sequence: vertex v's parent is the latest
-    vertex before it one level up, so ``adj[v] = (parent, *children)`` comes
-    out sorted and the result is a tree by construction."""
-    n = len(level)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    latest = [0] * n
-    for v in range(1, n):
-        depth = level[v]
-        u = latest[depth - 1]
-        adj[u].append(v)
-        adj[v].append(u)
-        latest[depth] = v
-    return Tree(n, tuple(map(tuple, adj)))
+    """The tree of a preorder level sequence, valid by construction:
+    ``adj[v] = (parent, *children)`` comes out sorted."""
+    parent = _parents(level)[0]
+    adj = [[p] for p in parent]
+    adj[0] = []
+    for v in range(1, len(level)):
+        adj[parent[v]].append(v)
+    return Tree(len(level), tuple(map(tuple, adj)))
 
 
 def _next_rooted(level: list[int], p: int | None = None) -> bool:
@@ -153,13 +162,14 @@ def _next_free(level: list[int]) -> None:
 
 def trees_with_segment_sequence(lengths: Iterable[int]) -> Iterator[Tree]:
     """All trees whose segment sequence equals *lengths* (up to isomorphism)."""
-    for level in _levels_with_segment_sequence(lengths):
+    lengths = normalize_segment_lengths(lengths)
+    for level in _levels(1 + sum(lengths), lengths):
         yield _tree_from_levels(level)
 
 
 def trees_with_segment_count(n: int, m: int) -> Iterator[Tree]:
     """All trees of order *n* with exactly *m* segments (possibly none)."""
-    for level in _levels_with_segment_count(n, m):
+    for level in _levels(n, num_segments=m):
         yield _tree_from_levels(level)
 
 
@@ -168,31 +178,25 @@ def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int
     `trees_with_segment_count(n, num_segments)` or `all_trees(n)` yields,
     the first whose argument is given; the level sequences are counted and
     no tree is built.  *segments* must sum to n - 1."""
+    return sum(1 for _ in _levels(n, segments, num_segments))
+
+
+def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> Iterator[list[int]]:
+    """The level sequence of every tree of order *n*, or of those with
+    segment sequence *segments* (which must sum to n - 1) or with
+    *num_segments* segments, the first whose argument is given; the filters
+    test what `read_trees` reads."""
     if segments is not None:
-        segments = list(segments)
-        if 1 + sum(segments) != n:
-            raise ValueError(f"segments summing to {sum(segments)} give order {1 + sum(segments)}, not {n}")
-        levels = _levels_with_segment_sequence(segments)
+        target = normalize_segment_lengths(segments)
+        if len(target) == 2:
+            raise UnrealizableError("no tree has exactly two segments")
+        if 1 + sum(target) != n:
+            raise ValueError(f"segments summing to {sum(target)} give order {1 + sum(target)}, not {n}")
+        yield from (level for found, _, level in read_trees(n) if found == target)
     elif num_segments is not None:
-        levels = _levels_with_segment_count(n, num_segments)
+        yield from (level for found, _, level in read_trees(n) if len(found) == num_segments)
     else:
-        levels = _level_sequences(n)
-    return sum(1 for _ in levels)
-
-
-def _levels_with_segment_sequence(lengths: Iterable[int]) -> Iterator[list[int]]:
-    target = normalize_segment_lengths(lengths)
-    if len(target) == 2:
-        raise UnrealizableError("no tree has exactly two segments")
-    for segments, _, level in read_trees(1 + sum(target)):
-        if segments == target:
-            yield level
-
-
-def _levels_with_segment_count(n: int, m: int) -> Iterator[list[int]]:
-    for segments, _, level in read_trees(n):
-        if len(segments) == m:
-            yield level
+        yield from _level_sequences(n)
 
 
 def segment_sequences_of_order(n: int) -> list[tuple[int, ...]]:

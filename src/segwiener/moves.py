@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact import checked
 from .steiner import _check_k, _index_sums, _weights, sw_k
-from .trees import InvalidTreeError, Tree, _bfs, _read, canonical_code, segment_decomposition, segment_sequence
+from .trees import InvalidTreeError, Tree, _bfs, _read, _walk, canonical_code, segment_decomposition, segment_sequence
 
 
 class InvalidDescriptorError(ValueError):
@@ -92,13 +92,15 @@ def _segment_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     for x in (u, v):
         if not 0 <= x < t.n:
             raise InvalidDescriptorError(f"vertex {x} out of range 0..{t.n - 1}")
-    path = t.path(u, v)
     if t.degree(u) < 3 or t.degree(v) < 3:
         raise InvalidDescriptorError(f"segment endpoints {u}, {v} must both be branch vertices")
-    for x in path[1:-1]:
-        if t.degree(x) != 2:
-            raise InvalidDescriptorError(f"path {u}..{v} is not a segment (vertex {x} has degree != 2)")
-    return path
+    # a walk stops at the first vertex whose degree is not 2, so the walk
+    # that ends at v is the segment
+    for w in t.adj[u]:
+        path = _walk(t.adj, u, w)
+        if path[-1] == v:
+            return path
+    raise InvalidDescriptorError(f"no segment joins {u} and {v}")
 
 
 def _rewire(t: Tree, drop: list[tuple[int, int]], add: list[tuple[int, int]]) -> Tree:

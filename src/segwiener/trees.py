@@ -7,10 +7,11 @@ workers; every function in this module is pure.
 A tree's two evaluated objects, its segment sequence and the side sizes of
 its edges (which SW_k sums weights over), come out of one reader, `_read`:
 one reverse pass over a rooted order, either a breadth-first search of a
-``Tree`` or an enumerator's level sequence.  Every other walk over a tree
-(paths, subtree codes) goes through the breadth-first search `_bfs`, and
-``segment_decomposition`` keeps its own segment walks as the independent
-route.
+``Tree`` or an enumerator's level sequence.  Canonical codes come out of
+one coder, `_codes`, over the same two sources.  Every other walk over a
+tree (paths, orientation keys) goes through the breadth-first search
+`_bfs`, and ``segment_decomposition`` keeps its own segment walks as the
+independent route.
 
 Both shapes the extremal results name are read off the segments at each
 vertex (a segment is a maximal path whose interior vertices have degree 2):
@@ -91,6 +92,30 @@ def _read(parent: Sequence[int], order: Sequence[int], degree: Sequence[int]) ->
         lengths.append(through_root)
     lengths.sort(reverse=True)
     return size[1:], tuple(lengths)
+
+
+def _codes(parent: Sequence[int], order: Sequence[int], other: int = -1) -> tuple[list[bytes], bytes]:
+    """The AHU code of every vertex's subtree, built from the parent links
+    in one reverse pass over *order* (rooted at order[0], every parent
+    before its children), and the tree's code: the root's, or, when the
+    root's child *other* is a second centre, the smaller of the encodings
+    rooted at the two (the root's side becomes a child of *other*)."""
+    below: list[list[bytes]] = [[] for _ in order]
+    code = [b""] * len(order)
+    for v in order[:0:-1]:
+        kids = below[v]
+        kids.sort()
+        code[v] = c = b"(" + b"".join(kids) + b")"
+        below[parent[v]].append(c)
+    root = order[0]
+    kids = below[root]
+    kids.sort()
+    code[root] = b"(" + b"".join(kids) + b")"
+    if other < 0:
+        return code, code[root]
+    kids.remove(code[other])
+    at_other = sorted([b"(" + b"".join(kids) + b")", *below[other]])
+    return code, min(code[root], b"(" + b"".join(at_other) + b")")
 
 
 @dataclass(frozen=True)
@@ -310,7 +335,7 @@ def all_backbones(t: Tree) -> list[tuple[int, ...]]:
 def _orientation_key(t: Tree, path: tuple[int, ...]) -> tuple:
     """Label-invariant encoding of the tree as read along an oriented path:
     the codes of the components hanging at each path vertex."""
-    code = _subtree_codes(t.adj, path[0])
+    code = _codes(*_bfs(t.adj, path[0]))[0]
     on_path = set(path)
     return tuple(tuple(sorted(code[w] for w in t.adj[v] if w not in on_path)) for v in path)
 
@@ -354,19 +379,6 @@ def backbone(t: Tree) -> BackboneView:
     return backbone_view(t, best_path)
 
 
-def _subtree_codes(adj: tuple[tuple[int, ...], ...], root: int) -> list[bytes]:
-    """The AHU code of every vertex's subtree with the tree rooted at *root*,
-    built bottom-up over the breadth-first order."""
-    parent, order = _bfs(adj, root)
-    code = [b""] * len(adj)
-    for v in reversed(order):
-        p = parent[v]
-        kids = [code[w] for w in adj[v] if w != p]
-        kids.sort()
-        code[v] = b"(" + b"".join(kids) + b")"
-    return code
-
-
 def _centers(t: Tree) -> list[int]:
     """The one or two central vertices, by iterated leaf removal."""
     if t.n <= 2:
@@ -392,22 +404,10 @@ def canonical_code(t: Tree) -> bytes:
     """Canonical encoding; two trees get equal codes iff they are isomorphic.
 
     The code is the AHU encoding rooted at the centre, taking the smaller of
-    the two rooted encodings for bicentral trees.  It is built in one pass:
-    rooted at the first centre c, every vertex's code is built bottom-up
-    over the breadth-first order (`_subtree_codes`).  For a bicentral tree
-    the encoding rooted at the other centre d reuses those codes: c's side
-    without d becomes one more child of d.
-    """
+    the two rooted encodings for bicentral trees (`_codes` over the
+    breadth-first search from the first centre)."""
     centres = _centers(t)
-    c = centres[0]
-    adj = t.adj
-    code = _subtree_codes(adj, c)
-    if len(centres) == 1:
-        return code[c]
-    d = centres[1]
-    c_side = b"(" + b"".join(sorted(code[w] for w in adj[c] if w != d)) + b")"
-    at_d = b"(" + b"".join(sorted([c_side, *(code[w] for w in adj[d] if w != c)])) + b")"
-    return min(code[c], at_d)
+    return _codes(*_bfs(t.adj, centres[0]), centres[-1] if len(centres) == 2 else -1)[1]
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, Iterable, Sequence
 
-from .enumeration import MAX_ORDER, _tree_from_levels, read_trees, segment_sequences_of_order
+from .enumeration import MAX_ORDER, _level_code, _tree_from_levels, read_trees, segment_sequences_of_order
 from .generators import (
     FAMILY_LABELS,
     ParityMismatchError,
@@ -215,7 +215,6 @@ def is_unit_pendant_caterpillar(t: Tree) -> bool:
 # ---------------------------------------------------------------------------
 # exhaustive instance classes
 
-Entry = tuple[str, Tree]
 # one tree of a class, unbuilt: (level sequence, edge side sizes)
 Member = tuple[list[int], list[int]]
 # the rule's result for one k: (predicate outcomes, verdict, notes after the
@@ -226,15 +225,12 @@ Ruling = tuple[dict | None, str, list[str]]
 @dataclass(frozen=True)
 class _Judge:
     """How the extremal trees of one class are judged: *outcome* reads one
-    tree, and *rule* decides one k from the (code, outcome) pairs of all its
-    tied trees, sorted by code.  Calling the judge on (code, tree) entries
-    runs both, as `_verify` does with its memo."""
+    tree (None: the rule reads codes alone, and no tree is built), and
+    *rule* decides one k from the (code, outcome) pairs of all its tied
+    trees, sorted by code."""
 
-    outcome: Callable[[Tree], object]
+    outcome: Callable[[Tree], object] | None
     rule: Callable[[list[tuple[str, object]]], Ruling]
-
-    def __call__(self, arg: list[Entry]) -> Ruling:
-        return self.rule([(code, self.outcome(tree)) for code, tree in arg])
 
 
 def _ks_for(n: int, k_set: Sequence[int]) -> list[int]:
@@ -272,8 +268,9 @@ def _verify(
     read, and let *judge*'s rule decide each k on all the extremal trees,
     sorted by canonical code.
 
-    Within a class a tree is built, coded and judged at most once, when it
-    first ties on an extremum, and a set of tied trees is ruled on once:
+    Within a class a tree is coded (off its level sequence) and judged at
+    most once, when it first ties on an extremum, and built only for a judge
+    whose outcome reads it; a set of tied trees is ruled on once:
     another k with the same ties reuses the codes, the outcomes and the
     ruling.  The memo lives in this call.
 
@@ -288,6 +285,7 @@ def _verify(
             continue
         for fields, members in _classes(n, by_count):
             class_judge = judge(fields)
+            outcome_of = class_judge.outcome
             values = [_index_sums(n, sides, ks) for _, sides in members]
             judged: dict[int, tuple[str, object]] = {}
             rulings: dict[tuple[int, ...], tuple[tuple[str, ...], dict | None, str, str]] = {}
@@ -299,8 +297,9 @@ def _verify(
                 if ruling is None:
                     for j in ties:
                         if j not in judged:
-                            tree = _tree_from_levels(members[j][0])
-                            judged[j] = (_code(tree), class_judge.outcome(tree))
+                            level = members[j][0]
+                            outcome = None if outcome_of is None else outcome_of(_tree_from_levels(level))
+                            judged[j] = (_level_code(level).decode("ascii"), outcome)
                     arg = sorted((judged[j] for j in ties), key=lambda e: e[0])
                     outcomes, verdict, notes = class_judge.rule(arg)
                     ruling = rulings[ties] = (
@@ -326,7 +325,7 @@ def _verify(
 def _attains(t: Tree) -> _Judge:
     """Judge: *t* is among the extremal trees."""
     code = _code(t)
-    return _Judge(lambda tree: None, lambda arg: (None, CONFIRMED if any(c == code for c, _ in arg) else VIOLATED, []))
+    return _Judge(None, lambda arg: (None, CONFIRMED if any(c == code for c, _ in arg) else VIOLATED, []))
 
 
 def _quasi_caterpillar_rule(arg: list[tuple[str, bool]]) -> Ruling:

@@ -4,7 +4,8 @@ Nothing here shares an algorithm with the package: distances are summed from
 BFS, edge side sizes are subtree sizes summed over the package's `_bfs` in
 a pass of their own (the package reads them together with the segment
 sequence), Steiner distances come from enumerating connected supersets,
-tree enumeration walks all Prüfer sequences, automorphism counts come from
+tree enumeration walks all Prüfer sequences and keys each tree while
+peeling its leaves, automorphism counts come from
 nested-tuple AHU codes, canonical codes from recursive string encodings at
 the middle of a longest path, the quasi-caterpillar test re-derives
 pendant removal from leaf walks, and reports are written by the stdlib
@@ -141,39 +142,43 @@ def _centres(adj, n: int) -> list[int]:
 
 
 def _interned_class_key(adj: list[list[int]], n: int, intern: dict) -> tuple:
-    """Isomorphism class key: interned bottom-up encoding rooted at the
-    centre(s)."""
-    centers = _centres(adj, n)
-    if len(centers) == 1:
-        return ("c", _interned_rooted(adj, centers[0], -1, intern))
-    c1, c2 = centers
-    k1 = _interned_rooted(adj, c1, c2, intern)
-    k2 = _interned_rooted(adj, c2, c1, intern)
-    return ("b", (k1, k2) if k1 <= k2 else (k2, k1))
+    """Isomorphism class key of a tree with n >= 2: the interned bottom-up
+    encoding rooted at the centre(s), built while the leaves are peeled.
 
-
-def _interned_rooted(adj: list[list[int]], root: int, rootparent: int, intern: dict) -> int:
-    order = [root]
-    parent = {root: rootparent}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        pv = parent[v]
-        for w in adj[v]:
-            if w != pv:
-                parent[w] = v
-                order.append(w)
-    code: dict[int, int] = {}
-    for v in reversed(order):
-        pv = parent[v]
-        key = tuple(sorted(code[w] for w in adj[v] if w != pv))
-        cid = intern.get(key)
-        if cid is None:
-            cid = len(intern)
-            intern[key] = cid
-        code[v] = cid
-    return code[root]
+    A vertex is coded when it is peeled, from the codes its already-peeled
+    neighbours (its children) handed it, and hands its own code to the one
+    neighbour it has left: the sum of its neighbours not yet peeled.  The
+    one or two centres are coded last; a bicentral tree's key is its two
+    halves in order."""
+    degc = [len(a) for a in adj]
+    rest = [sum(a) for a in adj]
+    kids: list[list[int]] = [[] for _ in range(n)]
+    layer = [v for v in range(n) if degc[v] == 1]
+    remaining = n
+    while True:
+        cids = []
+        for v in layer:
+            key = kids[v]
+            key.sort()
+            key = tuple(key)
+            cid = intern.get(key)
+            if cid is None:
+                cid = intern[key] = len(intern)
+            cids.append(cid)
+        if remaining <= 2:
+            break
+        remaining -= len(layer)
+        nxt = []
+        for v, cid in zip(layer, cids):
+            p = rest[v]
+            rest[p] -= v
+            kids[p].append(cid)
+            degc[p] -= 1
+            if degc[p] == 1:
+                nxt.append(p)
+        layer = nxt
+    cids.sort()
+    return ("c", cids[0]) if len(cids) == 1 else ("b", tuple(cids))
 
 
 def automorphism_count(t: Tree) -> int:

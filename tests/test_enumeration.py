@@ -13,6 +13,7 @@ import pytest
 from segwiener.cli import main
 from segwiener.enumeration import (
     MAX_ORDER,
+    _level_code,
     _level_sequences,
     _read_levels,
     _tree_from_levels,
@@ -26,7 +27,7 @@ from segwiener.generators import UnrealizableError
 from segwiener.trees import Tree, canonical_code, is_starlike, segment_decomposition, segment_sequence
 
 from .conftest import path_tree
-from .oracles import automorphism_count, edge_side_sizes, free_trees_by_prufer
+from .oracles import ahu_code_by_recursion, automorphism_count, edge_side_sizes, free_trees_by_prufer
 
 # number of free trees per order (verified against the Prüfer dedup oracle)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -139,6 +140,27 @@ class TestLevelReader:
                 assert segments == tuple(walked), level
                 assert sorted(sides) == sorted(edge_side_sizes(t)), level
 
+    def test_level_code_matches_canonical_code(self):
+        # the coder over a level sequence's preorder parents against the
+        # built tree's code, on every tree of order 1..16, and against the
+        # recursive oracle up to order 12
+        for n in range(1, MAX_ORDER + 1):
+            for level in _level_sequences(n):
+                t = _tree_from_levels(level)
+                code = _level_code(level)
+                assert code == canonical_code(t), level
+                if n <= 12:
+                    assert code == ahu_code_by_recursion(t), level
+
+    def test_level_code_edge_cases(self):
+        assert _level_code([0]) == b"()"
+        assert _level_code([0, 1]) == b"(())"
+        # the path rooted at its centre; for even n the first subtree is the
+        # longer side and vertex 1 the other centre
+        for n in range(1, MAX_ORDER + 1):
+            level = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+            assert _level_code(level) == canonical_code(path_tree(n)) == ahu_code_by_recursion(path_tree(n))
+
     def test_filters_match_filtering_all_trees(self):
         for n in range(1, 13):
             trees = list(all_trees(n))
@@ -163,6 +185,17 @@ class TestBuildsOnlyWhatIsLookedAt:
     def test_count_only_builds_no_tree(self, capsys, tree_builds, extra):
         assert main(["enumerate", "--n", "12", "--count-only", *extra]) == 0
         assert int(capsys.readouterr().out) > 0
+        assert tree_builds[0] == 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--num-segments", "5"], ["--segments", "3,2,2,1,1,1,1"]],
+        ids=["all", "num-segments", "segments"],
+    )
+    def test_codes_build_no_tree(self, capsys, tree_builds, extra):
+        assert main(["enumerate", "--n", "12", *extra]) == 0
+        codes = capsys.readouterr().out.split()
+        assert codes and len(set(codes)) == len(codes)
         assert tree_builds[0] == 0
 
     def test_filters_build_what_they_yield(self, tree_builds):

@@ -112,6 +112,17 @@ class TestSwitch:
         with pytest.raises(InvalidDescriptorError):
             apply_switch(t, Switch(w0=0, ws=5, a_root=1, b_root=4), 2)
 
+    def test_rejects_path_through_a_branch_vertex(self):
+        # the path 0..4 exists but passes the branch vertex 2, so it is two
+        # segments, not one
+        t = Tree.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (0, 6), (2, 7), (2, 8), (4, 9), (4, 10)])
+        apply_switch(t, Switch(w0=0, ws=2, a_root=5, b_root=7), 2)
+        apply_reattach(t, Reattach(u1=0, u2=2, moved=(5, 6)), 2)
+        with pytest.raises(InvalidDescriptorError):
+            apply_switch(t, Switch(w0=0, ws=4, a_root=5, b_root=9), 2)
+        with pytest.raises(InvalidDescriptorError):
+            apply_reattach(t, Reattach(u1=0, u2=4, moved=(5, 6)), 2)
+
     def test_rejects_segment_neighbour_as_root(self, fig1_bottom):
         move = next(switch_moves(fig1_bottom))
         path = fig1_bottom.path(move.w0, move.ws)

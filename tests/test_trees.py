@@ -33,7 +33,7 @@ from .oracles import (
 )
 
 # sha256 of `TestBackbone.test_golden_backbones`, recorded before the
-# orientation key took its codes from `_subtree_codes`
+# orientation key took its codes from the subtree coder (`trees._codes`)
 GOLDEN_BACKBONES_SHA256 = "0b44563b00b6c391e4e0f9cb602f2567ad9932c0c1f4cc7761d55b666c87fb4d"
 
 

@@ -220,8 +220,8 @@ class TestTheorem5:
             assert canonical_code(fam.tree).decode() in r.arg_trees
 
     def test_max_family_missing_from_argmax_is_violated(self):
-        def entry(t):
-            return canonical_code(t).decode(), t
+        def ruling(check, *trees):
+            return check.rule([(canonical_code(t).decode(), check.outcome(t)) for t in trees])
 
         # (8, 5) defines family ii only; another unit-pendant caterpillar
         # with 5 segments does not confirm it
@@ -230,14 +230,14 @@ class TestTheorem5:
         assert is_unit_pendant_caterpillar(other)
         assert canonical_code(other) != canonical_code(family_ii)
         check = _family_check(8, 5)
-        assert check([entry(other)])[1] == VIOLATED
-        assert check([entry(other), entry(family_ii)])[1] == CONFIRMED_WITH_NOTES
+        assert ruling(check, other)[1] == VIOLATED
+        assert ruling(check, other, family_ii)[1] == CONFIRMED_WITH_NOTES
         # (8, 4) defines no family, so a unit-pendant caterpillar is enough
         four = quasi_caterpillar((1, 4), [(1, 1), (1, 1)])
-        _, verdict, notes = _family_check(8, 4)([entry(four)])
+        _, verdict, notes = ruling(_family_check(8, 4), four)
         assert verdict == CONFIRMED_WITH_NOTES
         assert notes == ["no family construction matches the maximizer"]
-        assert _family_check(8, 4)([entry(quasi_caterpillar((2, 2), [(1, 3)]))])[1] == VIOLATED
+        assert ruling(_family_check(8, 4), quasi_caterpillar((2, 2), [(1, 3)]))[1] == VIOLATED
 
 
 class TestLemma31:
@@ -381,15 +381,19 @@ class TestReports:
     @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
     def test_builds_only_the_trees_it_codes(self, tree_builds, verifier, ks):
         # a tree is built from its level sequence only when it first ties
-        # on an extremum of its class, and then it is among the arg trees;
-        # at k = 1 every tree ties, so only the k = 2, 3 case tells a
-        # verifier that builds every tree apart
+        # on an extremum of its class and its judge reads a tree: each
+        # distinct tied tree exactly once for theorem2, structure and
+        # theorem5max, none for theorem1 and theorem5min, whose rules read
+        # the tie codes alone; at k = 1 every tree ties, so only the k = 2,
+        # 3 case tells a verifier that builds every tree apart
         reports = verifier(10, ks)
         arg_codes: dict[str, set[str]] = {}
         for r in reports:
             instance = json.dumps({key: value for key, value in r.instance.items() if key != "k"})
             arg_codes.setdefault(instance, set()).update(r.arg_trees)
-        assert 0 < tree_builds[0] <= sum(len(codes) for codes in arg_codes.values())
+        tied = sum(len(codes) for codes in arg_codes.values())
+        reads_trees = verifier not in (verify_min_starlike, verify_min_balanced)
+        assert tree_builds[0] == (tied if reads_trees else 0)
 
 
 class TestReportEncoder:
