@@ -184,8 +184,8 @@ def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int
 def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> Iterator[list[int]]:
     """The level sequence of every tree of order *n*, or of those with
     segment sequence *segments* (which must sum to n - 1) or with
-    *num_segments* segments, the first whose argument is given; the filters
-    test what `read_trees` reads."""
+    *num_segments* segments (not negative), the first whose argument is
+    given; the filters test what `read_trees` reads."""
     if segments is not None:
         target = normalize_segment_lengths(segments)
         if len(target) == 2:
@@ -194,6 +194,8 @@ def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | N
             raise ValueError(f"segments summing to {sum(target)} give order {1 + sum(target)}, not {n}")
         yield from (level for found, _, level in read_trees(n) if found == target)
     elif num_segments is not None:
+        if num_segments < 0:
+            raise ValueError(f"segment count {num_segments} is negative")
         yield from (level for found, _, level in read_trees(n) if len(found) == num_segments)
     else:
         yield from _level_sequences(n)

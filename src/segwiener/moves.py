@@ -11,29 +11,29 @@ components so that the segment-length multiset never changes:
 * reattach — move every off-segment component of one branch endpoint of a
             segment to the other endpoint, turning the segment pendant.
 
-Two routes give a move's delta.  `neighbors` and the `apply_*` functions
-build each result by rewiring the source's adjacency (a result that is not
-a tree raises InvalidTreeError) and recompute its SW_k from scratch, over
-the side sizes of the one read (`trees._read`) that also checks its segment
-sequence; within one neighbourhood the source's segment sequence and SW_k
-are evaluated once.  `hill_climb` ranks a neighbourhood by closed forms
-instead: a move changes edge side sizes only on the edges of its segment or
-anchored path, so its delta is a sum of one `_weights(n, k)` row over those
-edges, with the sizes taken off the source's one read.  Only the
-neighbours that tie on the best gain are built, through the same rewiring
-and read as `neighbors`, and a built step whose recomputed delta differs
+One stream, `_moves`, yields a tree's neighbourhood in its one order, and
+the enumerators define validity: an `apply_*` function accepts exactly the
+descriptors that the enumerator over the same segment or path yields, so
+the `_BUILD` builders only rewire the source's adjacency (a result that is
+not a tree raises InvalidTreeError).  Two routes give a move's delta.
+`neighbors` and the `apply_*` functions recompute each result's SW_k from
+scratch, off the one read (`trees._read`) that also checks its segment
+sequence; the source is read once per neighbourhood.  `hill_climb` ranks
+the stream by closed forms: a move changes side sizes only on the edges of
+its segment or anchored path, so its delta is a sum of one `_weights(n, k)`
+row over those edges, off one read of the source.  Only the moves tied on
+the best gain are built, and a built step whose recomputed delta differs
 from its closed form raises ClosedFormMismatchError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact import checked
-from .steiner import _check_k, _index_sums, _weights, sw_k
-from .trees import InvalidTreeError, Tree, _bfs, _read, _walk, canonical_code, segment_decomposition, segment_sequence
+from .steiner import _check_k, _index_sums, _weights
+from .trees import InvalidTreeError, Tree, _bfs, _read, _walk, canonical_code
 
 
 class InvalidDescriptorError(ValueError):
@@ -87,20 +87,17 @@ class MoveOutcome:
 
 def _segment_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     """Path from u to v, validated to be a segment with branch endpoints."""
-    if u == v:
-        raise InvalidDescriptorError("segment endpoints must differ")
     for x in (u, v):
         if not 0 <= x < t.n:
             raise InvalidDescriptorError(f"vertex {x} out of range 0..{t.n - 1}")
-    if t.degree(u) < 3 or t.degree(v) < 3:
-        raise InvalidDescriptorError(f"segment endpoints {u}, {v} must both be branch vertices")
     # a walk stops at the first vertex whose degree is not 2, so the walk
     # that ends at v is the segment
-    for w in t.adj[u]:
-        path = _walk(t.adj, u, w)
-        if path[-1] == v:
-            return path
-    raise InvalidDescriptorError(f"no segment joins {u} and {v}")
+    if t.degree(u) >= 3 and t.degree(v) >= 3:
+        for w in t.adj[u]:
+            path = _walk(t.adj, u, w)
+            if path[-1] == v:
+                return path
+    raise InvalidDescriptorError(f"{u} and {v} are not the branch endpoints of one segment")
 
 
 def _rewire(t: Tree, drop: list[tuple[int, int]], add: list[tuple[int, int]]) -> Tree:
@@ -135,44 +132,43 @@ def _rewire(t: Tree, drop: list[tuple[int, int]], add: list[tuple[int, int]]) ->
     return Tree(t.n, tuple(adj))
 
 
+def _evaluate(t: Tree, k: int) -> tuple[tuple[int, ...], int]:
+    """The segment sequence and SW_k of *t*, off one read (`_read`)."""
+    sides, segments = _read(*_bfs(t.adj, 0), [len(a) for a in t.adj])
+    return segments, _index_sums(t.n, sides, (k,))[0]
+
+
 def _outcomes(t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Tree]]) -> list[MoveOutcome]:
-    """The outcome of each (move, result tree) on the source *t*.  The
-    source's segment sequence and SW_k are evaluated once, when first
-    needed, so a tree without moves (a path, a star, one vertex) is never
-    evaluated; a result that is *t* itself is the identity move.  Each
-    result is read once (`_read`): the read gives its segment sequence and
-    the side sizes its SW_k is summed over."""
-    seq = value = None
+    """The outcome of each (move, result tree) on the source *t*, after
+    checking k.  The source is evaluated once, when first needed, so a tree
+    without moves (a path, a star, one vertex) is never evaluated; a result
+    that is *t* itself is the identity move.  Each result is evaluated off
+    one read, which also checks its segment sequence."""
+    _check_k(t, k)
+    source = None
     out = []
     for move, result in results:
         if result is t:
             out.append(MoveOutcome(move=move, tree=t, delta=0))
             continue
-        if seq is None:
-            seq = segment_sequence(t)
-        sides, segments = _read(*_bfs(result.adj, 0), [len(a) for a in result.adj])
-        if segments != seq:
+        if source is None:
+            source = _evaluate(t, k)
+        segments, value = _evaluate(result, k)
+        if segments != source[0]:
             raise InvalidDescriptorError("move would change the segment sequence")
-        if value is None:
-            value = sw_k(t, k)
-        out.append(MoveOutcome(move=move, tree=result, delta=_index_sums(t.n, sides, (k,))[0] - value))
+        out.append(MoveOutcome(move=move, tree=result, delta=value - source[1]))
     return out
 
 
 def _switched(t: Tree, move: Switch) -> Tree:
-    path = _segment_path(t, move.w0, move.ws)
-    if move.a_root not in t.adj[move.w0] or move.a_root == path[1]:
-        raise InvalidDescriptorError(f"{move.a_root} is not an off-segment neighbour of {move.w0}")
-    if move.b_root not in t.adj[move.ws] or move.b_root == path[-2]:
-        raise InvalidDescriptorError(f"{move.b_root} is not an off-segment neighbour of {move.ws}")
-    return _rewire(
-        t,
-        drop=[(move.w0, move.a_root), (move.ws, move.b_root)],
-        add=[(move.ws, move.a_root), (move.w0, move.b_root)],
-    )
+    w0, ws, a, b = move.w0, move.ws, move.a_root, move.b_root
+    return _rewire(t, drop=[(w0, a), (ws, b)], add=[(ws, a), (w0, b)])
 
 
 def apply_switch(t: Tree, move: Switch, k: int) -> MoveOutcome:
+    """A switch is valid iff `_switches_on` its segment yields it."""
+    if move not in _switches_on(t, _segment_path(t, move.w0, move.ws)):
+        raise InvalidDescriptorError(f"{move} does not exchange off-segment neighbours of {move.w0} and {move.ws}")
     return _outcomes(t, k, [(move, _switched(t, move))])[0]
 
 
@@ -198,14 +194,6 @@ def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
     return Slide(path=tuple(path), source=path[attachments[0]], dest=path[len(path) - 1 - attachments[-1]])
 
 
-def _slid(t: Tree, move: Slide) -> Tree:
-    """The slid tree, after validating *move* against *t*."""
-    expected = slide_move(t, move.path)
-    if (move.source, move.dest) != (expected.source, expected.dest):
-        raise InvalidDescriptorError("slide source/destination do not match the path attachments")
-    return _slide_rewired(t, move)
-
-
 def _slide_span(move: Slide) -> tuple[int, int, int]:
     """Positions i <= j of the first and last interior attachments on the
     path, and the shift that carries i onto the mirror of j."""
@@ -215,8 +203,7 @@ def _slide_span(move: Slide) -> tuple[int, int, int]:
 
 
 def _slide_rewired(t: Tree, move: Slide) -> Tree:
-    """The slid tree for a descriptor that matches *t* (from `slide_move` or
-    `slide_moves`); *t* itself when the slide mirrors onto itself."""
+    """The slid tree; *t* itself when the slide mirrors onto itself."""
     path = move.path
     i, j, shift = _slide_span(move)
     if shift == 0:
@@ -234,47 +221,43 @@ def _slide_rewired(t: Tree, move: Slide) -> Tree:
 
 
 def apply_slide(t: Tree, move: Slide, k: int) -> MoveOutcome:
-    return _outcomes(t, k, [(move, _slid(t, move))])[0]
+    """A slide is valid iff `slide_move` on its path gives it."""
+    if slide_move(t, move.path) != move:
+        raise InvalidDescriptorError("slide source/destination do not match the path attachments")
+    return _outcomes(t, k, [(move, _slide_rewired(t, move))])[0]
 
 
 def _reattached(t: Tree, move: Reattach) -> Tree:
-    path = _segment_path(t, move.u1, move.u2)
-    expected = tuple(sorted(w for w in t.adj[move.u1] if w != path[1]))
-    if tuple(sorted(move.moved)) != expected:
-        raise InvalidDescriptorError(
-            f"reattach must move every off-segment neighbour of {move.u1}: {expected}"
-        )
-    return _rewire(
-        t,
-        drop=[(move.u1, w) for w in expected],
-        add=[(move.u2, w) for w in expected],
-    )
+    return _rewire(t, drop=[(move.u1, w) for w in move.moved], add=[(move.u2, w) for w in move.moved])
 
 
 def apply_reattach(t: Tree, move: Reattach, k: int) -> MoveOutcome:
-    return _outcomes(t, k, [(move, _reattached(t, move))])[0]
+    """A reattach is valid iff its sorted *moved* is that of the
+    `_reattaches_on` descriptor from u1; the outcome keeps *move* as given."""
+    expected = next(_reattaches_on(t, _segment_path(t, move.u1, move.u2)))[0]
+    if tuple(sorted(move.moved)) != expected.moved:
+        raise InvalidDescriptorError(f"reattach must move every off-segment neighbour of {move.u1}: {expected.moved}")
+    return _outcomes(t, k, [(move, _reattached(t, expected))])[0]
 
 
 def _branch_segments(t: Tree) -> Iterator[tuple[int, ...]]:
-    """Segments whose two endpoints are both branch vertices, as paths with
-    smaller endpoint first."""
-    if t.n < 2:
-        return
-    for seg in segment_decomposition(t):
-        a, b = seg.endpoints
-        if t.degree(a) >= 3 and t.degree(b) >= 3:
-            yield seg.vertices if a < b else tuple(reversed(seg.vertices))
+    """Segments whose two endpoints are both branch vertices, as paths
+    walked (`_walk`) from the smaller endpoint, in ascending order of it."""
+    adj = t.adj
+    for u in t.branch_vertices():
+        for w in adj[u]:
+            path = _walk(adj, u, w)
+            if u < path[-1] and len(adj[path[-1]]) >= 3:
+                yield path
 
 
 def _switches_on(t: Tree, path: tuple[int, ...]) -> Iterator[Switch]:
     w0, ws = path[0], path[-1]
     for a in t.adj[w0]:
-        if a == path[1]:
-            continue
-        for b in t.adj[ws]:
-            if b == path[-2]:
-                continue
-            yield Switch(w0=w0, ws=ws, a_root=a, b_root=b)
+        if a != path[1]:
+            for b in t.adj[ws]:
+                if b != path[-2]:
+                    yield Switch(w0=w0, ws=ws, a_root=a, b_root=b)
 
 
 def switch_moves(t: Tree) -> Iterator[Switch]:
@@ -323,16 +306,28 @@ def slide_moves(t: Tree) -> Iterator[Slide]:
                 yield Slide(path=tuple(path), source=path[i], dest=path[mirror])
 
 
-# the result of each move kind; the slides come from `slide_moves`, which
-# builds them valid, so they are rewired without a second validation
+def _moves(t: Tree) -> Iterator[tuple[MoveDescriptor, tuple[int, ...]]]:
+    """Every move on *t* in neighbourhood order (switches, slides,
+    reattaches), each with its segment (from u1 for a reattach) or anchored
+    path; the branch segments are walked once."""
+    segments = list(_branch_segments(t))
+    for path in segments:
+        for move in _switches_on(t, path):
+            yield move, path
+    for move in slide_moves(t):
+        yield move, move.path
+    for path in segments:
+        yield from _reattaches_on(t, path)
+
+
+# the result of each move kind, for a descriptor valid on the source
 _BUILD = {Switch: _switched, Slide: _slide_rewired, Reattach: _reattached}
 
 
 def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
     """Every valid switch, slide and reattach on *t*, each applied and
     evaluated from scratch."""
-    moves = chain(switch_moves(t), slide_moves(t), reattach_moves(t))
-    return _outcomes(t, k, ((move, _BUILD[type(move)](t, move)) for move in moves))
+    return _outcomes(t, k, ((move, _BUILD[type(move)](t, move)) for move, _ in _moves(t)))
 
 
 # Closed-form deltas.  Every move keeps the components it carries whole and
@@ -391,18 +386,12 @@ _DELTA = {Switch: _switch_delta, Slide: _slide_delta, Reattach: _reattach_delta}
 
 
 def _move_deltas(t: Tree, k: int) -> Iterator[tuple[MoveDescriptor, int]]:
-    """Every move of `neighbors(t, k)`, in its order, with its closed-form
-    delta, off one read of *t* and without building a neighbour.  As in
-    `neighbors`, the source is evaluated only once it has a move, and a
-    source or neighbour whose SW_k leaves i128 raises CountOverflowError."""
-    segments = list(_branch_segments(t))
-    moves = chain(
-        ((move, path) for path in segments for move in _switches_on(t, path)),
-        ((move, move.path) for move in slide_moves(t)),
-        (pair for path in segments for pair in _reattaches_on(t, path)),
-    )
+    """Every move of `_moves(t)` with its closed-form delta, off one read of
+    *t* and without building a neighbour.  As in `neighbors`, the source is
+    evaluated only once it has a move, and a source or neighbour whose SW_k
+    leaves i128 raises CountOverflowError."""
     w = None
-    for move, path in moves:
+    for move, path in _moves(t):
         if w is None:
             sides, side = _sides(t)
             value = _index_sums(t.n, sides, (k,))[0]

@@ -8,10 +8,10 @@ A tree's two evaluated objects, its segment sequence and the side sizes of
 its edges (which SW_k sums weights over), come out of one reader, `_read`:
 one reverse pass over a rooted order, either a breadth-first search of a
 ``Tree`` or an enumerator's level sequence.  Canonical codes come out of
-one coder, `_codes`, over the same two sources.  Every other walk over a
-tree (paths, orientation keys) goes through the breadth-first search
-`_bfs`, and ``segment_decomposition`` keeps its own segment walks as the
-independent route.
+one coder, `_codes`, over the same two sources.  Paths and orientation
+keys walk the breadth-first search `_bfs`, `_centers` peels leaves, and
+`_walk` follows one segment for ``segment_decomposition`` (the independent
+route), the quasi-caterpillar and backbone tests, and the moves.
 
 Both shapes the extremal results name are read off the segments at each
 vertex (a segment is a maximal path whose interior vertices have degree 2):

@@ -233,8 +233,13 @@ class _Judge:
     rule: Callable[[list[tuple[str, object]]], Ruling]
 
 
+def _check_ks(k_set: Sequence[int]) -> None:
+    if any(k < 1 for k in k_set):
+        raise ValueError(f"k={min(k_set)} is below 1")
+
+
 def _ks_for(n: int, k_set: Sequence[int]) -> list[int]:
-    return [k for k in sorted(set(k_set)) if 1 <= k <= n]
+    return [k for k in sorted(set(k_set)) if k <= n]
 
 
 def _code(t: Tree) -> str:
@@ -274,9 +279,10 @@ def _verify(
     another k with the same ties reuses the codes, the outcomes and the
     ruling.  The memo lives in this call.
 
-    A run that yields no instance checked nothing and raises ValueError."""
+    A k below 1, or a run that checks nothing, raises ValueError."""
     if max_n > MAX_ORDER:
         raise ValueError(f"verification is guarded to max_n <= {MAX_ORDER}")
+    _check_ks(k_set)
     pick = max if want_max else min
     reports = []
     for n in range(2, max_n + 1):
@@ -463,9 +469,10 @@ def random_switch_instance(
 
 def verify_lemma31(samples: int, seed: int, k_set: Sequence[int]) -> VerificationReport:
     """Seeded random switch instances with |X| > |Y| and |A| > |B| must all
-    strictly increase the index."""
+    strictly increase the index.  Raises ValueError for a k below 1."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    _check_ks(k_set)
     rng = random.Random(seed)
     violations = 0
     checked = 0

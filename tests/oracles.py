@@ -4,12 +4,12 @@ Nothing here shares an algorithm with the package: distances are summed from
 BFS, edge side sizes are subtree sizes summed over the package's `_bfs` in
 a pass of their own (the package reads them together with the segment
 sequence), Steiner distances come from enumerating connected supersets,
-tree enumeration walks all Prüfer sequences and keys each tree while
-peeling its leaves, automorphism counts come from
-nested-tuple AHU codes, canonical codes from recursive string encodings at
-the middle of a longest path, the quasi-caterpillar test re-derives
-pendant removal from leaf walks, and reports are written by the stdlib
-``json`` encoder.
+tree enumeration walks all Prüfer sequences, decodes each straight to
+degrees and neighbour sums and keys the tree while peeling its leaves,
+automorphism counts come from nested-tuple AHU codes, canonical codes from
+recursive string encodings at the middle of a longest path, the
+quasi-caterpillar test re-derives pendant removal from leaf walks, and
+reports are written by the stdlib ``json`` encoder.
 """
 
 from __future__ import annotations
@@ -102,6 +102,33 @@ def prufer_to_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
     return adj
 
 
+def prufer_degrees_and_sums(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    """Decode a Prüfer sequence over labels 0..n-1 into each vertex's degree
+    and the sum of its neighbours, without building adjacency lists."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    deg = degree[:]
+    total = [0] * n
+    ptr = 0
+    leaf = -1
+    for v in seq:
+        if leaf < 0:
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+        total[leaf] += v
+        total[v] += leaf
+        deg[leaf] -= 1
+        deg[v] -= 1
+        leaf = v if deg[v] == 1 and v < ptr else -1
+    u = deg.index(1)
+    w = deg.index(1, u + 1)
+    total[u] += w
+    total[w] += u
+    return degree, total
+
+
 def edge_side_sizes(t: Tree) -> list[int]:
     """For every edge, the vertex count of one fixed side (the child side
     when rooted at vertex 0)."""
@@ -142,7 +169,13 @@ def _centres(adj, n: int) -> list[int]:
 
 
 def _interned_class_key(adj: list[list[int]], n: int, intern: dict) -> tuple:
-    """Isomorphism class key of a tree with n >= 2: the interned bottom-up
+    """`_peeled_class_key` of the tree with adjacency lists *adj*."""
+    return _peeled_class_key([len(a) for a in adj], [sum(a) for a in adj], n, intern)
+
+
+def _peeled_class_key(degc: list[int], rest: list[int], n: int, intern: dict) -> tuple:
+    """Isomorphism class key of a tree with n >= 2, given each vertex's
+    degree and neighbour sum (both consumed): the interned bottom-up
     encoding rooted at the centre(s), built while the leaves are peeled.
 
     A vertex is coded when it is peeled, from the codes its already-peeled
@@ -150,8 +183,6 @@ def _interned_class_key(adj: list[list[int]], n: int, intern: dict) -> tuple:
     neighbour it has left: the sum of its neighbours not yet peeled.  The
     one or two centres are coded last; a bicentral tree's key is its two
     halves in order."""
-    degc = [len(a) for a in adj]
-    rest = [sum(a) for a in adj]
     kids: list[list[int]] = [[] for _ in range(n)]
     layer = [v for v in range(n) if degc[v] == 1]
     remaining = n
@@ -278,7 +309,7 @@ def prufer_class_keys(n: int, intern: dict) -> set[tuple]:
     n^(n-2) labeled trees (n >= 2), interned in *intern* so that they
     compare with keys of other trees interned there."""
     return {
-        _interned_class_key(prufer_to_adjacency(seq, n), n, intern)
+        _peeled_class_key(*prufer_degrees_and_sums(seq, n), n, intern)
         for seq in itertools.product(range(n), repeat=n - 2)
     }
 

@@ -104,6 +104,8 @@ def test_enumerate_filters(capsys):
     assert code == 2
     code, _, err = run(capsys, "enumerate", "--n", "7", "--segments", "1,1,1,1,1")
     assert code == 2 and "--n 6" in err
+    code, out, err = run(capsys, "enumerate", "--n", "6", "--num-segments", "-3")
+    assert code == 2 and out == "" and "-3" in err
 
 
 def test_verify_writes_report_and_exits_zero(tmp_path, capsys):
@@ -141,6 +143,19 @@ def test_verify_that_checks_nothing_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["lemma31", "--samples", "3", "--seed", "1", "--k=0,2"], 0),
+        (["theorem1", "--max-n", "4", "--k=-5,2"], -5),
+    ],
+)
+def test_verify_k_below_one_is_usage_error(capsys, argv, bad):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"k={bad} is below 1" in err
 
 
 def test_verify_above_enumeration_cap_is_usage_error(capsys):

@@ -212,6 +212,8 @@ class TestBuildsOnlyWhatIsLookedAt:
             count_trees(3, (1, 1))
         with pytest.raises(ValueError):
             count_trees(5, (1, 1, 1))
+        with pytest.raises(ValueError, match="-3"):
+            count_trees(6, num_segments=-3)
         assert count_trees(1) == count_trees(1, num_segments=0) == 1
         assert count_trees(1, num_segments=1) == 0
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from collections import defaultdict
 
@@ -33,6 +34,7 @@ from segwiener.trees import (
     canonical_code,
     is_isomorphic,
     is_quasi_caterpillar,
+    segment_decomposition,
     segment_sequence,
 )
 from segwiener.verify import random_switch_instance
@@ -212,12 +214,66 @@ class TestReattach:
             apply_reattach(fig1_bottom, bad, 2)
 
 
+def branch_segments(t: Tree) -> list[tuple[int, ...]]:
+    """The segments of `segment_decomposition` with two branch endpoints."""
+    if t.n < 2:
+        return []
+    return [s.vertices for s in segment_decomposition(t) if min(map(t.degree, s.endpoints)) >= 3]
+
+
+class TestValidationMatchesEnumeration:
+    def test_switch_accepted_iff_enumerated(self):
+        rejected = 0
+        for n in range(1, 9):
+            for t in all_trees(n):
+                enumerated, accepted = set(switch_moves(t)), set()
+                for seg in branch_segments(t):
+                    w0, ws = seg[0], seg[-1]
+                    for a, b in itertools.product(t.adj[w0], t.adj[ws]):
+                        move = Switch(w0=w0, ws=ws, a_root=a, b_root=b)
+                        try:
+                            accepted.add(apply_switch(t, move, 2).move)
+                        except InvalidDescriptorError:
+                            rejected += 1
+                assert accepted == enumerated
+        assert rejected > 0
+
+    def test_reattach_needs_the_full_off_segment_set(self):
+        for n in range(1, 9):
+            for t in all_trees(n):
+                enumerated = set(reattach_moves(t))
+                for seg in branch_segments(t):
+                    for u1, u2 in ((seg[0], seg[-1]), (seg[-1], seg[0])):
+                        full = tuple(w for w in t.adj[u1] if w not in seg)
+                        move = Reattach(u1=u1, u2=u2, moved=full)
+                        assert move in enumerated
+                        out = apply_reattach(t, move, 2)
+                        for size in range(len(full)):
+                            for part in itertools.combinations(full, size):
+                                with pytest.raises(InvalidDescriptorError):
+                                    apply_reattach(t, Reattach(u1=u1, u2=u2, moved=part), 2)
+                        # the caller's descriptor comes back as given
+                        unsorted = Reattach(u1=u1, u2=u2, moved=full[::-1])
+                        back = apply_reattach(t, unsorted, 2)
+                        assert (back.move, back.tree, back.delta) == (unsorted, out.tree, out.delta)
+
+
 class TestNeighbors:
     def test_path_has_none(self):
         assert neighbors(path_tree(7), 2) == []
 
     def test_star_has_none(self, k13):
         assert neighbors(k13, 2) == []
+
+    def test_k_validated_without_an_evaluation(self, k13):
+        # a tree without moves and an identity slide evaluate nothing
+        t = quasi_caterpillar((2, 2), [(1, 3)])
+        identity = slide_move(t, t.path(0, 4))
+        for k in (0, -7, 99):
+            with pytest.raises(ValueError):
+                neighbors(k13, k)
+            with pytest.raises(ValueError):
+                apply_slide(t, identity, k)
 
     def test_fig1_bottom_counts_match_naive_enumerators(self, fig1_bottom):
         from .oracles import (
