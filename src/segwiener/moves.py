@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact import checked
 from .steiner import _check_k, _index_sums, _weights
-from .trees import InvalidTreeError, Tree, _bfs, _read, _walk, canonical_code
+from .trees import InvalidTreeError, Tree, _bfs, _read_built, _walk, canonical_code
 
 
 class InvalidDescriptorError(ValueError):
@@ -133,8 +133,8 @@ def _rewire(t: Tree, drop: list[tuple[int, int]], add: list[tuple[int, int]]) ->
 
 
 def _evaluate(t: Tree, k: int) -> tuple[tuple[int, ...], int]:
-    """The segment sequence and SW_k of *t*, off one read (`_read`)."""
-    sides, segments = _read(*_bfs(t.adj, 0), [len(a) for a in t.adj])
+    """The segment sequence and SW_k of *t*, off one read (`_read_built`)."""
+    _, sides, segments = _read_built(t)
     return segments, _index_sums(t.n, sides, (k,))[0]
 
 
@@ -342,8 +342,7 @@ Side = Callable[[int, int], int]
 
 def _sides(t: Tree) -> tuple[list[int], Side]:
     """The side sizes of *t* and side(u, v), off one read of it."""
-    parent, order = _bfs(t.adj, 0)
-    sides = _read(parent, order, [len(a) for a in t.adj])[0]
+    parent, sides, _ = _read_built(t)
     n = t.n
     size = [n, *sides]
 

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exact import binomial, checked
-from .trees import Tree, _bfs, _read
+from .trees import Tree, _read_built
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -73,10 +73,9 @@ def _index_sums(n: int, sides: Sequence[int], ks: Iterable[int]) -> tuple[int, .
 
 
 def _tree_sums(t: Tree, ks: Iterable[int]) -> tuple[int, ...]:
-    """`_index_sums` of *t*, over the side sizes read (`_read`) off the
-    breadth-first search from vertex 0."""
-    sides = _read(*_bfs(t.adj, 0), [len(a) for a in t.adj])[0]
-    return _index_sums(t.n, sides, ks)
+    """`_index_sums` of *t*, over the side sizes of one read of it
+    (`trees._read_built`)."""
+    return _index_sums(t.n, _read_built(t)[1], ks)
 
 
 def wiener(t: Tree) -> int:

@@ -7,11 +7,17 @@ workers; every function in this module is pure.
 A tree's two evaluated objects, its segment sequence and the side sizes of
 its edges (which SW_k sums weights over), come out of one reader, `_read`:
 one reverse pass over a rooted order, either a breadth-first search of a
-``Tree`` or an enumerator's level sequence.  Canonical codes come out of
-one coder, `_codes`, over the same two sources.  Paths and orientation
-keys walk the breadth-first search `_bfs`, `_centers` peels leaves, and
-`_walk` follows one segment for ``segment_decomposition`` (the independent
-route), the quasi-caterpillar and backbone tests, and the moves.
+``Tree`` (`_read_built`, from vertex 0) or an enumerator's level
+sequence.  Canonical codes come out of one coder, `_codes`, over the same
+two sources.  Paths and orientation keys walk the breadth-first search
+`_bfs`, `_centers` peels leaves, and `_walk` follows one segment for
+``segment_decomposition`` (the independent route), the quasi-caterpillar
+and backbone tests, and the moves.
+
+A quasi-caterpillar is read along a backbone, a longest path through every
+branch vertex.  `all_backbones` lists every candidate, but they differ
+only in which of several equal-length legs they take, so they all read
+the same: `backbone` and ``verify.structure_assessment`` read the first.
 
 Both shapes the extremal results name are read off the segments at each
 vertex (a segment is a maximal path whose interior vertices have degree 2):
@@ -94,6 +100,14 @@ def _read(parent: Sequence[int], order: Sequence[int], degree: Sequence[int]) ->
     return size[1:], tuple(lengths)
 
 
+def _read_built(t: Tree) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """The parents in the breadth-first search of the built tree *t* from
+    vertex 0, and the side sizes and segment sequence that `_read` takes off
+    that search."""
+    parent, order = _bfs(t.adj, 0)
+    return (parent, *_read(parent, order, [len(a) for a in t.adj]))
+
+
 def _codes(parent: Sequence[int], order: Sequence[int], other: int = -1) -> tuple[list[bytes], bytes]:
     """The AHU code of every vertex's subtree, built from the parent links
     in one reverse pass over *order* (rooted at order[0], every parent
@@ -167,9 +181,6 @@ class Tree:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Undirected edges as (u, v) with u < v, in sorted order."""
@@ -271,11 +282,11 @@ def segment_decomposition(t: Tree) -> list[Segment]:
 
 
 def segment_sequence(t: Tree) -> tuple[int, ...]:
-    """Segment lengths in non-increasing order, read (`_read`) off the
-    breadth-first search from vertex 0."""
+    """Segment lengths in non-increasing order, off one read of *t*
+    (`_read_built`)."""
     if t.n < 2:
         raise EmptyDecompositionError("a single-vertex tree has no segments")
-    return _read(*_bfs(t.adj, 0), [len(a) for a in t.adj])[1]
+    return _read_built(t)[2]
 
 
 def is_starlike(t: Tree) -> bool:
@@ -334,7 +345,10 @@ def all_backbones(t: Tree) -> list[tuple[int, ...]]:
 
 def _orientation_key(t: Tree, path: tuple[int, ...]) -> tuple:
     """Label-invariant encoding of the tree as read along an oriented path:
-    the codes of the components hanging at each path vertex."""
+    the codes of the components hanging at each path vertex.
+
+    A hanging component's code does not depend on which path vertex roots
+    the search, so the reversed path's key is this key reversed."""
     code = _codes(*_bfs(t.adj, path[0]))[0]
     on_path = set(path)
     return tuple(tuple(sorted(code[w] for w in t.adj[v] if w not in on_path)) for v in path)
@@ -365,18 +379,16 @@ def backbone_view(t: Tree, path: tuple[int, ...]) -> BackboneView:
 
 
 def backbone(t: Tree) -> BackboneView:
-    """The canonical backbone: ties between equal-length candidates are broken
-    by the smallest oriented encoding."""
-    best_path = None
-    best_key = None
-    for cand in all_backbones(t):
-        for oriented in (cand, tuple(reversed(cand))):
-            key = _orientation_key(t, oriented)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_path = oriented
-    assert best_path is not None
-    return backbone_view(t, best_path)
+    """The canonical backbone: the first candidate of `all_backbones` in the
+    orientation with the smaller `_orientation_key`, forward on a tie.
+
+    One candidate suffices: every candidate is the spine between the two
+    end branch vertices plus a longest leg at each end (a starlike tree's
+    two longest legs at its centre), and legs of equal length have equal
+    codes, so all candidates have the same keys up to orientation."""
+    path = all_backbones(t)[0]
+    key = _orientation_key(t, path)
+    return backbone_view(t, path[::-1] if key[::-1] < key else path)
 
 
 def _centers(t: Tree) -> list[int]:

@@ -168,39 +168,25 @@ def groups_admit_valley(groups: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def _predicates_for_path(t: Tree, path: tuple[int, ...]) -> tuple[bool, bool, bool]:
-    view = backbone_view(t, path)
-    degree4 = [v for v in range(t.n) if t.degree(v) == 4]
-    if view.branch_indices:
-        allowed = {path[view.branch_indices[0]], path[view.branch_indices[-1]]}
-    else:
-        allowed = set()
-    d4_ends = all(v in allowed for v in degree4)
-    return (
-        d4_ends,
-        is_unimodal(view.backbone_segment_lengths),
-        groups_admit_valley(view.pendant_groups),
-    )
-
-
 def structure_assessment(t: Tree) -> tuple[StructurePredicateSet, bool]:
-    """Per-predicate outcomes (each an 'exists a backbone' check) plus
-    whether a single backbone satisfies all of them at once."""
+    """Per-predicate outcomes, read along one backbone, plus whether all of
+    them hold at once.
+
+    One backbone suffices: every candidate of `all_backbones` is the spine
+    between the same two end branch vertices plus a longest leg at each end,
+    so all candidates read the same end branch vertices, backbone segment
+    lengths and pendant groups up to orientation, and no predicate depends
+    on orientation."""
     qc = is_quasi_caterpillar(t)
-    max_deg = max((t.degree(v) for v in range(t.n)), default=0)
-    le4 = max_deg <= 4
+    le4 = max((t.degree(v) for v in range(t.n)), default=0) <= 4
     if not qc:
-        preds = StructurePredicateSet(False, le4, False, False, False)
-        return preds, False
-    any_d4 = any_uni = any_valley = all_at_once = False
-    for cand in all_backbones(t):
-        d4, uni, valley = _predicates_for_path(t, cand)
-        any_d4 = any_d4 or d4
-        any_uni = any_uni or uni
-        any_valley = any_valley or valley
-        all_at_once = all_at_once or (d4 and uni and valley)
-    preds = StructurePredicateSet(True, le4, any_d4, any_uni, any_valley)
-    return preds, le4 and all_at_once
+        return StructurePredicateSet(False, le4, False, False, False), False
+    view = backbone_view(t, all_backbones(t)[0])
+    ends = {view.path[i] for i in view.branch_indices[:1] + view.branch_indices[-1:]}
+    d4 = all(t.degree(v) != 4 or v in ends for v in range(t.n))
+    uni = is_unimodal(view.backbone_segment_lengths)
+    valley = groups_admit_valley(view.pendant_groups)
+    return StructurePredicateSet(True, le4, d4, uni, valley), le4 and d4 and uni and valley
 
 
 def is_unit_pendant_caterpillar(t: Tree) -> bool:

@@ -8,8 +8,10 @@ tree enumeration walks all Prüfer sequences, decodes each straight to
 degrees and neighbour sums and keys the tree while peeling its leaves,
 automorphism counts come from nested-tuple AHU codes, canonical codes from
 recursive string encodings at the middle of a longest path, the
-quasi-caterpillar test re-derives pendant removal from leaf walks, and
-reports are written by the stdlib ``json`` encoder.
+quasi-caterpillar test re-derives pendant removal from leaf walks, the
+structure predicates and the canonical backbone are read over every
+backbone candidate instead of one, and reports are written by the stdlib
+``json`` encoder.
 """
 
 from __future__ import annotations
@@ -20,8 +22,16 @@ import math
 import random
 from collections import deque
 
-from segwiener.trees import Tree, _bfs
-from segwiener.verify import VerificationReport
+from segwiener.trees import (
+    BackboneView,
+    Tree,
+    _bfs,
+    _orientation_key,
+    all_backbones,
+    backbone_view,
+    is_quasi_caterpillar,
+)
+from segwiener.verify import StructurePredicateSet, VerificationReport, groups_admit_valley, is_unimodal
 
 
 def wiener_by_distances(t: Tree) -> int:
@@ -348,6 +358,58 @@ def quasi_caterpillar_by_leaf_walks(t: Tree) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(rest)
+
+
+def _predicates_for_path(t: Tree, path: tuple[int, ...]) -> tuple[bool, bool, bool]:
+    view = backbone_view(t, path)
+    degree4 = [v for v in range(t.n) if t.degree(v) == 4]
+    if view.branch_indices:
+        allowed = {path[view.branch_indices[0]], path[view.branch_indices[-1]]}
+    else:
+        allowed = set()
+    d4_ends = all(v in allowed for v in degree4)
+    return (
+        d4_ends,
+        is_unimodal(view.backbone_segment_lengths),
+        groups_admit_valley(view.pendant_groups),
+    )
+
+
+def structure_assessment_over_all_backbones(t: Tree) -> tuple[StructurePredicateSet, bool]:
+    """The structure predicates, each an 'exists a backbone' check over
+    every candidate of `all_backbones`, plus whether one candidate
+    satisfies all of them at once."""
+    qc = is_quasi_caterpillar(t)
+    max_deg = max((t.degree(v) for v in range(t.n)), default=0)
+    le4 = max_deg <= 4
+    if not qc:
+        preds = StructurePredicateSet(False, le4, False, False, False)
+        return preds, False
+    any_d4 = any_uni = any_valley = all_at_once = False
+    for cand in all_backbones(t):
+        d4, uni, valley = _predicates_for_path(t, cand)
+        any_d4 = any_d4 or d4
+        any_uni = any_uni or uni
+        any_valley = any_valley or valley
+        all_at_once = all_at_once or (d4 and uni and valley)
+    preds = StructurePredicateSet(True, le4, any_d4, any_uni, any_valley)
+    return preds, le4 and all_at_once
+
+
+def backbone_over_all_candidates(t: Tree) -> BackboneView:
+    """The canonical backbone as the smallest `_orientation_key` over both
+    orientations of every candidate, the first one on a tie, each key
+    computed from scratch."""
+    best_path = None
+    best_key = None
+    for cand in all_backbones(t):
+        for oriented in (cand, tuple(reversed(cand))):
+            key = _orientation_key(t, oriented)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_path = oriented
+    assert best_path is not None
+    return backbone_view(t, best_path)
 
 
 def switch_descriptor_count(t: Tree) -> int:

@@ -11,7 +11,14 @@ from segwiener.enumeration import all_trees
 from segwiener.generators import balanced_starlike, caterpillar_family, quasi_caterpillar, starlike
 from segwiener.moves import apply_switch
 from segwiener.steiner import sw_k
-from segwiener.trees import all_backbones, backbone, canonical_code, is_quasi_caterpillar, tree_from_code
+from segwiener.trees import (
+    _orientation_key,
+    all_backbones,
+    backbone,
+    canonical_code,
+    is_quasi_caterpillar,
+    tree_from_code,
+)
 from segwiener.verify import (
     CONFIRMED,
     CONFIRMED_WITH_NOTES,
@@ -34,7 +41,11 @@ from segwiener.verify import (
 )
 
 from .conftest import path_tree
-from .oracles import reports_to_json_by_stdlib
+from .oracles import (
+    backbone_over_all_candidates,
+    reports_to_json_by_stdlib,
+    structure_assessment_over_all_backbones,
+)
 
 VERIFIERS = (
     verify_min_starlike,
@@ -133,6 +144,31 @@ class TestShapePredicates:
         assert count == 963
         assert digest.hexdigest() == "926cf62641188573c2753f278bfc7376285a611780b62bb646fcd2f2197e181e"
 
+    def test_one_backbone_reads_as_all_candidates(self):
+        # every quasi-caterpillar of order <= 12, seeded random ones and
+        # starlike trees with tied longest legs, each relabelled: reading
+        # one candidate gives the predicates and the canonical backbone of
+        # the route over every candidate
+        trees = [t for n in range(1, 13) for t in all_trees(n) if is_quasi_caterpillar(t)]
+        rng = random.Random(14)
+        for _ in range(300):
+            r = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+            pend = [(j, rng.randint(1, 3)) for j in range(1, len(r)) for _ in range(rng.randint(1, 3))]
+            trees.append(quasi_caterpillar(r, pend))
+        trees += [starlike(legs) for legs in [(3, 3, 1), (2, 2, 2), (3, 2, 2), (4, 2, 2, 2, 1), (2, 2, 1, 1)]]
+        for t in trees[:]:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            trees.append(t.relabel(perm))
+        opposite = 0
+        for t in trees:
+            assert structure_assessment(t) == structure_assessment_over_all_backbones(t)
+            assert backbone(t) == backbone_over_all_candidates(t)
+            first, *rest = all_backbones(t)
+            key = _orientation_key(t, first)
+            opposite += any(_orientation_key(t, c) == key[::-1] != key for c in rest)
+        assert opposite  # some candidates come out in opposite orientations
+
 
 class TestTheorem1:
     def test_no_violations_small(self):
@@ -179,6 +215,22 @@ class TestTheorem2AndStructure:
             assert k == 1 or n - k <= 3, r.instance
             trees = [tree_from_code(code) for code in r.arg_trees]
             assert any(structure_assessment(t)[1] for t in trees), r.instance
+
+    def test_violations_leave_the_region_at_order_15(self):
+        # past order 14 the map leaves k = 1 or n - k <= 3: the first
+        # violations with n - k = 4 are these three classes at n = 15, k = 11,
+        # each a tie in which another quasi-caterpillar maximizer passes
+        violated = [
+            r for r in verify_structure(15, [11])
+            if r.verdict == VIOLATED and r.instance["n"] - r.instance["k"] >= 4
+        ]
+        assert [(r.instance["n"], r.instance["segments"]) for r in violated] == [
+            (15, [3, 3, 2, 1, 1, 1, 1, 1, 1]),
+            (15, [2, 2, 2, 2, 2, 2, 1, 1]),
+            (15, [2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
+        ]
+        for r in violated:
+            assert any(structure_assessment(tree_from_code(code))[1] for code in r.arg_trees), r.instance
 
     def test_spot_instance_predicates_all_true(self):
         reports = verify_structure(10, [2])
