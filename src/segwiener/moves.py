@@ -13,17 +13,20 @@ components so that the segment-length multiset never changes:
 
 One stream, `_moves`, yields a tree's neighbourhood in its one order, and
 the enumerators define validity: an `apply_*` function accepts exactly the
-descriptors that the enumerator over the same segment or path yields, so
-the `_BUILD` builders only rewire the source's adjacency (a result that is
-not a tree raises InvalidTreeError).  Two routes give a move's delta.
-`neighbors` and the `apply_*` functions recompute each result's SW_k from
-scratch, off the one read (`trees._read`) that also checks its segment
-sequence; the source is read once per neighbourhood.  `hill_climb` ranks
-the stream by closed forms: a move changes side sizes only on the edges of
-its segment or anchored path, so its delta is a sum of one `_weights(n, k)`
-row over those edges, off one read of the source.  Only the moves tied on
-the best gain are built, and a built step whose recomputed delta differs
-from its closed form raises ClosedFormMismatchError.
+descriptors that the enumerator over the same segment or path yields.  What
+a move does is written once, in `_relocations`: a list of (root, i, j)
+along its segment or anchored path, the component hanging at path[i]
+through root moving to path[j].  Two routes read that list.  `_built`
+rewires the source's adjacency (a result that is not a tree raises
+InvalidTreeError), and `neighbors` and the `apply_*` functions recompute
+each result's SW_k from scratch, off the one read (`trees._read`) that also
+checks its segment sequence; the source is read once per neighbourhood.
+`hill_climb` ranks the stream by `_closed_form`: the moved components
+change side sizes only on the edges of the path, so a move's delta is a
+sum of one `_weights(n, k)` row over those edges, off one read of the
+source.  Only the moves tied on the best gain are built, and a built step
+whose recomputed delta differs from its closed form raises
+ClosedFormMismatchError.
 """
 
 from __future__ import annotations
@@ -160,16 +163,42 @@ def _outcomes(t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Tree]]) -
     return out
 
 
-def _switched(t: Tree, move: Switch) -> Tree:
-    w0, ws, a, b = move.w0, move.ws, move.a_root, move.b_root
-    return _rewire(t, drop=[(w0, a), (ws, b)], add=[(ws, a), (w0, b)])
+# (root, i, j): the component hanging at path[i] through root moves to path[j]
+Relocation = tuple[int, int, int]
+
+
+def _relocations(t: Tree, move: MoveDescriptor, path: tuple[int, ...]) -> list[Relocation]:
+    """What *move* does along *path*, its segment (from u1 for a reattach)
+    or anchored path.  A slide carries every component hanging between its
+    first and last interior attachment, i and j, by the shift that lands i
+    on the mirror of j; a shift of 0 relocates nothing."""
+    last = len(path) - 1
+    if isinstance(move, Switch):
+        return [(move.a_root, 0, last), (move.b_root, last, 0)]
+    if isinstance(move, Reattach):
+        return [(w, 0, last) for w in move.moved]
+    i, j = path.index(move.source), last - path.index(move.dest)
+    shift = (last - j) - i
+    if not shift:
+        return []
+    return [(w, x, x + shift) for x in range(i, j + 1) for w in t.adj[path[x]] if w != path[x - 1] and w != path[x + 1]]
+
+
+def _built(t: Tree, move: MoveDescriptor, path: tuple[int, ...]) -> Tree:
+    """The result of *move*, valid on *t*, with its path as in
+    `_relocations`; *t* itself when it relocates nothing."""
+    moved = _relocations(t, move, path)
+    if not moved:
+        return t
+    return _rewire(t, [(path[i], root) for root, i, _ in moved], [(path[j], root) for root, _, j in moved])
 
 
 def apply_switch(t: Tree, move: Switch, k: int) -> MoveOutcome:
     """A switch is valid iff `_switches_on` its segment yields it."""
-    if move not in _switches_on(t, _segment_path(t, move.w0, move.ws)):
+    path = _segment_path(t, move.w0, move.ws)
+    if move not in _switches_on(t, path):
         raise InvalidDescriptorError(f"{move} does not exchange off-segment neighbours of {move.w0} and {move.ws}")
-    return _outcomes(t, k, [(move, _switched(t, move))])[0]
+    return _outcomes(t, k, [(move, _built(t, move, path))])[0]
 
 
 def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
@@ -194,50 +223,20 @@ def slide_move(t: Tree, path: tuple[int, ...]) -> Slide:
     return Slide(path=tuple(path), source=path[attachments[0]], dest=path[len(path) - 1 - attachments[-1]])
 
 
-def _slide_span(move: Slide) -> tuple[int, int, int]:
-    """Positions i <= j of the first and last interior attachments on the
-    path, and the shift that carries i onto the mirror of j."""
-    last = len(move.path) - 1
-    i, j = move.path.index(move.source), last - move.path.index(move.dest)
-    return i, j, (last - j) - i
-
-
-def _slide_rewired(t: Tree, move: Slide) -> Tree:
-    """The slid tree; *t* itself when the slide mirrors onto itself."""
-    path = move.path
-    i, j, shift = _slide_span(move)
-    if shift == 0:
-        return t
-    drop: list[tuple[int, int]] = []
-    add: list[tuple[int, int]] = []
-    for x in range(i, j + 1):
-        v = path[x]
-        for w in t.adj[v]:
-            if w == path[x - 1] or w == path[x + 1]:
-                continue
-            drop.append((v, w))
-            add.append((path[x + shift], w))
-    return _rewire(t, drop, add)
-
-
 def apply_slide(t: Tree, move: Slide, k: int) -> MoveOutcome:
     """A slide is valid iff `slide_move` on its path gives it."""
     if slide_move(t, move.path) != move:
         raise InvalidDescriptorError("slide source/destination do not match the path attachments")
-    return _outcomes(t, k, [(move, _slide_rewired(t, move))])[0]
-
-
-def _reattached(t: Tree, move: Reattach) -> Tree:
-    return _rewire(t, drop=[(move.u1, w) for w in move.moved], add=[(move.u2, w) for w in move.moved])
+    return _outcomes(t, k, [(move, _built(t, move, move.path))])[0]
 
 
 def apply_reattach(t: Tree, move: Reattach, k: int) -> MoveOutcome:
     """A reattach is valid iff its sorted *moved* is that of the
     `_reattaches_on` descriptor from u1; the outcome keeps *move* as given."""
-    expected = next(_reattaches_on(t, _segment_path(t, move.u1, move.u2)))[0]
+    expected, path = next(_reattaches_on(t, _segment_path(t, move.u1, move.u2)))
     if tuple(sorted(move.moved)) != expected.moved:
         raise InvalidDescriptorError(f"reattach must move every off-segment neighbour of {move.u1}: {expected.moved}")
-    return _outcomes(t, k, [(move, _reattached(t, expected))])[0]
+    return _outcomes(t, k, [(move, _built(t, expected, path))])[0]
 
 
 def _branch_segments(t: Tree) -> Iterator[tuple[int, ...]]:
@@ -320,28 +319,18 @@ def _moves(t: Tree) -> Iterator[tuple[MoveDescriptor, tuple[int, ...]]]:
         yield from _reattaches_on(t, path)
 
 
-# the result of each move kind, for a descriptor valid on the source
-_BUILD = {Switch: _switched, Slide: _slide_rewired, Reattach: _reattached}
-
-
 def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
     """Every valid switch, slide and reattach on *t*, each applied and
     evaluated from scratch."""
-    return _outcomes(t, k, ((move, _BUILD[type(move)](t, move)) for move, _ in _moves(t)))
+    return _outcomes(t, k, ((move, _built(t, move, path)) for move, path in _moves(t)))
 
-
-# Closed-form deltas.  Every move keeps the components it carries whole and
-# changes no edge off its segment or anchored path, so only the side sizes
-# along that path change.  Each routine takes the `_weights(n, k)` row *w*
-# and side(u, v), the vertex count on v's side of the edge u-v, both of the
-# source tree, and the move's segment (from u1 for a reattach) or anchored
-# path.
 
 Side = Callable[[int, int], int]
 
 
 def _sides(t: Tree) -> tuple[list[int], Side]:
-    """The side sizes of *t* and side(u, v), off one read of it."""
+    """The side sizes of *t* and side(u, v), the vertex count on v's side of
+    the edge u-v, off one read of it."""
     parent, sides, _ = _read_built(t)
     n = t.n
     size = [n, *sides]
@@ -352,52 +341,42 @@ def _sides(t: Tree) -> tuple[list[int], Side]:
     return sides, side
 
 
-def _switch_delta(w: Sequence[int], side: Side, path: tuple[int, ...], move: Switch) -> int:
-    """The w0 side of the i-th segment edge, L + i, loses A and gains B."""
-    low = side(path[1], path[0])
-    high = low - side(move.w0, move.a_root) + side(move.ws, move.b_root)
-    return sum(w[high + i] - w[low + i] for i in range(len(path) - 1))
+def _closed_form(w: Sequence[int], side: Side, path: tuple[int, ...], moved: list[Relocation]) -> int:
+    """The delta of the relocations *moved* along *path*, off the source's
+    `_weights(n, k)` row *w* and side(u, v).  Components move whole, so only
+    the path's edges change side sizes.  The path[0] side of edge e, which
+    joins path[e - 1] and path[e], counts the components at path[0..e-1]: a
+    component of mass m moved from i to j takes m off the edges after i and
+    puts m on the edges after j."""
+    change = [0] * (len(path) + 1)
+    for root, i, j in moved:
+        m = side(path[i], root)
+        change[i + 1] -= m
+        change[j + 1] += m
+    delta = shift = 0
+    for e in range(1, len(path)):
+        shift += change[e]
+        if shift:
+            before = side(path[e], path[e - 1])
+            delta += w[before + shift] - w[before]
+    return delta
 
 
-def _slide_delta(w: Sequence[int], side: Side, path: tuple[int, ...], move: Slide) -> int:
-    """With S(t) the path[0] side of the t-th path edge, the mass hanging at
-    interior position x is S(x + 1) - S(x) - 1.  The slide carries each mass
-    in [i, j] from x to x + shift; S'(1) = S(1) and the rest follow."""
-    i, j, shift = _slide_span(move)
-    before = [side(path[t], path[t - 1]) for t in range(1, len(path))]
-    mass = [0] * len(path)
-    for x in range(i, j + 1):
-        mass[x + shift] = before[x] - before[x - 1] - 1
-    after = [before[0]]
-    for x in range(1, len(path) - 1):
-        after.append(after[-1] + 1 + mass[x])
-    return sum(w[a] - w[b] for a, b in zip(after, before))
-
-
-def _reattach_delta(w: Sequence[int], side: Side, path: tuple[int, ...], move: Reattach) -> int:
-    """u1 keeps only the segment, so its side of the i-th segment edge
-    drops from L + i to 1 + i."""
-    low = side(path[1], path[0])
-    return sum(w[1 + i] - w[low + i] for i in range(len(path) - 1))
-
-
-_DELTA = {Switch: _switch_delta, Slide: _slide_delta, Reattach: _reattach_delta}
-
-
-def _move_deltas(t: Tree, k: int) -> Iterator[tuple[MoveDescriptor, int]]:
-    """Every move of `_moves(t)` with its closed-form delta, off one read of
-    *t* and without building a neighbour.  As in `neighbors`, the source is
-    evaluated only once it has a move, and a source or neighbour whose SW_k
-    leaves i128 raises CountOverflowError."""
+def _move_deltas(t: Tree, k: int) -> Iterator[tuple[MoveDescriptor, tuple[int, ...], int]]:
+    """Every move of `_moves(t)` with its path and the `_closed_form` delta
+    of its `_relocations`, off one read of *t* and without building a
+    neighbour.  As in `neighbors`, the source is evaluated only once it has
+    a move, and a source or neighbour whose SW_k leaves i128 raises
+    CountOverflowError."""
     w = None
     for move, path in _moves(t):
         if w is None:
             sides, side = _sides(t)
             value = _index_sums(t.n, sides, (k,))[0]
             w = _weights(t.n, k)
-        delta = _DELTA[type(move)](w, side, path, move)
+        delta = _closed_form(w, side, path, _relocations(t, move, path))
         checked(value + delta)
-        yield move, delta
+        yield move, path, delta
 
 
 @dataclass(frozen=True)
@@ -409,16 +388,17 @@ class ClimbResult:
 def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     """Steepest ascent/descent over the move neighbourhood.
 
-    Each step ranks every move of `neighbors` by its closed-form delta, off
-    one read of the current tree, and builds only the moves that tie on the
-    best strictly improving gain.  Each of those goes through the rewiring
-    and the one read of `neighbors` (tree check, segment-sequence check and
-    SW_k recomputed from scratch), and a recomputed delta that differs from
-    its closed form raises ClosedFormMismatchError.  Ties are broken
-    deterministically by (delta, canonical code of the result), the first
-    in move order among equal codes.  The climb stops when no move
-    improves; the endpoint is a local optimum within the segment-sequence
-    class.  Raises ValueError unless 1 <= k <= n.
+    Each step ranks every move of `neighbors` by the `_closed_form` delta of
+    its relocations, off one read of the current tree, and builds only the
+    moves that tie on the best strictly improving gain.  Each of those goes
+    through the one builder and the one read of `neighbors` (tree check,
+    segment-sequence check and SW_k recomputed from scratch), and a
+    recomputed delta that differs from its closed form raises
+    ClosedFormMismatchError.  Ties are broken deterministically by (delta,
+    canonical code of the result), the first in move order among equal
+    codes.  The climb stops when no move improves; the endpoint is a local
+    optimum within the segment-sequence class.  Raises ValueError unless
+    1 <= k <= n.
     """
     if direction not in ("minimize", "maximize"):
         raise ValueError("direction must be 'minimize' or 'maximize'")
@@ -428,15 +408,15 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     steps: list[MoveOutcome] = []
     while True:
         gain, ties = 0, []
-        for move, delta in _move_deltas(current, k):
+        for move, path, delta in _move_deltas(current, k):
             if sign * delta > gain:
-                gain, ties = sign * delta, [(move, delta)]
+                gain, ties = sign * delta, [(move, path, delta)]
             elif sign * delta == gain and gain:
-                ties.append((move, delta))
+                ties.append((move, path, delta))
         if not ties:
             return ClimbResult(tree=current, steps=tuple(steps))
-        built = _outcomes(current, k, [(move, _BUILD[type(move)](current, move)) for move, _ in ties])
-        for (move, delta), outcome in zip(ties, built):
+        built = _outcomes(current, k, [(move, _built(current, move, path)) for move, path, _ in ties])
+        for (move, _, delta), outcome in zip(ties, built):
             if outcome.delta != delta:
                 raise ClosedFormMismatchError(f"{move!r}: closed form {delta}, recomputed {outcome.delta}")
         best = built[0] if len(built) == 1 else min(built, key=lambda o: canonical_code(o.tree))

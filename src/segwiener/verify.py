@@ -10,7 +10,7 @@ order, tie-breaks and report ordering are all deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, Iterable, Sequence
 
@@ -125,7 +125,7 @@ class StructurePredicateSet:
     pendants_anti_unimodal: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def is_unimodal(seq: Sequence[int]) -> bool:

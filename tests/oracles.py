@@ -10,8 +10,9 @@ automorphism counts come from nested-tuple AHU codes, canonical codes from
 recursive string encodings at the middle of a longest path, the
 quasi-caterpillar test re-derives pendant removal from leaf walks, the
 structure predicates and the canonical backbone are read over every
-backbone candidate instead of one, and reports are written by the stdlib
-``json`` encoder.
+backbone candidate instead of one, each move kind is built and given a
+closed-form delta by a routine of its own instead of from one relocation
+list, and reports are written by the stdlib ``json`` encoder.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import random
 from collections import deque
 
+from segwiener.moves import MoveDescriptor, Reattach, Side, Slide, Switch, _rewire
 from segwiener.trees import (
     BackboneView,
     Tree,
@@ -410,6 +412,82 @@ def backbone_over_all_candidates(t: Tree) -> BackboneView:
                 best_path = oriented
     assert best_path is not None
     return backbone_view(t, best_path)
+
+
+def _slide_span(move: Slide) -> tuple[int, int, int]:
+    """Positions i <= j of the first and last interior attachments on the
+    path, and the shift that carries i onto the mirror of j."""
+    last = len(move.path) - 1
+    i, j = move.path.index(move.source), last - move.path.index(move.dest)
+    return i, j, (last - j) - i
+
+
+def _switched(t: Tree, move: Switch) -> Tree:
+    w0, ws, a, b = move.w0, move.ws, move.a_root, move.b_root
+    return _rewire(t, drop=[(w0, a), (ws, b)], add=[(ws, a), (w0, b)])
+
+
+def _slide_rewired(t: Tree, move: Slide) -> Tree:
+    """The slid tree; *t* itself when the slide mirrors onto itself."""
+    path = move.path
+    i, j, shift = _slide_span(move)
+    if shift == 0:
+        return t
+    drop: list[tuple[int, int]] = []
+    add: list[tuple[int, int]] = []
+    for x in range(i, j + 1):
+        v = path[x]
+        for w in t.adj[v]:
+            if w == path[x - 1] or w == path[x + 1]:
+                continue
+            drop.append((v, w))
+            add.append((path[x + shift], w))
+    return _rewire(t, drop, add)
+
+
+def _reattached(t: Tree, move: Reattach) -> Tree:
+    return _rewire(t, drop=[(move.u1, w) for w in move.moved], add=[(move.u2, w) for w in move.moved])
+
+
+def built_by_kind(t: Tree, move: MoveDescriptor) -> Tree:
+    """The result of a move valid on *t*, by one builder per move kind."""
+    return {Switch: _switched, Slide: _slide_rewired, Reattach: _reattached}[type(move)](t, move)
+
+
+def _switch_delta(w, side: Side, path: tuple[int, ...], move: Switch) -> int:
+    """The w0 side of the i-th segment edge, L + i, loses A and gains B."""
+    low = side(path[1], path[0])
+    high = low - side(move.w0, move.a_root) + side(move.ws, move.b_root)
+    return sum(w[high + i] - w[low + i] for i in range(len(path) - 1))
+
+
+def _slide_delta(w, side: Side, path: tuple[int, ...], move: Slide) -> int:
+    """With S(t) the path[0] side of the t-th path edge, the mass hanging at
+    interior position x is S(x + 1) - S(x) - 1.  The slide carries each mass
+    in [i, j] from x to x + shift; S'(1) = S(1) and the rest follow."""
+    i, j, shift = _slide_span(move)
+    before = [side(path[t], path[t - 1]) for t in range(1, len(path))]
+    mass = [0] * len(path)
+    for x in range(i, j + 1):
+        mass[x + shift] = before[x] - before[x - 1] - 1
+    after = [before[0]]
+    for x in range(1, len(path) - 1):
+        after.append(after[-1] + 1 + mass[x])
+    return sum(w[a] - w[b] for a, b in zip(after, before))
+
+
+def _reattach_delta(w, side: Side, path: tuple[int, ...], move: Reattach) -> int:
+    """u1 keeps only the segment, so its side of the i-th segment edge
+    drops from L + i to 1 + i."""
+    low = side(path[1], path[0])
+    return sum(w[1 + i] - w[low + i] for i in range(len(path) - 1))
+
+
+def delta_by_kind(w, side: Side, path: tuple[int, ...], move: MoveDescriptor) -> int:
+    """The closed-form delta of a move, by one formula per move kind, off
+    the source's `_weights(n, k)` row *w* and side(u, v), with the move's
+    segment (from u1 for a reattach) or anchored path."""
+    return {Switch: _switch_delta, Slide: _slide_delta, Reattach: _reattach_delta}[type(move)](w, side, path, move)
 
 
 def switch_descriptor_count(t: Tree) -> int:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -28,7 +28,7 @@ from segwiener.moves import (
     slide_moves,
     switch_moves,
 )
-from segwiener.steiner import sw_k, sw_k_bruteforce
+from segwiener.steiner import _weights, sw_k, sw_k_bruteforce
 from segwiener.trees import (
     Tree,
     canonical_code,
@@ -40,7 +40,7 @@ from segwiener.trees import (
 from segwiener.verify import random_switch_instance
 
 from .conftest import path_tree
-from .oracles import random_labeled_tree, slide_descriptor_count
+from .oracles import built_by_kind, delta_by_kind, random_labeled_tree, slide_descriptor_count
 
 
 def hanging_size(t: Tree, root: int, at: int) -> int:
@@ -101,7 +101,7 @@ class TestSwitch:
             size_b = hanging_size(tree, move.b_root, move.ws)
             size_y = sum(hanging_size(tree, v, move.ws) for v in tree.adj[move.ws] if v not in (move.b_root, path[-2]))
             for k in range(1, tree.n + 1):
-                closed = dict(_move_deltas(tree, k))[move]
+                closed = {m: d for m, _, d in _move_deltas(tree, k)}[move]
                 assert closed == apply_switch(tree, move, k).delta
                 if k >= 2:
                     assert (closed == 0) == (k > tree.n - 1 - size_y - size_b)
@@ -319,6 +319,24 @@ class TestNeighbors:
                 assert segment_sequence(o.tree) == seq
                 assert o.delta == sw_k(o.tree, k) - sw_k(t, k)
 
+    def test_relocations_match_the_per_kind_routes(self):
+        # the one builder and the one closed form both read `_relocations`;
+        # each move kind's own builder and formula are the second route
+        rng = random.Random(15)
+        trees = [t for n in range(1, 10) for t in all_trees(n)]
+        trees += [random_labeled_tree(rng.randint(1, 30), rng) for _ in range(200)]
+        kinds = Counter()
+        for t in trees:
+            _, side = moves._sides(t)
+            for move, path in moves._moves(t):
+                assert moves._built(t, move, path) == built_by_kind(t, move)
+                kinds[type(move)] += 1
+            for k in range(1, min(4, t.n) + 1):
+                w = _weights(t.n, k)
+                for move, path, delta in _move_deltas(t, k):
+                    assert delta == delta_by_kind(w, side, path, move)
+        assert min(kinds[kind] for kind in (Switch, Slide, Reattach)) > 1000
+
     def test_rewire_refuses_non_trees(self):
         t = path_tree(5)  # 0-1-2-3-4
         assert _rewire(t, drop=[(0, 1)], add=[(0, 4)]) == Tree.from_edges([(1, 2), (2, 3), (3, 4), (4, 0)])
@@ -432,15 +450,15 @@ class TestHillClimb:
             sign = 1 if direction == "maximize" else -1
             expected, moves_seen = [], 0
             for source in (fig1_bottom, *(o.tree for o in res.steps[:-1])):
-                gains = [sign * delta for _, delta in _move_deltas(source, k)]
+                gains = [sign * delta for _, _, delta in _move_deltas(source, k)]
                 expected += [source] * gains.count(max(gains))
                 moves_seen += len(gains)
             assert res.steps and rewired == expected
             assert len(rewired) < moves_seen
 
     def test_closed_form_mismatch_raises(self, fig1_bottom, monkeypatch):
-        off_by_one = {kind: (lambda f: lambda *a: f(*a) + 1)(f) for kind, f in moves._DELTA.items()}
-        monkeypatch.setattr(moves, "_DELTA", off_by_one)
+        closed_form = moves._closed_form
+        monkeypatch.setattr(moves, "_closed_form", lambda *a: closed_form(*a) + 1)
         with pytest.raises(ClosedFormMismatchError):
             hill_climb(fig1_bottom, 2, "maximize")
 
