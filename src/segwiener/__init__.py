@@ -1,8 +1,11 @@
 """Steiner k-Wiener indices of trees with segment constraints.
 
-Exact index computation by two independent routes, constructors for the
+Exact index computation by edge contribution, constructors for the
 extremal families, isomorphism-free enumeration, segment-preserving local
 moves, and exhaustive verification of the extremal claims at desk scale.
+The independent routes they are checked against (brute-force subset sums,
+segment walks, backbones read over every candidate) are test oracles and
+not part of the package.
 """
 
 from .enumeration import all_trees, trees_with_segment_count, trees_with_segment_sequence
@@ -19,18 +22,15 @@ from .moves import (
     hill_climb,
     neighbors,
 )
-from .steiner import steiner_distance, sw_k, sw_k_bruteforce, sw_profile, wiener
+from .steiner import sw_k, sw_profile, wiener
 from .trees import (
     BackboneView,
-    Segment,
     Tree,
-    all_backbones,
     backbone,
     canonical_code,
     is_isomorphic,
     is_quasi_caterpillar,
     is_starlike,
-    segment_decomposition,
     segment_sequence,
     tree_from_code,
 )
@@ -50,13 +50,11 @@ __all__ = [
     "CountOverflowError",
     "MoveOutcome",
     "Reattach",
-    "Segment",
     "Slide",
     "StructurePredicateSet",
     "Switch",
     "Tree",
     "VerificationReport",
-    "all_backbones",
     "all_trees",
     "apply_reattach",
     "apply_slide",
@@ -72,21 +70,18 @@ __all__ = [
     "is_starlike",
     "neighbors",
     "quasi_caterpillar",
-    "segment_decomposition",
     "segment_sequence",
     "starlike",
-    "steiner_distance",
     "sw_k",
-    "sw_k_bruteforce",
     "sw_profile",
     "tree_from_code",
     "trees_with_segment_count",
+    "trees_with_segment_sequence",
     "verify_lemma31",
     "verify_max_caterpillar_family",
     "verify_max_quasi_caterpillar",
     "verify_min_balanced",
     "verify_min_starlike",
     "verify_structure",
-    "trees_with_segment_sequence",
     "wiener",
 ]

@@ -10,17 +10,23 @@ one reverse pass over a rooted order, either a breadth-first search of a
 ``Tree`` (`_read_built`, from vertex 0) or an enumerator's level
 sequence.  Canonical codes come out of one coder, `_codes`, over the same
 two sources.  Paths and orientation keys walk the breadth-first search
-`_bfs`, `_centers` peels leaves, and `_walk` follows one segment for
-``segment_decomposition`` (the independent route), the quasi-caterpillar
-and backbone tests, and the moves.
+`_bfs`, `_centers` peels leaves, and `_walk` follows one segment for the
+shape read below and the moves.
 
-A quasi-caterpillar is read along a backbone, a longest path through every
-branch vertex.  `all_backbones` lists every candidate, but they differ
-only in which of several equal-length legs they take, so they all read
-the same: `backbone` and ``verify.structure_assessment`` read the first.
+Every quasi-caterpillar question is answered by one read, `_shape`, of the
+series-reduced tree H: the vertices of degree other than 2, joined by the
+segments (a segment is a maximal path whose interior vertices have degree
+2).  It walks every segment once from each branch vertex at its end.  A
+tree is a quasi-caterpillar exactly when H is a caterpillar; then every
+branch vertex lies on H's spine, and a backbone, a longest path through
+every branch vertex, is the spine plus a longest leg at each end.
+`all_backbones` lists every such candidate, but they differ only in which
+of several equal-length legs they take, so they all read the same:
+`backbone` and ``verify.structure_assessment`` read the first, off the
+same read (`_first_backbone`).
 
 Both shapes the extremal results name are read off the segments at each
-vertex (a segment is a maximal path whose interior vertices have degree 2):
+vertex:
 
 * a *quasi-caterpillar* is a tree in which no vertex has more than two
   segments that do not end in a leaf, so removing every pendant segment
@@ -40,6 +46,7 @@ Conventions for degenerate cases (the literature does not pin these down):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 
@@ -217,21 +224,6 @@ class Tree:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """A maximal path whose interior vertices all have degree 2 in the host."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.vertices[0], self.vertices[-1])
-
-
-@dataclass(frozen=True)
 class BackboneView:
     """A quasi-caterpillar read along one oriented backbone.
 
@@ -247,6 +239,12 @@ class BackboneView:
     pendant_segment_lengths: tuple[int, ...]
 
 
+def _view(path: tuple[int, ...], lengths: tuple[int, ...], groups: tuple[tuple[int, ...], ...]) -> BackboneView:
+    """The view along *path*, whose backbone segments of these *lengths*
+    meet at branch vertices carrying these pendant *groups*."""
+    return BackboneView(path, tuple(accumulate(lengths))[:-1], lengths, groups, tuple(x for g in groups for x in g))
+
+
 def _walk(adj: tuple[tuple[int, ...], ...], u: int, w: int) -> tuple[int, ...]:
     """The vertices of the segment that leaves *u* through its neighbour *w*,
     from *u* to the first vertex whose degree is not 2."""
@@ -256,29 +254,6 @@ def _walk(adj: tuple[tuple[int, ...], ...], u: int, w: int) -> tuple[int, ...]:
         w = b if a == verts[-2] else a
         verts.append(w)
     return tuple(verts)
-
-
-def _inner_segments(adj: tuple[tuple[int, ...], ...], u: int) -> int:
-    """How many segments at *u* end at a branch vertex rather than a leaf."""
-    return sum(len(adj[_walk(adj, u, w)[-1]]) > 1 for w in adj[u])
-
-
-def segment_decomposition(t: Tree) -> list[Segment]:
-    """Partition the edges of *t* into segments.
-
-    Deterministic: each segment is walked from its smaller-id end, ends
-    scanned in ascending order and neighbours in adjacency order.
-    """
-    if t.n < 2:
-        raise EmptyDecompositionError("a single-vertex tree has no segments")
-    adj = t.adj
-    return [
-        Segment(verts)
-        for u in range(t.n)
-        if len(adj[u]) != 2
-        for verts in (_walk(adj, u, w) for w in adj[u])
-        if u < verts[-1]
-    ]
 
 
 def segment_sequence(t: Tree) -> tuple[int, ...]:
@@ -294,53 +269,97 @@ def is_starlike(t: Tree) -> bool:
     return len(t.branch_vertices()) <= 1
 
 
+_Walk = tuple[int, ...]  # a segment, a spine or a backbone, as its vertices
+
+
+def _shape(t: Tree) -> tuple[_Walk, tuple[_Walk, ...], tuple[tuple[_Walk, ...], ...]] | None:
+    """The series-reduced tree H of *t*, off one walk of every segment from
+    each branch vertex at its end: None when H is not a caterpillar (some
+    branch vertex has more than two segments that end at another branch
+    vertex), else H's spine of branch vertices from its smaller-id end
+    (empty without a branch vertex), the segments joining consecutive spine
+    vertices and the pendant segments at each spine vertex in adjacency
+    order, each walked from the spine vertex before it."""
+    adj = t.adj
+    inner: dict[int, list[_Walk]] = {}
+    legs: dict[int, list[_Walk]] = {}
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) > 2:
+            inner[v] = ins = []
+            legs[v] = outs = []
+            for w in nbrs:
+                seg = _walk(adj, v, w)
+                if len(adj[seg[-1]]) == 1:
+                    outs.append(seg)
+                else:
+                    ins.append(seg)
+            if len(ins) > 2:
+                return None
+    if not inner:
+        return (), (), ()
+    # every branch vertex lies on the spine, which starts at the first end:
+    # a branch vertex with at most one inner segment (a starlike tree's
+    # spine is its centre alone)
+    for v, segs in inner.items():
+        if len(segs) <= 1:
+            break
+    spine, joins, back = [v], [], -1
+    while len(spine) < len(inner):
+        ahead = inner[v]
+        seg = ahead[0] if ahead[0][-1] != back else ahead[1]
+        joins.append(seg)
+        back, v = v, seg[-1]
+        spine.append(v)
+    return tuple(spine), tuple(joins), tuple(tuple(legs[v]) for v in spine)
+
+
 def is_quasi_caterpillar(t: Tree) -> bool:
     """True iff no branch vertex has more than two segments that do not end
     in a leaf, i.e. removing every pendant segment (keeping its non-leaf
     end) leaves a path, a single vertex, or nothing."""
-    return all(_inner_segments(t.adj, v) <= 2 for v in t.branch_vertices())
+    return _shape(t) is not None
 
 
-def _pendant_path(t: Tree, start: int, first: int) -> tuple[int, ...]:
-    """Walk from *start* through neighbour *first* to the far end of the
-    hanging path.  The component must be a bare path (caller guarantees)."""
-    out = _walk(t.adj, start, first)[1:]
-    if t.degree(out[-1]) != 1:
-        raise NotQuasiCaterpillarError(f"component hanging at {start} is not a pendant path")
-    return out
+def _candidates(t: Tree) -> tuple[_Walk, tuple[_Walk, ...], tuple[tuple[_Walk, ...], ...], list[tuple[_Walk, _Walk]]]:
+    """`_shape` with the spine as one walk, plus every pair of legs, one at
+    each end of the spine (two distinct ones at a lone spine vertex), whose
+    total length is largest, in adjacency order.  A tree without a branch
+    vertex is one walk from its smaller-id leaf, with no legs or pairs."""
+    shape = _shape(t)
+    if shape is None:
+        raise NotQuasiCaterpillarError("backbone is only defined for quasi-caterpillars")
+    spine, joins, legs = shape
+    if not spine:
+        if t.n == 1:
+            return (0,), (), (), []
+        leaf = t.leaves()[0]
+        return _walk(t.adj, leaf, t.adj[leaf][0]), (), (), []
+    left, right = legs[0], legs[-1]
+    pairs = [(p, q) for i, p in enumerate(left) for j, q in enumerate(right) if len(spine) > 1 or i < j]
+    best = max(len(p) + len(q) for p, q in pairs)
+    middle = spine[:1] + tuple(v for s in joins for v in s[1:])
+    return middle, joins, legs, [(p, q) for p, q in pairs if len(p) + len(q) == best]
 
 
 def all_backbones(t: Tree) -> list[tuple[int, ...]]:
-    """Every longest path containing all branch vertices, one orientation each.
+    """Every longest path containing all branch vertices, one orientation
+    each: H's spine plus each longest pair of legs at its two ends
+    (`_candidates`), from the smaller-id end."""
+    middle, _, _, pairs = _candidates(t)
+    return [p[:0:-1] + middle + q[1:] for p, q in pairs] or [middle]
 
-    For a quasi-caterpillar the candidates differ only in which pendant
-    segments extend the two ends of the spine of branch vertices: every
-    pair of legs, one at each end (two distinct legs when the spine is a
-    single vertex), whose total length is largest.
-    """
-    if t.n == 1:
-        return [(0,)]
-    adj = t.adj
-    branch = t.branch_vertices()
-    if not branch:
-        leaf = t.leaves()[0]
-        return [_walk(adj, leaf, adj[leaf][0])]
-    # one walk per branch vertex both tests the tree (`is_quasi_caterpillar`)
-    # and finds the spine ends: branch vertices with at most one segment
-    # leading to another branch vertex (a starlike tree's spine is its
-    # centre alone)
-    inner = [_inner_segments(adj, v) for v in branch]
-    if max(inner) > 2:
-        raise NotQuasiCaterpillarError("backbone is only defined for quasi-caterpillars")
-    ends = [v for v, count in zip(branch, inner) if count <= 1]
-    b1, b2 = ends[0], ends[-1]
-    spine = t.path(b1, b2)
-    on_spine = set(spine)
-    left = [_pendant_path(t, b1, w) for w in adj[b1] if w not in on_spine]
-    right = [_pendant_path(t, b2, w) for w in adj[b2] if w not in on_spine]
-    pairs = [(p, q) for i, p in enumerate(left) for j, q in enumerate(right) if b1 != b2 or i < j]
-    best = max(len(p) + len(q) for p, q in pairs)
-    return [tuple(reversed(p)) + spine + q for p, q in pairs if len(p) + len(q) == best]
+
+def _first_backbone(t: Tree) -> BackboneView:
+    """The view along the first candidate of `all_backbones`, as listed:
+    the two legs and the joins are its backbone segments, the legs it does
+    not take its pendant segments."""
+    middle, joins, legs, pairs = _candidates(t)
+    if not pairs:
+        return _view(middle, (len(middle) - 1,) if len(middle) > 1 else (), ())
+    p, q = pairs[0]
+    lengths = (len(p) - 1, *(len(s) - 1 for s in joins), len(q) - 1)
+    groups = tuple(tuple(sorted((len(s) - 1 for s in at if s not in (p, q)), reverse=True)) for at in legs)
+    return _view(p[:0:-1] + middle + q[1:], lengths, groups)
 
 
 def _orientation_key(t: Tree, path: tuple[int, ...]) -> tuple:
@@ -354,30 +373,6 @@ def _orientation_key(t: Tree, path: tuple[int, ...]) -> tuple:
     return tuple(tuple(sorted(code[w] for w in t.adj[v] if w not in on_path)) for v in path)
 
 
-def backbone_view(t: Tree, path: tuple[int, ...]) -> BackboneView:
-    """Read off the segment structure of a quasi-caterpillar along *path*."""
-    branch_idx = [i for i, v in enumerate(path) if t.degree(v) >= 3]
-    stops = [0] + branch_idx + [len(path) - 1]
-    r = tuple(stops[i + 1] - stops[i] for i in range(len(stops) - 1) if stops[i + 1] > stops[i])
-    groups = []
-    for i in branch_idx:
-        v = path[i]
-        lengths = []
-        for w in t.adj[v]:
-            if (i > 0 and w == path[i - 1]) or (i + 1 < len(path) and w == path[i + 1]):
-                continue
-            lengths.append(len(_pendant_path(t, v, w)))
-        groups.append(tuple(sorted(lengths, reverse=True)))
-    flat = tuple(x for g in groups for x in g)
-    return BackboneView(
-        path=path,
-        branch_indices=tuple(branch_idx),
-        backbone_segment_lengths=r,
-        pendant_groups=tuple(groups),
-        pendant_segment_lengths=flat,
-    )
-
-
 def backbone(t: Tree) -> BackboneView:
     """The canonical backbone: the first candidate of `all_backbones` in the
     orientation with the smaller `_orientation_key`, forward on a tie.
@@ -386,9 +381,11 @@ def backbone(t: Tree) -> BackboneView:
     end branch vertices plus a longest leg at each end (a starlike tree's
     two longest legs at its centre), and legs of equal length have equal
     codes, so all candidates have the same keys up to orientation."""
-    path = all_backbones(t)[0]
-    key = _orientation_key(t, path)
-    return backbone_view(t, path[::-1] if key[::-1] < key else path)
+    view = _first_backbone(t)
+    key = _orientation_key(t, view.path)
+    if key[::-1] < key:
+        return _view(view.path[::-1], view.backbone_segment_lengths[::-1], view.pendant_groups[::-1])
+    return view
 
 
 def _centers(t: Tree) -> list[int]:

@@ -26,13 +26,7 @@ from .generators import (
 )
 from .moves import Switch, apply_switch
 from .steiner import _index_sums
-from .trees import (
-    Tree,
-    all_backbones,
-    backbone_view,
-    canonical_code,
-    is_quasi_caterpillar,
-)
+from .trees import Tree, _first_backbone, canonical_code, is_quasi_caterpillar
 
 CONFIRMED = "confirmed"
 CONFIRMED_WITH_NOTES = "confirmed-with-notes"
@@ -172,16 +166,17 @@ def structure_assessment(t: Tree) -> tuple[StructurePredicateSet, bool]:
     """Per-predicate outcomes, read along one backbone, plus whether all of
     them hold at once.
 
-    One backbone suffices: every candidate of `all_backbones` is the spine
-    between the same two end branch vertices plus a longest leg at each end,
-    so all candidates read the same end branch vertices, backbone segment
-    lengths and pendant groups up to orientation, and no predicate depends
-    on orientation."""
+    One backbone suffices: every backbone candidate is the spine of the
+    tree's series-reduced tree between the same two end branch vertices
+    plus a longest leg at each end, so all candidates read the same end
+    branch vertices, backbone segment lengths and pendant groups up to
+    orientation, and no predicate depends on orientation.  The first one is
+    read unoriented (`trees._first_backbone`)."""
     qc = is_quasi_caterpillar(t)
     le4 = max((t.degree(v) for v in range(t.n)), default=0) <= 4
     if not qc:
         return StructurePredicateSet(False, le4, False, False, False), False
-    view = backbone_view(t, all_backbones(t)[0])
+    view = _first_backbone(t)
     ends = {view.path[i] for i in view.branch_indices[:1] + view.branch_indices[-1:]}
     d4 = all(t.degree(v) != 4 or v in ends for v in range(t.n))
     uni = is_unimodal(view.backbone_segment_lengths)

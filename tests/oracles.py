@@ -3,16 +3,21 @@
 Nothing here shares an algorithm with the package: distances are summed from
 BFS, edge side sizes are subtree sizes summed over the package's `_bfs` in
 a pass of their own (the package reads them together with the segment
-sequence), Steiner distances come from enumerating connected supersets,
-tree enumeration walks all Prüfer sequences, decodes each straight to
+sequence), SW_k is summed literally over all k-subsets (`sw_k_bruteforce`)
+of Steiner distances found by pruning leaves (`steiner_distance`), which in
+turn are checked against enumerating connected supersets, segments are
+walked one by one from their ends (`segment_decomposition`), tree
+enumeration walks all Prüfer sequences, decodes each straight to
 degrees and neighbour sums and keys the tree while peeling its leaves,
 automorphism counts come from nested-tuple AHU codes, canonical codes from
 recursive string encodings at the middle of a longest path, the
 quasi-caterpillar test re-derives pendant removal from leaf walks, the
 structure predicates and the canonical backbone are read over every
-backbone candidate instead of one, each move kind is built and given a
-closed-form delta by a routine of its own instead of from one relocation
-list, and reports are written by the stdlib ``json`` encoder.
+backbone candidate instead of one, each by walking the candidate path and
+the pendant segments off it (`backbone_view`) instead of reading the
+series-reduced tree, each move kind is built and given a closed-form delta
+by a routine of its own instead of from one relocation list, and reports
+are written by the stdlib ``json`` encoder.
 """
 
 from __future__ import annotations
@@ -22,18 +27,66 @@ import json
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
+from typing import Iterable
 
+from segwiener.exact import checked
 from segwiener.moves import MoveDescriptor, Reattach, Side, Slide, Switch, _rewire
 from segwiener.trees import (
     BackboneView,
+    EmptyDecompositionError,
+    NotQuasiCaterpillarError,
     Tree,
     _bfs,
     _orientation_key,
     all_backbones,
-    backbone_view,
     is_quasi_caterpillar,
 )
 from segwiener.verify import StructurePredicateSet, VerificationReport, groups_admit_valley, is_unimodal
+
+
+BRUTE_FORCE_MAX_N = 20
+
+
+class EmptySetError(ValueError):
+    """Steiner distance of the empty set is undefined."""
+
+
+def steiner_distance(t: Tree, subset: Iterable[int]) -> int:
+    """Edge count of the minimal subtree of *t* spanning *subset*.
+
+    Computed by iteratively pruning leaves that are not in the set; what
+    remains is exactly the spanning subtree.  A singleton has distance 0.
+    """
+    wanted = set(subset)
+    if not wanted:
+        raise EmptySetError("steiner distance needs at least one vertex")
+    for v in wanted:
+        if not (0 <= v < t.n):
+            raise ValueError(f"vertex {v} out of range")
+    deg = [t.degree(v) for v in range(t.n)]
+    alive = t.n
+    stack = [v for v in range(t.n) if deg[v] == 1 and v not in wanted]
+    while stack:
+        v = stack.pop()
+        deg[v] = 0
+        alive -= 1
+        for w in t.adj[v]:
+            if deg[w] > 0:
+                deg[w] -= 1
+                if deg[w] == 1 and w not in wanted:
+                    stack.append(w)
+    return alive - 1
+
+
+def sw_k_bruteforce(t: Tree, k: int) -> int:
+    """Literal sum of Steiner distances over all k-subsets, guarded to
+    orders up to `BRUTE_FORCE_MAX_N`."""
+    if not 1 <= k <= t.n:
+        raise ValueError(f"k={k} out of range 1..{t.n}")
+    if t.n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force is guarded to n <= {BRUTE_FORCE_MAX_N}")
+    return checked(sum(steiner_distance(t, s) for s in itertools.combinations(range(t.n), k)))
 
 
 def wiener_by_distances(t: Tree) -> int:
@@ -324,6 +377,72 @@ def prufer_class_keys(n: int, intern: dict) -> set[tuple]:
         _peeled_class_key(*prufer_degrees_and_sums(seq, n), n, intern)
         for seq in itertools.product(range(n), repeat=n - 2)
     }
+
+
+@dataclass(frozen=True)
+class Segment:
+    """A maximal path whose interior vertices all have degree 2 in the host."""
+
+    vertices: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices) - 1
+
+    @property
+    def endpoints(self) -> tuple[int, int]:
+        return (self.vertices[0], self.vertices[-1])
+
+
+def _segment_walk(t: Tree, u: int, w: int) -> tuple[int, ...]:
+    """The vertices from *u* through its neighbour *w* up to the first
+    vertex whose degree is not 2."""
+    verts = [u, w]
+    while t.degree(verts[-1]) == 2:
+        verts.append(next(x for x in t.adj[verts[-1]] if x != verts[-2]))
+    return tuple(verts)
+
+
+def segment_decomposition(t: Tree) -> list[Segment]:
+    """Partition the edges of *t* into segments, each walked from its
+    smaller-id end: ends scanned in ascending order, neighbours in
+    adjacency order."""
+    if t.n < 2:
+        raise EmptyDecompositionError("a single-vertex tree has no segments")
+    return [
+        Segment(verts)
+        for u in range(t.n)
+        if t.degree(u) != 2
+        for verts in (_segment_walk(t, u, w) for w in t.adj[u])
+        if u < verts[-1]
+    ]
+
+
+def backbone_view(t: Tree, path: tuple[int, ...]) -> BackboneView:
+    """Read off the segment structure of a quasi-caterpillar along *path*
+    by walking the path and every pendant segment off it."""
+    branch_idx = [i for i, v in enumerate(path) if t.degree(v) >= 3]
+    stops = [0] + branch_idx + [len(path) - 1]
+    r = tuple(stops[i + 1] - stops[i] for i in range(len(stops) - 1) if stops[i + 1] > stops[i])
+    groups = []
+    for i in branch_idx:
+        v = path[i]
+        lengths = []
+        for w in t.adj[v]:
+            if (i > 0 and w == path[i - 1]) or (i + 1 < len(path) and w == path[i + 1]):
+                continue
+            leg = _segment_walk(t, v, w)
+            if t.degree(leg[-1]) != 1:
+                raise NotQuasiCaterpillarError(f"component hanging at {v} is not a pendant path")
+            lengths.append(len(leg) - 1)
+        groups.append(tuple(sorted(lengths, reverse=True)))
+    return BackboneView(
+        path=path,
+        branch_indices=tuple(branch_idx),
+        backbone_segment_lengths=r,
+        pendant_groups=tuple(groups),
+        pendant_segment_lengths=tuple(x for g in groups for x in g),
+    )
 
 
 def quasi_caterpillar_by_leaf_walks(t: Tree) -> bool:

@@ -18,7 +18,7 @@ from segwiener.generators import (
     caterpillar_family,
 )
 from segwiener.moves import apply_reattach, apply_slide, apply_switch, reattach_moves, slide_moves, switch_moves
-from segwiener.steiner import sw_k, sw_k_bruteforce, wiener
+from segwiener.steiner import sw_k, wiener
 from segwiener.trees import canonical_code, is_isomorphic, segment_sequence
 from segwiener.verify import (
     any_violated,
@@ -31,7 +31,7 @@ from segwiener.verify import (
     verify_structure,
 )
 
-from .oracles import _interned_class_key, prufer_class_keys
+from .oracles import _interned_class_key, prufer_class_keys, sw_k_bruteforce
 
 
 def _announce(criterion: str, detail: str) -> None:

@@ -24,10 +24,16 @@ from segwiener.enumeration import (
     trees_with_segment_sequence,
 )
 from segwiener.generators import UnrealizableError
-from segwiener.trees import Tree, canonical_code, is_starlike, segment_decomposition, segment_sequence
+from segwiener.trees import Tree, canonical_code, is_starlike, segment_sequence
 
 from .conftest import path_tree
-from .oracles import ahu_code_by_recursion, automorphism_count, edge_side_sizes, free_trees_by_prufer
+from .oracles import (
+    ahu_code_by_recursion,
+    automorphism_count,
+    edge_side_sizes,
+    free_trees_by_prufer,
+    segment_decomposition,
+)
 
 # number of free trees per order (verified against the Prüfer dedup oracle)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}

@@ -28,19 +28,25 @@ from segwiener.moves import (
     slide_moves,
     switch_moves,
 )
-from segwiener.steiner import _weights, sw_k, sw_k_bruteforce
+from segwiener.steiner import _weights, sw_k
 from segwiener.trees import (
     Tree,
     canonical_code,
     is_isomorphic,
     is_quasi_caterpillar,
-    segment_decomposition,
     segment_sequence,
 )
 from segwiener.verify import random_switch_instance
 
 from .conftest import path_tree
-from .oracles import built_by_kind, delta_by_kind, random_labeled_tree, slide_descriptor_count
+from .oracles import (
+    built_by_kind,
+    delta_by_kind,
+    random_labeled_tree,
+    segment_decomposition,
+    slide_descriptor_count,
+    sw_k_bruteforce,
+)
 
 
 def hanging_size(t: Tree, root: int, at: int) -> int:

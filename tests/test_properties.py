@@ -1,8 +1,10 @@
 """Property tests on random labelled trees up to order 200: the index, the
 segment sequence and the canonical code do not depend on the labels; the
-one read of a tree agrees with the reference routes; paths are paths;
-every move keeps the segment sequence; and the hill climber's closed-form
-move deltas equal the recomputed ones of `neighbors`."""
+one read of a tree agrees with the reference routes; the one shape read
+answers the quasi-caterpillar test, the structure predicates and the
+canonical backbone as the reference routes do; paths are paths; every move
+keeps the segment sequence; and the hill climber's closed-form move deltas
+equal the recomputed ones of `neighbors`."""
 
 from __future__ import annotations
 
@@ -10,11 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segwiener.exact import CountOverflowError
+from segwiener.generators import quasi_caterpillar, starlike
 from segwiener.moves import _move_deltas, neighbors
 from segwiener.steiner import sw_k
-from segwiener.trees import Tree, _bfs, _read, canonical_code, segment_decomposition, segment_sequence
+from segwiener.trees import Tree, _bfs, _read, backbone, canonical_code, is_quasi_caterpillar, segment_sequence
+from segwiener.verify import structure_assessment
 
-from .oracles import edge_side_sizes, prufer_to_adjacency
+from .oracles import (
+    backbone_over_all_candidates,
+    edge_side_sizes,
+    prufer_to_adjacency,
+    quasi_caterpillar_by_leaf_walks,
+    segment_decomposition,
+    structure_assessment_over_all_backbones,
+)
 
 MAX_N = 200
 
@@ -82,6 +93,43 @@ def test_one_read_matches_the_reference_routes(t):
     assert sorted(sides) == sorted(edge_side_sizes(t))
     if t.n >= 2:
         assert segment_sequence(t) == segments == _walked_lengths(t)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(labelled_trees())
+def test_quasi_caterpillar_matches_leaf_walks(t):
+    assert is_quasi_caterpillar(t) == quasi_caterpillar_by_leaf_walks(t)
+
+
+@st.composite
+def relabelled_quasi_caterpillars(draw) -> Tree:
+    """A relabelled quasi-caterpillar of order at most 193: either a
+    `generators.quasi_caterpillar` with up to six backbone segments and up
+    to three pendants at each joint, or a starlike tree whose two to four
+    longest legs tie.  At most four legs tie at each end of a backbone, and
+    at most eight at a starlike tree's centre, so the all-candidates oracles
+    read at most 28 candidates."""
+    if draw(st.booleans()):
+        top = draw(st.integers(1, 20))
+        tied = draw(st.integers(2, 4))
+        legs = [top] * tied + draw(st.lists(st.integers(1, top), min_size=max(0, 3 - tied), max_size=4))
+        t = starlike(legs)
+    else:
+        r = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+        pendants = [
+            (j, length)
+            for j in range(1, len(r))
+            for length in draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        ]
+        t = quasi_caterpillar(r, pendants)
+    return t.relabel(draw(st.permutations(range(t.n))))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(relabelled_quasi_caterpillars())
+def test_one_shape_read_answers_as_every_backbone_candidate(t):
+    assert structure_assessment(t) == structure_assessment_over_all_backbones(t)
+    assert backbone(t) == backbone_over_all_candidates(t)
 
 
 @st.composite

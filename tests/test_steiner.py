@@ -7,18 +7,18 @@ import pytest
 
 from segwiener.enumeration import all_trees
 from segwiener.exact import CountOverflowError
-from segwiener.steiner import (
-    EmptySetError,
-    steiner_distance,
-    sw_k,
-    sw_k_bruteforce,
-    sw_profile,
-    wiener,
-)
+from segwiener.steiner import sw_k, sw_profile, wiener
 from segwiener.trees import Tree
 
 from .conftest import path_tree
-from .oracles import random_labeled_tree, steiner_by_enumeration, wiener_by_distances
+from .oracles import (
+    EmptySetError,
+    random_labeled_tree,
+    steiner_by_enumeration,
+    steiner_distance,
+    sw_k_bruteforce,
+    wiener_by_distances,
+)
 
 
 class TestSteinerDistance:

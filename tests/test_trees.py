@@ -19,7 +19,6 @@ from segwiener.trees import (
     is_isomorphic,
     is_quasi_caterpillar,
     is_starlike,
-    segment_decomposition,
     segment_sequence,
     tree_from_code,
 )
@@ -30,6 +29,7 @@ from .oracles import (
     centres_by_longest_path,
     quasi_caterpillar_by_leaf_walks,
     random_labeled_tree,
+    segment_decomposition,
 )
 
 # sha256 of `TestBackbone.test_golden_backbones`, recorded before the
