@@ -2,11 +2,15 @@
 
 Exit codes: 0 all checks confirmed, 1 a verification reported a violation,
 2 usage or input errors, including a verify run that checks nothing.
+
+`main` parses with one parser per process, built on its first call: a
+parse leaves the parser as it found it, and every default is immutable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -171,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["theorem1", "theorem2", "structure", "theorem5min", "theorem5max", "lemma31"],
     )
     ver.add_argument("--max-n", type=int, default=10)
-    ver.add_argument("--k", type=_parse_int_list, default=[2, 3, 4], metavar="K1,K2,...")
+    ver.add_argument("--k", type=_parse_int_list, default=(2, 3, 4), metavar="K1,K2,...")
     ver.add_argument("--samples", type=int, default=200)
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--report", metavar="FILE.json")
@@ -187,9 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, CountOverflowError, OSError) as exc:

@@ -277,32 +277,53 @@ def reattach_moves(t: Tree) -> Iterator[Reattach]:
             yield move
 
 
+def _attachment_depths(adj, b: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """One search from *b*: the parent and depth of every vertex, and the
+    depths of the first and last interior attachment (a vertex of degree at
+    least 3 strictly between b and it) on its path from b, 0 for none."""
+    parent, order = _bfs(adj, b)
+    depth, first, last = [0] * len(adj), [0] * len(adj), [0] * len(adj)
+    for v in order[1:]:
+        p = parent[v]
+        depth[v] = depth[p] + 1
+        if p != b and len(adj[p]) >= 3:
+            first[v], last[v] = first[p] or depth[p], depth[p]
+        else:
+            first[v], last[v] = first[p], last[p]
+    return parent, depth, first, last
+
+
 def slide_moves(t: Tree) -> Iterator[Slide]:
-    """Non-trivial slides only: the mirrored position must differ.  One
-    search from each anchor gives its paths to all later anchors, and the
-    depths of the first and last interior attachment on each (0 for none);
-    a path is built only for a slide it yields."""
+    """Non-trivial slides only: the mirrored position must differ.  Anchor
+    pairs (x, y), x < y, come in ascending order of x, then of y.  One
+    search per branch vertex b (`_attachment_depths`), made when first
+    needed, serves b and every leaf whose leg (`_walk`) ends at b, ℓ edges
+    away.  Such a leaf's path to an anchor y ≠ b is its leg, then b's path
+    to y: the first interior attachment is b, at depth ℓ, and the last is
+    b's last shifted by ℓ, or b when b's path has none, so either way the
+    last one's mirror is at b's depth of y less b's last.  The pair (x, b)
+    has no interior attachment.  A leg that ends at a leaf spans a path,
+    which has no slides.  A path is built only for a slide it yields."""
     adj = t.adj
     anchors = [v for v in range(t.n) if len(adj[v]) != 2]
-    for idx, x in enumerate(anchors):
-        parent, order = _bfs(adj, x)
-        depth, first, last = [0] * t.n, [0] * t.n, [0] * t.n
-        for v in order[1:]:
-            p = parent[v]
-            depth[v] = depth[p] + 1
-            if p != x and len(adj[p]) >= 3:
-                first[v], last[v] = first[p] or depth[p], depth[p]
-            else:
-                first[v], last[v] = first[p], last[p]
+    searches: dict[int, tuple] = {}
+    for idx, x in enumerate(anchors[:-1]):
+        leg = _walk(adj, x, adj[x][0]) if len(adj[x]) == 1 else (x,)
+        b, ell = leg[-1], len(leg) - 1
+        if len(adj[b]) == 1:
+            return
+        if b not in searches:
+            searches[b] = _attachment_depths(adj, b)
+        parent, depth, first, last = searches[b]
         for y in anchors[idx + 1 :]:
-            i, mirror = first[y], depth[y] - last[y]
-            if i and i != mirror:
-                path = [y]
-                while y != x:
+            i, mirror = ell or first[y], depth[y] - last[y]
+            if i and i != mirror and y != b:
+                tail = []
+                while y != b:
+                    tail.append(y)
                     y = parent[y]
-                    path.append(y)
-                path.reverse()
-                yield Slide(path=tuple(path), source=path[i], dest=path[mirror])
+                path = leg + tuple(reversed(tail))
+                yield Slide(path=path, source=path[i], dest=path[mirror])
 
 
 def _moves(t: Tree) -> Iterator[tuple[MoveDescriptor, tuple[int, ...]]]:

@@ -16,8 +16,9 @@ structure predicates and the canonical backbone are read over every
 backbone candidate instead of one, each by walking the candidate path and
 the pendant segments off it (`backbone_view`) instead of reading the
 series-reduced tree, each move kind is built and given a closed-form delta
-by a routine of its own instead of from one relocation list, and reports
-are written by the stdlib ``json`` encoder.
+by a routine of its own instead of from one relocation list, slides are
+listed by a search from every anchor instead of one per branch vertex, and
+reports are written by the stdlib ``json`` encoder.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from segwiener.exact import checked
 from segwiener.moves import MoveDescriptor, Reattach, Side, Slide, Switch, _rewire
@@ -656,6 +657,34 @@ def slide_descriptor_count(t: Tree) -> int:
             if inner[0] != len(path) - 1 - inner[-1]:
                 count += 1
     return count
+
+
+def slide_moves_per_anchor(t: Tree) -> Iterator[Slide]:
+    """Non-trivial slides only: the mirrored position must differ.  One
+    search from each anchor gives its paths to all later anchors, and the
+    depths of the first and last interior attachment on each (0 for none);
+    a path is built only for a slide it yields."""
+    adj = t.adj
+    anchors = [v for v in range(t.n) if len(adj[v]) != 2]
+    for idx, x in enumerate(anchors):
+        parent, order = _bfs(adj, x)
+        depth, first, last = [0] * t.n, [0] * t.n, [0] * t.n
+        for v in order[1:]:
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            if p != x and len(adj[p]) >= 3:
+                first[v], last[v] = first[p] or depth[p], depth[p]
+            else:
+                first[v], last[v] = first[p], last[p]
+        for y in anchors[idx + 1 :]:
+            i, mirror = first[y], depth[y] - last[y]
+            if i and i != mirror:
+                path = [y]
+                while y != x:
+                    y = parent[y]
+                    path.append(y)
+                path.reverse()
+                yield Slide(path=tuple(path), source=path[i], dest=path[mirror])
 
 
 def report_to_dict(r: VerificationReport) -> dict:

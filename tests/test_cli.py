@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from segwiener import cli
 from segwiener.cli import main
 from segwiener.io import format_edge_list, parse_edge_list
 from segwiener.trees import canonical_code, segment_sequence
@@ -180,6 +181,48 @@ def test_verify_violation_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "theorem1", "--max-n", "4", "--k", "2")
     assert code == 1
     assert "VIOLATED" in out
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main parses with one parser per process: through it, each call of a
+    # sequence (an argparse error first, input errors, the default --k
+    # twice) prints and exits as it does on a freshly built parser
+    calls = [
+        ["verify", "nonsense"],
+        ["enumerate", "--n", "7", "--count-only"],
+        ["verify", "theorem1", "--max-n", "17"],
+        ["verify", "theorem1", "--max-n", "6"],
+        ["verify", "theorem1", "--max-n", "6", "--k", "2,5"],
+        ["verify", "theorem1", "--max-n", "6"],
+        ["--help"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    build, builds = cli.build_parser, []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    shared = outcomes()
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_parser", counted)
+    assert outcomes() == shared
+    assert len(builds) == 1 + len(calls)
+    assert [code for code, _, _ in shared] == [2, 0, 2, 0, 0, 0, 0]
+    assert shared[3][1] != shared[4][1] and shared[3] == shared[5]
+    assert shared[-1][1] == build().format_help()
 
 
 def test_optimize_trace(tmp_path, capsys):

@@ -45,6 +45,7 @@ from .oracles import (
     random_labeled_tree,
     segment_decomposition,
     slide_descriptor_count,
+    slide_moves_per_anchor,
     sw_k_bruteforce,
 )
 
@@ -324,6 +325,19 @@ class TestNeighbors:
                 assert o.tree == Tree.from_edges(list(o.tree.edges()), n=n)
                 assert segment_sequence(o.tree) == seq
                 assert o.delta == sw_k(o.tree, k) - sw_k(t, k)
+
+    def test_slides_match_the_per_anchor_search(self):
+        # anchors go in vertex-id order, so each tree is also tried under a
+        # random relabelling; the list must match order included
+        rng = random.Random(17)
+        trees = [t for n in range(1, 12) for t in all_trees(n)]
+        trees += [random_labeled_tree(n, rng) for n in range(12, 61) for _ in range(4)]
+        trees += [path_tree(n) for n in range(1, 9)]
+        trees += [starlike((1,) * m) for m in range(3, 9)]
+        trees += [starlike(legs) for legs in ((2, 1, 1), (3, 2, 2), (2, 2, 2, 2), (5, 3, 1, 1, 1), (4, 4, 4))]
+        for t in trees:
+            for labelled in (t, t.relabel(rng.sample(range(t.n), t.n))):
+                assert list(slide_moves(labelled)) == list(slide_moves_per_anchor(labelled))
 
     def test_relocations_match_the_per_kind_routes(self):
         # the one builder and the one closed form both read `_relocations`;
