@@ -12,26 +12,32 @@ A tree is read, coded and filtered straight off its level sequence, and a
 ``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
 picks the level stream (every tree of an order, one segment sequence or one
 segment count) for ``count_trees``, the ``Tree`` streams and the codes
-``segwiener enumerate`` prints; one pass, `_parents`, gives the preorder
-parents that the reader (``trees._read``), the coder (``trees._codes``) and
-`_tree_from_levels` share.  The Prüfer-plus-canonical-dedup oracle and the
-Cayley-formula check live in the test suite.
+``segwiener enumerate`` prints, and reads each sequence only as far as its
+filter needs: a segment count off the degrees alone (`_segment_count`), the
+segment sequence (`_read_levels`) only where the count matches.  One pass,
+`_parents`, gives the preorder parents and degrees that the count, the
+reader (``trees._read``) and `_tree_from_levels` share.  Every sequence the
+stream emits is canonical, each vertex's children in non-increasing order,
+so a tree's code is its sequence written as parentheses (`_parens`), with
+no sorting.  The Prüfer-plus-canonical-dedup oracle and the Cayley-formula
+check live in the test suite.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable, Iterator
 
 from .generators import UnrealizableError, normalize_segment_lengths
-from .trees import Tree, _codes, _read
+from .trees import Tree, _read
 
 MAX_ORDER = 16
 
 
 def _level_sequences(n: int) -> Iterator[list[int]]:
     """The canonical centre-rooted preorder level sequence of every free
-    tree of order *n*.  Every step rewrites the one list it yields: copy it
-    to keep it."""
+    tree of order *n*, in strictly decreasing lexicographic order.  Every
+    step rewrites the one list it yields: copy it to keep it."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     if n == 1:
@@ -90,14 +96,41 @@ def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
     return _read(parent, range(len(level)), degree)
 
 
+def _segment_count(level: list[int]) -> int:
+    """The number of segments of the tree of a level sequence (0 for a
+    single vertex): one fewer than its vertices of degree other than 2."""
+    return len(level) - 1 - _parents(level)[1].count(2)
+
+
+def _parens(level: list[int]) -> bytes:
+    """The AHU code of the tree of a canonical rooted level sequence (its
+    first entry the root's level, each vertex's children in non-increasing
+    sequence order): one ``(`` per vertex, and after each vertex one ``)``
+    per level closed before the next vertex (after the last, back above the
+    root).
+
+    Of two different sequences the lexicographically larger writes the
+    smaller string, since where they first differ it opens a vertex where
+    the other closes one; so canonical children come in non-decreasing
+    code order, which is the order the AHU code sorts them into."""
+    return b"(" + b"(".join([b")" * (a - b + 1) for a, b in zip(level, [*level[1:], level[0]])])
+
+
 def _level_code(level: list[int]) -> bytes:
-    """The canonical code of the tree of a level sequence, coded
-    (`trees._codes`) over its preorder parents.  The root is a centre; the
-    tree is bicentral exactly when the root's first subtree is higher than
-    the rest, and then vertex 1 is the other centre."""
+    """The canonical code of the tree of a canonical centre-rooted level
+    sequence: its parentheses (`_parens`).  The root is a centre; the tree
+    is bicentral exactly when the root's first subtree is higher than the
+    rest, and then vertex 1 is the other centre, and the code is the smaller
+    of the two rooted at the centres (at vertex 1, the root's side is one
+    more child, put in code order)."""
+    code = _parens(level)
     m = _first_subtree_end(level)
-    other = 1 if max(level[1:m], default=0) > max(level[m:], default=0) else -1
-    return _codes(_parents(level)[0], range(len(level)), other)[1]
+    if max(level[1:m], default=0) <= max(level[m:], default=0):
+        return code
+    starts = [i for i in range(2, m) if level[i] == 2]
+    kids = [_parens(level[i:j]) for i, j in zip(starts, [*starts[1:], m])]
+    insort(kids, _parens([0, *level[m:]]))
+    return min(code, b"(" + b"".join(kids) + b")")
 
 
 def _tree_from_levels(level: list[int]) -> Tree:
@@ -132,10 +165,10 @@ def _next_rooted(level: list[int], p: int | None = None) -> bool:
 
 def _first_subtree_end(level: list[int]) -> int:
     """Index of the root's second child (n if it has only one)."""
-    for i in range(2, len(level)):
-        if level[i] == 1:
-            return i
-    return len(level)
+    try:
+        return level.index(1, 2)
+    except ValueError:
+        return len(level)
 
 
 def _next_free(level: list[int]) -> None:
@@ -185,18 +218,25 @@ def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | N
     """The level sequence of every tree of order *n*, or of those with
     segment sequence *segments* (which must sum to n - 1) or with
     *num_segments* segments (not negative), the first whose argument is
-    given; the filters test what `read_trees` reads."""
+    given.  Both filters first count the segments off the degrees
+    (`_segment_count`); the sequence filter reads the segment sequence
+    (`_read_levels`) only of the trees whose count matches."""
     if segments is not None:
         target = normalize_segment_lengths(segments)
         if len(target) == 2:
             raise UnrealizableError("no tree has exactly two segments")
         if 1 + sum(target) != n:
             raise ValueError(f"segments summing to {sum(target)} give order {1 + sum(target)}, not {n}")
-        yield from (level for found, _, level in read_trees(n) if found == target)
+        parts = len(target)
+        yield from (
+            level
+            for level in _level_sequences(n)
+            if _segment_count(level) == parts and _read_levels(level)[1] == target
+        )
     elif num_segments is not None:
         if num_segments < 0:
             raise ValueError(f"segment count {num_segments} is negative")
-        yield from (level for found, _, level in read_trees(n) if len(found) == num_segments)
+        yield from (level for level in _level_sequences(n) if _segment_count(level) == num_segments)
     else:
         yield from _level_sequences(n)
 

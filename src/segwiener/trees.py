@@ -8,10 +8,13 @@ A tree's two evaluated objects, its segment sequence and the side sizes of
 its edges (which SW_k sums weights over), come out of one reader, `_read`:
 one reverse pass over a rooted order, either a breadth-first search of a
 ``Tree`` (`_read_built`, from vertex 0) or an enumerator's level
-sequence.  Canonical codes come out of one coder, `_codes`, over the same
-two sources.  Paths and orientation keys walk the breadth-first search
-`_bfs`, `_centers` peels leaves, and `_walk` follows one segment for the
-shape read below and the moves.
+sequence.  A built tree's canonical code comes out of one coder, `_codes`,
+which sorts the child codes at every vertex of a breadth-first search; an
+enumerator's level sequence is canonical already, and its code is the
+sequence written as parentheses (``enumeration._level_code``).  Paths and
+orientation keys walk the breadth-first search `_bfs`, `_centers` peels
+leaves, and `_walk` follows one segment for the shape read below and the
+moves.
 
 Every quasi-caterpillar question is answered by one read, `_shape`, of the
 series-reduced tree H: the vertices of degree other than 2, joined by the

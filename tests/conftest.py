@@ -49,3 +49,18 @@ def tree_builds(monkeypatch) -> list[int]:
         if name.startswith("segwiener") and getattr(module, "_tree_from_levels", None) is build:
             monkeypatch.setattr(module, "_tree_from_levels", counting)
     return count
+
+
+@pytest.fixture
+def level_reads(monkeypatch) -> list[int]:
+    """Counts the level sequences read for their segment sequence and side
+    sizes (`enumeration._read_levels`), in a one-item list."""
+    count = [0]
+    read = enumeration._read_levels
+
+    def counting(level):
+        count[0] += 1
+        return read(level)
+
+    monkeypatch.setattr(enumeration, "_read_levels", counting)
+    return count

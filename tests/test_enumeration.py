@@ -15,7 +15,10 @@ from segwiener.enumeration import (
     MAX_ORDER,
     _level_code,
     _level_sequences,
+    _parens,
+    _parents,
     _read_levels,
+    _segment_count,
     _tree_from_levels,
     all_trees,
     count_trees,
@@ -24,7 +27,7 @@ from segwiener.enumeration import (
     trees_with_segment_sequence,
 )
 from segwiener.generators import UnrealizableError
-from segwiener.trees import Tree, canonical_code, is_starlike, segment_sequence
+from segwiener.trees import Tree, _codes, canonical_code, is_starlike, segment_sequence
 
 from .conftest import path_tree
 from .oracles import (
@@ -80,6 +83,15 @@ class TestAllTrees:
         assert main(["enumerate", "--n", "12"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == ENUMERATE_12_SHA256
+
+    def test_stream_is_strictly_decreasing(self):
+        # the order `enumerate` prints in: a route that yields the same
+        # sequences reproduces it by sorting them in descending order
+        for n in range(1, MAX_ORDER + 1):
+            previous = None
+            for level in _level_sequences(n):
+                assert previous is None or level < previous, (previous, level)
+                previous = list(level)
 
     def test_cayley_orbit_stabilizer(self):
         # each class T stands for n!/|Aut T| labeled trees; Cayley counts n^(n-2)
@@ -158,6 +170,19 @@ class TestLevelReader:
                 if n <= 12:
                     assert code == ahu_code_by_recursion(t), level
 
+    def test_segment_count_matches_the_reader(self):
+        assert _segment_count([0]) == 0
+        for n in range(1, MAX_ORDER + 1):
+            for level in _level_sequences(n):
+                assert _segment_count(level) == len(_read_levels(level)[1]), level
+
+    def test_parens_match_the_rooted_coder(self):
+        # the parentheses of a stream sequence against the sorting coder's
+        # code rooted at vertex 0, on every tree of order 1..16
+        for n in range(1, MAX_ORDER + 1):
+            for level in _level_sequences(n):
+                assert _parens(level) == _codes(_parents(level)[0], range(n))[1], level
+
     def test_level_code_edge_cases(self):
         assert _level_code([0]) == b"()"
         assert _level_code([0, 1]) == b"(())"
@@ -210,6 +235,19 @@ class TestBuildsOnlyWhatIsLookedAt:
         tree_builds[0] = 0
         yielded = sum(1 for _ in trees_with_segment_count(12, 5))
         assert yielded > 0 and tree_builds[0] == yielded
+
+    def test_sequence_filter_reads_only_matching_counts(self, capsys, level_reads):
+        expected = count_trees(12, num_segments=7)
+        assert expected > 0 and level_reads[0] == 0
+        assert main(["enumerate", "--n", "12", "--segments", "3,2,2,1,1,1,1", "--count-only"]) == 0
+        assert 0 < int(capsys.readouterr().out) < expected
+        assert level_reads[0] == expected
+
+    @pytest.mark.parametrize("extra", [[], ["--count-only"]], ids=["codes", "count-only"])
+    def test_count_filter_reads_no_sequence(self, capsys, level_reads, extra):
+        assert main(["enumerate", "--n", "12", "--num-segments", "5", *extra]) == 0
+        assert capsys.readouterr().out
+        assert level_reads[0] == 0
 
     def test_count_trees_guards_and_errors(self):
         with pytest.raises(ValueError):

@@ -3,19 +3,22 @@ segment sequence and the canonical code do not depend on the labels; the
 one read of a tree agrees with the reference routes; the one shape read
 answers the quasi-caterpillar test, the structure predicates and the
 canonical backbone as the reference routes do; paths are paths; every move
-keeps the segment sequence; and the hill climber's closed-form move deltas
-equal the recomputed ones of `neighbors`."""
+keeps the segment sequence; the hill climber's closed-form move deltas
+equal the recomputed ones of `neighbors`; and, on rooted trees up to order
+60 (past the enumerator's cap), a canonical level sequence written as
+parentheses is the sorting coder's rooted code."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segwiener.enumeration import _parens
 from segwiener.exact import CountOverflowError
 from segwiener.generators import quasi_caterpillar, starlike
 from segwiener.moves import _move_deltas, neighbors
 from segwiener.steiner import sw_k
-from segwiener.trees import Tree, _bfs, _read, backbone, canonical_code, is_quasi_caterpillar, segment_sequence
+from segwiener.trees import Tree, _bfs, _codes, _read, backbone, canonical_code, is_quasi_caterpillar, segment_sequence
 from segwiener.verify import structure_assessment
 
 from .oracles import (
@@ -174,3 +177,39 @@ def test_closed_form_deltas_match_neighbors(case):
     except CountOverflowError:
         closed = None
     assert closed == recomputed
+
+
+@st.composite
+def rooted_trees(draw) -> tuple[list[int], list[int]]:
+    """A tree of order 1..60 from a Prüfer sequence, rooted at a drawn
+    vertex: its breadth-first parents and order (`trees._bfs`)."""
+    n = draw(st.integers(1, 60))
+    if n <= 2:
+        adj = [[1], [0]] if n == 2 else [[]]
+    else:
+        adj = prufer_to_adjacency(tuple(draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))), n)
+    return _bfs(adj, draw(st.integers(0, n - 1)))
+
+
+def _canonical_levels(parent: list[int], order: list[int]) -> list[int]:
+    """The canonical level sequence of the tree rooted at order[0]: each
+    vertex, then its children's sequences one level deeper, taken in
+    non-increasing order."""
+    below: dict[int, list[list[int]]] = {v: [] for v in order}
+
+    def sequence(v: int) -> list[int]:
+        out = [0]
+        for kid in sorted(below[v], reverse=True):
+            out += [x + 1 for x in kid]
+        return out
+
+    for v in order[:0:-1]:
+        below[parent[v]].append(sequence(v))
+    return sequence(order[0])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(rooted_trees())
+def test_parens_of_canonical_levels_are_the_rooted_code(case):
+    parent, order = case
+    assert _parens(_canonical_levels(parent, order)) == _codes(parent, order)[1]
