@@ -10,12 +10,16 @@ vertices labelled by preorder index).
 
 A tree is read, coded and filtered straight off its level sequence, and a
 ``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
-picks the level stream (every tree of an order, one segment sequence or one
-segment count) for ``count_trees``, the ``Tree`` streams and the codes
-``segwiener enumerate`` prints, and reads each sequence only as far as its
-filter needs: a segment count off the degrees alone (`_segment_count`), the
-segment sequence (`_read_levels`) only where the count matches.  One pass,
-`_parents`, gives the preorder parents and degrees that the count, the
+gives the level sequences (every tree of an order, one segment sequence or
+one segment count), in stream order, to ``count_trees``, the ``Tree``
+streams and the codes ``segwiener enumerate`` prints.  A segment count is
+read off the degrees alone (`_segment_count`).  A segment class is not
+filtered out of its order: it is generated from its skeletons, the trees
+with one edge per segment and no vertex of degree 2, by placing the
+segment lengths on their edges once per orbit of the skeleton's
+automorphisms (`_segment_class`); each tree is then re-rooted at its centre
+and the sequences sorted into stream order.  One pass, `_parents`, gives
+the preorder parents and degrees that the count, the skeleton test, the
 reader (``trees._read``) and `_tree_from_levels` share.  Every sequence the
 stream emits is canonical, each vertex's children in non-increasing order,
 so a tree's code is its sequence written as parentheses (`_parens`), with
@@ -26,7 +30,7 @@ check live in the test suite.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .generators import UnrealizableError, normalize_segment_lengths
 from .trees import Tree, _read
@@ -38,8 +42,7 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
     """The canonical centre-rooted preorder level sequence of every free
     tree of order *n*, in strictly decreasing lexicographic order.  Every
     step rewrites the one list it yields: copy it to keep it."""
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}")
+    _check_order(n)
     if n == 1:
         yield [0]
         return
@@ -50,6 +53,12 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
         yield level
         if not _next_rooted(level):
             return
+
+
+def _check_order(n: int) -> None:
+    """The enumerator's order guard, shared by every route."""
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}")
 
 
 def all_trees(n: int) -> Iterator[Tree]:
@@ -122,14 +131,16 @@ def _level_code(level: list[int]) -> bytes:
     is bicentral exactly when the root's first subtree is higher than the
     rest, and then vertex 1 is the other centre, and the code is the smaller
     of the two rooted at the centres (at vertex 1, the root's side is one
-    more child, put in code order)."""
+    more child, put in code order).  Every subtree's code is a slice of the
+    rooted code: that of vertices v..j-1 is ``code[2v - level[v] : 2j -
+    level[v]]``, since v - level[v] closing parentheses come before v's."""
     code = _parens(level)
     m = _first_subtree_end(level)
     if max(level[1:m], default=0) <= max(level[m:], default=0):
         return code
     starts = [i for i in range(2, m) if level[i] == 2]
-    kids = [_parens(level[i:j]) for i, j in zip(starts, [*starts[1:], m])]
-    insort(kids, _parens([0, *level[m:]]))
+    kids = [code[2 * i - 2 : 2 * j - 2] for i, j in zip(starts, [*starts[1:], m])]
+    insort(kids, b"(" + code[2 * m - 1 : 2 * len(level) - 1] + b")")
     return min(code, b"(" + b"".join(kids) + b")")
 
 
@@ -171,19 +182,28 @@ def _first_subtree_end(level: list[int]) -> int:
         return len(level)
 
 
+def _is_centred(level: Sequence[int], m: int) -> bool:
+    """Whether a canonical rooted level sequence, the root's second child at
+    index *m*, is the stream's sequence of its tree: the root's first
+    subtree is no higher than the rest (root included); at equal height
+    (the tree is bicentral, vertex 1 the other centre) no larger; at equal
+    size not lexicographically later."""
+    left_height = max(level[1:m]) - 1
+    rest_height = max(level[m:], default=0)
+    if left_height != rest_height:
+        return left_height < rest_height
+    if 2 * m != len(level) + 2:
+        return 2 * m < len(level) + 2
+    return [x - 1 for x in level[1:m]] <= [0, *level[m:]]
+
+
 def _next_free(level: list[int]) -> None:
     """WROM step in place: keep *level* if it is the canonical centre-rooted
-    sequence of a free tree (the root's first subtree is no higher than the
-    rest; at equal height no larger; at equal size not lexicographically
-    later), else jump to the next candidate."""
+    sequence of a free tree (`_is_centred`), else jump to the next
+    candidate."""
     n = len(level)
     m = _first_subtree_end(level)
-    left = [x - 1 for x in level[1:m]]
-    rest = [0] + level[m:]
-    left_height, rest_height = max(left), max(rest)
-    if rest_height > left_height or (
-        rest_height == left_height and (len(left), left) <= (len(rest), rest)
-    ):
+    if _is_centred(level, m):
         return
     p = m - 1
     deep = level[p] > 2
@@ -218,27 +238,162 @@ def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | N
     """The level sequence of every tree of order *n*, or of those with
     segment sequence *segments* (which must sum to n - 1) or with
     *num_segments* segments (not negative), the first whose argument is
-    given.  Both filters first count the segments off the degrees
-    (`_segment_count`); the sequence filter reads the segment sequence
-    (`_read_levels`) only of the trees whose count matches."""
+    given, in stream order.  The count filter counts the segments off the
+    degrees (`_segment_count`); a segment class is built from its skeletons
+    (`_segment_class`), which come from the stream of order 1 + its number
+    of parts."""
     if segments is not None:
         target = normalize_segment_lengths(segments)
         if len(target) == 2:
             raise UnrealizableError("no tree has exactly two segments")
         if 1 + sum(target) != n:
             raise ValueError(f"segments summing to {sum(target)} give order {1 + sum(target)}, not {n}")
-        parts = len(target)
-        yield from (
-            level
-            for level in _level_sequences(n)
-            if _segment_count(level) == parts and _read_levels(level)[1] == target
-        )
+        _check_order(n)
+        yield from _segment_class(target)
     elif num_segments is not None:
         if num_segments < 0:
             raise ValueError(f"segment count {num_segments} is negative")
         yield from (level for level in _level_sequences(n) if _segment_count(level) == num_segments)
     else:
         yield from _level_sequences(n)
+
+
+def _segment_class(lengths: tuple[int, ...]) -> Iterator[list[int]]:
+    """The level sequence of every tree with segment sequence *lengths*
+    (non-increasing, of one part or at least three), in stream order.
+
+    A tree's vertices of degree other than 2, joined along its segments,
+    form its skeleton: a tree with len(lengths) edges and no vertex of
+    degree 2, of which the tree is a subdivision with the parts as edge
+    lengths.  The skeletons are the stream's sequences of order
+    len(lengths) + 1 whose degrees hold no 2.  A skeleton's placements of
+    the parts up to its automorphisms (`_placements`) are distinct trees,
+    since a tree has one skeleton; they are re-rooted at their centres
+    (`_recentre`) and sorted into the stream's descending order.  When every
+    part is 1 each tree is its own skeleton, already in stream order, and
+    is yielded as the stream gives it."""
+    skeletons = (level for level in _level_sequences(len(lengths) + 1) if 2 not in _parents(level)[1])
+    if lengths[0] == 1:
+        yield from skeletons
+        return
+    shift = _shifts(1 + sum(lengths))
+    found = [_recentre(level, shift) for skeleton in skeletons for level in _placements(skeleton, lengths, shift)]
+    found.sort(reverse=True)
+    for level in found:
+        yield list(level)
+
+
+def _shifts(n: int) -> list[bytes]:
+    """Translation tables for bytes level sequences of order up to *n*:
+    ``level.translate(shift[k])`` adds k to every level, for -n <= k <= n
+    (a negative k by its negative index)."""
+    return [bytes(range(k % 256, 256)) + bytes(range(k % 256)) for k in (*range(n + 1), *range(-n, 0))]
+
+
+def _placements(skeleton: list[int], lengths: tuple[int, ...], shift: list[bytes]) -> Iterator[bytes]:
+    """For each placement of *lengths* on the edges of *skeleton* (a stream
+    sequence, so rooted at a centre), up to the skeleton's automorphisms,
+    the canonical level sequence (as bytes) of the tree it makes, rooted at
+    the skeleton's root.
+
+    Every automorphism fixes the centre, so it only permutes children of one
+    shape (equal level slices, adjacent in a canonical sequence) and, when
+    the central edge joins two halves of one shape, swaps those.  A
+    vertex's placement is the canonical sequence of its subtree in the
+    tree, built from its children's; children of one shape take their
+    (part, placement) pairs in non-decreasing order, and the root's half
+    takes a placement no later than vertex 1's.  *shift* is `_shifts(n)`
+    for the tree's order n."""
+    size = len(skeleton)
+    values = sorted(set(lengths))
+    counts = tuple(lengths.count(x) for x in values)
+    chains = [bytes(range(1, length)) for length in range(values[-1] + 1)]
+    parent = _parents(skeleton)[0]
+    end = list(range(1, size + 1))
+    for v in range(size - 1, 0, -1):
+        end[parent[v]] = max(end[parent[v]], end[v])
+    shape = [skeleton[v : end[v]] for v in range(size)]
+    # each vertex's children as (child, is a leaf, has the previous child's shape)
+    kids: list[list[tuple[int, bool, bool]]] = [[] for _ in range(size)]
+    for v in range(1, size):
+        siblings = kids[parent[v]]
+        siblings.append((v, len(shape[v]) == 1, bool(siblings) and shape[siblings[-1][0]] == shape[v]))
+
+    def grow(v: int, left: tuple[int, ...]) -> Iterator[tuple[bytes, tuple[int, ...]]]:
+        # (placement of v's subtree, counts of the parts left) per placement
+        for branches, rest in hang(kids[v], 0, left, 0, b"", ()):
+            yield b"\0" + b"".join(sorted(branches, reverse=True)), rest
+
+    def hang(children, i, left, low, floor, branches):
+        # the branches of children[i:] added to *branches*; the first, if of
+        # the previous child's shape, no lower than (values[low], floor)
+        if i == len(children):
+            yield branches, left
+            return
+        c, leaf, same = children[i]
+        if not same:
+            low, floor = 0, b""
+        for x in range(low, len(values)):
+            if not left[x]:
+                continue
+            rest = (*left[:x], left[x] - 1, *left[x + 1 :])
+            length = values[x]
+            for below, after in ((b"\0", rest),) if leaf else grow(c, rest):
+                if x > low or below >= floor:
+                    branch = chains[length] + below.translate(shift[length])
+                    yield from hang(children, i + 1, after, x, below, (*branches, branch))
+
+    m = _first_subtree_end(skeleton)
+    if [x - 1 for x in skeleton[1:m]] != [0, *skeleton[m:]]:
+        for level, _ in grow(0, counts):
+            yield level
+        return
+    for x in range(len(values)):
+        length = values[x]
+        for far, rest in grow(1, (*counts[:x], counts[x] - 1, *counts[x + 1 :])):
+            central = chains[length] + far.translate(shift[length])
+            for branches, _ in hang(kids[0][1:], 0, rest, 0, b"", ()):
+                if b"\0" + b"".join(sorted(branches, reverse=True)) <= far:
+                    yield b"\0" + b"".join(sorted((*branches, central), reverse=True))
+
+
+def _recentre(level: bytes, shift: list[bytes]) -> bytes:
+    """The stream's level sequence of the tree of *level*, a canonical
+    level sequence (as bytes) rooted at any vertex.
+
+    The first path 0, 1, ..., height runs from the root to a vertex as far
+    from it as any, which ends a longest path; so the centres lie on the
+    first path, at depth c = height - (diameter + 1) // 2, and at c + 1 too
+    when the diameter is odd.  Walking down to c, the part above each path
+    vertex becomes one more of its children, put in order; of two centres
+    the root is the one `_is_centred` accepts.  *shift* is `_shifts(n)`
+    for the tree's order n or more."""
+    n = len(level)
+    height = max(level)
+    # end[j]: where the subtree of the path vertex at depth j ends
+    end = [n] * (height + 2)
+    end[height] = i = height + 1
+    for j in range(height - 1, 0, -1):
+        while i < n and level[i] > j:
+            i += 1
+        end[j] = i
+    diameter = max(height - 2 * j + max(level[end[j + 1] : end[j]], default=j) for j in range(height + 1))
+    c = height - (diameter + 1) // 2
+    if diameter % 2 == 0:
+        if c == 0:
+            return level
+        end[c + 1] = c + 1  # the centre keeps every child
+    up = b"\0" + level[end[1] :]
+    for j in range(1, c + 1):
+        kids = [b"\1" + kid for kid in level[end[j + 1] : end[j]].translate(shift[-j]).split(b"\1")[1:]]
+        kids.append(up.translate(shift[1]))
+        kids.sort(reverse=True)
+        up = b"\0" + b"".join(kids)
+    if diameter % 2 == 0:
+        return up
+    half = level[c + 1 : end[c + 1]].translate(shift[-c - 1])
+    rooted = b"\0" + half.translate(shift[1]) + up[1:]
+    return rooted if _is_centred(rooted, len(half) + 1) else b"\0" + up.translate(shift[1]) + half[1:]
 
 
 def segment_sequences_of_order(n: int) -> list[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -64,3 +65,18 @@ def level_reads(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(enumeration, "_read_levels", counting)
     return count
+
+
+@pytest.fixture
+def stream_starts(monkeypatch) -> Counter:
+    """Counts the level streams started (`enumeration._level_sequences`
+    calls), per order."""
+    starts: Counter = Counter()
+    stream = enumeration._level_sequences
+
+    def counting(n):
+        starts[n] += 1
+        return stream(n)
+
+    monkeypatch.setattr(enumeration, "_level_sequences", counting)
+    return starts

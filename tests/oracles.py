@@ -351,6 +351,18 @@ def ahu_code_by_recursion(t: Tree) -> bytes:
     return min(encode(c, -1) for c in centres_by_longest_path(t)).encode("ascii")
 
 
+def rooted_level_sequence(t: Tree, root: int) -> list[int]:
+    """The canonical preorder level sequence of *t* rooted at *root*: each
+    vertex's children in non-increasing order of their own sequences, by
+    recursion over the adjacency lists."""
+
+    def levels(x: int, up: int, depth: int) -> list[int]:
+        kids = sorted((levels(w, x, depth + 1) for w in t.adj[x] if w != up), reverse=True)
+        return [depth, *(level for kid in kids for level in kid)]
+
+    return levels(root, -1, 0)
+
+
 def free_trees_by_prufer(n: int) -> tuple[int, list[Tree]]:
     """Count the isomorphism classes among all n^(n-2) labeled trees and
     return one representative per class (in discovery order)."""

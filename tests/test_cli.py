@@ -109,6 +109,22 @@ def test_enumerate_filters(capsys):
     assert code == 2 and out == "" and "-3" in err
 
 
+@pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["codes", "count-only"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "17", "--segments", "16"], "error: order must be in 1..16"),
+        (["--n", "7", "--segments", "3,3"], "error: no tree has exactly two segments"),
+        (["--n", "4", "--segments", "3,0"], "error: segment lengths must be positive"),
+        (["--n", "1", "--segments", ""], "error: segment sequence must be non-empty"),
+        (["--n", "2", "--segments", ""], "enumerate: --segments sums to 0 edges, which needs --n 1"),
+    ],
+    ids=["order-17", "two-segments", "zero-part", "empty", "empty-at-order-2"],
+)
+def test_enumerate_segments_errors(capsys, argv, message, count_only):
+    assert run(capsys, "enumerate", *argv, *count_only) == (2, "", message + "\n")
+
+
 def test_verify_writes_report_and_exits_zero(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run(

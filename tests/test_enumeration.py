@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -15,13 +16,17 @@ from segwiener.enumeration import (
     MAX_ORDER,
     _level_code,
     _level_sequences,
+    _levels,
     _parens,
     _parents,
     _read_levels,
+    _recentre,
     _segment_count,
+    _shifts,
     _tree_from_levels,
     all_trees,
     count_trees,
+    read_trees,
     segment_sequences_of_order,
     trees_with_segment_count,
     trees_with_segment_sequence,
@@ -35,11 +40,14 @@ from .oracles import (
     automorphism_count,
     edge_side_sizes,
     free_trees_by_prufer,
+    rooted_level_sequence,
     segment_decomposition,
 )
 
 # number of free trees per order (verified against the Prüfer dedup oracle)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+# OEIS A000055 for the orders above 10 that the stream reaches
+A000055_ABOVE_10 = {11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320}
 
 # sha256 of `segwiener enumerate --n 12` stdout: pins the enumeration order,
 # which the order-free code-set checks below do not
@@ -159,8 +167,8 @@ class TestLevelReader:
                 assert sorted(sides) == sorted(edge_side_sizes(t)), level
 
     def test_level_code_matches_canonical_code(self):
-        # the coder over a level sequence's preorder parents against the
-        # built tree's code, on every tree of order 1..16, and against the
+        # the coder over a level sequence's parentheses against the built
+        # tree's code, on every tree of order 1..16, and against the
         # recursive oracle up to order 12
         for n in range(1, MAX_ORDER + 1):
             for level in _level_sequences(n):
@@ -206,6 +214,36 @@ class TestLevelReader:
                 assert count_trees(n, num_segments=m) == len(expected), (n, m)
             assert count_trees(n) == len(trees)
 
+    def test_classes_match_the_bucketed_stream(self):
+        # every segment class of order 13..16 from its skeletons against the
+        # stream's sequences of that class, in order (orders up to 12 are in
+        # the filter test above)
+        for n in range(13, MAX_ORDER + 1):
+            classes = defaultdict(list)
+            for segments, _, level in read_trees(n):
+                classes[segments].append(list(level))
+            assert sorted(classes, reverse=True) == segment_sequences_of_order(n)
+            for seq in segment_sequences_of_order(n):
+                assert [list(level) for level in _levels(n, seq)] == classes[seq], seq
+
+    def test_class_counts_sum_to_the_tree_count(self):
+        # the skeleton route's class sizes against the stream's count and
+        # OEIS A000055
+        for n in range(2, MAX_ORDER + 1):
+            total = sum(count_trees(n, seq) for seq in segment_sequences_of_order(n))
+            assert total == count_trees(n) == {**FREE_TREE_COUNTS, **A000055_ABOVE_10}[n], n
+
+    def test_recentre_from_every_root(self):
+        # every tree of order 1..11, its canonical sequence rooted at each
+        # vertex in turn, re-rooted to the stream's sequence
+        for n in range(1, 12):
+            shift = _shifts(n)
+            for level in _level_sequences(n):
+                t = _tree_from_levels(level)
+                for root in range(n):
+                    rooted = bytes(rooted_level_sequence(t, root))
+                    assert list(_recentre(rooted, shift)) == level, (level, root)
+
 
 class TestBuildsOnlyWhatIsLookedAt:
     @pytest.mark.parametrize(
@@ -236,12 +274,18 @@ class TestBuildsOnlyWhatIsLookedAt:
         yielded = sum(1 for _ in trees_with_segment_count(12, 5))
         assert yielded > 0 and tree_builds[0] == yielded
 
-    def test_sequence_filter_reads_only_matching_counts(self, capsys, level_reads):
+    def test_sequence_filter_reads_only_matching_counts(self, capsys, level_reads, stream_starts):
+        # a segment class reads no tree of its order, not even those with a
+        # matching segment count: its skeletons come from the order-8 stream
         expected = count_trees(12, num_segments=7)
         assert expected > 0 and level_reads[0] == 0
+        stream_starts.clear()
         assert main(["enumerate", "--n", "12", "--segments", "3,2,2,1,1,1,1", "--count-only"]) == 0
         assert 0 < int(capsys.readouterr().out) < expected
-        assert level_reads[0] == expected
+        assert main(["enumerate", "--n", "12", "--segments", "3,2,2,1,1,1,1"]) == 0
+        assert capsys.readouterr().out
+        assert level_reads[0] == 0
+        assert stream_starts == {8: 2}
 
     @pytest.mark.parametrize("extra", [[], ["--count-only"]], ids=["codes", "count-only"])
     def test_count_filter_reads_no_sequence(self, capsys, level_reads, extra):
