@@ -269,13 +269,8 @@ def _segment_class(lengths: tuple[int, ...]) -> Iterator[list[int]]:
     len(lengths) + 1 whose degrees hold no 2.  A skeleton's placements of
     the parts up to its automorphisms (`_placements`) are distinct trees,
     since a tree has one skeleton; they are re-rooted at their centres
-    (`_recentre`) and sorted into the stream's descending order.  When every
-    part is 1 each tree is its own skeleton, already in stream order, and
-    is yielded as the stream gives it."""
+    (`_recentre`) and sorted into the stream's descending order."""
     skeletons = (level for level in _level_sequences(len(lengths) + 1) if 2 not in _parents(level)[1])
-    if lengths[0] == 1:
-        yield from skeletons
-        return
     shift = _shifts(1 + sum(lengths))
     found = [_recentre(level, shift) for skeleton in skeletons for level in _placements(skeleton, lengths, shift)]
     found.sort(reverse=True)
@@ -401,12 +396,12 @@ def segment_sequences_of_order(n: int) -> list[tuple[int, ...]]:
     into one part or at least three, in descending lexicographic order."""
     if n < 2:
         return []
-    out = [p for p in _partitions(n - 1) if len(p) != 2]
-    out.sort(reverse=True)
-    return out
+    return [p for p in _partitions(n - 1) if len(p) != 2]
 
 
 def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of *total* into parts of at most *largest*, in
+    descending lexicographic order."""
     if total == 0:
         return [()]
     if largest is None:

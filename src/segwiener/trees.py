@@ -11,10 +11,9 @@ one reverse pass over a rooted order, either a breadth-first search of a
 sequence.  A built tree's canonical code comes out of one coder, `_codes`,
 which sorts the child codes at every vertex of a breadth-first search; an
 enumerator's level sequence is canonical already, and its code is the
-sequence written as parentheses (``enumeration._level_code``).  Paths and
-orientation keys walk the breadth-first search `_bfs`, `_centers` peels
-leaves, and `_walk` follows one segment for the shape read below and the
-moves.
+sequence written as parentheses (``enumeration._level_code``).  Paths
+walk the breadth-first search `_bfs`, `_centers` peels leaves, and `_walk`
+follows one segment for the shape read below and the moves.
 
 Every quasi-caterpillar question is answered by one read, `_shape`, of the
 series-reduced tree H: the vertices of degree other than 2, joined by the
@@ -26,7 +25,10 @@ every branch vertex, is the spine plus a longest leg at each end.
 `all_backbones` lists every such candidate, but they differ only in which
 of several equal-length legs they take, so they all read the same:
 `backbone` and ``verify.structure_assessment`` read the first, off the
-same read (`_first_backbone`).
+same read (`_first_backbone`).  Every component hanging off a backbone is
+a pendant path, so the segment lengths answer each question: the judge
+reads the predicates off them, and `backbone` orients its candidate by
+the pendant lengths along it, with no subtree codes.
 
 Both shapes the extremal results name are read off the segments at each
 vertex:
@@ -365,27 +367,22 @@ def _first_backbone(t: Tree) -> BackboneView:
     return _view(p[:0:-1] + middle + q[1:], lengths, groups)
 
 
-def _orientation_key(t: Tree, path: tuple[int, ...]) -> tuple:
-    """Label-invariant encoding of the tree as read along an oriented path:
-    the codes of the components hanging at each path vertex.
-
-    A hanging component's code does not depend on which path vertex roots
-    the search, so the reversed path's key is this key reversed."""
-    code = _codes(*_bfs(t.adj, path[0]))[0]
-    on_path = set(path)
-    return tuple(tuple(sorted(code[w] for w in t.adj[v] if w not in on_path)) for v in path)
-
-
 def backbone(t: Tree) -> BackboneView:
     """The canonical backbone: the first candidate of `all_backbones` in the
-    orientation with the smaller `_orientation_key`, forward on a tie.
+    orientation whose key is smaller, forward on a tie.
 
-    One candidate suffices: every candidate is the spine between the two
-    end branch vertices plus a longest leg at each end (a starlike tree's
-    two longest legs at its centre), and legs of equal length have equal
-    codes, so all candidates have the same keys up to orientation."""
+    The key reads the components hanging at each backbone vertex, which are
+    pendant paths: () off the branch vertices, the negated pendant lengths
+    at each.  A longer path has the smaller canonical code, so the key
+    orders the two orientations as the sorted codes of the hanging
+    components would.  One candidate suffices: every candidate is the spine
+    between the two end branch vertices plus a longest leg at each end (a
+    starlike tree's two longest legs at its centre), so all candidates have
+    the same keys up to orientation."""
     view = _first_backbone(t)
-    key = _orientation_key(t, view.path)
+    key = [()] * len(view.path)
+    for i, group in zip(view.branch_indices, view.pendant_groups):
+        key[i] = tuple(-x for x in group)
     if key[::-1] < key:
         return _view(view.path[::-1], view.backbone_segment_lengths[::-1], view.pendant_groups[::-1])
     return view

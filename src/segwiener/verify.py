@@ -26,7 +26,7 @@ from .generators import (
 )
 from .moves import Switch, apply_switch
 from .steiner import _index_sums
-from .trees import Tree, _first_backbone, canonical_code, is_quasi_caterpillar
+from .trees import NotQuasiCaterpillarError, Tree, _first_backbone, canonical_code, is_quasi_caterpillar
 
 CONFIRMED = "confirmed"
 CONFIRMED_WITH_NOTES = "confirmed-with-notes"
@@ -137,46 +137,33 @@ def groups_admit_valley(groups: Sequence[Sequence[int]]) -> bool:
     """Can the group values be ordered, freely within each group, into a
     weakly falling then weakly rising sequence?
 
-    Greedy state machine over groups: in the falling phase a larger last
-    value is strictly more permissive, in the rising phase a smaller one is,
-    so one best state per phase suffices.
-    """
-    INF = float("inf")
-    best_down: float | None = INF  # largest achievable last value, still falling
-    best_up: float | None = None  # smallest achievable last value, already rising
-    for group in groups:
-        if not group:
-            continue
-        desc = sorted(group, reverse=True)
-        hi, lo = desc[0], desc[-1]
-        new_down = lo if (best_down is not None and hi <= best_down) else None
-        up_candidates = []
-        if best_down is not None:
-            up_candidates.append(lo if hi <= best_down else hi)
-        if best_up is not None and lo >= best_up:
-            up_candidates.append(hi)
-        new_up = min(up_candidates) if up_candidates else None
-        best_down, best_up = new_down, new_up
-        if best_down is None and best_up is None:
-            return False
-    return True
+    Each group can be taken whole, falling or rising: a group astride the
+    valley puts its largest value at the end next to its larger neighbour.
+    So the groups that can fall from the front must meet those that can
+    rise to the back: past the first step where a group's smallest value is
+    below the next one's largest, every step must rise."""
+    spans = [(min(g), max(g)) for g in groups if g]
+    steps = list(zip(spans, spans[1:]))
+    turn = next((i for i, ((lo, _), (_, hi)) in enumerate(steps) if lo < hi), len(steps))
+    return all(hi <= lo for (_, hi), (lo, _) in steps[turn + 1 :])
 
 
 def structure_assessment(t: Tree) -> tuple[StructurePredicateSet, bool]:
     """Per-predicate outcomes, read along one backbone, plus whether all of
     them hold at once.
 
-    One backbone suffices: every backbone candidate is the spine of the
-    tree's series-reduced tree between the same two end branch vertices
-    plus a longest leg at each end, so all candidates read the same end
-    branch vertices, backbone segment lengths and pendant groups up to
-    orientation, and no predicate depends on orientation.  The first one is
-    read unoriented (`trees._first_backbone`)."""
-    qc = is_quasi_caterpillar(t)
+    One read of the series-reduced tree (`trees._first_backbone`) both
+    tells a quasi-caterpillar (it raises for any other tree) and gives its
+    first backbone candidate, unoriented.  One backbone suffices: every
+    candidate is the spine of the series-reduced tree between the same two
+    end branch vertices plus a longest leg at each end, so all candidates
+    read the same end branch vertices, backbone segment lengths and pendant
+    groups up to orientation, and no predicate depends on orientation."""
     le4 = max((t.degree(v) for v in range(t.n)), default=0) <= 4
-    if not qc:
+    try:
+        view = _first_backbone(t)
+    except NotQuasiCaterpillarError:
         return StructurePredicateSet(False, le4, False, False, False), False
-    view = _first_backbone(t)
     ends = {view.path[i] for i in view.branch_indices[:1] + view.branch_indices[-1:]}
     d4 = all(t.degree(v) != 4 or v in ends for v in range(t.n))
     uni = is_unimodal(view.backbone_segment_lengths)

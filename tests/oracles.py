@@ -15,7 +15,11 @@ quasi-caterpillar test re-derives pendant removal from leaf walks, the
 structure predicates and the canonical backbone are read over every
 backbone candidate instead of one, each by walking the candidate path and
 the pendant segments off it (`backbone_view`) instead of reading the
-series-reduced tree, each move kind is built and given a closed-form delta
+series-reduced tree, the valley test runs a greedy state machine over the
+groups (`groups_admit_valley_greedy`) instead of checking where they turn,
+a backbone is oriented by the sorted subtree codes of the components
+hanging at its vertices (`_orientation_key`) instead of by pendant
+lengths, each move kind is built and given a closed-form delta
 by a routine of its own instead of from one relocation list, slides are
 listed by a search from every anchor instead of one per branch vertex, and
 reports are written by the stdlib ``json`` encoder.
@@ -29,7 +33,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from segwiener.exact import checked
 from segwiener.moves import MoveDescriptor, Reattach, Side, Slide, Switch, _rewire
@@ -39,11 +43,11 @@ from segwiener.trees import (
     NotQuasiCaterpillarError,
     Tree,
     _bfs,
-    _orientation_key,
+    _codes,
     all_backbones,
     is_quasi_caterpillar,
 )
-from segwiener.verify import StructurePredicateSet, VerificationReport, groups_admit_valley, is_unimodal
+from segwiener.verify import StructurePredicateSet, VerificationReport, is_unimodal
 
 
 BRUTE_FORCE_MAX_N = 20
@@ -494,6 +498,35 @@ def quasi_caterpillar_by_leaf_walks(t: Tree) -> bool:
     return len(seen) == len(rest)
 
 
+def groups_admit_valley_greedy(groups: Sequence[Sequence[int]]) -> bool:
+    """Can the group values be ordered, freely within each group, into a
+    weakly falling then weakly rising sequence?
+
+    Greedy state machine over groups: in the falling phase a larger last
+    value is strictly more permissive, in the rising phase a smaller one is,
+    so one best state per phase suffices.
+    """
+    INF = float("inf")
+    best_down: float | None = INF  # largest achievable last value, still falling
+    best_up: float | None = None  # smallest achievable last value, already rising
+    for group in groups:
+        if not group:
+            continue
+        desc = sorted(group, reverse=True)
+        hi, lo = desc[0], desc[-1]
+        new_down = lo if (best_down is not None and hi <= best_down) else None
+        up_candidates = []
+        if best_down is not None:
+            up_candidates.append(lo if hi <= best_down else hi)
+        if best_up is not None and lo >= best_up:
+            up_candidates.append(hi)
+        new_up = min(up_candidates) if up_candidates else None
+        best_down, best_up = new_down, new_up
+        if best_down is None and best_up is None:
+            return False
+    return True
+
+
 def _predicates_for_path(t: Tree, path: tuple[int, ...]) -> tuple[bool, bool, bool]:
     view = backbone_view(t, path)
     degree4 = [v for v in range(t.n) if t.degree(v) == 4]
@@ -505,7 +538,7 @@ def _predicates_for_path(t: Tree, path: tuple[int, ...]) -> tuple[bool, bool, bo
     return (
         d4_ends,
         is_unimodal(view.backbone_segment_lengths),
-        groups_admit_valley(view.pendant_groups),
+        groups_admit_valley_greedy(view.pendant_groups),
     )
 
 
@@ -528,6 +561,17 @@ def structure_assessment_over_all_backbones(t: Tree) -> tuple[StructurePredicate
         all_at_once = all_at_once or (d4 and uni and valley)
     preds = StructurePredicateSet(True, le4, any_d4, any_uni, any_valley)
     return preds, le4 and all_at_once
+
+
+def _orientation_key(t: Tree, path: tuple[int, ...]) -> tuple:
+    """Label-invariant encoding of the tree as read along an oriented path:
+    the codes of the components hanging at each path vertex.
+
+    A hanging component's code does not depend on which path vertex roots
+    the search, so the reversed path's key is this key reversed."""
+    code = _codes(*_bfs(t.adj, path[0]))[0]
+    on_path = set(path)
+    return tuple(tuple(sorted(code[w] for w in t.adj[v] if w not in on_path)) for v in path)
 
 
 def backbone_over_all_candidates(t: Tree) -> BackboneView:

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from segwiener import trees as trees_module
 from segwiener import verify as verify_module
 from segwiener.enumeration import all_trees
 from segwiener.generators import balanced_starlike, caterpillar_family, quasi_caterpillar, starlike
 from segwiener.moves import apply_switch
 from segwiener.steiner import sw_k
 from segwiener.trees import (
-    _orientation_key,
     all_backbones,
     backbone,
     canonical_code,
@@ -40,9 +42,12 @@ from segwiener.verify import (
     verify_structure,
 )
 
+from . import oracles
 from .conftest import path_tree
 from .oracles import (
+    _orientation_key,
     backbone_over_all_candidates,
+    groups_admit_valley_greedy,
     reports_to_json_by_stdlib,
     structure_assessment_over_all_backbones,
 )
@@ -107,6 +112,7 @@ class TestShapePredicates:
                 for _ in range(rng.randint(0, 4))
             ]
             assert groups_admit_valley(groups) == brute(groups), groups
+            assert groups_admit_valley(groups) == groups_admit_valley_greedy(groups), groups
 
     def test_structure_of_named_trees(self, fig1_top, fig1_bottom):
         preds, all_at_once = structure_assessment(fig1_top)
@@ -168,6 +174,17 @@ class TestShapePredicates:
             key = _orientation_key(t, first)
             opposite += any(_orientation_key(t, c) == key[::-1] != key for c in rest)
         assert opposite  # some candidates come out in opposite orientations
+
+    def test_oracles_keep_their_own_valley_test_and_orientation_key(self):
+        # the reference routes must not borrow the package's versions
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        borrowed = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("segwiener")
+            for alias in node.names
+        }
+        assert not borrowed & {"groups_admit_valley", "_orientation_key"}
 
 
 class TestTheorem1:
@@ -396,7 +413,7 @@ class TestReports:
         [
             (verify_min_starlike, ()),
             (verify_max_quasi_caterpillar, ("is_quasi_caterpillar",)),
-            (verify_structure, ("structure_assessment", "is_quasi_caterpillar")),
+            (verify_structure, ("structure_assessment",)),
             (verify_min_balanced, ()),
             (verify_max_caterpillar_family, ("is_unit_pendant_caterpillar",)),
         ],
@@ -428,6 +445,19 @@ class TestReports:
         assert calls["canonical_code"] <= distinct + constructions
         for name in judgements:
             assert 0 < calls[name] <= distinct, name
+
+    def test_structure_reads_each_judged_tree_once(self, monkeypatch):
+        # one shape read of the series-reduced tree both tells a
+        # quasi-caterpillar and gives its backbone
+        read: list[bytes] = []
+
+        def counting(t, _fn=trees_module._shape):
+            read.append(canonical_code(t))
+            return _fn(t)
+
+        monkeypatch.setattr(trees_module, "_shape", counting)
+        verify_structure(10, range(1, 11))
+        assert read and len(read) == len(set(read))
 
     @pytest.mark.parametrize("ks", [range(1, 11), (2, 3)], ids=["every-k", "k-2-3"])
     @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
