@@ -17,14 +17,16 @@ read off the degrees alone (`_segment_count`).  A segment class is not
 filtered out of its order: it is generated from its skeletons, the trees
 with one edge per segment and no vertex of degree 2, by placing the
 segment lengths on their edges once per orbit of the skeleton's
-automorphisms (`_segment_class`); each tree is then re-rooted at its centre
-and the sequences sorted into stream order.  One pass, `_parents`, gives
-the preorder parents and degrees that the count, the skeleton test, the
-reader (``trees._read``) and `_tree_from_levels` share.  Every sequence the
-stream emits is canonical, each vertex's children in non-increasing order,
-so a tree's code is its sequence written as parentheses (`_parens`), with
-no sorting.  The Prüfer-plus-canonical-dedup oracle and the Cayley-formula
-check live in the test suite.
+automorphisms (`_class_members`).  `_segment_class` re-roots each member
+at its centre and sorts the sequences into stream order; ``count_trees``
+counts the members as they are placed, since a count needs neither.  One
+pass, `_parents`, gives the preorder parents and degrees that the count,
+the skeleton test, the reader (``trees._read``) and `_tree_from_levels`
+share.  Every sequence the stream emits is canonical, each vertex's
+children in non-increasing order, so a tree's code is its sequence written
+as parentheses (`_parens`), with no sorting.  The
+Prüfer-plus-canonical-dedup oracle and the Cayley-formula check live in
+the test suite.
 """
 
 from __future__ import annotations
@@ -230,8 +232,12 @@ def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int
     """How many trees `trees_with_segment_sequence(segments)`,
     `trees_with_segment_count(n, num_segments)` or `all_trees(n)` yields,
     the first whose argument is given; the level sequences are counted and
-    no tree is built.  *segments* must sum to n - 1."""
-    return sum(1 for _ in _levels(n, segments, num_segments))
+    no tree is built, and a segment class's members are counted as they are
+    placed, neither re-rooted nor sorted.  *segments* must sum to n - 1."""
+    if segments is not None:
+        lengths = _class_lengths(n, segments)
+        return sum(1 for _ in _class_members(lengths, _shifts(n)))
+    return sum(1 for _ in _levels(n, None, num_segments))
 
 
 def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> Iterator[list[int]]:
@@ -243,13 +249,7 @@ def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | N
     (`_segment_class`), which come from the stream of order 1 + its number
     of parts."""
     if segments is not None:
-        target = normalize_segment_lengths(segments)
-        if len(target) == 2:
-            raise UnrealizableError("no tree has exactly two segments")
-        if 1 + sum(target) != n:
-            raise ValueError(f"segments summing to {sum(target)} give order {1 + sum(target)}, not {n}")
-        _check_order(n)
-        yield from _segment_class(target)
+        yield from _segment_class(_class_lengths(n, segments))
     elif num_segments is not None:
         if num_segments < 0:
             raise ValueError(f"segment count {num_segments} is negative")
@@ -258,9 +258,33 @@ def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | N
         yield from _level_sequences(n)
 
 
+def _class_lengths(n: int, segments: Iterable[int]) -> tuple[int, ...]:
+    """*segments* in non-increasing order, checked to be the segment
+    sequence of some tree of order *n* within the order guard."""
+    lengths = normalize_segment_lengths(segments)
+    if len(lengths) == 2:
+        raise UnrealizableError("no tree has exactly two segments")
+    if 1 + sum(lengths) != n:
+        raise ValueError(f"segments summing to {sum(lengths)} give order {1 + sum(lengths)}, not {n}")
+    _check_order(n)
+    return lengths
+
+
 def _segment_class(lengths: tuple[int, ...]) -> Iterator[list[int]]:
     """The level sequence of every tree with segment sequence *lengths*
-    (non-increasing, of one part or at least three), in stream order.
+    (non-increasing, of one part or at least three), in stream order: the
+    class's members (`_class_members`) re-rooted at their centres
+    (`_recentre`) and sorted into the stream's descending order."""
+    shift = _shifts(1 + sum(lengths))
+    found = [_recentre(level, shift) for level in _class_members(lengths, shift)]
+    found.sort(reverse=True)
+    for level in found:
+        yield list(level)
+
+
+def _class_members(lengths: tuple[int, ...], shift: list[bytes]) -> Iterator[bytes]:
+    """Every tree with segment sequence *lengths* once, in no set order, as
+    a canonical level sequence (as bytes) rooted at its skeleton's centre.
 
     A tree's vertices of degree other than 2, joined along its segments,
     form its skeleton: a tree with len(lengths) edges and no vertex of
@@ -268,14 +292,11 @@ def _segment_class(lengths: tuple[int, ...]) -> Iterator[list[int]]:
     lengths.  The skeletons are the stream's sequences of order
     len(lengths) + 1 whose degrees hold no 2.  A skeleton's placements of
     the parts up to its automorphisms (`_placements`) are distinct trees,
-    since a tree has one skeleton; they are re-rooted at their centres
-    (`_recentre`) and sorted into the stream's descending order."""
-    skeletons = (level for level in _level_sequences(len(lengths) + 1) if 2 not in _parents(level)[1])
-    shift = _shifts(1 + sum(lengths))
-    found = [_recentre(level, shift) for skeleton in skeletons for level in _placements(skeleton, lengths, shift)]
-    found.sort(reverse=True)
-    for level in found:
-        yield list(level)
+    since a tree has one skeleton.  *shift* is `_shifts(n)` for the
+    class's order n."""
+    for skeleton in _level_sequences(len(lengths) + 1):
+        if 2 not in _parents(skeleton)[1]:
+            yield from _placements(skeleton, lengths, shift)
 
 
 def _shifts(n: int) -> list[bytes]:

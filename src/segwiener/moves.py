@@ -11,27 +11,33 @@ components so that the segment-length multiset never changes:
 * reattach — move every off-segment component of one branch endpoint of a
             segment to the other endpoint, turning the segment pendant.
 
-One stream, `_moves`, yields a tree's neighbourhood in its one order, and
+One stream, `_moves`, yields a tree's neighbourhood in its one order, each
+move as a light record (`Record`) with its segment or anchored path, and
 the enumerators define validity: an `apply_*` function accepts exactly the
-descriptors that the enumerator over the same segment or path yields.  What
-a move does is written once, in `_relocations`: a list of (root, i, j)
-along its segment or anchored path, the component hanging at path[i]
-through root moving to path[j].  Two routes read that list.  `_built`
-rewires the source's adjacency (a result that is not a tree raises
-InvalidTreeError), and `neighbors` and the `apply_*` functions recompute
-each result's SW_k from scratch, off the one read (`trees._read`) that also
-checks its segment sequence; the source is read once per neighbourhood.
-`hill_climb` ranks the stream by `_closed_form`: the moved components
-change side sizes only on the edges of the path, so a move's delta is a
-sum of one `_weights(n, k)` row over those edges, off one read of the
-source.  Only the moves tied on the best gain are built, and a built step
-whose recomputed delta differs from its closed form raises
-ClosedFormMismatchError.
+descriptors that the enumerator over the same segment or path yields.
+`_descriptor` turns a record into its descriptor.  What a built move does
+is written once, in `_relocations`: a list of (root, i, j) along its path,
+the component hanging at path[i] through root moving to path[j].  `_built`
+rewires the source's adjacency by that list (a result that is not a tree
+raises InvalidTreeError), and `neighbors` and the `apply_*` functions
+recompute each result's SW_k from scratch, off the one read
+(`trees._read`) that also checks its segment sequence; the source is read
+once per neighbourhood.
+
+`hill_climb` ranks the records by `_closed_form`, off one read of the
+source and with no descriptor built: the moved components change side
+sizes only on the edges of the path, and along degree-2 vertices those
+sizes are consecutive, so a switch's or a reattach's delta is four prefix
+sums of the `_weights(n, k)` row, and a slide's adds one term per edge of
+the block it moves.  Only the moves tied on the best gain are described
+and built, and a built step whose recomputed delta differs from its
+closed form raises ClosedFormMismatchError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact import checked
@@ -79,6 +85,11 @@ class Reattach:
 
 
 MoveDescriptor = Union[Switch, Slide, Reattach]
+
+# A move as the stream yields it, read along its path: (Switch, a_root,
+# b_root), (Slide, source index, dest index) or (Reattach, u1, u2);
+# `_descriptor` builds its descriptor.
+Record = tuple[type, int, int]
 
 
 @dataclass(frozen=True)
@@ -163,6 +174,16 @@ def _outcomes(t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Tree]]) -
     return out
 
 
+def _descriptor(t: Tree, record: Record, path: tuple[int, ...]) -> MoveDescriptor:
+    """The descriptor of the move *record* on *t* along *path*."""
+    kind, x, y = record
+    if kind is Switch:
+        return Switch(w0=path[0], ws=path[-1], a_root=x, b_root=y)
+    if kind is Slide:
+        return Slide(path=path, source=path[x], dest=path[y])
+    return Reattach(u1=x, u2=y, moved=tuple(sorted(w for w in t.adj[x] if w != path[1])))
+
+
 # (root, i, j): the component hanging at path[i] through root moves to path[j]
 Relocation = tuple[int, int, int]
 
@@ -194,9 +215,9 @@ def _built(t: Tree, move: MoveDescriptor, path: tuple[int, ...]) -> Tree:
 
 
 def apply_switch(t: Tree, move: Switch, k: int) -> MoveOutcome:
-    """A switch is valid iff `_switches_on` its segment yields it."""
+    """A switch is valid iff `_switches_on` its segment yields its record."""
     path = _segment_path(t, move.w0, move.ws)
-    if move not in _switches_on(t, path):
+    if (Switch, move.a_root, move.b_root) not in _switches_on(t, path):
         raise InvalidDescriptorError(f"{move} does not exchange off-segment neighbours of {move.w0} and {move.ws}")
     return _outcomes(t, k, [(move, _built(t, move, path))])[0]
 
@@ -232,8 +253,9 @@ def apply_slide(t: Tree, move: Slide, k: int) -> MoveOutcome:
 
 def apply_reattach(t: Tree, move: Reattach, k: int) -> MoveOutcome:
     """A reattach is valid iff its sorted *moved* is that of the
-    `_reattaches_on` descriptor from u1; the outcome keeps *move* as given."""
-    expected, path = next(_reattaches_on(t, _segment_path(t, move.u1, move.u2)))
+    `_reattaches_on` move from u1; the outcome keeps *move* as given."""
+    record, path = next(_reattaches_on(_segment_path(t, move.u1, move.u2)))
+    expected = _descriptor(t, record, path)
     if tuple(sorted(move.moved)) != expected.moved:
         raise InvalidDescriptorError(f"reattach must move every off-segment neighbour of {move.u1}: {expected.moved}")
     return _outcomes(t, k, [(move, _built(t, expected, path))])[0]
@@ -250,31 +272,33 @@ def _branch_segments(t: Tree) -> Iterator[tuple[int, ...]]:
                 yield path
 
 
-def _switches_on(t: Tree, path: tuple[int, ...]) -> Iterator[Switch]:
-    w0, ws = path[0], path[-1]
-    for a in t.adj[w0]:
+def _switches_on(t: Tree, path: tuple[int, ...]) -> Iterator[Record]:
+    """The switches across the segment *path*."""
+    ws = path[-1]
+    for a in t.adj[path[0]]:
         if a != path[1]:
             for b in t.adj[ws]:
                 if b != path[-2]:
-                    yield Switch(w0=w0, ws=ws, a_root=a, b_root=b)
+                    yield Switch, a, b
 
 
 def switch_moves(t: Tree) -> Iterator[Switch]:
     for path in _branch_segments(t):
-        yield from _switches_on(t, path)
+        for record in _switches_on(t, path):
+            yield _descriptor(t, record, path)
 
 
-def _reattaches_on(t: Tree, path: tuple[int, ...]) -> Iterator[tuple[Reattach, tuple[int, ...]]]:
+def _reattaches_on(path: tuple[int, ...]) -> Iterator[tuple[Record, tuple[int, ...]]]:
     """The two reattaches across the segment *path*, each with the path
     oriented from u1 to u2."""
     for p in (path, path[::-1]):
-        yield Reattach(u1=p[0], u2=p[-1], moved=tuple(sorted(w for w in t.adj[p[0]] if w != p[1]))), p
+        yield (Reattach, p[0], p[-1]), p
 
 
 def reattach_moves(t: Tree) -> Iterator[Reattach]:
     for path in _branch_segments(t):
-        for move, _ in _reattaches_on(t, path):
-            yield move
+        for record, p in _reattaches_on(path):
+            yield _descriptor(t, record, p)
 
 
 def _attachment_depths(adj, b: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -294,6 +318,12 @@ def _attachment_depths(adj, b: int) -> tuple[list[int], list[int], list[int], li
 
 
 def slide_moves(t: Tree) -> Iterator[Slide]:
+    """The descriptors of `_slides`."""
+    for record, path in _slides(t):
+        yield _descriptor(t, record, path)
+
+
+def _slides(t: Tree) -> Iterator[tuple[Record, tuple[int, ...]]]:
     """Non-trivial slides only: the mirrored position must differ.  Anchor
     pairs (x, y), x < y, come in ascending order of x, then of y.  One
     search per branch vertex b (`_attachment_depths`), made when first
@@ -322,28 +352,27 @@ def slide_moves(t: Tree) -> Iterator[Slide]:
                 while y != b:
                     tail.append(y)
                     y = parent[y]
-                path = leg + tuple(reversed(tail))
-                yield Slide(path=path, source=path[i], dest=path[mirror])
+                yield (Slide, i, mirror), leg + tuple(reversed(tail))
 
 
-def _moves(t: Tree) -> Iterator[tuple[MoveDescriptor, tuple[int, ...]]]:
+def _moves(t: Tree) -> Iterator[tuple[Record, tuple[int, ...]]]:
     """Every move on *t* in neighbourhood order (switches, slides,
-    reattaches), each with its segment (from u1 for a reattach) or anchored
-    path; the branch segments are walked once."""
+    reattaches) as a record, with its segment (from u1 for a reattach) or
+    anchored path; the branch segments are walked once."""
     segments = list(_branch_segments(t))
     for path in segments:
-        for move in _switches_on(t, path):
-            yield move, path
-    for move in slide_moves(t):
-        yield move, move.path
+        for record in _switches_on(t, path):
+            yield record, path
+    yield from _slides(t)
     for path in segments:
-        yield from _reattaches_on(t, path)
+        yield from _reattaches_on(path)
 
 
 def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
     """Every valid switch, slide and reattach on *t*, each applied and
     evaluated from scratch."""
-    return _outcomes(t, k, ((move, _built(t, move, path)) for move, path in _moves(t)))
+    described = ((_descriptor(t, record, path), path) for record, path in _moves(t))
+    return _outcomes(t, k, ((move, _built(t, move, path)) for move, path in described))
 
 
 Side = Callable[[int, int], int]
@@ -362,42 +391,53 @@ def _sides(t: Tree) -> tuple[list[int], Side]:
     return sides, side
 
 
-def _closed_form(w: Sequence[int], side: Side, path: tuple[int, ...], moved: list[Relocation]) -> int:
-    """The delta of the relocations *moved* along *path*, off the source's
-    `_weights(n, k)` row *w* and side(u, v).  Components move whole, so only
-    the path's edges change side sizes.  The path[0] side of edge e, which
-    joins path[e - 1] and path[e], counts the components at path[0..e-1]: a
-    component of mass m moved from i to j takes m off the edges after i and
-    puts m on the edges after j."""
-    change = [0] * (len(path) + 1)
-    for root, i, j in moved:
-        m = side(path[i], root)
-        change[i + 1] -= m
-        change[j + 1] += m
-    delta = shift = 0
-    for e in range(1, len(path)):
-        shift += change[e]
-        if shift:
-            before = side(path[e], path[e - 1])
-            delta += w[before + shift] - w[before]
-    return delta
+def _closed_form(w: Sequence[int], prefix: Sequence[int], side: Side, record: Record, path: tuple[int, ...]) -> int:
+    """The delta of the move *record* along *path*, off the source's
+    `_weights(n, k)` row *w*, its prefix sums (prefix[x] = w[0] + ... +
+    w[x - 1]) and side(u, v).  Components move whole, so only the L edges
+    of the path change side sizes.  Write b_e for the path[0] side of edge
+    e, which joins path[e - 1] and path[e]: along degree-2 vertices the b_e
+    are consecutive, so the weights of such a run are one difference of
+    prefix sums.  On a segment b_1, ..., b_L run from b_1 up, and
+
+    * a switch shifts them all by the mass it brings to path[0] less the
+      mass it takes from it;
+    * a reattach leaves path[0] only the segment, so they run from 1.
+
+    A slide carries every component from its first interior attachment i
+    to its last, j, by s = m - i, where m = L - j is the mirror of j.  The
+    run before the block, b_1 to b_1 + i - 1, then ends at b_1 + i + s - 1;
+    b_{i+1}, ..., b_j shift by s each; and from edge j + 1 on the sizes,
+    which ran from b_{j+1}, start at b_{j+1} + s and end where they did."""
+    kind, x, y = record
+    last = len(path) - 1
+    first = side(path[1], path[0])
+    if kind is Slide:
+        shift, j = y - x, last - y
+        block = [side(v, u) for u, v in zip(path[x : j + 1], path[x + 1 : j + 2])]
+        tail, head = block.pop(), first + x
+        moved = sum([w[b + shift] - w[b] for b in block])
+        return moved + prefix[head + shift] - prefix[head] - prefix[tail + shift] + prefix[tail]
+    start = first + side(path[-1], y) - side(path[0], x) if kind is Switch else 1
+    return prefix[start + last] - prefix[start] - prefix[first + last] + prefix[first]
 
 
-def _move_deltas(t: Tree, k: int) -> Iterator[tuple[MoveDescriptor, tuple[int, ...], int]]:
-    """Every move of `_moves(t)` with its path and the `_closed_form` delta
-    of its `_relocations`, off one read of *t* and without building a
-    neighbour.  As in `neighbors`, the source is evaluated only once it has
-    a move, and a source or neighbour whose SW_k leaves i128 raises
-    CountOverflowError."""
-    w = None
-    for move, path in _moves(t):
-        if w is None:
+def _move_deltas(t: Tree, k: int) -> Iterator[tuple[Record, tuple[int, ...], int]]:
+    """Every move of `_moves(t)`, as its record, with its path and its
+    `_closed_form` delta, off one read of *t*: no descriptor and no
+    neighbour is built.  As in `neighbors`, the source is evaluated only
+    once it has a move, and a source or neighbour whose SW_k leaves i128
+    raises CountOverflowError."""
+    prefix = None
+    for record, path in _moves(t):
+        if prefix is None:
             sides, side = _sides(t)
             value = _index_sums(t.n, sides, (k,))[0]
             w = _weights(t.n, k)
-        delta = _closed_form(w, side, path, _relocations(t, move, path))
+            prefix = list(accumulate(w, initial=0))
+        delta = _closed_form(w, prefix, side, record, path)
         checked(value + delta)
-        yield move, path, delta
+        yield record, path, delta
 
 
 @dataclass(frozen=True)
@@ -409,13 +449,13 @@ class ClimbResult:
 def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     """Steepest ascent/descent over the move neighbourhood.
 
-    Each step ranks every move of `neighbors` by the `_closed_form` delta of
-    its relocations, off one read of the current tree, and builds only the
-    moves that tie on the best strictly improving gain.  Each of those goes
-    through the one builder and the one read of `neighbors` (tree check,
-    segment-sequence check and SW_k recomputed from scratch), and a
-    recomputed delta that differs from its closed form raises
-    ClosedFormMismatchError.  Ties are broken deterministically by (delta,
+    Each step ranks every move of `neighbors`, as its record, by its
+    `_closed_form` delta (`_move_deltas`), off one read of the current tree,
+    and describes and builds only the moves that tie on the best strictly
+    improving gain.  Each of those goes through `_relocations`, the one
+    builder and the one read of `neighbors` (tree check, segment-sequence
+    check and SW_k recomputed from scratch), and a recomputed delta that
+    differs from its closed form raises ClosedFormMismatchError.  Ties are broken deterministically by (delta,
     canonical code of the result), the first in move order among equal
     codes.  The climb stops when no move improves; the endpoint is a local
     optimum within the segment-sequence class.  Raises ValueError unless
@@ -429,15 +469,16 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     steps: list[MoveOutcome] = []
     while True:
         gain, ties = 0, []
-        for move, path, delta in _move_deltas(current, k):
+        for record, path, delta in _move_deltas(current, k):
             if sign * delta > gain:
-                gain, ties = sign * delta, [(move, path, delta)]
+                gain, ties = sign * delta, [(record, path, delta)]
             elif sign * delta == gain and gain:
-                ties.append((move, path, delta))
+                ties.append((record, path, delta))
         if not ties:
             return ClimbResult(tree=current, steps=tuple(steps))
-        built = _outcomes(current, k, [(move, _built(current, move, path)) for move, path, _ in ties])
-        for (move, _, delta), outcome in zip(ties, built):
+        described = [(_descriptor(current, record, path), path, delta) for record, path, delta in ties]
+        built = _outcomes(current, k, [(move, _built(current, move, path)) for move, path, _ in described])
+        for (move, _, delta), outcome in zip(described, built):
             if outcome.delta != delta:
                 raise ClosedFormMismatchError(f"{move!r}: closed form {delta}, recomputed {outcome.delta}")
         best = built[0] if len(built) == 1 else min(built, key=lambda o: canonical_code(o.tree))

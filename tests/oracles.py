@@ -20,7 +20,9 @@ groups (`groups_admit_valley_greedy`) instead of checking where they turn,
 a backbone is oriented by the sorted subtree codes of the components
 hanging at its vertices (`_orientation_key`) instead of by pendant
 lengths, each move kind is built and given a closed-form delta
-by a routine of its own instead of from one relocation list, slides are
+by a routine of its own instead of from one relocation list, a move's
+delta is also stepped edge by edge over its relocation list
+(`delta_over_relocations`) instead of read off prefix sums, slides are
 listed by a search from every anchor instead of one per branch vertex, and
 reports are written by the stdlib ``json`` encoder.
 """
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from segwiener.exact import checked
-from segwiener.moves import MoveDescriptor, Reattach, Side, Slide, Switch, _rewire
+from segwiener.moves import MoveDescriptor, Reattach, Relocation, Side, Slide, Switch, _rewire
 from segwiener.trees import (
     BackboneView,
     EmptyDecompositionError,
@@ -664,6 +666,27 @@ def delta_by_kind(w, side: Side, path: tuple[int, ...], move: MoveDescriptor) ->
     the source's `_weights(n, k)` row *w* and side(u, v), with the move's
     segment (from u1 for a reattach) or anchored path."""
     return {Switch: _switch_delta, Slide: _slide_delta, Reattach: _reattach_delta}[type(move)](w, side, path, move)
+
+
+def delta_over_relocations(w, side: Side, path: tuple[int, ...], moved: list[Relocation]) -> int:
+    """The delta of the relocations *moved* (``moves._relocations``) along
+    *path*, off the source's `_weights(n, k)` row *w* and side(u, v).
+    Components move whole, so only the path's edges change side sizes.  The
+    path[0] side of edge e, which joins path[e - 1] and path[e], counts the
+    components at path[0..e-1]: a component of mass m moved from i to j
+    takes m off the edges after i and puts m on the edges after j."""
+    change = [0] * (len(path) + 1)
+    for root, i, j in moved:
+        m = side(path[i], root)
+        change[i + 1] -= m
+        change[j + 1] += m
+    delta = shift = 0
+    for e in range(1, len(path)):
+        shift += change[e]
+        if shift:
+            before = side(path[e], path[e - 1])
+            delta += w[before + shift] - w[before]
+    return delta
 
 
 def switch_descriptor_count(t: Tree) -> int:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from segwiener import enumeration
 from segwiener.cli import main
 from segwiener.enumeration import (
     MAX_ORDER,
@@ -232,6 +233,18 @@ class TestLevelReader:
         for n in range(2, MAX_ORDER + 1):
             total = sum(count_trees(n, seq) for seq in segment_sequences_of_order(n))
             assert total == count_trees(n) == {**FREE_TREE_COUNTS, **A000055_ABOVE_10}[n], n
+
+    def test_class_counts_are_the_ordered_class_sizes(self, monkeypatch):
+        # a class is counted as its members are placed, neither re-rooted
+        # nor sorted, and the count is the size of the ordered class
+        sizes = {(n, seq): len(list(_levels(n, seq))) for n in range(2, 16) for seq in segment_sequences_of_order(n)}
+
+        def unused(level, shift):
+            raise AssertionError("a count re-rooted a tree")
+
+        monkeypatch.setattr(enumeration, "_recentre", unused)
+        for (n, seq), size in sizes.items():
+            assert count_trees(n, seq) == size, seq
 
     def test_recentre_from_every_root(self):
         # every tree of order 1..11, its canonical sequence rooted at each

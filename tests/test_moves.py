@@ -8,7 +8,8 @@ from collections import Counter, defaultdict
 import pytest
 
 from segwiener.enumeration import all_trees
-from segwiener.generators import quasi_caterpillar, starlike
+from segwiener.exact import CountOverflowError
+from segwiener.generators import caterpillar_family, quasi_caterpillar, starlike
 import segwiener.moves as moves
 from segwiener.moves import (
     ClosedFormMismatchError,
@@ -42,6 +43,7 @@ from .conftest import path_tree
 from .oracles import (
     built_by_kind,
     delta_by_kind,
+    delta_over_relocations,
     random_labeled_tree,
     segment_decomposition,
     slide_descriptor_count,
@@ -59,6 +61,14 @@ def hanging_size(t: Tree, root: int, at: int) -> int:
                 seen.add(w)
                 stack.append(w)
     return len(seen) - 1
+
+
+def double_broom(length: int, left: int, right: int) -> Tree:
+    """The path 0..length with *left* leaves at 0 and *right* at its end."""
+    edges = [(i, i + 1) for i in range(length)]
+    edges += [(0, length + 1 + i) for i in range(left)]
+    edges += [(length, length + 1 + left + i) for i in range(right)]
+    return Tree.from_edges(edges)
 
 
 class TestSwitch:
@@ -108,7 +118,7 @@ class TestSwitch:
             size_b = hanging_size(tree, move.b_root, move.ws)
             size_y = sum(hanging_size(tree, v, move.ws) for v in tree.adj[move.ws] if v not in (move.b_root, path[-2]))
             for k in range(1, tree.n + 1):
-                closed = {m: d for m, _, d in _move_deltas(tree, k)}[move]
+                closed = {moves._descriptor(tree, r, p): d for r, p, d in _move_deltas(tree, k)}[move]
                 assert closed == apply_switch(tree, move, k).delta
                 if k >= 2:
                     assert (closed == 0) == (k > tree.n - 1 - size_y - size_b)
@@ -340,22 +350,81 @@ class TestNeighbors:
                 assert list(slide_moves(labelled)) == list(slide_moves_per_anchor(labelled))
 
     def test_relocations_match_the_per_kind_routes(self):
-        # the one builder and the one closed form both read `_relocations`;
-        # each move kind's own builder and formula are the second route
+        # the one builder reads `_relocations` and the closed form the
+        # prefix sums; each move kind's own builder and formula are the
+        # second route
         rng = random.Random(15)
         trees = [t for n in range(1, 10) for t in all_trees(n)]
         trees += [random_labeled_tree(rng.randint(1, 30), rng) for _ in range(200)]
         kinds = Counter()
         for t in trees:
             _, side = moves._sides(t)
-            for move, path in moves._moves(t):
+            for record, path in moves._moves(t):
+                move = moves._descriptor(t, record, path)
                 assert moves._built(t, move, path) == built_by_kind(t, move)
                 kinds[type(move)] += 1
             for k in range(1, min(4, t.n) + 1):
                 w = _weights(t.n, k)
-                for move, path, delta in _move_deltas(t, k):
-                    assert delta == delta_by_kind(w, side, path, move)
+                for record, path, delta in _move_deltas(t, k):
+                    assert delta == delta_by_kind(w, side, path, moves._descriptor(t, record, path))
         assert min(kinds[kind] for kind in (Switch, Slide, Reattach)) > 1000
+
+    def test_ranked_deltas_on_long_segments(self):
+        # long segments and long anchored paths, at every k: the prefix-sum
+        # deltas against the relocation list stepped edge by edge, the
+        # per-kind formulas and the neighbours rebuilt and recomputed, each
+        # tree also under a random relabelling
+        rng = random.Random(21)
+        trees = [starlike(legs) for legs in ((5, 5, 6), (9, 7, 5), (12, 10, 8, 6, 5), (20, 15, 10, 7, 5))]
+        trees += [starlike(legs) for legs in ((7, 5, 3, 2, 1, 1), (4, 3, 3, 3, 3, 2, 1, 1), (2,) * 9 + (1,) * 9)]
+        trees += [starlike((handle,) + (1,) * bristles) for handle, bristles in ((8, 3), (30, 12), (45, 14))]
+        trees += [double_broom(length, 3, 4) for length in (5, 20, 50)]
+        trees += [caterpillar_family(n, m, which).tree for n, m, which in ((30, 7, "i"), (45, 9, "ii"), (60, 8, "iii"), (60, 10, "iv"))]
+        trees += [quasi_caterpillar((6, 9, 5, 7), [(1, 5), (1, 8), (2, 6), (3, 5), (3, 1)])]
+        assert max(t.n for t in trees) == 60
+        kinds = Counter()
+        for t in trees:
+            for labelled in (t, t.relabel(rng.sample(range(t.n), t.n))):
+                _, side = moves._sides(labelled)
+                for k in range(1, labelled.n + 1):
+                    w = _weights(labelled.n, k)
+                    ranked = []
+                    for record, path, delta in _move_deltas(labelled, k):
+                        move = moves._descriptor(labelled, record, path)
+                        assert delta == delta_over_relocations(w, side, path, moves._relocations(labelled, move, path))
+                        assert delta == delta_by_kind(w, side, path, move)
+                        ranked.append((move, delta))
+                        kinds[type(move)] += 1
+                    assert ranked == [(o.move, o.delta) for o in neighbors(labelled, k)]
+        assert min(kinds[kind] for kind in (Switch, Slide, Reattach)) > 100
+
+    def test_ranking_overflows_as_the_neighbours_do(self):
+        # at order 131 the weight row leaves i128 at k = 63..68 (C(131, 65)
+        # among them) and SW_k at more k around them: at every k the ranking
+        # raises exactly where the neighbourhood does, and agrees elsewhere
+        t = double_broom(124, 3, 3)
+        assert t.n == 131
+        raised = set()
+        for k in range(1, t.n + 1):
+            try:
+                ranked = [(moves._descriptor(t, record, path), delta) for record, path, delta in _move_deltas(t, k)]
+            except CountOverflowError:
+                ranked = None
+            try:
+                recomputed = [(o.move, o.delta) for o in neighbors(t, k)]
+            except CountOverflowError:
+                recomputed = None
+            assert ranked == recomputed, k
+            if ranked is None:
+                raised.add(k)
+        assert 65 in raised and set(range(63, 69)) < raised
+        # SW_40 of this tree fits, and that of one of its neighbours does not
+        t = quasi_caterpillar((18, 1, 71), [(1, 33), (2, 21), (2, 1)])
+        assert sw_k(t, 40) > 0
+        with pytest.raises(CountOverflowError):
+            list(_move_deltas(t, 40))
+        with pytest.raises(CountOverflowError):
+            neighbors(t, 40)
 
     def test_rewire_refuses_non_trees(self):
         t = path_tree(5)  # 0-1-2-3-4
@@ -475,6 +544,27 @@ class TestHillClimb:
                 moves_seen += len(gains)
             assert res.steps and rewired == expected
             assert len(rewired) < moves_seen
+
+    def test_describes_only_the_ties_on_the_best_gain(self, fig1_bottom, monkeypatch):
+        # the ranking builds no descriptor; each step builds one per move
+        # tied on its best gain
+        described = []
+        for kind in (Switch, Slide, Reattach):
+            init = kind.__init__
+            monkeypatch.setattr(kind, "__init__", lambda self, *a, _init=init, **kw: described.append(self) or _init(self, *a, **kw))
+        for k, direction in ((2, "maximize"), (3, "minimize"), (4, "maximize")):
+            res = hill_climb(fig1_bottom, k, direction)
+            built = described[:]
+            described.clear()
+            sign = 1 if direction == "maximize" else -1
+            tied = moves_seen = 0
+            for source in (fig1_bottom, *(o.tree for o in res.steps)):
+                gains = [sign * delta for _, _, delta in _move_deltas(source, k)]
+                tied += gains.count(max(gains)) if max(gains) > 0 else 0
+                moves_seen += len(gains)
+            assert described == []
+            assert res.steps and len(built) == tied < moves_seen
+            assert all(o.move in built for o in res.steps)
 
     def test_closed_form_mismatch_raises(self, fig1_bottom, monkeypatch):
         closed_form = moves._closed_form
