@@ -25,7 +25,7 @@ from .generators import (
     starlike,
 )
 from .moves import Switch, apply_switch
-from .steiner import _index_sums
+from .steiner import _class_sums
 from .trees import NotQuasiCaterpillarError, Tree, _first_backbone, canonical_code, is_quasi_caterpillar
 
 CONFIRMED = "confirmed"
@@ -70,7 +70,12 @@ def _json(value: object, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[\n" + ",\n".join(inner + _json(item, inner) for item in value) + "\n" + indent + "]"
+        # a list of plain ints (no bools) in one join
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_json(item, inner) for item in value)
+        return "[\n" + inner + f",\n{inner}".join(items) + "\n" + indent + "]"
     raise TypeError(f"no report encoding for {type(value).__name__}")
 
 
@@ -206,8 +211,8 @@ def _check_ks(k_set: Sequence[int]) -> None:
         raise ValueError(f"k={min(k_set)} is below 1")
 
 
-def _ks_for(n: int, k_set: Sequence[int]) -> list[int]:
-    return [k for k in sorted(set(k_set)) if k <= n]
+def _ks_for(n: int, k_set: Sequence[int]) -> tuple[int, ...]:
+    return tuple(k for k in sorted(set(k_set)) if k <= n)
 
 
 def _code(t: Tree) -> str:
@@ -237,9 +242,11 @@ def _verify(
     judge: Callable[[dict], _Judge],
 ) -> list[VerificationReport]:
     """Enumerate every class of order 2..max_n, evaluate the requested
-    indices of each tree in one pass over the edge side sizes the enumerator
-    read, and let *judge*'s rule decide each k on all the extremal trees,
-    sorted by canonical code.
+    indices of the whole class at once (`steiner._class_sums`: one packed
+    sum per tree over the edge side sizes the enumerator read, then one
+    column of values per k), and let *judge*'s rule decide each k on all
+    the extremal trees, sorted by canonical code.  Each k's extremum and
+    ties are read straight off its column.
 
     Within a class a tree is coded (off its level sequence) and judged at
     most once, when it first ties on an extremum, and built only for a judge
@@ -260,13 +267,13 @@ def _verify(
         for fields, members in _classes(n, by_count):
             class_judge = judge(fields)
             outcome_of = class_judge.outcome
-            values = [_index_sums(n, sides, ks) for _, sides in members]
+            columns = _class_sums(n, [sides for _, sides in members], ks)
             judged: dict[int, tuple[str, object]] = {}
             rulings: dict[tuple[int, ...], tuple[tuple[str, ...], dict | None, str, str]] = {}
             size_note = f"class size {len(members)}"
-            for i, k in enumerate(ks):
-                best = pick(v[i] for v in values)
-                ties = tuple(j for j, v in enumerate(values) if v[i] == best)
+            for k, column in zip(ks, columns):
+                best = pick(column)
+                ties = tuple([j for j, v in enumerate(column) if v == best])
                 ruling = rulings.get(ties)
                 if ruling is None:
                     for j in ties:

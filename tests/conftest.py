@@ -16,6 +16,14 @@ def path_tree(n: int) -> Tree:
     return Tree.from_edges([(i, i + 1) for i in range(n - 1)], n=n)
 
 
+def double_broom(length: int, left: int, right: int) -> Tree:
+    """The path 0..length with *left* leaves at 0 and *right* at its end."""
+    edges = [(i, i + 1) for i in range(length)]
+    edges += [(0, length + 1 + i) for i in range(left)]
+    edges += [(length, length + 1 + left + i) for i in range(right)]
+    return Tree.from_edges(edges)
+
+
 @pytest.fixture
 def fig1_top() -> Tree:
     """The order-15 starlike tree with segment sequence (3,2,2,2,1,1,1,1,1)."""

@@ -5,7 +5,9 @@ BFS, edge side sizes are subtree sizes summed over the package's `_bfs` in
 a pass of their own (the package reads them together with the segment
 sequence), SW_k is summed literally over all k-subsets (`sw_k_bruteforce`)
 of Steiner distances found by pruning leaves (`steiner_distance`), which in
-turn are checked against enumerating connected supersets, segments are
+turn are checked against enumerating connected supersets, the sums of the
+weight rows are taken one k at a time (`index_sums_per_k`) instead of over
+one packed row for every k, segments are
 walked one by one from their ends (`segment_decomposition`), tree
 enumeration walks all Prüfer sequences, decodes each straight to
 degrees and neighbour sums and keys the tree while peeling its leaves,
@@ -39,6 +41,7 @@ from typing import Iterable, Iterator, Sequence
 
 from segwiener.exact import checked
 from segwiener.moves import MoveDescriptor, Reattach, Relocation, Side, Slide, Switch, _rewire
+from segwiener.steiner import _weights
 from segwiener.trees import (
     BackboneView,
     EmptyDecompositionError,
@@ -94,6 +97,14 @@ def sw_k_bruteforce(t: Tree, k: int) -> int:
     if t.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force is guarded to n <= {BRUTE_FORCE_MAX_N}")
     return checked(sum(steiner_distance(t, s) for s in itertools.combinations(range(t.n), k)))
+
+
+def index_sums_per_k(n: int, sides: Sequence[int], ks: Iterable[int]) -> tuple[int, ...]:
+    """SW_k for each k in *ks* of the tree of order *n* with these edge side
+    sizes: one generator sum over the `_weights(n, k)` row per k, each
+    checked, in k order."""
+    rows = (_weights(n, k) for k in ks)
+    return tuple(checked(sum(w[a] for a in sides)) for w in rows)
 
 
 def wiener_by_distances(t: Tree) -> int:

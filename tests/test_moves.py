@@ -39,7 +39,7 @@ from segwiener.trees import (
 )
 from segwiener.verify import random_switch_instance
 
-from .conftest import path_tree
+from .conftest import double_broom, path_tree
 from .oracles import (
     built_by_kind,
     delta_by_kind,
@@ -61,14 +61,6 @@ def hanging_size(t: Tree, root: int, at: int) -> int:
                 seen.add(w)
                 stack.append(w)
     return len(seen) - 1
-
-
-def double_broom(length: int, left: int, right: int) -> Tree:
-    """The path 0..length with *left* leaves at 0 and *right* at its end."""
-    edges = [(i, i + 1) for i in range(length)]
-    edges += [(0, length + 1 + i) for i in range(left)]
-    edges += [(length, length + 1 + left + i) for i in range(right)]
-    return Tree.from_edges(edges)
 
 
 class TestSwitch:

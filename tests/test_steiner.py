@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from segwiener.enumeration import all_trees
+from segwiener.enumeration import all_trees, read_trees
 from segwiener.exact import CountOverflowError
-from segwiener.steiner import sw_k, sw_profile, wiener
+from segwiener.steiner import _class_sums, _index_sums, sw_k, sw_profile, wiener
 from segwiener.trees import Tree
 
-from .conftest import path_tree
+from .conftest import double_broom, path_tree
 from .oracles import (
     EmptySetError,
+    edge_side_sizes,
+    index_sums_per_k,
     random_labeled_tree,
     steiner_by_enumeration,
     steiner_distance,
@@ -165,3 +167,82 @@ class TestProfile:
             relabel_rng.shuffle(perm)
             assert sw_profile(t.relabel(perm)) == profile
         assert digest.hexdigest() == "b0c38bcede6a3ff24867cace647bfd72a2471cb16095e30b8197a9c47a24ff57"
+
+
+def star_tree(n: int) -> Tree:
+    return Tree.from_edges([(0, i) for i in range(1, n)], n=n)
+
+
+def outcome(fn, *args):
+    """*fn*'s value, or the message of the CountOverflowError it raises."""
+    try:
+        return fn(*args)
+    except CountOverflowError as error:
+        return ("raises", str(error))
+
+
+class TestPackedSums:
+    """All requested k are summed at once over one packed row; the oracle
+    sums one weight row per k."""
+
+    def test_every_small_tree_matches_the_per_k_oracle(self):
+        # every tree of order <= 12 at k = 1..n, at an unsorted k list and
+        # at each single k, tree by tree and as the columns of its class
+        for n in range(1, 13):
+            side_lists = [sides for _, sides, _ in read_trees(n)]
+            every_k = range(1, n + 1)
+            unsorted = (*range(n, 0, -2), *range(n - 1, 0, -2)[::-1])
+            for ks in (every_k, unsorted, *((k,) for k in every_k)):
+                expected = [index_sums_per_k(n, sides, ks) for sides in side_lists]
+                assert [_index_sums(n, sides, ks) for sides in side_lists] == expected, (n, ks)
+                assert _class_sums(n, side_lists, ks) == [list(column) for column in zip(*expected)], (n, ks)
+
+    def test_random_trees_match_the_per_k_oracle(self):
+        # seeded random trees of order 13..130, at every k and at a random
+        # k list; from order 124 or so some SW_k leave i128, and both routes
+        # raise at the same k with the same message
+        rng = random.Random(22)
+        raised = 0
+        for _ in range(80):
+            n = rng.randint(13, 130)
+            sides = edge_side_sizes(random_labeled_tree(n, rng))
+            for ks in (range(1, n + 1), tuple(rng.sample(range(1, n + 1), rng.randint(1, 8)))):
+                expected = outcome(index_sums_per_k, n, sides, ks)
+                assert outcome(_index_sums, n, sides, ks) == expected, (n, ks)
+                columns = expected if expected[0] == "raises" else [[value] for value in expected]
+                assert outcome(_class_sums, n, [sides], ks) == columns, (n, ks)
+                raised += expected[0] == "raises"
+        assert raised > 0
+
+    def test_path_and_star_at_every_k(self):
+        # the path and the star fill their fields the most: every order
+        # <= 130 at every k, alone and as one class of two trees, which
+        # raises wherever one of them does
+        for n in range(1, 131):
+            side_lists = [edge_side_sizes(path_tree(n)), edge_side_sizes(star_tree(n))]
+            ks = range(1, n + 1)
+            expected = [outcome(index_sums_per_k, n, sides, ks) for sides in side_lists]
+            assert [outcome(_index_sums, n, sides, ks) for sides in side_lists] == expected, n
+            if any(values[0] == "raises" for values in expected):
+                with pytest.raises(CountOverflowError):
+                    _class_sums(n, side_lists, ks)
+            else:
+                assert _class_sums(n, side_lists, ks) == [list(column) for column in zip(*expected)], n
+
+    @pytest.mark.parametrize("n", range(128, 141))
+    def test_profile_overflows_where_the_oracle_does(self, n):
+        # from order 124 or so some SW_k leaves i128, and from order 131 on
+        # so does the weight row of k = n // 2: the profile, and the sums at k
+        # lists that reach such a k before or after one that fits, raise at
+        # the first such k in list order, with the oracle's message
+        for t in (path_tree(n), star_tree(n), double_broom(n - 7, 3, 3)):
+            assert t.n == n
+            sides = edge_side_sizes(t)
+            assert outcome(sw_profile, t) == outcome(index_sums_per_k, n, sides, range(1, n + 1))
+            for ks in (range(n, 0, -1), (2, n // 2), (n // 2, 2)):
+                expected = outcome(index_sums_per_k, n, sides, ks)
+                assert expected[0] == "raises"
+                assert outcome(_index_sums, n, sides, ks) == expected, ks
+                assert outcome(_class_sums, n, [sides], ks) == expected, ks
+            if n > 130:
+                assert outcome(_index_sums, n, sides, (2, n // 2))[1] == f"C({n},{n // 2}) exceeds the signed 128-bit range"

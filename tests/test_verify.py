@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from segwiener import steiner as steiner_module
 from segwiener import trees as trees_module
 from segwiener import verify as verify_module
-from segwiener.enumeration import all_trees
+from segwiener.enumeration import all_trees, count_trees
 from segwiener.generators import balanced_starlike, caterpillar_family, quasi_caterpillar, starlike
 from segwiener.moves import apply_switch
 from segwiener.steiner import sw_k
@@ -446,6 +447,33 @@ class TestReports:
         for name in judgements:
             assert 0 < calls[name] <= distinct, name
 
+    @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
+    def test_sums_each_class_once(self, monkeypatch, verifier):
+        # the requested indices of a class come from one call over the side
+        # sizes of all its trees, and no tree is summed on its own
+        classes: list[tuple[int, int]] = []
+        per_tree: list[int] = []
+
+        def counting(n, side_lists, ks, _fn=verify_module._class_sums):
+            classes.append((n, len(side_lists)))
+            return _fn(n, side_lists, ks)
+
+        def summing_one_tree(n, sides, ks, _fn=steiner_module._index_sums):
+            per_tree.append(n)
+            return _fn(n, sides, ks)
+
+        monkeypatch.setattr(verify_module, "_class_sums", counting)
+        monkeypatch.setattr(steiner_module, "_index_sums", summing_one_tree)
+        monkeypatch.setattr(verify_module, "_index_sums", summing_one_tree, raising=False)
+        reports = verifier(10, range(1, 11))
+        sizes = {}
+        for r in reports:
+            instance = json.dumps({key: value for key, value in r.instance.items() if key != "k"})
+            sizes[instance] = (r.instance["n"], int(r.notes.split(";")[0].removeprefix("class size ")))
+        assert sorted(classes) == sorted(sizes.values())
+        assert sum(size for _, size in classes) == sum(count_trees(n) for n in range(2, 11))
+        assert per_tree == []
+
     def test_structure_reads_each_judged_tree_once(self, monkeypatch):
         # one shape read of the series-reduced tree both tells a
         # quasi-caterpillar and gives its backbone
@@ -513,3 +541,26 @@ class TestReportEncoder:
         ]
         assert reports_to_json(reports) == reports_to_json_by_stdlib(reports)
         assert reports_to_json(iter(reports)) == reports_to_json_by_stdlib(reports)
+
+    def test_lists_of_ints_and_bools(self):
+        # a list of plain ints is written in one join; bools are not plain
+        # ints and stay true / false, alone or among ints
+        lists = {
+            "ints": [3, -2, 0, 2**127, -(2**127)],
+            "bools": [True, False],
+            "mixed": [1, True, 0, False],
+            "one": (7,),
+            "nested": [[1, 2], [True], [], 3],
+        }
+        reports = [
+            VerificationReport(
+                theorem="t",
+                instance=lists,
+                extremal_value=None,
+                arg_trees=(),
+                predicate_outcomes=None,
+                verdict="confirmed",
+                notes="",
+            )
+        ]
+        assert reports_to_json(reports) == reports_to_json_by_stdlib(reports)
