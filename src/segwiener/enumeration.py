@@ -411,24 +411,3 @@ def _recentre(level: bytes, shift: list[bytes]) -> bytes:
     rooted = b"\0" + half.translate(shift[1]) + up[1:]
     return rooted if _is_centred(rooted, len(half) + 1) else b"\0" + up.translate(shift[1]) + half[1:]
 
-
-def segment_sequences_of_order(n: int) -> list[tuple[int, ...]]:
-    """Every realizable segment sequence of order *n*: partitions of n - 1
-    into one part or at least three, in descending lexicographic order."""
-    if n < 2:
-        return []
-    return [p for p in _partitions(n - 1) if len(p) != 2]
-
-
-def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:
-    """The partitions of *total* into parts of at most *largest*, in
-    descending lexicographic order."""
-    if total == 0:
-        return [()]
-    if largest is None:
-        largest = total
-    out = []
-    for first in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - first, first):
-            out.append((first,) + rest)
-    return out

@@ -12,9 +12,10 @@ components so that the segment-length multiset never changes:
             segment to the other endpoint, turning the segment pendant.
 
 One stream, `_moves`, yields a tree's neighbourhood in its one order, each
-move as a light record (`Record`) with its segment or anchored path, and
-the enumerators define validity: an `apply_*` function accepts exactly the
-descriptors that the enumerator over the same segment or path yields.
+move as a light record (`Record`) with its segment or anchored path; there
+is no lister per kind.  Validity is defined per segment or path: an
+`apply_*` function accepts exactly the descriptors that `_switches_on`,
+`_reattaches_on` or `slide_move` gives over the same segment or path.
 `_descriptor` turns a record into its descriptor.  What a built move does
 is written once, in `_relocations`: a list of (root, i, j) along its path,
 the component hanging at path[i] through root moving to path[j].  `_built`
@@ -282,23 +283,11 @@ def _switches_on(t: Tree, path: tuple[int, ...]) -> Iterator[Record]:
                     yield Switch, a, b
 
 
-def switch_moves(t: Tree) -> Iterator[Switch]:
-    for path in _branch_segments(t):
-        for record in _switches_on(t, path):
-            yield _descriptor(t, record, path)
-
-
 def _reattaches_on(path: tuple[int, ...]) -> Iterator[tuple[Record, tuple[int, ...]]]:
     """The two reattaches across the segment *path*, each with the path
     oriented from u1 to u2."""
     for p in (path, path[::-1]):
         yield (Reattach, p[0], p[-1]), p
-
-
-def reattach_moves(t: Tree) -> Iterator[Reattach]:
-    for path in _branch_segments(t):
-        for record, p in _reattaches_on(path):
-            yield _descriptor(t, record, p)
 
 
 def _attachment_depths(adj, b: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -315,12 +304,6 @@ def _attachment_depths(adj, b: int) -> tuple[list[int], list[int], list[int], li
         else:
             first[v], last[v] = first[p], last[p]
     return parent, depth, first, last
-
-
-def slide_moves(t: Tree) -> Iterator[Slide]:
-    """The descriptors of `_slides`."""
-    for record, path in _slides(t):
-        yield _descriptor(t, record, path)
 
 
 def _slides(t: Tree) -> Iterator[tuple[Record, tuple[int, ...]]]:

@@ -11,9 +11,11 @@ one reverse pass over a rooted order, either a breadth-first search of a
 sequence.  A built tree's canonical code comes out of one coder, `_codes`,
 which sorts the child codes at every vertex of a breadth-first search; an
 enumerator's level sequence is canonical already, and its code is the
-sequence written as parentheses (``enumeration._level_code``).  Paths
-walk the breadth-first search `_bfs`, `_centers` peels leaves, and `_walk`
-follows one segment for the shape read below and the moves.
+sequence written as parentheses (``enumeration._level_code``).  `_bfs`
+is the one breadth-first search, `_centers` peels leaves, and `_walk`
+follows one segment for the shape read below and the moves.  The path
+between two vertices and a relabelling are test oracles, not ``Tree``
+methods: nothing in the package asks for them.
 
 Every quasi-caterpillar question is answered by one read, `_shape`, of the
 series-reduced tree H: the vertices of degree other than 2, joined by the
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 
@@ -163,7 +166,12 @@ class Tree:
         The vertex count defaults to ``1 + max id``; pass ``n=1`` explicitly
         for the single-vertex tree (empty edge list).
         """
-        edge_list = [(int(u), int(v)) for u, v in edges]
+        edge_list = []
+        for u, v in edges:
+            try:
+                edge_list.append((index(u), index(v)))
+            except TypeError:
+                raise InvalidTreeError(f"vertex ids must be integers, got edge ({u!r}, {v!r})") from None
         if n is None:
             if not edge_list:
                 raise InvalidTreeError("empty edge list needs an explicit vertex count")
@@ -206,26 +214,6 @@ class Tree:
 
     def branch_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if len(self.adj[v]) >= 3)
-
-    def path(self, u: int, v: int) -> tuple[int, ...]:
-        """The unique path from u to v, inclusive: v's ancestors in the
-        breadth-first search from u."""
-        for x in (u, v):
-            if not 0 <= x < self.n:
-                raise ValueError(f"vertex {x} out of range 0..{self.n - 1}")
-        parent = _bfs(self.adj, u)[0]
-        out = [v]
-        while out[-1] != u:
-            out.append(parent[out[-1]])
-        out.reverse()
-        return tuple(out)
-
-    def relabel(self, mapping: Iterable[int]) -> "Tree":
-        """Apply a permutation ``mapping[old] = new`` to the vertex ids."""
-        perm = list(mapping)
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("mapping must be a permutation of the vertex ids")
-        return Tree.from_edges([(perm[u], perm[v]) for u, v in self.edges()], n=self.n)
 
 
 @dataclass(frozen=True)

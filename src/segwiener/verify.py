@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, Iterable, Sequence
 
-from .enumeration import MAX_ORDER, _level_code, _tree_from_levels, read_trees, segment_sequences_of_order
+from .enumeration import MAX_ORDER, _level_code, _tree_from_levels, read_trees
 from .generators import (
     FAMILY_LABELS,
     ParityMismatchError,
@@ -106,10 +106,6 @@ def reports_to_json(reports: Iterable[VerificationReport]) -> str:
             f'{_FIELD}"notes": {_string(r.notes)}\n  }}'
         )
     return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
-
-
-def any_violated(reports: Iterable[VerificationReport]) -> bool:
-    return any(r.verdict == VIOLATED for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +217,17 @@ def _code(t: Tree) -> str:
 
 def _classes(n: int, by_count: bool) -> list[tuple[dict, list[Member]]]:
     """Instance classes of order *n* with their instance fields: one per
-    segment sequence (in `segment_sequences_of_order` order) or one per
-    segment count (ascending).  Members are in enumeration order, each a
-    kept copy of its level sequence with its edge side sizes; no tree is
-    built here."""
+    segment sequence or one per segment count, in the order of the keys of
+    the buckets the stream fills, sequences descending (the partitions of
+    n - 1 into one part or at least three, lexicographically) and counts
+    ascending.  Members are in enumeration order, each a kept copy of its
+    level sequence with its edge side sizes; no tree is built here."""
     buckets: dict[object, list[Member]] = {}
     for seq, sides, level in read_trees(n):
         buckets.setdefault(len(seq) if by_count else seq, []).append((level[:], sides))
     if by_count:
         return [({"n": n, "m": m}, buckets[m]) for m in sorted(buckets)]
-    return [({"n": n, "segments": list(seq)}, buckets[seq]) for seq in segment_sequences_of_order(n)]
+    return [({"n": n, "segments": list(seq)}, buckets[seq]) for seq in sorted(buckets, reverse=True)]
 
 
 def _verify(

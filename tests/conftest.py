@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from typing import Iterable
 
 import pytest
 
-from segwiener import enumeration
+from segwiener import enumeration, moves
 from segwiener.generators import quasi_caterpillar, starlike
+from segwiener.moves import MoveDescriptor
 from segwiener.trees import Tree
+from segwiener.verify import VIOLATED, VerificationReport
 
 
 def path_tree(n: int) -> Tree:
@@ -22,6 +25,17 @@ def double_broom(length: int, left: int, right: int) -> Tree:
     edges += [(0, length + 1 + i) for i in range(left)]
     edges += [(length, length + 1 + left + i) for i in range(right)]
     return Tree.from_edges(edges)
+
+
+def moves_of_kind(t: Tree, kind: type) -> list[MoveDescriptor]:
+    """The descriptors of the moves of one kind (`Switch`, `Slide` or
+    `Reattach`) on *t*, in the order of `moves._moves`, the one stream that
+    `neighbors` and `hill_climb` read."""
+    return [moves._descriptor(t, record, path) for record, path in moves._moves(t) if record[0] is kind]
+
+
+def any_violated(reports: Iterable[VerificationReport]) -> bool:
+    return any(r.verdict == VIOLATED for r in reports)
 
 
 @pytest.fixture

@@ -25,8 +25,13 @@ lengths, each move kind is built and given a closed-form delta
 by a routine of its own instead of from one relocation list, a move's
 delta is also stepped edge by edge over its relocation list
 (`delta_over_relocations`) instead of read off prefix sums, slides are
-listed by a search from every anchor instead of one per branch vertex, and
-reports are written by the stdlib ``json`` encoder.
+listed by a search from every anchor instead of one per branch vertex,
+reports are written by the stdlib ``json`` encoder, and the realizable
+segment sequences of an order are listed as the partitions of n - 1 into
+one part or at least three (`segment_sequences_of_order`) instead of read
+off the keys of the enumerator's buckets.  Two helpers the package does
+not need live here too: `path` reads the path between two vertices off
+the BFS parents, and `relabel` permutes a tree's vertex ids.
 """
 
 from __future__ import annotations
@@ -222,6 +227,29 @@ def edge_side_sizes(t: Tree) -> list[int]:
     return [size[v] for v in order[1:]]
 
 
+def path(t: Tree, u: int, v: int) -> tuple[int, ...]:
+    """The unique path from u to v in *t*, inclusive: v's ancestors in the
+    breadth-first search from u."""
+    for x in (u, v):
+        if not 0 <= x < t.n:
+            raise ValueError(f"vertex {x} out of range 0..{t.n - 1}")
+    parent = _bfs(t.adj, u)[0]
+    out = [v]
+    while out[-1] != u:
+        out.append(parent[out[-1]])
+    out.reverse()
+    return tuple(out)
+
+
+def relabel(t: Tree, mapping: Iterable[int]) -> Tree:
+    """*t* with the permutation ``mapping[old] = new`` applied to its vertex
+    ids."""
+    perm = list(mapping)
+    if sorted(perm) != list(range(t.n)):
+        raise ValueError("mapping must be a permutation of the vertex ids")
+    return Tree.from_edges([(perm[u], perm[v]) for u, v in t.edges()], n=t.n)
+
+
 def random_labeled_tree(n: int, rng: random.Random) -> Tree:
     if n == 1:
         return Tree.from_edges([], n=1)
@@ -407,6 +435,28 @@ def prufer_class_keys(n: int, intern: dict) -> set[tuple]:
         _peeled_class_key(*prufer_degrees_and_sums(seq, n), n, intern)
         for seq in itertools.product(range(n), repeat=n - 2)
     }
+
+
+def segment_sequences_of_order(n: int) -> list[tuple[int, ...]]:
+    """Every realizable segment sequence of order *n*: partitions of n - 1
+    into one part or at least three, in descending lexicographic order."""
+    if n < 2:
+        return []
+    return [p for p in _partitions(n - 1) if len(p) != 2]
+
+
+def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of *total* into parts of at most *largest*, in
+    descending lexicographic order."""
+    if total == 0:
+        return [()]
+    if largest is None:
+        largest = total
+    out = []
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
+            out.append((first,) + rest)
+    return out
 
 
 @dataclass(frozen=True)
@@ -709,8 +759,8 @@ def switch_descriptor_count(t: Tree) -> int:
         for ws in range(w0 + 1, t.n):
             if t.degree(ws) < 3:
                 continue
-            path = t.path(w0, ws)
-            if any(t.degree(x) != 2 for x in path[1:-1]):
+            segment = path(t, w0, ws)
+            if any(t.degree(x) != 2 for x in segment[1:-1]):
                 continue
             count += (t.degree(w0) - 1) * (t.degree(ws) - 1)
     return count
@@ -724,8 +774,8 @@ def reattach_descriptor_count(t: Tree) -> int:
         for ws in range(w0 + 1, t.n):
             if t.degree(ws) < 3:
                 continue
-            path = t.path(w0, ws)
-            if any(t.degree(x) != 2 for x in path[1:-1]):
+            segment = path(t, w0, ws)
+            if any(t.degree(x) != 2 for x in segment[1:-1]):
                 continue
             count += 2
     return count
@@ -740,11 +790,11 @@ def slide_descriptor_count(t: Tree) -> int:
         for y in range(x + 1, t.n):
             if t.degree(y) == 2:
                 continue
-            path = t.path(x, y)
-            inner = [i for i in range(1, len(path) - 1) if t.degree(path[i]) >= 3]
+            anchored = path(t, x, y)
+            inner = [i for i in range(1, len(anchored) - 1) if t.degree(anchored[i]) >= 3]
             if not inner:
                 continue
-            if inner[0] != len(path) - 1 - inner[-1]:
+            if inner[0] != len(anchored) - 1 - inner[-1]:
                 count += 1
     return count
 

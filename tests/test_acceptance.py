@@ -17,11 +17,10 @@ from segwiener.generators import (
     UnrealizableError,
     caterpillar_family,
 )
-from segwiener.moves import apply_reattach, apply_slide, apply_switch, reattach_moves, slide_moves, switch_moves
+from segwiener.moves import Reattach, Slide, Switch, apply_reattach, apply_slide, apply_switch
 from segwiener.steiner import sw_k, wiener
 from segwiener.trees import canonical_code, is_isomorphic, segment_sequence
 from segwiener.verify import (
-    any_violated,
     random_switch_instance,
     verify_lemma31,
     verify_max_caterpillar_family,
@@ -31,6 +30,7 @@ from segwiener.verify import (
     verify_structure,
 )
 
+from .conftest import any_violated, moves_of_kind
 from .oracles import _interned_class_key, prufer_class_keys, sw_k_bruteforce
 
 
@@ -136,15 +136,15 @@ def test_criterion_8_move_closure_and_reattach_sign():
     for n in range(2, 10):
         for t in all_trees(n):
             seq = segment_sequence(t)
-            for mv in switch_moves(t):
+            for mv in moves_of_kind(t, Switch):
                 out = apply_switch(t, mv, 2)
                 assert out.tree.n == n and segment_sequence(out.tree) == seq
                 descriptors += 1
-            for mv in slide_moves(t):
+            for mv in moves_of_kind(t, Slide):
                 out = apply_slide(t, mv, 2)
                 assert out.tree.n == n and segment_sequence(out.tree) == seq
                 descriptors += 1
-            for mv in reattach_moves(t):
+            for mv in moves_of_kind(t, Reattach):
                 descriptors += 1
                 for k in (2, 3, 4):
                     if k > n:

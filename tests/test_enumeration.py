@@ -28,7 +28,6 @@ from segwiener.enumeration import (
     all_trees,
     count_trees,
     read_trees,
-    segment_sequences_of_order,
     trees_with_segment_count,
     trees_with_segment_sequence,
 )
@@ -43,6 +42,7 @@ from .oracles import (
     free_trees_by_prufer,
     rooted_level_sequence,
     segment_decomposition,
+    segment_sequences_of_order,
 )
 
 # number of free trees per order (verified against the Prüfer dedup oracle)

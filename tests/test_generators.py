@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from segwiener.enumeration import segment_sequences_of_order
 from segwiener.generators import (
     FAMILY_LABELS,
     InvalidIndexError,
@@ -27,6 +26,7 @@ from segwiener.trees import (
 )
 
 from .conftest import path_tree
+from .oracles import segment_sequences_of_order
 
 
 class TestStarlike:

@@ -24,10 +24,7 @@ from segwiener.moves import (
     apply_switch,
     hill_climb,
     neighbors,
-    reattach_moves,
     slide_move,
-    slide_moves,
-    switch_moves,
 )
 from segwiener.steiner import _weights, sw_k
 from segwiener.trees import (
@@ -39,12 +36,14 @@ from segwiener.trees import (
 )
 from segwiener.verify import random_switch_instance
 
-from .conftest import double_broom, path_tree
+from .conftest import double_broom, moves_of_kind, path_tree
 from .oracles import (
     built_by_kind,
     delta_by_kind,
     delta_over_relocations,
+    path,
     random_labeled_tree,
+    relabel,
     segment_decomposition,
     slide_descriptor_count,
     slide_moves_per_anchor,
@@ -106,9 +105,9 @@ class TestSwitch:
         zeros = 0
         for _ in range(300):
             tree, move = random_switch_instance(rng)
-            path = tree.path(move.w0, move.ws)
+            segment = path(tree, move.w0, move.ws)
             size_b = hanging_size(tree, move.b_root, move.ws)
-            size_y = sum(hanging_size(tree, v, move.ws) for v in tree.adj[move.ws] if v not in (move.b_root, path[-2]))
+            size_y = sum(hanging_size(tree, v, move.ws) for v in tree.adj[move.ws] if v not in (move.b_root, segment[-2]))
             for k in range(1, tree.n + 1):
                 closed = {moves._descriptor(tree, r, p): d for r, p, d in _move_deltas(tree, k)}[move]
                 assert closed == apply_switch(tree, move, k).delta
@@ -135,9 +134,9 @@ class TestSwitch:
             apply_reattach(t, Reattach(u1=0, u2=4, moved=(5, 6)), 2)
 
     def test_rejects_segment_neighbour_as_root(self, fig1_bottom):
-        move = next(switch_moves(fig1_bottom))
-        path = fig1_bottom.path(move.w0, move.ws)
-        bad = Switch(w0=move.w0, ws=move.ws, a_root=path[1], b_root=move.b_root)
+        move = moves_of_kind(fig1_bottom, Switch)[0]
+        segment = path(fig1_bottom, move.w0, move.ws)
+        bad = Switch(w0=move.w0, ws=move.ws, a_root=segment[1], b_root=move.b_root)
         with pytest.raises(InvalidDescriptorError):
             apply_switch(fig1_bottom, bad, 2)
 
@@ -146,8 +145,7 @@ class TestSlide:
     def test_symmetric_slide_is_identity(self):
         # pendant hanging exactly in the middle: mirror equals source
         t = quasi_caterpillar((2, 2), [(1, 3)])
-        path = t.path(0, 4)
-        move = slide_move(t, path)
+        move = slide_move(t, path(t, 0, 4))
         out = apply_slide(t, move, 2)
         assert out.delta == 0 and out.tree is t
 
@@ -172,23 +170,23 @@ class TestSlide:
         # backbone (1,3,1,1) with a heavy right side; sliding the middle
         # pendant toward the light side increases the index
         t = quasi_caterpillar((1, 3, 1, 1), [(1, 1), (2, 1), (3, 4)])
-        move = slide_move(t, t.path(1, 5))
+        move = slide_move(t, path(t, 1, 5))
         for k in (2, 3, 4):
             assert apply_slide(t, move, k).delta > 0
 
     def test_slide_rejects_degree_two_anchor(self):
         t = quasi_caterpillar((2, 2), [(1, 1)])
         with pytest.raises(InvalidDescriptorError):
-            apply_slide(t, slide_move(t, t.path(1, 4)), 2)
+            apply_slide(t, slide_move(t, path(t, 1, 4)), 2)
 
     def test_slide_rejects_bare_path(self):
         t = path_tree(5)
         with pytest.raises(InvalidDescriptorError):
-            slide_move(t, t.path(0, 4))
+            slide_move(t, path(t, 0, 4))
 
     def test_slide_rejects_mismatched_endpoints(self):
         t = quasi_caterpillar((1, 3), [(1, 2)])
-        move = slide_move(t, t.path(0, 4))
+        move = slide_move(t, path(t, 0, 4))
         bad = Slide(path=move.path, source=move.source, dest=move.source)
         with pytest.raises(InvalidDescriptorError):
             apply_slide(t, bad, 2)
@@ -200,14 +198,14 @@ class TestReattach:
         for _ in range(20):
             tree, move = random_switch_instance(rng)
             for u1, u2 in ((move.w0, move.ws), (move.ws, move.w0)):
-                seg_next = tree.path(u1, u2)[1]
+                seg_next = path(tree, u1, u2)[1]
                 moved = tuple(sorted(w for w in tree.adj[u1] if w != seg_next))
                 for k in (2, 3, 4):
                     out = apply_reattach(tree, Reattach(u1=u1, u2=u2, moved=moved), k)
                     assert out.delta < 0
 
     def test_fig1_bottom_collapse(self, fig1_bottom):
-        move = next(reattach_moves(fig1_bottom))
+        move = moves_of_kind(fig1_bottom, Reattach)[0]
         out = apply_reattach(fig1_bottom, move, 2)
         assert out.delta < 0
         assert segment_sequence(out.tree) == segment_sequence(fig1_bottom)
@@ -217,7 +215,7 @@ class TestReattach:
             apply_reattach(k13, Reattach(u1=0, u2=1, moved=(2, 3)), 2)
 
     def test_rejects_partial_move_set(self, fig1_bottom):
-        move = next(reattach_moves(fig1_bottom))
+        move = moves_of_kind(fig1_bottom, Reattach)[0]
         bad = Reattach(u1=move.u1, u2=move.u2, moved=move.moved[:-1])
         with pytest.raises(InvalidDescriptorError):
             apply_reattach(fig1_bottom, bad, 2)
@@ -235,7 +233,7 @@ class TestValidationMatchesEnumeration:
         rejected = 0
         for n in range(1, 9):
             for t in all_trees(n):
-                enumerated, accepted = set(switch_moves(t)), set()
+                enumerated, accepted = set(moves_of_kind(t, Switch)), set()
                 for seg in branch_segments(t):
                     w0, ws = seg[0], seg[-1]
                     for a, b in itertools.product(t.adj[w0], t.adj[ws]):
@@ -250,7 +248,7 @@ class TestValidationMatchesEnumeration:
     def test_reattach_needs_the_full_off_segment_set(self):
         for n in range(1, 9):
             for t in all_trees(n):
-                enumerated = set(reattach_moves(t))
+                enumerated = set(moves_of_kind(t, Reattach))
                 for seg in branch_segments(t):
                     for u1, u2 in ((seg[0], seg[-1]), (seg[-1], seg[0])):
                         full = tuple(w for w in t.adj[u1] if w not in seg)
@@ -277,7 +275,7 @@ class TestNeighbors:
     def test_k_validated_without_an_evaluation(self, k13):
         # a tree without moves and an identity slide evaluate nothing
         t = quasi_caterpillar((2, 2), [(1, 3)])
-        identity = slide_move(t, t.path(0, 4))
+        identity = slide_move(t, path(t, 0, 4))
         for k in (0, -7, 99):
             with pytest.raises(ValueError):
                 neighbors(k13, k)
@@ -309,9 +307,9 @@ class TestNeighbors:
 
         for n in range(2, 9):
             for t in all_trees(n):
-                assert sum(1 for _ in switch_moves(t)) == switch_descriptor_count(t)
-                assert sum(1 for _ in slide_moves(t)) == slide_descriptor_count(t)
-                assert sum(1 for _ in reattach_moves(t)) == reattach_descriptor_count(t)
+                assert len(moves_of_kind(t, Switch)) == switch_descriptor_count(t)
+                assert len(moves_of_kind(t, Slide)) == slide_descriptor_count(t)
+                assert len(moves_of_kind(t, Reattach)) == reattach_descriptor_count(t)
 
     def test_random_neighbourhoods_match_oracles(self):
         # each neighbour is a valid tree in the source's class, and the
@@ -320,7 +318,7 @@ class TestNeighbors:
         for _ in range(200):
             n = rng.randint(2, 30)
             t = random_labeled_tree(n, rng)
-            assert sum(1 for _ in slide_moves(t)) == slide_descriptor_count(t)
+            assert len(moves_of_kind(t, Slide)) == slide_descriptor_count(t)
             k = rng.randint(1, n)
             seq = segment_sequence(t)
             for o in neighbors(t, k):
@@ -338,8 +336,8 @@ class TestNeighbors:
         trees += [starlike((1,) * m) for m in range(3, 9)]
         trees += [starlike(legs) for legs in ((2, 1, 1), (3, 2, 2), (2, 2, 2, 2), (5, 3, 1, 1, 1), (4, 4, 4))]
         for t in trees:
-            for labelled in (t, t.relabel(rng.sample(range(t.n), t.n))):
-                assert list(slide_moves(labelled)) == list(slide_moves_per_anchor(labelled))
+            for labelled in (t, relabel(t, rng.sample(range(t.n), t.n))):
+                assert moves_of_kind(labelled, Slide) == list(slide_moves_per_anchor(labelled))
 
     def test_relocations_match_the_per_kind_routes(self):
         # the one builder reads `_relocations` and the closed form the
@@ -376,7 +374,7 @@ class TestNeighbors:
         assert max(t.n for t in trees) == 60
         kinds = Counter()
         for t in trees:
-            for labelled in (t, t.relabel(rng.sample(range(t.n), t.n))):
+            for labelled in (t, relabel(t, rng.sample(range(t.n), t.n))):
                 _, side = moves._sides(labelled)
                 for k in range(1, labelled.n + 1):
                     w = _weights(labelled.n, k)

@@ -24,8 +24,10 @@ from segwiener.verify import structure_assessment
 from .oracles import (
     backbone_over_all_candidates,
     edge_side_sizes,
+    path,
     prufer_to_adjacency,
     quasi_caterpillar_by_leaf_walks,
+    relabel,
     segment_decomposition,
     structure_assessment_over_all_backbones,
 )
@@ -57,7 +59,7 @@ def relabelled(draw) -> tuple[Tree, Tree, int]:
     """A tree, a relabelled copy and a k from `ks`."""
     t = draw(labelled_trees())
     perm = draw(st.permutations(range(t.n)))
-    return t, t.relabel(perm), draw(ks(t.n))
+    return t, relabel(t, perm), draw(ks(t.n))
 
 
 @st.composite
@@ -125,7 +127,7 @@ def relabelled_quasi_caterpillars(draw) -> Tree:
             for length in draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
         ]
         t = quasi_caterpillar(r, pendants)
-    return t.relabel(draw(st.permutations(range(t.n))))
+    return relabel(t, draw(st.permutations(range(t.n))))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -145,10 +147,10 @@ def tree_and_two_vertices(draw) -> tuple[Tree, int, int]:
 @given(tree_and_two_vertices())
 def test_path_is_a_path(case):
     t, u, v = case
-    path = t.path(u, v)
-    assert path[0] == u and path[-1] == v
-    assert len(set(path)) == len(path)
-    assert all(b in t.adj[a] for a, b in zip(path, path[1:]))
+    walk = path(t, u, v)
+    assert walk[0] == u and walk[-1] == v
+    assert len(set(walk)) == len(walk)
+    assert all(b in t.adj[a] for a, b in zip(walk, walk[1:]))
 
 
 # a neighbourhood at order 200 has a few thousand moves, about 3 s to build

@@ -15,7 +15,9 @@ from .oracles import (
     EmptySetError,
     edge_side_sizes,
     index_sums_per_k,
+    path,
     random_labeled_tree,
+    relabel,
     steiner_by_enumeration,
     steiner_distance,
     sw_k_bruteforce,
@@ -46,7 +48,7 @@ class TestSteinerDistance:
         # tips of the legs of lengths 3, 2, 2: the spanning subtree is their union
         legs = {}
         for leaf in fig1_top.leaves():
-            length = len(fig1_top.path(0, leaf)) - 1
+            length = len(path(fig1_top, 0, leaf)) - 1
             legs.setdefault(length, []).append(leaf)
         tips = {legs[3][0], legs[2][0], legs[2][1]}
         assert steiner_distance(fig1_top, tips) == 7
@@ -165,7 +167,7 @@ class TestProfile:
             assert all(profile[k - 1] == sw_k(t, k) for k in range(1, n + 1))
             perm = list(range(n))
             relabel_rng.shuffle(perm)
-            assert sw_profile(t.relabel(perm)) == profile
+            assert sw_profile(relabel(t, perm)) == profile
         assert digest.hexdigest() == "b0c38bcede6a3ff24867cace647bfd72a2471cb16095e30b8197a9c47a24ff57"
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -27,8 +28,10 @@ from .conftest import path_tree
 from .oracles import (
     ahu_code_by_recursion,
     centres_by_longest_path,
+    path,
     quasi_caterpillar_by_leaf_walks,
     random_labeled_tree,
+    relabel,
     segment_decomposition,
 )
 
@@ -57,6 +60,18 @@ class TestConstruction:
         with pytest.raises(InvalidTreeError):
             Tree.from_edges([(0, 1), (1, 0), (1, 2)], n=3)
 
+    def test_rejects_non_integer_ids(self):
+        # a float is not truncated and a string is not parsed into an id
+        for edges, named in (
+            ([(0, 1.9), (1, 2)], "(0, 1.9)"),
+            ([("0", "1")], "('0', '1')"),
+            ([(0, 1), (1, 2.0)], "(1, 2.0)"),
+        ):
+            with pytest.raises(InvalidTreeError, match=re.escape(named)):
+                Tree.from_edges(edges)
+            with pytest.raises(InvalidTreeError, match=re.escape(named)):
+                Tree.from_edges(edges, n=3)
+
     def test_rejects_disconnected(self):
         with pytest.raises(InvalidTreeError):
             Tree.from_edges([(0, 1), (2, 3), (3, 4), (4, 2)][:2], n=4)
@@ -70,12 +85,12 @@ class TestConstruction:
 
     def test_path_endpoints(self):
         t = path_tree(6)
-        assert t.path(0, 5) == (0, 1, 2, 3, 4, 5)
-        assert t.path(4, 1) == (4, 3, 2, 1)
-        assert t.path(3, 3) == (3,)
+        assert path(t, 0, 5) == (0, 1, 2, 3, 4, 5)
+        assert path(t, 4, 1) == (4, 3, 2, 1)
+        assert path(t, 3, 3) == (3,)
         for u, v in ((-1, 0), (0, -6), (6, 0), (0, 99)):  # a negative id must not alias a vertex
             with pytest.raises(ValueError):
-                t.path(u, v)
+                path(t, u, v)
 
 
 class TestSegments:
@@ -229,7 +244,7 @@ class TestBackbone:
                     continue
                 perm = list(range(n))
                 rng.shuffle(perm)
-                a, b = backbone(t), backbone(t.relabel(perm))
+                a, b = backbone(t), backbone(relabel(t, perm))
                 assert a.backbone_segment_lengths == b.backbone_segment_lengths
                 assert a.pendant_groups == b.pendant_groups
 
@@ -249,13 +264,13 @@ class TestBackbone:
             t = quasi_caterpillar(r, pend)
             perm = list(range(t.n))
             rng.shuffle(perm)
-            digest.update(f"{backbone(t)!r}\n{backbone(t.relabel(perm))!r}\n".encode())
+            digest.update(f"{backbone(t)!r}\n{backbone(relabel(t, perm))!r}\n".encode())
         assert digest.hexdigest() == GOLDEN_BACKBONES_SHA256
 
 
 class TestCanonicalCode:
     def test_relabelings_of_star_agree(self, k13):
-        assert canonical_code(k13) == canonical_code(k13.relabel([3, 1, 0, 2]))
+        assert canonical_code(k13) == canonical_code(relabel(k13, [3, 1, 0, 2]))
 
     def test_path_and_star_differ(self, k13):
         assert canonical_code(path_tree(4)) != canonical_code(k13)
@@ -278,7 +293,7 @@ class TestCanonicalCode:
             t = random_labeled_tree(n, rng)
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_code(t) == canonical_code(t.relabel(perm))
+            assert canonical_code(t) == canonical_code(relabel(t, perm))
 
     def test_code_equality_iff_isomorphic_small(self):
         # distinct enumerated classes have distinct codes
@@ -287,7 +302,7 @@ class TestCanonicalCode:
             assert len(codes) == len(set(codes))
 
     def test_is_isomorphic(self, k13):
-        assert is_isomorphic(k13, k13.relabel([2, 0, 3, 1]))
+        assert is_isomorphic(k13, relabel(k13, [2, 0, 3, 1]))
         assert not is_isomorphic(k13, path_tree(4))
 
     def test_code_round_trip(self):
@@ -309,7 +324,7 @@ class TestCanonicalCode:
             assert code == ahu_code_by_recursion(t)
             perm = list(range(t.n))
             rng.shuffle(perm)
-            assert canonical_code(t.relabel(perm)) == code
+            assert canonical_code(relabel(t, perm)) == code
             assert canonical_code(tree_from_code(code)) == code
         assert {len(centres_by_longest_path(t)) for t in random_trees} == {1, 2}
 

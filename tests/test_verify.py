@@ -28,7 +28,6 @@ from segwiener.verify import (
     VIOLATED,
     VerificationReport,
     _family_check,
-    any_violated,
     groups_admit_valley,
     is_unimodal,
     is_unit_pendant_caterpillar,
@@ -44,12 +43,15 @@ from segwiener.verify import (
 )
 
 from . import oracles
-from .conftest import path_tree
+from .conftest import any_violated, path_tree
 from .oracles import (
     _orientation_key,
     backbone_over_all_candidates,
     groups_admit_valley_greedy,
+    path,
+    relabel,
     reports_to_json_by_stdlib,
+    segment_sequences_of_order,
     structure_assessment_over_all_backbones,
 )
 
@@ -166,7 +168,7 @@ class TestShapePredicates:
         for t in trees[:]:
             perm = list(range(t.n))
             rng.shuffle(perm)
-            trees.append(t.relabel(perm))
+            trees.append(relabel(t, perm))
         opposite = 0
         for t in trees:
             assert structure_assessment(t) == structure_assessment_over_all_backbones(t)
@@ -186,6 +188,18 @@ class TestShapePredicates:
             for alias in node.names
         }
         assert not borrowed & {"groups_admit_valley", "_orientation_key"}
+
+
+class TestClassOrder:
+    def test_classes_come_in_the_order_of_their_keys(self):
+        # the classes are ordered by the keys of their buckets: sequences
+        # as the partitions of n - 1 list them, counts ascending; the
+        # golden report digests pin class order only at max_n = 9
+        for n in range(2, 17):
+            by_sequence = [tuple(fields["segments"]) for fields, _ in verify_module._classes(n, False)]
+            assert by_sequence == segment_sequences_of_order(n)
+            counts = sorted({len(seq) for seq in by_sequence})
+            assert [fields["m"] for fields, _ in verify_module._classes(n, True)] == counts
 
 
 class TestTheorem1:
@@ -340,7 +354,7 @@ class TestLemma31:
     def test_instance_builder_relations(self):
         rng = random.Random(3)
         tree, move = random_switch_instance(rng, relation="strict")
-        seg = tree.path(move.w0, move.ws)
+        seg = path(tree, move.w0, move.ws)
         assert tree.degree(move.w0) >= 3 and tree.degree(move.ws) >= 3
         assert all(tree.degree(x) == 2 for x in seg[1:-1])
         with pytest.raises(ValueError):
