@@ -87,8 +87,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(enumeration.count_trees(args.n, args.segments, args.num_segments))
         return 0
-    for level in enumeration._levels(args.n, args.segments, args.num_segments):
-        print(enumeration._level_code(level).decode("ascii"))
+    levels = enumeration._levels(args.n, args.segments, args.num_segments)
+    sys.stdout.write(b"".join([enumeration._level_code(level) + b"\n" for level in levels]).decode("ascii"))
     return 0
 
 

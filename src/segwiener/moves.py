@@ -12,11 +12,13 @@ components so that the segment-length multiset never changes:
             segment to the other endpoint, turning the segment pendant.
 
 One stream, `_moves`, yields a tree's neighbourhood in its one order, each
-move as a light record (`Record`) with its segment or anchored path; there
-is no lister per kind.  Validity is defined per segment or path: an
-`apply_*` function accepts exactly the descriptors that `_switches_on`,
-`_reattaches_on` or `slide_move` gives over the same segment or path.
-`_descriptor` turns a record into its descriptor.  What a built move does
+move as a light record (`Record`) with its segment, or with a slide's
+locator in the search that found it, off which `_path` builds the anchored
+path; there is no lister per kind.  Validity is defined per segment or
+path: an `apply_*` function accepts exactly the descriptors that
+`_switches_on`, `_reattaches_on` or `slide_move` gives over the same
+segment or path.  `_descriptor` turns a record and its path into its
+descriptor.  What a built move does
 is written once, in `_relocations`: a list of (root, i, j) along its path,
 the component hanging at path[i] through root moving to path[j].  `_built`
 rewires the source's adjacency by that list (a result that is not a tree
@@ -25,23 +27,26 @@ recompute each result's SW_k from scratch, off the one read
 (`trees._read`) that also checks its segment sequence; the source is read
 once per neighbourhood.
 
-`hill_climb` ranks the records by `_closed_form`, off one read of the
-source and with no descriptor built: the moved components change side
-sizes only on the edges of the path, and along degree-2 vertices those
-sizes are consecutive, so a switch's or a reattach's delta is four prefix
-sums of the `_weights(n, k)` row, and a slide's adds one term per edge of
-the block it moves.  Only the moves tied on the best gain are described
-and built, and a built step whose recomputed delta differs from its
-closed form raises ClosedFormMismatchError.
+`hill_climb` ranks the records by their closed-form deltas
+(`_move_deltas`), off one read of the source, with no path, descriptor or
+side-size closure built per move: the moved components change side sizes
+only on the edges of the path, and along degree-2 vertices those sizes are
+consecutive, so a switch's or a reattach's delta is two prefix sums of the
+`_weights(n, k)` row plus a term taken once per segment, and a slide's
+adds one term per edge of the block it moves, read off the one search
+(`_search`) from its branch vertex that found it.  Only the moves tied on
+the best gain get a path and a descriptor and are built, and a built step
+whose recomputed delta differs from its closed form raises
+ClosedFormMismatchError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
-from .exact import checked
+from .exact import I128_MAX, checked
 from .steiner import _check_k, _index_sums, _weights
 from .trees import InvalidTreeError, Tree, _bfs, _read_built, _walk, canonical_code
 
@@ -290,58 +295,86 @@ def _reattaches_on(path: tuple[int, ...]) -> Iterator[tuple[Record, tuple[int, .
         yield (Reattach, p[0], p[-1]), p
 
 
-def _attachment_depths(adj, b: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """One search from *b*: the parent and depth of every vertex, and the
-    depths of the first and last interior attachment (a vertex of degree at
-    least 3 strictly between b and it) on its path from b, 0 for none."""
+# One search from a branch vertex b (`_search`), as lists by vertex v: the
+# parent toward b, the depth, the depth of the first interior attachment
+# (a vertex of degree at least 3 strictly between b and v) on the path
+# from b, 0 for none, the last one (b for none), v's depth less that of
+# the last one, which is where that one's mirror lies on the path, and the
+# vertex count on b's side of the edge from v to its parent.
+Search = tuple[list[int], list[int], list[int], list[int], list[int], list[int]]
+
+# A slide as `_moves` locates it: the leg from its first anchor to the
+# branch vertex b of the search, its last anchor and b's search.
+SlideAt = tuple[tuple[int, ...], int, Search]
+
+
+def _search(adj, b: int) -> Search:
+    """The `Search` from *b*: one breadth-first search, then one reverse
+    pass over its order for the side sizes."""
+    n = len(adj)
     parent, order = _bfs(adj, b)
-    depth, first, last = [0] * len(adj), [0] * len(adj), [0] * len(adj)
+    depth, first, last, mirror, size = [0] * n, [0] * n, [b] * n, [0] * n, [1] * n
     for v in order[1:]:
         p = parent[v]
         depth[v] = depth[p] + 1
         if p != b and len(adj[p]) >= 3:
-            first[v], last[v] = first[p] or depth[p], depth[p]
+            first[v], last[v], mirror[v] = first[p] or depth[p], p, 1
         else:
-            first[v], last[v] = first[p], last[p]
-    return parent, depth, first, last
+            first[v], last[v], mirror[v] = first[p], last[p], mirror[p] + 1
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+    return parent, depth, first, last, mirror, [n - s for s in size]
 
 
-def _slides(t: Tree) -> Iterator[tuple[Record, tuple[int, ...]]]:
+def _slides(t: Tree) -> Iterator[tuple[Record, SlideAt]]:
     """Non-trivial slides only: the mirrored position must differ.  Anchor
     pairs (x, y), x < y, come in ascending order of x, then of y.  One
-    search per branch vertex b (`_attachment_depths`), made when first
-    needed, serves b and every leaf whose leg (`_walk`) ends at b, ℓ edges
-    away.  Such a leaf's path to an anchor y ≠ b is its leg, then b's path
-    to y: the first interior attachment is b, at depth ℓ, and the last is
-    b's last shifted by ℓ, or b when b's path has none, so either way the
-    last one's mirror is at b's depth of y less b's last.  The pair (x, b)
-    has no interior attachment.  A leg that ends at a leaf spans a path,
-    which has no slides.  A path is built only for a slide it yields."""
+    `_search` per branch vertex b, made when first needed, serves b and
+    every leaf whose leg (`_walk`) ends at b, ℓ edges away.  Such a leaf's
+    path to an anchor y ≠ b is its leg, then b's path to y: the first
+    interior attachment is b, at depth ℓ, and the last is b's last shifted
+    by ℓ, or b when b's path has none, so either way the last one's mirror
+    is at b's mirror of y.  The pair (x, b) has no interior attachment.  A
+    leg that ends at a leaf spans a path, which has no slides.  Each slide
+    comes as its locator; `_slide_path` builds its path."""
     adj = t.adj
     anchors = [v for v in range(t.n) if len(adj[v]) != 2]
-    searches: dict[int, tuple] = {}
+    searches: dict[int, Search] = {}
     for idx, x in enumerate(anchors[:-1]):
         leg = _walk(adj, x, adj[x][0]) if len(adj[x]) == 1 else (x,)
         b, ell = leg[-1], len(leg) - 1
         if len(adj[b]) == 1:
             return
         if b not in searches:
-            searches[b] = _attachment_depths(adj, b)
-        parent, depth, first, last = searches[b]
+            searches[b] = _search(adj, b)
+        search = searches[b]
+        first, mirror = search[2], search[4]
         for y in anchors[idx + 1 :]:
-            i, mirror = ell or first[y], depth[y] - last[y]
-            if i and i != mirror and y != b:
-                tail = []
-                while y != b:
-                    tail.append(y)
-                    y = parent[y]
-                yield (Slide, i, mirror), leg + tuple(reversed(tail))
+            i, m = ell or first[y], mirror[y]
+            if i and i != m and y != b:
+                yield (Slide, i, m), (leg, y, search)
 
 
-def _moves(t: Tree) -> Iterator[tuple[Record, tuple[int, ...]]]:
+def _slide_path(leg: tuple[int, ...], y: int, search: Search) -> tuple[int, ...]:
+    """The anchored path of the slide at (*leg*, *y*, *search*): the leg,
+    then the search's path from its root to y."""
+    parent, b, tail = search[0], leg[-1], []
+    while y != b:
+        tail.append(y)
+        y = parent[y]
+    return leg + tuple(reversed(tail))
+
+
+def _path(record: Record, where: tuple) -> tuple[int, ...]:
+    """The segment or anchored path of a move as `_moves` yields it."""
+    return _slide_path(*where) if record[0] is Slide else where
+
+
+def _moves(t: Tree) -> Iterator[tuple[Record, tuple]]:
     """Every move on *t* in neighbourhood order (switches, slides,
-    reattaches) as a record, with its segment (from u1 for a reattach) or
-    anchored path; the branch segments are walked once."""
+    reattaches) as a record, with its segment (from u1 for a reattach; one
+    tuple for every switch across it) or a slide's locator (`SlideAt`), off
+    which `_path` reads the path.  The branch segments are walked once."""
     segments = list(_branch_segments(t))
     for path in segments:
         for record in _switches_on(t, path):
@@ -354,73 +387,74 @@ def _moves(t: Tree) -> Iterator[tuple[Record, tuple[int, ...]]]:
 def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
     """Every valid switch, slide and reattach on *t*, each applied and
     evaluated from scratch."""
-    described = ((_descriptor(t, record, path), path) for record, path in _moves(t))
+    paths = ((record, _path(record, where)) for record, where in _moves(t))
+    described = ((_descriptor(t, record, path), path) for record, path in paths)
     return _outcomes(t, k, ((move, _built(t, move, path)) for move, path in described))
 
 
-Side = Callable[[int, int], int]
+def _move_deltas(t: Tree, k: int) -> Iterator[tuple[Record, tuple, int]]:
+    """Every move of `_moves(t)`, as it comes, with its delta, off one read
+    of *t* and the `_weights(n, k)` row w with its prefix sums (prefix[x] =
+    w[0] + ... + w[x - 1]): no path, descriptor or neighbour is built.
 
-
-def _sides(t: Tree) -> tuple[list[int], Side]:
-    """The side sizes of *t* and side(u, v), the vertex count on v's side of
-    the edge u-v, off one read of it."""
-    parent, sides, _ = _read_built(t)
-    n = t.n
-    size = [n, *sides]
-
-    def side(u: int, v: int) -> int:
-        return size[v] if parent[v] == u else n - size[u]
-
-    return sides, side
-
-
-def _closed_form(w: Sequence[int], prefix: Sequence[int], side: Side, record: Record, path: tuple[int, ...]) -> int:
-    """The delta of the move *record* along *path*, off the source's
-    `_weights(n, k)` row *w*, its prefix sums (prefix[x] = w[0] + ... +
-    w[x - 1]) and side(u, v).  Components move whole, so only the L edges
-    of the path change side sizes.  Write b_e for the path[0] side of edge
-    e, which joins path[e - 1] and path[e]: along degree-2 vertices the b_e
-    are consecutive, so the weights of such a run are one difference of
-    prefix sums.  On a segment b_1, ..., b_L run from b_1 up, and
+    Components move whole, so only the L edges of the move's path change
+    side sizes.  Write b_e for the path[0] side of edge e, which joins
+    path[e - 1] and path[e]: along degree-2 vertices the b_e are
+    consecutive, so the weights of such a run are one difference of prefix
+    sums.  On a segment b_1, ..., b_L run from b_1 up, and
 
     * a switch shifts them all by the mass it brings to path[0] less the
-      mass it takes from it;
+      mass it takes from it, two side sizes off the read's parents;
     * a reattach leaves path[0] only the segment, so they run from 1.
 
-    A slide carries every component from its first interior attachment i
-    to its last, j, by s = m - i, where m = L - j is the mirror of j.  The
-    run before the block, b_1 to b_1 + i - 1, then ends at b_1 + i + s - 1;
-    b_{i+1}, ..., b_j shift by s each; and from edge j + 1 on the sizes,
-    which ran from b_{j+1}, start at b_{j+1} + s and end where they did."""
-    kind, x, y = record
-    last = len(path) - 1
-    first = side(path[1], path[0])
-    if kind is Slide:
-        shift, j = y - x, last - y
-        block = [side(v, u) for u, v in zip(path[x : j + 1], path[x + 1 : j + 2])]
-        tail, head = block.pop(), first + x
-        moved = sum([w[b + shift] - w[b] for b in block])
-        return moved + prefix[head + shift] - prefix[head] - prefix[tail + shift] + prefix[tail]
-    start = first + side(path[-1], y) - side(path[0], x) if kind is Switch else 1
-    return prefix[start + last] - prefix[start] - prefix[first + last] + prefix[first]
+    b_1 and the term of the run from it are taken once per segment.  A
+    slide carries every component from its first interior attachment i to
+    its last, j, by s = m - i, where m = L - j is the mirror of j.  The run
+    before the block, which ends at b_i, then ends at b_i + s; b_{i+1},
+    ..., b_j shift by s each, read off the search's sides from path[j] up
+    to path[i]; and from edge j + 1 on the sizes, which ran from b_{j+1} =
+    b_L - m + 1, start at b_{j+1} + s and end where they did.  The leg's
+    sizes are 1, ..., ℓ and b's own side is 0, so b_i is ℓ plus the side
+    of path[i] either way.
 
-
-def _move_deltas(t: Tree, k: int) -> Iterator[tuple[Record, tuple[int, ...], int]]:
-    """Every move of `_moves(t)`, as its record, with its path and its
-    `_closed_form` delta, off one read of *t*: no descriptor and no
-    neighbour is built.  As in `neighbors`, the source is evaluated only
-    once it has a move, and a source or neighbour whose SW_k leaves i128
-    raises CountOverflowError."""
-    prefix = None
-    for record, path in _moves(t):
+    As in `neighbors`, the source is evaluated only once it has a move, and
+    a source or neighbour whose SW_k leaves i128 raises CountOverflowError.
+    Every SW_k is >= 0, so a neighbour leaves i128 exactly when its delta
+    exceeds the source's headroom, I128_MAX - SW_k, and only such a delta
+    is checked."""
+    n, prefix, segment = t.n, None, None
+    for record, where in _moves(t):
         if prefix is None:
-            sides, side = _sides(t)
-            value = _index_sums(t.n, sides, (k,))[0]
-            w = _weights(t.n, k)
+            parent, sides, _ = _read_built(t)
+            value = _index_sums(n, sides, (k,))[0]
+            headroom, size = I128_MAX - value, [n, *sides]
+            w = _weights(n, k)
             prefix = list(accumulate(w, initial=0))
-        delta = _closed_form(w, prefix, side, record, path)
-        checked(value + delta)
-        yield record, path, delta
+        kind, x, y = record
+        if kind is Slide:
+            leg, z, (up, depth, _, last, _, side) = where
+            shift, ell, v = y - x, len(leg) - 1, last[z]
+            tail = side[z] - y + 1
+            delta = prefix[tail] - prefix[tail + shift]
+            for _ in range(ell + depth[z] - y - x):
+                a = side[v]
+                delta += w[a + shift] - w[a]
+                v = up[v]
+            head = ell + side[v] + 1
+            delta += prefix[head + shift] - prefix[head]
+        else:
+            if where is not segment:
+                segment, length, u, ws = where, len(where) - 1, where[0], where[-1]
+                first = size[u] if parent[u] == where[1] else n - size[where[1]]
+                run = prefix[first] - prefix[first + length]
+            if kind is Switch:
+                start = first + (size[y] if parent[y] == ws else n - size[ws]) - (size[x] if parent[x] == u else n - size[u])
+            else:
+                start = 1
+            delta = prefix[start + length] - prefix[start] + run
+        if delta > headroom:
+            checked(value + delta)
+        yield record, where, delta
 
 
 @dataclass(frozen=True)
@@ -433,12 +467,13 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     """Steepest ascent/descent over the move neighbourhood.
 
     Each step ranks every move of `neighbors`, as its record, by its
-    `_closed_form` delta (`_move_deltas`), off one read of the current tree,
-    and describes and builds only the moves that tie on the best strictly
-    improving gain.  Each of those goes through `_relocations`, the one
-    builder and the one read of `neighbors` (tree check, segment-sequence
-    check and SW_k recomputed from scratch), and a recomputed delta that
-    differs from its closed form raises ClosedFormMismatchError.  Ties are broken deterministically by (delta,
+    closed-form delta (`_move_deltas`), off one read of the current tree,
+    and builds the path and the descriptor of only the moves that tie on
+    the best strictly improving gain.  Each of those goes through
+    `_relocations`, the one builder and the one read of `neighbors` (tree
+    check, segment-sequence check and SW_k recomputed from scratch), and a
+    recomputed delta that differs from its closed form raises
+    ClosedFormMismatchError.  Ties are broken deterministically by (delta,
     canonical code of the result), the first in move order among equal
     codes.  The climb stops when no move improves; the endpoint is a local
     optimum within the segment-sequence class.  Raises ValueError unless
@@ -452,14 +487,15 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     steps: list[MoveOutcome] = []
     while True:
         gain, ties = 0, []
-        for record, path, delta in _move_deltas(current, k):
+        for record, where, delta in _move_deltas(current, k):
             if sign * delta > gain:
-                gain, ties = sign * delta, [(record, path, delta)]
+                gain, ties = sign * delta, [(record, where, delta)]
             elif sign * delta == gain and gain:
-                ties.append((record, path, delta))
+                ties.append((record, where, delta))
         if not ties:
             return ClimbResult(tree=current, steps=tuple(steps))
-        described = [(_descriptor(current, record, path), path, delta) for record, path, delta in ties]
+        paths = [(record, _path(record, where), delta) for record, where, delta in ties]
+        described = [(_descriptor(current, record, path), path, delta) for record, path, delta in paths]
         built = _outcomes(current, k, [(move, _built(current, move, path)) for move, path, _ in described])
         for (move, _, delta), outcome in zip(described, built):
             if outcome.delta != delta:

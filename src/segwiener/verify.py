@@ -79,14 +79,33 @@ def _json(value: object, indent: str) -> str:
     raise TypeError(f"no report encoding for {type(value).__name__}")
 
 
+def _instance(instance: dict, heads: dict[tuple, str]) -> str:
+    """*instance* as `_json` writes it at a report field's indent.  The
+    reports of one class share every instance field but k, which comes
+    last, so all but the last item are encoded once per key list and value
+    objects, into *heads*."""
+    if not instance:
+        return "{}"
+    inner = _FIELD + "  "
+    key = (tuple(instance), tuple(map(id, instance.values()))[:-1])
+    head = heads.get(key)
+    if head is None:
+        *items, (name, _) = instance.items()
+        fields = "".join(f"{inner}{_string(field)}: {_json(value, inner)},\n" for field, value in items)
+        head = heads[key] = "{\n" + fields + f"{inner}{_string(name)}: "
+    return head + _json(next(reversed(instance.values())), inner) + "\n" + _FIELD + "}"
+
+
 def reports_to_json(reports: Iterable[VerificationReport]) -> str:
     """The reports as a JSON list, byte for byte what
     ``json.dumps(..., indent=2)`` writes for their dicts, plus a newline
     (`extremal_value` as a decimal string).  Reports that share a ruling
     hold the same `arg_trees` and `predicate_outcomes` objects, which are
-    encoded once."""
+    encoded once, and the fields their instances share (`_instance`) are
+    too."""
     reports = list(reports)  # alive for the call, so their ids stay unique
     shared: dict[tuple[int, int], str] = {}
+    heads: dict[tuple, str] = {}
     items = []
     for r in reports:
         key = (id(r.arg_trees), id(r.predicate_outcomes))
@@ -99,7 +118,7 @@ def reports_to_json(reports: Iterable[VerificationReport]) -> str:
         value = None if r.extremal_value is None else str(r.extremal_value)
         items.append(
             f'  {{\n{_FIELD}"theorem": {_string(r.theorem)},\n'
-            f'{_FIELD}"instance": {_json(r.instance, _FIELD)},\n'
+            f'{_FIELD}"instance": {_instance(r.instance, heads)},\n'
             f'{_FIELD}"extremal_value": {_json(value, _FIELD)},\n'
             f"{_FIELD}{block},\n"
             f'{_FIELD}"verdict": {_string(r.verdict)},\n'

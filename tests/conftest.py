@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -31,7 +31,15 @@ def moves_of_kind(t: Tree, kind: type) -> list[MoveDescriptor]:
     """The descriptors of the moves of one kind (`Switch`, `Slide` or
     `Reattach`) on *t*, in the order of `moves._moves`, the one stream that
     `neighbors` and `hill_climb` read."""
-    return [moves._descriptor(t, record, path) for record, path in moves._moves(t) if record[0] is kind]
+    return [moves._descriptor(t, record, moves._path(record, where)) for record, where in moves._moves(t) if record[0] is kind]
+
+
+def ranked(t: Tree, k: int) -> Iterator[tuple[MoveDescriptor, tuple[int, ...], int]]:
+    """Every move that `hill_climb` ranks on *t* (`moves._move_deltas`), in
+    its order, as its descriptor, its path and its closed-form delta."""
+    for record, where, delta in moves._move_deltas(t, k):
+        path = moves._path(record, where)
+        yield moves._descriptor(t, record, path), path, delta
 
 
 def any_violated(reports: Iterable[VerificationReport]) -> bool:

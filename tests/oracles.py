@@ -42,10 +42,10 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from segwiener.exact import checked
-from segwiener.moves import MoveDescriptor, Reattach, Relocation, Side, Slide, Switch, _rewire
+from segwiener.moves import MoveDescriptor, Reattach, Relocation, Slide, Switch, _rewire
 from segwiener.steiner import _weights
 from segwiener.trees import (
     BackboneView,
@@ -217,14 +217,36 @@ def prufer_degrees_and_sums(seq: tuple[int, ...], n: int) -> tuple[list[int], li
     return degree, total
 
 
-def edge_side_sizes(t: Tree) -> list[int]:
-    """For every edge, the vertex count of one fixed side (the child side
-    when rooted at vertex 0)."""
+def _subtree_sizes(t: Tree) -> tuple[list[int], list[int], list[int]]:
+    """The parents and order of the breadth-first search of *t* from vertex
+    0, and the vertex count of every vertex's subtree in that search."""
     parent, order = _bfs(t.adj, 0)
     size = [1] * t.n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
+    return parent, order, size
+
+
+def edge_side_sizes(t: Tree) -> list[int]:
+    """For every edge, the vertex count of one fixed side (the child side
+    when rooted at vertex 0)."""
+    _, order, size = _subtree_sizes(t)
     return [size[v] for v in order[1:]]
+
+
+Side = Callable[[int, int], int]
+
+
+def side_reader(t: Tree) -> Side:
+    """side(u, v), the vertex count on v's side of the edge u-v of *t*, off
+    the subtree sizes of its search from vertex 0."""
+    parent, _, size = _subtree_sizes(t)
+    n = t.n
+
+    def side(u: int, v: int) -> int:
+        return size[v] if parent[v] == u else n - size[u]
+
+    return side
 
 
 def path(t: Tree, u: int, v: int) -> tuple[int, ...]:

@@ -36,7 +36,7 @@ from segwiener.trees import (
 )
 from segwiener.verify import random_switch_instance
 
-from .conftest import double_broom, moves_of_kind, path_tree
+from .conftest import double_broom, moves_of_kind, path_tree, ranked
 from .oracles import (
     built_by_kind,
     delta_by_kind,
@@ -45,6 +45,7 @@ from .oracles import (
     random_labeled_tree,
     relabel,
     segment_decomposition,
+    side_reader,
     slide_descriptor_count,
     slide_moves_per_anchor,
     sw_k_bruteforce,
@@ -109,7 +110,7 @@ class TestSwitch:
             size_b = hanging_size(tree, move.b_root, move.ws)
             size_y = sum(hanging_size(tree, v, move.ws) for v in tree.adj[move.ws] if v not in (move.b_root, segment[-2]))
             for k in range(1, tree.n + 1):
-                closed = {moves._descriptor(tree, r, p): d for r, p, d in _move_deltas(tree, k)}[move]
+                closed = {m: d for m, _, d in ranked(tree, k)}[move]
                 assert closed == apply_switch(tree, move, k).delta
                 if k >= 2:
                     assert (closed == 0) == (k > tree.n - 1 - size_y - size_b)
@@ -348,15 +349,16 @@ class TestNeighbors:
         trees += [random_labeled_tree(rng.randint(1, 30), rng) for _ in range(200)]
         kinds = Counter()
         for t in trees:
-            _, side = moves._sides(t)
-            for record, path in moves._moves(t):
+            side = side_reader(t)
+            for record, where in moves._moves(t):
+                path = moves._path(record, where)
                 move = moves._descriptor(t, record, path)
                 assert moves._built(t, move, path) == built_by_kind(t, move)
                 kinds[type(move)] += 1
             for k in range(1, min(4, t.n) + 1):
                 w = _weights(t.n, k)
-                for record, path, delta in _move_deltas(t, k):
-                    assert delta == delta_by_kind(w, side, path, moves._descriptor(t, record, path))
+                for move, path, delta in ranked(t, k):
+                    assert delta == delta_by_kind(w, side, path, move)
         assert min(kinds[kind] for kind in (Switch, Slide, Reattach)) > 1000
 
     def test_ranked_deltas_on_long_segments(self):
@@ -375,46 +377,48 @@ class TestNeighbors:
         kinds = Counter()
         for t in trees:
             for labelled in (t, relabel(t, rng.sample(range(t.n), t.n))):
-                _, side = moves._sides(labelled)
+                side = side_reader(labelled)
                 for k in range(1, labelled.n + 1):
                     w = _weights(labelled.n, k)
-                    ranked = []
-                    for record, path, delta in _move_deltas(labelled, k):
-                        move = moves._descriptor(labelled, record, path)
+                    closed = []
+                    for move, path, delta in ranked(labelled, k):
                         assert delta == delta_over_relocations(w, side, path, moves._relocations(labelled, move, path))
                         assert delta == delta_by_kind(w, side, path, move)
-                        ranked.append((move, delta))
+                        closed.append((move, delta))
                         kinds[type(move)] += 1
-                    assert ranked == [(o.move, o.delta) for o in neighbors(labelled, k)]
+                    assert closed == [(o.move, o.delta) for o in neighbors(labelled, k)]
         assert min(kinds[kind] for kind in (Switch, Slide, Reattach)) > 100
 
     def test_ranking_overflows_as_the_neighbours_do(self):
         # at order 131 the weight row leaves i128 at k = 63..68 (C(131, 65)
         # among them) and SW_k at more k around them: at every k the ranking
-        # raises exactly where the neighbourhood does, and agrees elsewhere
+        # raises exactly where the neighbourhood does, with its message, and
+        # agrees elsewhere
+        def run(route):
+            """What *route* returns, or the message of its CountOverflowError."""
+            try:
+                return route(), None
+            except CountOverflowError as error:
+                return None, str(error)
+
         t = double_broom(124, 3, 3)
         assert t.n == 131
-        raised = set()
+        raised = {}
         for k in range(1, t.n + 1):
-            try:
-                ranked = [(moves._descriptor(t, record, path), delta) for record, path, delta in _move_deltas(t, k)]
-            except CountOverflowError:
-                ranked = None
-            try:
-                recomputed = [(o.move, o.delta) for o in neighbors(t, k)]
-            except CountOverflowError:
-                recomputed = None
-            assert ranked == recomputed, k
-            if ranked is None:
-                raised.add(k)
-        assert 65 in raised and set(range(63, 69)) < raised
+            closed = run(lambda: [(move, delta) for move, _, delta in ranked(t, k)])
+            recomputed = run(lambda: [(o.move, o.delta) for o in neighbors(t, k)])
+            assert closed == recomputed, k
+            if closed[1] is not None:
+                raised[k] = closed[1]
+        assert raised[65] == "C(131,65) exceeds the signed 128-bit range"
+        assert set(range(63, 69)) < set(raised)
+        assert any(not message.startswith("C(") for message in raised.values())
         # SW_40 of this tree fits, and that of one of its neighbours does not
         t = quasi_caterpillar((18, 1, 71), [(1, 33), (2, 21), (2, 1)])
         assert sw_k(t, 40) > 0
-        with pytest.raises(CountOverflowError):
-            list(_move_deltas(t, 40))
-        with pytest.raises(CountOverflowError):
-            neighbors(t, 40)
+        _, message = run(lambda: list(ranked(t, 40)))
+        assert message is not None and not message.startswith("C(")
+        assert message == run(lambda: neighbors(t, 40))[1]
 
     def test_rewire_refuses_non_trees(self):
         t = path_tree(5)  # 0-1-2-3-4
@@ -556,9 +560,34 @@ class TestHillClimb:
             assert res.steps and len(built) == tied < moves_seen
             assert all(o.move in built for o in res.steps)
 
+    def test_builds_slide_paths_only_for_the_tied_slides(self, monkeypatch):
+        # the ranking reads each slide off its locator; each step builds the
+        # path of exactly the slides tied on its best gain, once each
+        built = []
+        slide_path = moves._slide_path
+        monkeypatch.setattr(moves, "_slide_path", lambda *where: built.append(where) or slide_path(*where))
+        rng = random.Random(24)
+        tied = slides = 0
+        for t in [random_labeled_tree(rng.randint(12, 32), rng) for _ in range(20)]:
+            for k, direction in ((2, "maximize"), (3, "minimize")):
+                built.clear()
+                res = hill_climb(t, k, direction)
+                during = built[:]
+                sign = 1 if direction == "maximize" else -1
+                expected = []
+                for source in (t, *(o.tree for o in res.steps)):
+                    ranking = list(moves._move_deltas(source, k))
+                    gain = max((sign * delta for _, _, delta in ranking), default=0)
+                    expected += [where for record, where, delta in ranking if record[0] is Slide and sign * delta == gain > 0]
+                    slides += sum(record[0] is Slide for record, _, _ in ranking)
+                assert built == during == expected
+                tied += len(expected)
+        assert 0 < tied < slides
+
     def test_closed_form_mismatch_raises(self, fig1_bottom, monkeypatch):
-        closed_form = moves._closed_form
-        monkeypatch.setattr(moves, "_closed_form", lambda *a: closed_form(*a) + 1)
+        # a ranked delta one off from the rebuilt neighbour's is caught
+        move_deltas = moves._move_deltas
+        monkeypatch.setattr(moves, "_move_deltas", lambda t, k: ((r, w, d + 1) for r, w, d in move_deltas(t, k)))
         with pytest.raises(ClosedFormMismatchError):
             hill_climb(fig1_bottom, 2, "maximize")
 

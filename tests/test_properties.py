@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from segwiener.enumeration import _parens
 from segwiener.exact import CountOverflowError
 from segwiener.generators import quasi_caterpillar, starlike
-from segwiener.moves import _descriptor, _move_deltas, neighbors
+from segwiener.moves import neighbors
 from segwiener.steiner import sw_k
 from segwiener.trees import Tree, _bfs, _codes, _read, backbone, canonical_code, is_quasi_caterpillar, segment_sequence
 from segwiener.verify import structure_assessment
 
+from .conftest import ranked
 from .oracles import (
     backbone_over_all_candidates,
     edge_side_sizes,
@@ -175,7 +176,7 @@ def test_closed_form_deltas_match_neighbors(case):
     except CountOverflowError:
         recomputed = None
     try:
-        closed = [(_descriptor(t, record, path), delta) for record, path, delta in _move_deltas(t, k)]
+        closed = [(move, delta) for move, _, delta in ranked(t, k)]
     except CountOverflowError:
         closed = None
     assert closed == recomputed
