@@ -12,21 +12,25 @@ A tree is read, coded and filtered straight off its level sequence, and a
 ``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
 gives the level sequences (every tree of an order, one segment sequence or
 one segment count), in stream order, to ``count_trees``, the ``Tree``
-streams and the codes ``segwiener enumerate`` prints.  A segment count is
-read off the degrees alone (`_segment_count`).  A segment class is not
-filtered out of its order: it is generated from its skeletons, the trees
-with one edge per segment and no vertex of degree 2, by placing the
-segment lengths on their edges once per orbit of the skeleton's
-automorphisms (`_class_members`).  `_segment_class` re-roots each member
-at its centre and sorts the sequences into stream order; ``count_trees``
-counts the members as they are placed, since a count needs neither.  One
-pass, `_parents`, gives the preorder parents and degrees that the count,
-the skeleton test, the reader (``trees._read``) and `_tree_from_levels`
-share.  Every sequence the stream emits is canonical, each vertex's
-children in non-increasing order, so a tree's code is its sequence written
-as parentheses (`_parens`), with no sorting.  The
-Prüfer-plus-canonical-dedup oracle and the Cayley-formula check live in
-the test suite.
+streams and the codes ``segwiener enumerate`` prints.  Neither a segment
+class nor a segment count is filtered out of its order: both are generated
+from their skeletons, the trees with one edge per segment and no vertex of
+degree 2, by placing the segment lengths on their edges once per orbit of
+the skeleton's automorphisms (`_class_members`); a count takes the classes
+of every partition of n - 1 into that many parts (`_partitions`) on the
+same skeletons.  The skeletons themselves are built directly, as the
+centred joins of rooted trees in which no vertex has exactly one child
+(`_skeletons`), not scanned out of the stream of their order.
+`_segment_class` re-roots each member at its centre and sorts the
+sequences into stream order; ``count_trees`` counts the members as they
+are placed, since a count needs neither.  One pass, `_parents`, gives the
+preorder parents and degrees that the placements, the reader
+(``trees._read``) and `_tree_from_levels` share.  Every sequence the
+stream emits is canonical, each vertex's children in non-increasing
+order, so a tree's code is its sequence written as parentheses
+(`_parens`), with no sorting.  The Prüfer-plus-canonical-dedup oracle, the
+stream filters the skeletons and counts are checked against, and the
+Cayley-formula check live in the test suite.
 """
 
 from __future__ import annotations
@@ -105,12 +109,6 @@ def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
     read (`trees._read`) off its preorder parents."""
     parent, degree = _parents(level)
     return _read(parent, range(len(level)), degree)
-
-
-def _segment_count(level: list[int]) -> int:
-    """The number of segments of the tree of a level sequence (0 for a
-    single vertex): one fewer than its vertices of degree other than 2."""
-    return len(level) - 1 - _parents(level)[1].count(2)
 
 
 def _parens(level: list[int]) -> bytes:
@@ -231,29 +229,28 @@ def trees_with_segment_count(n: int, m: int) -> Iterator[Tree]:
 def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> int:
     """How many trees `trees_with_segment_sequence(segments)`,
     `trees_with_segment_count(n, num_segments)` or `all_trees(n)` yields,
-    the first whose argument is given; the level sequences are counted and
-    no tree is built, and a segment class's members are counted as they are
-    placed, neither re-rooted nor sorted.  *segments* must sum to n - 1."""
+    the first whose argument is given; no tree is built, and the members of
+    a segment class or count are counted as they are placed on their
+    skeletons, neither re-rooted nor sorted.  *segments* must sum to n - 1."""
     if segments is not None:
         lengths = _class_lengths(n, segments)
-        return sum(1 for _ in _class_members(lengths, _shifts(n)))
-    return sum(1 for _ in _levels(n, None, num_segments))
+        return sum(1 for _ in _class_members([lengths], _shifts(n)))
+    if num_segments is not None:
+        return sum(1 for _ in _class_members(_count_classes(n, num_segments), _shifts(n)))
+    return sum(1 for _ in _level_sequences(n))
 
 
 def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> Iterator[list[int]]:
     """The level sequence of every tree of order *n*, or of those with
     segment sequence *segments* (which must sum to n - 1) or with
     *num_segments* segments (not negative), the first whose argument is
-    given, in stream order.  The count filter counts the segments off the
-    degrees (`_segment_count`); a segment class is built from its skeletons
-    (`_segment_class`), which come from the stream of order 1 + its number
-    of parts."""
+    given, in stream order.  A segment class, and a segment count as the
+    classes of its partitions of n - 1, is built from its skeletons
+    (`_segment_class`), not filtered out of the stream."""
     if segments is not None:
-        yield from _segment_class(_class_lengths(n, segments))
+        yield from _segment_class(n, [_class_lengths(n, segments)])
     elif num_segments is not None:
-        if num_segments < 0:
-            raise ValueError(f"segment count {num_segments} is negative")
-        yield from (level for level in _level_sequences(n) if _segment_count(level) == num_segments)
+        yield from _segment_class(n, _count_classes(n, num_segments))
     else:
         yield from _level_sequences(n)
 
@@ -270,33 +267,112 @@ def _class_lengths(n: int, segments: Iterable[int]) -> tuple[int, ...]:
     return lengths
 
 
-def _segment_class(lengths: tuple[int, ...]) -> Iterator[list[int]]:
-    """The level sequence of every tree with segment sequence *lengths*
-    (non-increasing, of one part or at least three), in stream order: the
-    class's members (`_class_members`) re-rooted at their centres
-    (`_recentre`) and sorted into the stream's descending order."""
-    shift = _shifts(1 + sum(lengths))
-    found = [_recentre(level, shift) for level in _class_members(lengths, shift)]
+def _count_classes(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """The candidate segment sequences of the trees of order *n* with *m*
+    segments (not negative), within the order guard: the partitions of
+    n - 1 into m parts, in non-increasing order."""
+    if m < 0:
+        raise ValueError(f"segment count {m} is negative")
+    _check_order(n)
+    return _partitions(n - 1, m, n - 1)
+
+
+def _partitions(total: int, parts: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Every way to write *total* as a sum of *parts* positive parts, none
+    above *largest*, as a non-increasing tuple."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(largest, total - parts + 1), 0, -1):
+        if first * parts < total:
+            return
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
+def _segment_class(n: int, classes: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
+    """The level sequence of every tree of order *n* whose segment sequence
+    is one of *classes* (non-increasing, of n - 1 in all and of one number
+    of parts), in stream order: the members (`_class_members`) re-rooted at
+    their centres (`_recentre`) and sorted into the stream's descending
+    order."""
+    shift = _shifts(n)
+    found = [_recentre(level, shift) for level in _class_members(classes, shift)]
     found.sort(reverse=True)
     for level in found:
         yield list(level)
 
 
-def _class_members(lengths: tuple[int, ...], shift: list[bytes]) -> Iterator[bytes]:
-    """Every tree with segment sequence *lengths* once, in no set order, as
-    a canonical level sequence (as bytes) rooted at its skeleton's centre.
+def _class_members(classes: Iterable[tuple[int, ...]], shift: list[bytes]) -> Iterator[bytes]:
+    """Every tree whose segment sequence is one of *classes* (non-increasing,
+    of one order n and one number of parts m) once, in no set order, as a
+    canonical level sequence (as bytes) rooted at its skeleton's centre.
 
     A tree's vertices of degree other than 2, joined along its segments,
-    form its skeleton: a tree with len(lengths) edges and no vertex of
-    degree 2, of which the tree is a subdivision with the parts as edge
-    lengths.  The skeletons are the stream's sequences of order
-    len(lengths) + 1 whose degrees hold no 2.  A skeleton's placements of
-    the parts up to its automorphisms (`_placements`) are distinct trees,
-    since a tree has one skeleton.  *shift* is `_shifts(n)` for the
-    class's order n."""
-    for skeleton in _level_sequences(len(lengths) + 1):
-        if 2 not in _parents(skeleton)[1]:
+    form its skeleton: a tree with m edges and no vertex of degree 2
+    (`_skeletons`), of which the tree is a subdivision with the parts as
+    edge lengths.  A skeleton's placements of the parts up to its
+    automorphisms (`_placements`) are distinct trees, since a tree has one
+    skeleton.  The skeletons are built once, for the first class.  *shift*
+    is `_shifts(n)`."""
+    skeletons = None
+    for lengths in classes:
+        if skeletons is None:
+            skeletons = _skeletons(len(lengths) + 1)
+        for skeleton in skeletons:
             yield from _placements(skeleton, lengths, shift)
+
+
+def _skeletons(order: int) -> list[list[int]]:
+    """The stream's level sequence of every tree of *order* vertices with
+    no vertex of degree 2 (the series-reduced trees, OEIS A000014), in
+    stream order, built without the stream of that order.
+
+    Rooted at a centre, every vertex below the root has no children or at
+    least two, so each branch is a rooted tree in which no vertex has
+    exactly one child: those of s vertices are the multisets of at least
+    two smaller ones with s - 1 vertices in all, each child's sequence
+    shifted one level down and the children in non-increasing order.  A
+    unicentral skeleton is one of *order* vertices whose root has none or at
+    least three children, the two highest of equal height.  A bicentral
+    one joins two of equal height, vertex 1's and the root's, by the
+    central edge; as `_is_centred` orders them, vertex 1's half is the
+    smaller, or at equal size not lexicographically later."""
+    if order == 1:
+        return [[0]]
+    down = _shifts(1)[1]
+    pool: list[tuple[bytes, int]] = []  # (sequence, height) of every rooted tree built, by size
+    below = [0]  # below[s]: how many pooled trees have at most s vertices
+
+    def forests(total: int, top: int) -> Iterator[tuple[int, ...]]:
+        # multisets of pool[:top] with *total* vertices, as indices in non-increasing order
+        if total == 0:
+            yield ()
+            return
+        for i in range(min(top, below[total]) - 1, -1, -1):
+            for rest in forests(total - len(pool[i][0]), i + 1):
+                yield (i, *rest)
+
+    def grown(children: tuple[int, ...]) -> tuple[bytes, int]:
+        kids = sorted([pool[i][0].translate(down) for i in children], reverse=True)
+        return b"\0" + b"".join(kids), 1 + max(pool[i][1] for i in children)
+
+    for size in range(1, order):
+        pool += [(b"\0", 0)] if size == 1 else [grown(children) for children in forests(size - 1, below[size - 2])]
+        below.append(len(pool))
+    found = []
+    for children in forests(order - 1, below[order - 2]):
+        heights = sorted((pool[i][1] for i in children), reverse=True)
+        if len(children) >= 3 and heights[0] == heights[1]:
+            found.append(grown(children)[0])
+    for small in range(1, order // 2 + 1):
+        for near, height in pool[below[small - 1] : below[small]]:
+            for far, other in pool[below[order - small - 1] : below[order - small]]:
+                if other == height and (2 * small < order or near <= far):
+                    found.append(b"\0" + near.translate(down) + far[1:])
+    found.sort(reverse=True)
+    return [list(level) for level in found]
 
 
 def _shifts(n: int) -> list[bytes]:
@@ -323,7 +399,7 @@ def _placements(skeleton: list[int], lengths: tuple[int, ...], shift: list[bytes
     size = len(skeleton)
     values = sorted(set(lengths))
     counts = tuple(lengths.count(x) for x in values)
-    chains = [bytes(range(1, length)) for length in range(values[-1] + 1)]
+    chains = [bytes(range(1, length)) for length in range(max(lengths, default=0) + 1)]
     parent = _parents(skeleton)[0]
     end = list(range(1, size + 1))
     for v in range(size - 1, 0, -1):

@@ -35,8 +35,9 @@ consecutive, so a switch's or a reattach's delta is two prefix sums of the
 `_weights(n, k)` row plus a term taken once per segment, and a slide's
 adds one term per edge of the block it moves, read off the one search
 (`_search`) from its branch vertex that found it.  Only the moves tied on
-the best gain get a path and a descriptor and are built, and a built step
-whose recomputed delta differs from its closed form raises
+the best gain get a path and a descriptor and are built, their outcomes
+taken against the ranking's read of the source, and a built step whose
+recomputed delta differs from its closed form raises
 ClosedFormMismatchError.
 """
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Union
+from typing import Generator, Iterable, Iterator, Union
 
 from .exact import I128_MAX, checked
 from .steiner import _check_k, _index_sums, _weights
@@ -158,14 +159,17 @@ def _evaluate(t: Tree, k: int) -> tuple[tuple[int, ...], int]:
     return segments, _index_sums(t.n, sides, (k,))[0]
 
 
-def _outcomes(t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Tree]]) -> list[MoveOutcome]:
+def _outcomes(
+    t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Tree]], source: tuple[tuple[int, ...], int] | None = None
+) -> list[MoveOutcome]:
     """The outcome of each (move, result tree) on the source *t*, after
-    checking k.  The source is evaluated once, when first needed, so a tree
-    without moves (a path, a star, one vertex) is never evaluated; a result
-    that is *t* itself is the identity move.  Each result is evaluated off
-    one read, which also checks its segment sequence."""
+    checking k.  *source* is the (segment sequence, SW_k) of *t* when the
+    caller has read it already; else the source is evaluated once, when
+    first needed, so a tree without moves (a path, a star, one vertex) is
+    never evaluated.  A result that is *t* itself is the identity move.
+    Each result is evaluated off one read, which also checks its segment
+    sequence."""
     _check_k(t, k)
-    source = None
     out = []
     for move, result in results:
         if result is t:
@@ -392,10 +396,12 @@ def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
     return _outcomes(t, k, ((move, _built(t, move, path)) for move, path in described))
 
 
-def _move_deltas(t: Tree, k: int) -> Iterator[tuple[Record, tuple, int]]:
+def _move_deltas(t: Tree, k: int) -> Generator[tuple[Record, tuple, int], None, tuple[tuple[int, ...], int] | None]:
     """Every move of `_moves(t)`, as it comes, with its delta, off one read
     of *t* and the `_weights(n, k)` row w with its prefix sums (prefix[x] =
-    w[0] + ... + w[x - 1]): no path, descriptor or neighbour is built.
+    w[0] + ... + w[x - 1]): no path, descriptor or neighbour is built.  It
+    returns what that read gave, the (segment sequence, SW_k) of *t*, or
+    None for a tree without moves, which is not read.
 
     Components move whole, so only the L edges of the move's path change
     side sizes.  Write b_e for the path[0] side of edge e, which joins
@@ -425,7 +431,7 @@ def _move_deltas(t: Tree, k: int) -> Iterator[tuple[Record, tuple, int]]:
     n, prefix, segment = t.n, None, None
     for record, where in _moves(t):
         if prefix is None:
-            parent, sides, _ = _read_built(t)
+            parent, sides, segments = _read_built(t)
             value = _index_sums(n, sides, (k,))[0]
             headroom, size = I128_MAX - value, [n, *sides]
             w = _weights(n, k)
@@ -455,6 +461,7 @@ def _move_deltas(t: Tree, k: int) -> Iterator[tuple[Record, tuple, int]]:
         if delta > headroom:
             checked(value + delta)
         yield record, where, delta
+    return None if prefix is None else (segments, value)
 
 
 @dataclass(frozen=True)
@@ -471,7 +478,9 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     and builds the path and the descriptor of only the moves that tie on
     the best strictly improving gain.  Each of those goes through
     `_relocations`, the one builder and the one read of `neighbors` (tree
-    check, segment-sequence check and SW_k recomputed from scratch), and a
+    check, segment-sequence check and SW_k recomputed from scratch),
+    compared with the segment sequence and SW_k of the ranking's read, so
+    the current tree is read once per step; and a
     recomputed delta that differs from its closed form raises
     ClosedFormMismatchError.  Ties are broken deterministically by (delta,
     canonical code of the result), the first in move order among equal
@@ -486,8 +495,13 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     current = t
     steps: list[MoveOutcome] = []
     while True:
-        gain, ties = 0, []
-        for record, where, delta in _move_deltas(current, k):
+        gain, ties, ranking = 0, [], _move_deltas(current, k)
+        while True:  # the ranking returns its read of the source, which the ties reuse
+            try:
+                record, where, delta = next(ranking)
+            except StopIteration as end:
+                source = end.value
+                break
             if sign * delta > gain:
                 gain, ties = sign * delta, [(record, where, delta)]
             elif sign * delta == gain and gain:
@@ -496,7 +510,7 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
             return ClimbResult(tree=current, steps=tuple(steps))
         paths = [(record, _path(record, where), delta) for record, where, delta in ties]
         described = [(_descriptor(current, record, path), path, delta) for record, path, delta in paths]
-        built = _outcomes(current, k, [(move, _built(current, move, path)) for move, path, _ in described])
+        built = _outcomes(current, k, [(move, _built(current, move, path)) for move, path, _ in described], source)
         for (move, _, delta), outcome in zip(described, built):
             if outcome.delta != delta:
                 raise ClosedFormMismatchError(f"{move!r}: closed form {delta}, recomputed {outcome.delta}")

@@ -26,12 +26,16 @@ by a routine of its own instead of from one relocation list, a move's
 delta is also stepped edge by edge over its relocation list
 (`delta_over_relocations`) instead of read off prefix sums, slides are
 listed by a search from every anchor instead of one per branch vertex,
-reports are written by the stdlib ``json`` encoder, and the realizable
+reports are written by the stdlib ``json`` encoder, the realizable
 segment sequences of an order are listed as the partitions of n - 1 into
 one part or at least three (`segment_sequences_of_order`) instead of read
-off the keys of the enumerator's buckets.  Two helpers the package does
-not need live here too: `path` reads the path between two vertices off
-the BFS parents, and `relabel` permutes a tree's vertex ids.
+off the keys of the enumerator's buckets, and the trees with a given
+number of segments and the skeletons (no vertex of degree 2) are filtered
+out of the package's whole level stream of their order, counting segments
+off the degrees (`segment_count`), instead of built from skeletons and
+partitions.  Two helpers the package does not need live here too: `path`
+reads the path between two vertices off the BFS parents, and `relabel`
+permutes a tree's vertex ids.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+from segwiener.enumeration import _level_sequences, _parents
 from segwiener.exact import checked
 from segwiener.moves import MoveDescriptor, Reattach, Relocation, Slide, Switch, _rewire
 from segwiener.steiner import _weights
@@ -465,6 +470,19 @@ def segment_sequences_of_order(n: int) -> list[tuple[int, ...]]:
     if n < 2:
         return []
     return [p for p in _partitions(n - 1) if len(p) != 2]
+
+
+def segment_count(level: list[int]) -> int:
+    """The number of segments of the tree of a level sequence (0 for a
+    single vertex): one fewer than its vertices of degree other than 2,
+    read off the degrees alone."""
+    return len(level) - 1 - _parents(level)[1].count(2)
+
+
+def skeletons_by_filter(n: int) -> list[list[int]]:
+    """The stream's level sequences of order *n* with no vertex of degree 2,
+    filtered out of the whole stream of that order, in its order."""
+    return [list(level) for level in _level_sequences(n) if 2 not in _parents(level)[1]]
 
 
 def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:

@@ -20,10 +20,11 @@ from segwiener.enumeration import (
     _levels,
     _parens,
     _parents,
+    _partitions,
     _read_levels,
     _recentre,
-    _segment_count,
     _shifts,
+    _skeletons,
     _tree_from_levels,
     all_trees,
     count_trees,
@@ -41,14 +42,19 @@ from .oracles import (
     edge_side_sizes,
     free_trees_by_prufer,
     rooted_level_sequence,
+    segment_count,
     segment_decomposition,
     segment_sequences_of_order,
+    skeletons_by_filter,
 )
 
 # number of free trees per order (verified against the Prüfer dedup oracle)
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 # OEIS A000055 for the orders above 10 that the stream reaches
 A000055_ABOVE_10 = {11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320}
+
+# OEIS A000014: trees of order 1..20 with no vertex of degree 2
+A000014 = (1, 1, 0, 1, 1, 2, 2, 4, 5, 10, 14, 26, 42, 78, 132, 249, 445, 842, 1561, 2988)
 
 # sha256 of `segwiener enumerate --n 12` stdout: pins the enumeration order,
 # which the order-free code-set checks below do not
@@ -180,10 +186,10 @@ class TestLevelReader:
                     assert code == ahu_code_by_recursion(t), level
 
     def test_segment_count_matches_the_reader(self):
-        assert _segment_count([0]) == 0
+        assert segment_count([0]) == 0
         for n in range(1, MAX_ORDER + 1):
             for level in _level_sequences(n):
-                assert _segment_count(level) == len(_read_levels(level)[1]), level
+                assert segment_count(level) == len(_read_levels(level)[1]), level
 
     def test_parens_match_the_rooted_coder(self):
         # the parentheses of a stream sequence against the sorting coder's
@@ -258,6 +264,87 @@ class TestLevelReader:
                     assert list(_recentre(rooted, shift)) == level, (level, root)
 
 
+class TestSkeletons:
+    def test_skeletons_are_the_filtered_stream(self):
+        # the generated skeletons against the stream's sequences with no
+        # vertex of degree 2, in order
+        for n in range(1, MAX_ORDER + 1):
+            assert _skeletons(n) == skeletons_by_filter(n), n
+
+    def test_skeleton_counts_are_a000014(self):
+        # past the order guard too, which the stream cannot reach
+        assert [len(_skeletons(n)) for n in range(1, 21)] == list(A000014)
+
+    def test_skeletons_past_the_guard_are_distinct_and_centred(self):
+        # where the stream does not reach: no vertex of degree 2, each its
+        # tree's stream sequence (rooted at a centre, coded as the built
+        # tree), no tree twice, in descending order
+        for n in range(MAX_ORDER + 1, 19):
+            skeletons, shift = _skeletons(n), _shifts(n)
+            assert skeletons == sorted(skeletons, reverse=True)
+            assert len({_level_code(level) for level in skeletons}) == len(skeletons) == A000014[n - 1]
+            for level in skeletons:
+                assert 2 not in _parents(level)[1], level
+                assert list(_recentre(bytes(level), shift)) == level, level
+                assert _level_code(level) == canonical_code(_tree_from_levels(level)), level
+
+
+class TestCountRoute:
+    def test_count_route_matches_the_stream_filter(self):
+        # every order up to the guard and every m from -1 to n + 1: the
+        # placements on the skeletons against the stream's sequences with m
+        # segments counted off the degrees, counted and in stream order
+        for n in range(1, MAX_ORDER + 1):
+            by_count = defaultdict(list)
+            for level in _level_sequences(n):
+                by_count[segment_count(level)].append(list(level))
+            for m in range(n + 2):
+                assert count_trees(n, num_segments=m) == len(by_count[m]), (n, m)
+                assert list(_levels(n, num_segments=m)) == by_count[m], (n, m)
+            with pytest.raises(ValueError, match="-1"):
+                count_trees(n, num_segments=-1)
+            with pytest.raises(ValueError, match="-1"):
+                list(_levels(n, num_segments=-1))
+
+    def test_guards(self):
+        for m in (0, 1, 5, MAX_ORDER, MAX_ORDER + 2):
+            with pytest.raises(ValueError, match="order must be"):
+                count_trees(MAX_ORDER + 1, num_segments=m)
+            with pytest.raises(ValueError, match="order must be"):
+                list(_levels(MAX_ORDER + 1, num_segments=m))
+            with pytest.raises(ValueError, match="order must be"):
+                count_trees(0, num_segments=m)
+        with pytest.raises(ValueError, match="-4"):
+            count_trees(MAX_ORDER + 1, num_segments=-4)
+
+    def test_partitions_are_the_oracle_sequences(self):
+        # the package's m-part partitions against the oracle's realizable
+        # sequences (which leave out two parts) of each order
+        for n in range(2, MAX_ORDER + 1):
+            ours = [p for m in range(n) if m != 2 for p in _partitions(n - 1, m, n - 1)]
+            assert sorted(ours, reverse=True) == segment_sequences_of_order(n), n
+        assert list(_partitions(0, 0, 0)) == [()]
+        assert list(_partitions(0, 1, 0)) == list(_partitions(3, 4, 3)) == []
+
+    @pytest.mark.parametrize("extra", [[], ["--count-only"]], ids=["codes", "count-only"])
+    def test_count_route_scans_no_stream(self, capsys, monkeypatch, level_reads, stream_starts, extra):
+        # the trees with 9 segments come from the skeletons of order 10 and
+        # the partitions of 15: no stream starts, no sequence is read, and a
+        # count re-roots nothing
+        recentred = []
+        recentre = enumeration._recentre
+        monkeypatch.setattr(enumeration, "_recentre", lambda level, shift: recentred.append(level) or recentre(level, shift))
+        assert main(["enumerate", "--n", "16", "--num-segments", "9", *extra]) == 0
+        out = capsys.readouterr().out.split()
+        if extra:
+            assert out == ["2821"]
+        else:
+            assert len(set(out)) == len(out) == 2821
+        assert not stream_starts
+        assert level_reads[0] == 0
+        assert len(recentred) == (0 if extra else 2821)
+
+
 class TestBuildsOnlyWhatIsLookedAt:
     @pytest.mark.parametrize(
         "extra",
@@ -289,7 +376,8 @@ class TestBuildsOnlyWhatIsLookedAt:
 
     def test_sequence_filter_reads_only_matching_counts(self, capsys, level_reads, stream_starts):
         # a segment class reads no tree of its order, not even those with a
-        # matching segment count: its skeletons come from the order-8 stream
+        # matching segment count, and starts no stream: its skeletons are
+        # generated directly
         expected = count_trees(12, num_segments=7)
         assert expected > 0 and level_reads[0] == 0
         stream_starts.clear()
@@ -298,7 +386,7 @@ class TestBuildsOnlyWhatIsLookedAt:
         assert main(["enumerate", "--n", "12", "--segments", "3,2,2,1,1,1,1"]) == 0
         assert capsys.readouterr().out
         assert level_reads[0] == 0
-        assert stream_starts == {8: 2}
+        assert not stream_starts
 
     @pytest.mark.parametrize("extra", [[], ["--count-only"]], ids=["codes", "count-only"])
     def test_count_filter_reads_no_sequence(self, capsys, level_reads, extra):

@@ -584,6 +584,34 @@ class TestHillClimb:
                 tied += len(expected)
         assert 0 < tied < slides
 
+    def test_reads_each_step_source_once(self, fig1_bottom, monkeypatch):
+        # one read (`trees._read_built`) per step source that has a move, to
+        # rank it, and one per neighbour tied on its best gain, to recompute
+        # it; the ties' outcomes take the source's segments and SW_k off the
+        # ranking's read
+        rng = random.Random(25)
+        trees = [path_tree(6), fig1_bottom, *(random_labeled_tree(rng.randint(12, 32), rng) for _ in range(12))]
+        cases = [(t, k, direction) for t in trees for k in (2, 3) for direction in ("minimize", "maximize")]
+        expected, tied = [], 0
+        for t, k, direction in cases:
+            res = hill_climb(t, k, direction)
+            sign = 1 if direction == "maximize" else -1
+            reads = 0
+            for source in (t, *(o.tree for o in res.steps)):
+                gains = [sign * delta for _, _, delta in _move_deltas(source, k)]
+                if gains:
+                    ties = gains.count(max(gains)) if max(gains) > 0 else 0
+                    reads += 1 + ties
+                    tied += ties > 1
+            expected.append(reads)
+        read, seen = moves._read_built, []
+        monkeypatch.setattr(moves, "_read_built", lambda t: seen.append(t) or read(t))
+        for (t, k, direction), reads in zip(cases, expected):
+            seen.clear()
+            hill_climb(t, k, direction)
+            assert len(seen) == reads, (t, k, direction)
+        assert expected[0] == 0 and tied > 0
+
     def test_closed_form_mismatch_raises(self, fig1_bottom, monkeypatch):
         # a ranked delta one off from the rebuilt neighbour's is caught
         move_deltas = moves._move_deltas
