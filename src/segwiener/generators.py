@@ -81,15 +81,22 @@ def starlike(lengths: Iterable[int]) -> Tree:
     return _hang(0, ((0, length) for length in lens))
 
 
-def balanced_starlike(n: int, m: int) -> Tree:
-    """Starlike tree of order n whose m segment lengths differ by at most 1."""
+def _balanced_legs(n: int, m: int) -> list[int]:
+    """The m segment lengths, non-increasing and differing by at most 1, of
+    the balanced starlike tree of order n."""
     if n < 2:
         raise UnrealizableError("order must be at least 2")
     if m == 2 or m < 1 or m > n - 1:
         raise UnrealizableError(f"no tree of order {n} has {m} segments")
     long_legs = (n - 1) % m
     base = (n - 1) // m
-    return starlike([base + 1] * long_legs + [base] * (m - long_legs))
+    return [base + 1] * long_legs + [base] * (m - long_legs)
+
+
+def balanced_starlike(n: int, m: int) -> Tree:
+    """Starlike tree of order n whose m segment lengths differ by at most 1
+    (`_balanced_legs`)."""
+    return starlike(_balanced_legs(n, m))
 
 
 def quasi_caterpillar(

@@ -17,20 +17,24 @@ follows one segment for the shape read below and the moves.  The path
 between two vertices and a relabelling are test oracles, not ``Tree``
 methods: nothing in the package asks for them.
 
-Every quasi-caterpillar question is answered by one read, `_shape`, of the
+Every quasi-caterpillar question is answered by one read, `_spine`, of the
 series-reduced tree H: the vertices of degree other than 2, joined by the
 segments (a segment is a maximal path whose interior vertices have degree
-2).  It walks every segment once from each branch vertex at its end.  A
+2).  It takes the segments as (end, end, length) off parent links and
+degrees, in one reverse pass over a rooted order as `_read` does, sorts them
+into legs (ending in a leaf) and inner segments, and walks H's spine.  A
 tree is a quasi-caterpillar exactly when H is a caterpillar; then every
 branch vertex lies on H's spine, and a backbone, a longest path through
-every branch vertex, is the spine plus a longest leg at each end.
-`all_backbones` lists every such candidate, but they differ only in which
-of several equal-length legs they take, so they all read the same:
-`backbone` and ``verify.structure_assessment`` read the first, off the
-same read (`_first_backbone`).  Every component hanging off a backbone is
-a pendant path, so the segment lengths answer each question: the judge
-reads the predicates off them, and `backbone` orients its candidate by
-the pendant lengths along it, with no subtree codes.
+every branch vertex, is the spine plus a longest leg at each end.  The
+verifiers judge a tied tree off its level sequence's parents with this read
+alone, no ``Tree`` built.  On a built tree, `_shape` runs it over a
+breadth-first search and walks the segments it names.  `all_backbones`
+lists every backbone candidate, but they differ only in which of several
+equal-length legs they take, so they all read the same: `backbone` reads
+the first (`_first_backbone`).  Every component hanging off a backbone is
+a pendant path, so the segment lengths answer each question, and
+`backbone` orients its candidate by the pendant lengths along it, with no
+subtree codes.
 
 Both shapes the extremal results name are read off the segments at each
 vertex:
@@ -40,7 +44,7 @@ vertex:
   (keeping its non-leaf end) leaves a path;
 * a *caterpillar* is a tree in which no vertex has more than two non-leaf
   neighbours, so removing the leaves leaves a path (Harary & Schwenk 1973);
-  ``verify.is_unit_pendant_caterpillar`` is this test.
+  ``verify._unit_pendant_caterpillar`` counts them off parents and degrees.
 
 Conventions for degenerate cases (the literature does not pin these down):
 
@@ -265,45 +269,90 @@ def is_starlike(t: Tree) -> bool:
 _Walk = tuple[int, ...]  # a segment, a spine or a backbone, as its vertices
 
 
-def _shape(t: Tree) -> tuple[_Walk, tuple[_Walk, ...], tuple[tuple[_Walk, ...], ...]] | None:
-    """The series-reduced tree H of *t*, off one walk of every segment from
-    each branch vertex at its end: None when H is not a caterpillar (some
-    branch vertex has more than two segments that end at another branch
-    vertex), else H's spine of branch vertices from its smaller-id end
-    (empty without a branch vertex), the segments joining consecutive spine
-    vertices and the pendant segments at each spine vertex in adjacency
-    order, each walked from the spine vertex before it."""
-    adj = t.adj
-    inner: dict[int, list[_Walk]] = {}
-    legs: dict[int, list[_Walk]] = {}
-    for v, nbrs in enumerate(adj):
-        if len(nbrs) > 2:
-            inner[v] = ins = []
-            legs[v] = outs = []
-            for w in nbrs:
-                seg = _walk(adj, v, w)
-                if len(adj[seg[-1]]) == 1:
-                    outs.append(seg)
-                else:
-                    ins.append(seg)
-            if len(ins) > 2:
-                return None
+_Segment = tuple[int, int, int]  # (end a, end b, length), leaving a through its parent
+
+
+def _spine(
+    parent: Sequence[int], order: Sequence[int], degree: Sequence[int]
+) -> tuple[list[int], list[_Segment], list[list[_Segment]]] | None:
+    """The series-reduced tree H of the tree with these parent links and
+    degrees, off one reverse pass over *order* (rooted at vertex 0, every
+    parent before its children), as the pass of `_read` takes the segments:
+    None when H is not a caterpillar (some branch vertex has more than two
+    segments that end at another branch vertex), else H's spine of branch
+    vertices from the first, by id, with at most one such segment (empty
+    without a branch vertex), the segments joining consecutive spine
+    vertices and the legs (segments ending in a leaf) at each spine vertex.
+
+    A segment is (a, b, length) with ends a and b, leaving a through
+    parent[a]: every piece of a segment is read from its lower end up, and
+    the two pieces that meet at a root of degree 2 join into one."""
+    low = list(range(len(degree)))  # the lower end of the segment piece through v
+    run = [1] * len(degree)
+    inner: dict[int, list[_Segment]] = {v: [] for v, d in enumerate(degree) if d > 2}
+    legs: dict[int, list[_Segment]] = {v: [] for v in inner}
+    through: _Segment | None = None
+    for v in order[:0:-1]:
+        p = parent[v]
+        if degree[p] != 2:
+            seg = (low[v], p, run[v])
+        elif p:
+            low[p] = low[v]
+            run[p] = run[v] + 1
+            continue
+        elif through is None:
+            through = (low[v], p, run[v])
+            continue
+        else:
+            seg = (through[0], low[v], through[2] + run[v])
+        a, b, _ = seg
+        if degree[a] > 2 and degree[b] > 2:
+            inner[a].append(seg)
+            inner[b].append(seg)
+        elif degree[b] > 2:
+            legs[b].append(seg)
+        elif degree[a] > 2:
+            legs[a].append(seg)
+    if any(len(segs) > 2 for segs in inner.values()):
+        return None
     if not inner:
-        return (), (), ()
-    # every branch vertex lies on the spine, which starts at the first end:
-    # a branch vertex with at most one inner segment (a starlike tree's
-    # spine is its centre alone)
-    for v, segs in inner.items():
-        if len(segs) <= 1:
-            break
+        return [], [], []
+    # every branch vertex lies on the spine, which starts at an end: a
+    # branch vertex with at most one inner segment (a starlike tree's spine
+    # is its centre alone)
+    v = next(v for v, segs in inner.items() if len(segs) <= 1)
     spine, joins, back = [v], [], -1
     while len(spine) < len(inner):
-        ahead = inner[v]
-        seg = ahead[0] if ahead[0][-1] != back else ahead[1]
+        seg = inner[v][0]
+        if back in seg[:2]:
+            seg = inner[v][1]
         joins.append(seg)
-        back, v = v, seg[-1]
+        back, v = v, seg[0] + seg[1] - v
         spine.append(v)
-    return tuple(spine), tuple(joins), tuple(tuple(legs[v]) for v in spine)
+    return spine, joins, [legs[v] for v in spine]
+
+
+def _shape(t: Tree) -> tuple[_Walk, tuple[_Walk, ...], tuple[tuple[_Walk, ...], ...]] | None:
+    """`_spine` of *t* off its breadth-first search from vertex 0, with each
+    segment walked: None when H is not a caterpillar, else the spine, the
+    joining segments, each walked from the spine vertex before it, and the
+    legs at each spine vertex in adjacency order, each walked from it."""
+    adj = t.adj
+    parent, order = _bfs(adj, 0)
+    read = _spine(parent, order, [len(a) for a in adj])
+    if read is None:
+        return None
+    spine, joins, legs = read
+
+    def walk(seg: _Segment, start: int) -> _Walk:
+        verts = _walk(adj, seg[0], parent[seg[0]])
+        return verts if seg[0] == start else verts[::-1]
+
+    return (
+        tuple(spine),
+        tuple(walk(seg, v) for seg, v in zip(joins, spine)),
+        tuple(tuple(sorted((walk(seg, v) for seg in at), key=lambda w: w[1])) for v, at in zip(spine, legs)),
+    )
 
 
 def is_quasi_caterpillar(t: Tree) -> bool:

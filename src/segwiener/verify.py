@@ -14,19 +14,18 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, Iterable, Sequence
 
-from .enumeration import MAX_ORDER, _level_code, _tree_from_levels, read_trees
+from .enumeration import MAX_ORDER, _level_code, _parents, read_trees
 from .generators import (
     FAMILY_LABELS,
     ParityMismatchError,
     InconsistentOrderError,
     UnrealizableError,
-    balanced_starlike,
+    _balanced_legs,
     caterpillar_family,
-    starlike,
 )
 from .moves import Switch, apply_switch
 from .steiner import _class_sums
-from .trees import NotQuasiCaterpillarError, Tree, _first_backbone, canonical_code, is_quasi_caterpillar
+from .trees import Tree, _spine, canonical_code
 
 CONFIRMED = "confirmed"
 CONFIRMED_WITH_NOTES = "confirmed-with-notes"
@@ -168,36 +167,55 @@ def groups_admit_valley(groups: Sequence[Sequence[int]]) -> bool:
     return all(hi <= lo for (_, hi), (lo, _) in steps[turn + 1 :])
 
 
-def structure_assessment(t: Tree) -> tuple[StructurePredicateSet, bool]:
-    """Per-predicate outcomes, read along one backbone, plus whether all of
-    them hold at once.
+def _structure(parent: list[int], degree: list[int]) -> tuple[StructurePredicateSet, bool]:
+    """Per-predicate outcomes for the tree with these preorder parents and
+    degrees, read along one backbone, plus whether all of them hold at once.
 
-    One read of the series-reduced tree (`trees._first_backbone`) both
-    tells a quasi-caterpillar (it raises for any other tree) and gives its
-    first backbone candidate, unoriented.  One backbone suffices: every
-    candidate is the spine of the series-reduced tree between the same two
-    end branch vertices plus a longest leg at each end, so all candidates
-    read the same end branch vertices, backbone segment lengths and pendant
-    groups up to orientation, and no predicate depends on orientation."""
-    le4 = max((t.degree(v) for v in range(t.n)), default=0) <= 4
-    try:
-        view = _first_backbone(t)
-    except NotQuasiCaterpillarError:
+    One shape read of the series-reduced tree (`trees._spine`) both tells a
+    quasi-caterpillar (it gives None for any other tree) and gives its
+    spine.  One backbone suffices: every candidate is the spine between the
+    same two end branch vertices plus a longest leg at each end (the two
+    longest at a lone spine vertex), so all candidates read the same
+    backbone segment lengths and pendant groups up to orientation, and no
+    predicate depends on orientation.  So the lengths answer every
+    predicate: degree 4 may occur only at the two spine ends."""
+    le4 = max(degree) <= 4
+    read = _spine(parent, range(len(parent)), degree)
+    if read is None:
         return StructurePredicateSet(False, le4, False, False, False), False
-    ends = {view.path[i] for i in view.branch_indices[:1] + view.branch_indices[-1:]}
-    d4 = all(t.degree(v) != 4 or v in ends for v in range(t.n))
-    uni = is_unimodal(view.backbone_segment_lengths)
-    valley = groups_admit_valley(view.pendant_groups)
+    spine, joins, legs = read
+    groups = [sorted(seg[2] for seg in at) for at in legs]
+    if not spine:  # a path is one backbone segment, a single vertex none
+        lengths = [len(parent) - 1] if len(parent) > 1 else []
+    elif len(spine) == 1:
+        lengths = [groups[0].pop(), groups[0].pop()]
+    else:
+        lengths = [groups[0].pop(), *(seg[2] for seg in joins), groups[-1].pop()]
+    d4 = all(degree[v] != 4 for v in spine[1:-1])
+    uni = is_unimodal(lengths)
+    valley = groups_admit_valley(groups)
     return StructurePredicateSet(True, le4, d4, uni, valley), le4 and d4 and uni and valley
 
 
-def is_unit_pendant_caterpillar(t: Tree) -> bool:
-    """Caterpillar: no vertex has more than two non-leaf neighbours.
+def _quasi_caterpillar(parent: list[int], degree: list[int]) -> bool:
+    """Whether the tree with these preorder parents and degrees is a
+    quasi-caterpillar: its series-reduced tree is a caterpillar
+    (`trees._spine`)."""
+    return _spine(parent, range(len(parent)), degree) is not None
+
+
+def _unit_pendant_caterpillar(parent: list[int], degree: list[int]) -> bool:
+    """Caterpillar: no vertex of the tree with these preorder parents and
+    degrees has more than two non-leaf neighbours.
 
     Equivalently, a quasi-caterpillar whose off-backbone segments all have
     length 1."""
-    adj = t.adj
-    return all(sum(len(adj[w]) > 1 for w in adj[v]) <= 2 for v in range(t.n))
+    inner = [0] * len(parent)
+    for v in range(1, len(parent)):
+        p = parent[v]
+        inner[p] += degree[v] > 1
+        inner[v] += degree[p] > 1
+    return max(inner) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +231,18 @@ Ruling = tuple[dict | None, str, list[str]]
 @dataclass(frozen=True)
 class _Judge:
     """How the extremal trees of one class are judged: *outcome* reads one
-    tree (None: the rule reads codes alone, and no tree is built), and
-    *rule* decides one k from the (code, outcome) pairs of all its tied
-    trees, sorted by code."""
+    tree off its preorder parents and degrees (`enumeration._parents`;
+    None: the rule reads no tree), and *rule* decides one k from the (code,
+    outcome) pairs of all its tied trees, sorted by code, and from whether
+    the construction attains the extremum.  *sides* are the edge side sizes
+    of a construction that is a member of the class (None: there is none):
+    they are one more row of the class's sums, kept out of the extremum and
+    the ties, and the construction attains the extremum exactly when its
+    value equals the column's."""
 
-    outcome: Callable[[Tree], object] | None
-    rule: Callable[[list[tuple[str, object]]], Ruling]
+    outcome: Callable[[list[int], list[int]], object] | None
+    rule: Callable[[list[tuple[str, object]], bool], Ruling]
+    sides: list[int] | None = None
 
 
 def _check_ks(k_set: Sequence[int]) -> None:
@@ -264,9 +288,9 @@ def _verify(
     the extremal trees, sorted by canonical code.  Each k's extremum and
     ties are read straight off its column.
 
-    Within a class a tree is coded (off its level sequence) and judged at
-    most once, when it first ties on an extremum, and built only for a judge
-    whose outcome reads it; a set of tied trees is ruled on once:
+    Within a class a tree is coded and judged (off its level sequence) at
+    most once, when it first ties on an extremum, and no tree is built; a
+    set of tied trees is ruled on once:
     another k with the same ties reuses the codes, the outcomes and the
     ruling.  The memo lives in this call.
 
@@ -283,11 +307,15 @@ def _verify(
         for fields, members in _classes(n, by_count):
             class_judge = judge(fields)
             outcome_of = class_judge.outcome
-            columns = _class_sums(n, [sides for _, sides in members], ks)
+            side_lists = [sides for _, sides in members]
+            if class_judge.sides is not None:
+                side_lists.append(class_judge.sides)
+            columns = _class_sums(n, side_lists, ks)
             judged: dict[int, tuple[str, object]] = {}
             rulings: dict[tuple[int, ...], tuple[tuple[str, ...], dict | None, str, str]] = {}
             size_note = f"class size {len(members)}"
             for k, column in zip(ks, columns):
+                own = None if class_judge.sides is None else column.pop()
                 best = pick(column)
                 ties = tuple([j for j, v in enumerate(column) if v == best])
                 ruling = rulings.get(ties)
@@ -295,10 +323,11 @@ def _verify(
                     for j in ties:
                         if j not in judged:
                             level = members[j][0]
-                            outcome = None if outcome_of is None else outcome_of(_tree_from_levels(level))
+                            outcome = None if outcome_of is None else outcome_of(*_parents(level))
                             judged[j] = (_level_code(level).decode("ascii"), outcome)
                     arg = sorted((judged[j] for j in ties), key=lambda e: e[0])
-                    outcomes, verdict, notes = class_judge.rule(arg)
+                    # the construction is a member, so this is a function of the ties
+                    outcomes, verdict, notes = class_judge.rule(arg, own == best)
                     ruling = rulings[ties] = (
                         tuple(code for code, _ in arg), outcomes, verdict, "; ".join([size_note, *notes])
                     )
@@ -319,19 +348,20 @@ def _verify(
     return reports
 
 
-def _attains(t: Tree) -> _Judge:
-    """Judge: *t* is among the extremal trees."""
-    code = _code(t)
-    return _Judge(None, lambda arg: (None, CONFIRMED if any(c == code for c, _ in arg) else VIOLATED, []))
+def _starlike_attains(legs: Sequence[int]) -> _Judge:
+    """Judge: the starlike tree with these legs is among the extremal trees.
+    Its side sizes, rooted at its centre, are 1..l along each leg l."""
+    sides = [a for length in legs for a in range(1, length + 1)]
+    return _Judge(None, lambda arg, attained: (None, CONFIRMED if attained else VIOLATED, []), sides)
 
 
-def _quasi_caterpillar_rule(arg: list[tuple[str, bool]]) -> Ruling:
+def _quasi_caterpillar_rule(arg: list[tuple[str, bool]], attained: bool) -> Ruling:
     flags = [qc for _, qc in arg]
     outcomes = {code: {"is_quasi_caterpillar": qc} for code, qc in arg}
     return outcomes, CONFIRMED if any(flags) else VIOLATED, [f"all_argmax_quasi_caterpillar={all(flags)}"]
 
 
-def _structure_rule(arg: list[tuple[str, tuple[StructurePredicateSet, bool]]]) -> Ruling:
+def _structure_rule(arg: list[tuple[str, tuple[StructurePredicateSet, bool]]], attained: bool) -> Ruling:
     outcomes = {}
     ok = True
     for code, (preds, all_at_once) in arg:
@@ -345,8 +375,8 @@ def _structure_rule(arg: list[tuple[str, tuple[StructurePredicateSet, bool]]]) -
 
 # the outcomes look their predicate up when called, so that a replaced
 # module attribute (a tracer, a counting test) sees every call
-_QUASI_CATERPILLAR = _Judge(lambda t: is_quasi_caterpillar(t), _quasi_caterpillar_rule)
-_STRUCTURE = _Judge(lambda t: structure_assessment(t), _structure_rule)
+_QUASI_CATERPILLAR = _Judge(lambda parent, degree: _quasi_caterpillar(parent, degree), _quasi_caterpillar_rule)
+_STRUCTURE = _Judge(lambda parent, degree: _structure(parent, degree), _structure_rule)
 
 
 def _family_check(n: int, m: int) -> _Judge:
@@ -361,7 +391,7 @@ def _family_check(n: int, m: int) -> _Judge:
             continue
         family_codes[which] = (_code(build.tree), f"t_used={build.t_used}, t_formula={build.params.t}")
 
-    def rule(arg: list[tuple[str, bool]]) -> Ruling:
+    def rule(arg: list[tuple[str, bool]], attained: bool) -> Ruling:
         outcomes = {code: {"caterpillar_unit_pendants": cat} for code, cat in arg}
         exists_cat = any(cat for _, cat in arg)
         matches = sorted(which for which, (fcode, _) in family_codes.items() if fcode in outcomes)
@@ -372,14 +402,14 @@ def _family_check(n: int, m: int) -> _Judge:
         ok = exists_cat and (matches or not family_codes)
         return outcomes, CONFIRMED_WITH_NOTES if ok else VIOLATED, [note]
 
-    return _Judge(lambda t: is_unit_pendant_caterpillar(t), rule)
+    return _Judge(lambda parent, degree: _unit_pendant_caterpillar(parent, degree), rule)
 
 
 def verify_min_starlike(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
     """For every segment sequence of order <= max_n and every k: the starlike
     tree attains the minimum of the index over its class."""
     return _verify("theorem1", max_n, k_set, by_count=False, want_max=False,
-                   judge=lambda c: _attains(starlike(c["segments"])))
+                   judge=lambda c: _starlike_attains(c["segments"]))
 
 
 def verify_max_quasi_caterpillar(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
@@ -400,7 +430,7 @@ def verify_min_balanced(max_n: int, k_set: Sequence[int]) -> list[VerificationRe
     """For every order and segment count: the balanced starlike tree attains
     the minimum of the index."""
     return _verify("theorem5min", max_n, k_set, by_count=True, want_max=False,
-                   judge=lambda c: _attains(balanced_starlike(c["n"], c["m"])))
+                   judge=lambda c: _starlike_attains(_balanced_legs(c["n"], c["m"])))
 
 
 def verify_max_caterpillar_family(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:

@@ -36,6 +36,22 @@ off the degrees (`segment_count`), instead of built from skeletons and
 partitions.  Two helpers the package does not need live here too: `path`
 reads the path between two vertices off the BFS parents, and `relabel`
 permutes a tree's vertex ids.
+
+The judges the verifiers read off level sequences are checked against the
+routes they replaced, which read a built ``Tree``: `structure_assessment`
+along the first backbone candidate of ``trees._first_backbone`` (with this
+module's greedy valley test), `is_unit_pendant_caterpillar` off adjacency
+lists, and `attains_by_code`, a construction attaining the extremum when
+its canonical code is among the extremal trees' codes, where the verifier
+compares its SW_k, summed as one more row of its class, with the column's
+extremum.  |Aut T| is also read off a level sequence
+(`automorphisms_of_levels`, by slices of the sequence) and against that the
+number of labelled trees with a given segment count comes from Prüfer
+sequences in closed form (`labelled_trees_with_segment_count`), so that
+segment-count classes past the stream's order limit have a second route.
+The Prüfer class-key sweep can be split over worker processes
+(`prufer_class_keys_in_parts`), its keys de-interned
+(`deinterned_class_key`) so that keys from different processes compare.
 """
 
 from __future__ import annotations
@@ -43,8 +59,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import multiprocessing
 import random
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -59,10 +77,12 @@ from segwiener.trees import (
     Tree,
     _bfs,
     _codes,
+    _first_backbone,
     all_backbones,
+    canonical_code,
     is_quasi_caterpillar,
 )
-from segwiener.verify import StructurePredicateSet, VerificationReport, is_unimodal
+from segwiener.verify import CONFIRMED, VIOLATED, StructurePredicateSet, VerificationReport, is_unimodal
 
 
 BRUTE_FORCE_MAX_N = 20
@@ -454,14 +474,105 @@ def free_trees_by_prufer(n: int) -> tuple[int, list[Tree]]:
     return len(classes), reps
 
 
-def prufer_class_keys(n: int, intern: dict) -> set[tuple]:
-    """The `_interned_class_key` of every isomorphism class among all
-    n^(n-2) labeled trees (n >= 2), interned in *intern* so that they
-    compare with keys of other trees interned there."""
-    return {
-        _peeled_class_key(*prufer_degrees_and_sums(seq, n), n, intern)
-        for seq in itertools.product(range(n), repeat=n - 2)
+def deinterned_class_key(key: tuple, intern: dict) -> tuple:
+    """*key*, an `_interned_class_key` interned in *intern*, with every
+    intern id replaced by the nested tuple it stands for, children in sorted
+    order: equal for isomorphic trees whatever process interned them."""
+    children = {cid: kids for kids, cid in intern.items()}
+
+    def nested(cid: int) -> tuple:
+        return tuple(sorted(nested(c) for c in children[cid]))
+
+    kind, ids = key
+    return (kind, nested(ids)) if kind == "c" else (kind, tuple(sorted(map(nested, ids))))
+
+
+def _prufer_part_keys(n: int, first: int) -> set[tuple]:
+    """The `_interned_class_key` of every isomorphism class among the
+    labeled trees on n >= 3 vertices whose Prüfer sequence starts with
+    *first*, de-interned."""
+    intern: dict = {}
+    keys = {
+        _peeled_class_key(*prufer_degrees_and_sums((first, *rest), n), n, intern)
+        for rest in itertools.product(range(n), repeat=n - 3)
     }
+    return {deinterned_class_key(key, intern) for key in keys}
+
+
+def prufer_class_keys_in_parts(orders: Iterable[int], workers: int) -> dict[int, set[tuple]]:
+    """The de-interned `_interned_class_key` of every isomorphism class among
+    all n^(n-2) labeled trees, for every order n in *orders* (each at least
+    3): the Prüfer sequences of each order are split by their first symbol,
+    the parts run on at most *workers* processes, and the key sets of the
+    parts are merged.  When no worker process can start, the parts
+    run in this process."""
+    parts = [(n, first) for n in orders for first in range(n)]
+    keys: dict[int, set[tuple]] = {n: set() for n, _ in parts}
+    spawn = multiprocessing.get_context("spawn")
+    try:
+        with ProcessPoolExecutor(max_workers=max(1, workers), mp_context=spawn) as pool:
+            found = list(pool.map(_prufer_part_keys, *zip(*parts)))
+    except (OSError, RuntimeError):  # no worker could start, or one died
+        found = [_prufer_part_keys(n, first) for n, first in parts]
+    for (n, _), part in zip(parts, found):
+        keys[n] |= part
+    return keys
+
+
+def automorphisms_of_levels(level: Sequence[int]) -> int:
+    """|Aut T| of the tree of a canonical level sequence rooted at a centre
+    (the stream's), read off the sequence alone: every vertex contributes
+    the factorials of the multiplicities of its equal child subtrees (equal
+    slices of a canonical sequence), and a bicentral tree (the root's first
+    subtree one level higher than the rest) doubles when its two halves, at
+    vertex 1 and at the root, are equal."""
+    n = len(level)
+    end = [n] * n  # end[v]: where the slice of v's subtree ends
+    kids: list[list[int]] = [[] for _ in range(n)]
+    stack: list[int] = []
+    for u, depth in enumerate(level):
+        while stack and level[stack[-1]] >= depth:
+            end[stack.pop()] = u
+        if stack:
+            kids[stack[-1]].append(u)
+        stack.append(u)
+    count = 1
+    for v in range(n):
+        slices = sorted(tuple(level[w : end[w]]) for w in kids[v])
+        for _, equal in itertools.groupby(slices):
+            count *= math.factorial(len(list(equal)))
+    if n > 1:
+        first, rest = level[1 : end[1]], level[end[1] :]
+        if max(first) == max(rest, default=0) + 1 and [x - 1 for x in first] == [0, *rest]:
+            count *= 2
+    return count
+
+
+def _words_without_singletons(length: int, letters: int) -> int:
+    """The words of *length* over *letters* letters in which no letter occurs
+    exactly once: length! [x^length] (e^x - x)^letters, letter by letter."""
+    words = [1] + [0] * length  # over no letters: only the empty word
+    for _ in range(letters):
+        words = [
+            sum(math.comb(r, c) * words[r - c] for c in range(r + 1) if c != 1)
+            for r in range(length + 1)
+        ]
+    return words[length]
+
+
+def labelled_trees_with_segment_count(n: int, m: int) -> int:
+    """The labelled trees on n >= 2 vertices with m segments, that is with
+    exactly j = n - 1 - m vertices of degree 2, counted over Prüfer
+    sequences: a vertex has degree 2 when it occurs exactly once.  Choose
+    those j symbols, place them at distinct positions (in order), and fill
+    the other r = n - 2 - j positions with the other n - j symbols, none
+    of them exactly once."""
+    j = n - 1 - m
+    r = n - 2 - j
+    if j < 0 or r < 0:
+        return 0
+    placed = math.comb(n, j) * math.factorial(n - 2) // math.factorial(r)
+    return placed * _words_without_singletons(r, n - j)
 
 
 def segment_sequences_of_order(n: int) -> list[tuple[int, ...]]:
@@ -628,6 +739,35 @@ def groups_admit_valley_greedy(groups: Sequence[Sequence[int]]) -> bool:
         if best_down is None and best_up is None:
             return False
     return True
+
+
+def structure_assessment(t: Tree) -> tuple[StructurePredicateSet, bool]:
+    """Per-predicate outcomes, read along the first backbone candidate
+    (``trees._first_backbone``, which raises for a tree that is not a
+    quasi-caterpillar), plus whether all of them hold at once: the route
+    the verifier took before it read the level sequence."""
+    le4 = max((t.degree(v) for v in range(t.n)), default=0) <= 4
+    try:
+        view = _first_backbone(t)
+    except NotQuasiCaterpillarError:
+        return StructurePredicateSet(False, le4, False, False, False), False
+    ends = {view.path[i] for i in view.branch_indices[:1] + view.branch_indices[-1:]}
+    d4 = all(t.degree(v) != 4 or v in ends for v in range(t.n))
+    uni = is_unimodal(view.backbone_segment_lengths)
+    valley = groups_admit_valley_greedy(view.pendant_groups)
+    return StructurePredicateSet(True, le4, d4, uni, valley), le4 and d4 and uni and valley
+
+
+def is_unit_pendant_caterpillar(t: Tree) -> bool:
+    """Caterpillar: no vertex has more than two non-leaf neighbours."""
+    adj = t.adj
+    return all(sum(len(adj[w]) > 1 for w in adj[v]) <= 2 for v in range(t.n))
+
+
+def attains_by_code(construction: Tree, arg_trees: Iterable[str]) -> str:
+    """The verdict that *construction* is among the extremal trees, by its
+    canonical code."""
+    return CONFIRMED if canonical_code(construction).decode("ascii") in arg_trees else VIOLATED
 
 
 def _predicates_for_path(t: Tree, path: tuple[int, ...]) -> tuple[bool, bool, bool]:

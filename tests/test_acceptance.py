@@ -7,6 +7,7 @@ tolerances to calibrate.
 
 from __future__ import annotations
 
+import os
 import random
 
 from segwiener.enumeration import all_trees
@@ -30,8 +31,9 @@ from segwiener.verify import (
     verify_structure,
 )
 
+from . import oracles
 from .conftest import any_violated, moves_of_kind
-from .oracles import _interned_class_key, prufer_class_keys, sw_k_bruteforce
+from .oracles import _interned_class_key, deinterned_class_key, prufer_class_keys_in_parts, sw_k_bruteforce
 
 
 def _announce(criterion: str, detail: str) -> None:
@@ -157,16 +159,33 @@ def test_criterion_8_move_closure_and_reattach_sign():
 
 
 def test_criterion_9_enumeration_matches_prufer_oracle():
+    # every Prüfer sequence of orders 4..9, split by first symbol over at
+    # most one worker process per core; each process interns its own keys,
+    # so both sides are compared de-interned
+    oracle = prufer_class_keys_in_parts(range(4, 10), len(os.sched_getaffinity(0)))
     counts = {}
     for n in range(4, 10):
         intern: dict = {}
         keys = [_interned_class_key(t.adj, n, intern) for t in all_trees(n)]
         counts[n] = len(keys)
         assert len(set(keys)) == counts[n], n
-        assert set(keys) == prufer_class_keys(n, intern), n
+        assert {deinterned_class_key(key, intern) for key in keys} == oracle[n], n
     streams_equal = all(
         [tuple(t.edges()) for t in all_trees(n)] == [tuple(t.edges()) for t in all_trees(n)]
         for n in range(4, 10)
     )
     assert streams_equal
     _announce("9", f"class key sets of sizes {counts} match the labeled-tree oracle; streams byte-identical")
+
+
+def test_prufer_parts_run_in_process_when_no_worker_starts(monkeypatch):
+    # the sweep never skips: without worker processes it runs in this one
+    # and finds the same classes
+    in_workers = prufer_class_keys_in_parts(range(4, 8), 2)
+
+    def no_workers(*args, **kwargs):
+        raise OSError("no process can start")
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", no_workers)
+    assert prufer_class_keys_in_parts(range(4, 8), 2) == in_workers
+    assert [len(in_workers[n]) for n in range(4, 8)] == [2, 3, 6, 11]

@@ -39,8 +39,10 @@ from .conftest import path_tree
 from .oracles import (
     ahu_code_by_recursion,
     automorphism_count,
+    automorphisms_of_levels,
     edge_side_sizes,
     free_trees_by_prufer,
+    labelled_trees_with_segment_count,
     rooted_level_sequence,
     segment_count,
     segment_decomposition,
@@ -287,6 +289,36 @@ class TestSkeletons:
                 assert 2 not in _parents(level)[1], level
                 assert list(_recentre(bytes(level), shift)) == level, level
                 assert _level_code(level) == canonical_code(_tree_from_levels(level)), level
+
+
+class TestPastTheGuard:
+    """Segment-count classes past the stream's order limit, checked without
+    the stream: their sizes against A000055, and their labelled trees
+    (n!/|Aut T| each) against a Prüfer closed form."""
+
+    def test_automorphisms_off_levels_match_the_built_count(self):
+        for n in range(2, 13):
+            for level in _level_sequences(n):
+                assert automorphisms_of_levels(level) == automorphism_count(_tree_from_levels(level)), level
+
+    def test_closed_form_sums_to_cayley(self):
+        for n in range(2, 21):
+            assert sum(labelled_trees_with_segment_count(n, m) for m in range(n + 1)) == n ** (n - 2), n
+
+    def test_order_17_counts_and_labelled_trees(self, monkeypatch):
+        # past the guard, lifted in this process only: the count route's
+        # sizes sum to A000055(17); each segment count's listed trees have
+        # distinct codes, as many as it counts, and stand for as many
+        # labelled trees as have n - 1 - m vertices of degree 2
+        monkeypatch.setattr(enumeration, "MAX_ORDER", 17)
+        n = 17
+        counts = [count_trees(n, num_segments=m) for m in range(n + 1)]
+        assert sum(counts) == 48629
+        for m in range(n + 1):
+            levels = list(_levels(n, num_segments=m))
+            assert len({_level_code(level) for level in levels}) == len(levels) == counts[m], m
+            labelled = sum(factorial(n) // automorphisms_of_levels(level) for level in levels)
+            assert labelled == labelled_trees_with_segment_count(n, m), m
 
 
 class TestCountRoute:

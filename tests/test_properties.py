@@ -19,7 +19,6 @@ from segwiener.generators import quasi_caterpillar, starlike
 from segwiener.moves import neighbors
 from segwiener.steiner import sw_k
 from segwiener.trees import Tree, _bfs, _codes, _read, backbone, canonical_code, is_quasi_caterpillar, segment_sequence
-from segwiener.verify import structure_assessment
 
 from .conftest import ranked
 from .oracles import (
@@ -30,6 +29,7 @@ from .oracles import (
     quasi_caterpillar_by_leaf_walks,
     relabel,
     segment_decomposition,
+    structure_assessment,
     structure_assessment_over_all_backbones,
 )
 

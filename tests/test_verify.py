@@ -11,11 +11,13 @@ import pytest
 from segwiener import steiner as steiner_module
 from segwiener import trees as trees_module
 from segwiener import verify as verify_module
-from segwiener.enumeration import all_trees, count_trees
+from segwiener import generators as generators_module
+from segwiener.enumeration import _level_sequences, _parents, _tree_from_levels, all_trees, count_trees
 from segwiener.generators import balanced_starlike, caterpillar_family, quasi_caterpillar, starlike
 from segwiener.moves import apply_switch
 from segwiener.steiner import sw_k
 from segwiener.trees import (
+    Tree,
     all_backbones,
     backbone,
     canonical_code,
@@ -28,12 +30,13 @@ from segwiener.verify import (
     VIOLATED,
     VerificationReport,
     _family_check,
+    _quasi_caterpillar,
+    _structure,
+    _unit_pendant_caterpillar,
     groups_admit_valley,
     is_unimodal,
-    is_unit_pendant_caterpillar,
     random_switch_instance,
     reports_to_json,
-    structure_assessment,
     verify_lemma31,
     verify_max_caterpillar_family,
     verify_max_quasi_caterpillar,
@@ -46,12 +49,17 @@ from . import oracles
 from .conftest import any_violated, path_tree
 from .oracles import (
     _orientation_key,
+    attains_by_code,
     backbone_over_all_candidates,
     groups_admit_valley_greedy,
+    is_unit_pendant_caterpillar,
     path,
+    random_labeled_tree,
     relabel,
     reports_to_json_by_stdlib,
+    rooted_level_sequence,
     segment_sequences_of_order,
+    structure_assessment,
     structure_assessment_over_all_backbones,
 )
 
@@ -190,6 +198,100 @@ class TestShapePredicates:
         assert not borrowed & {"groups_admit_valley", "_orientation_key"}
 
 
+def _preorder(t: Tree, rng: random.Random) -> tuple[list[int], list[int]]:
+    """The parents and degrees of *t* relabelled in the preorder of a
+    depth-first search from a random root that takes the children in random
+    order: a preorder, but not a canonical one."""
+    root = rng.randrange(t.n)
+    label = {}
+    parent: list[int] = []
+    stack = [(root, root)]
+    while stack:
+        v, up = stack.pop()
+        label[v] = len(parent)
+        parent.append(label[up])
+        kids = [w for w in t.adj[v] if w != up]
+        rng.shuffle(kids)
+        stack.extend((w, v) for w in kids)
+    degree = [0] * t.n
+    for v in range(t.n):
+        degree[label[v]] = t.degree(v)
+    return parent, degree
+
+
+class TestLevelJudges:
+    """The judges the verifiers read off preorder parents and degrees equal
+    the routes over a built tree they replaced (`oracles`)."""
+
+    @staticmethod
+    def assert_judged_alike(t: Tree, parent: list[int], degree: list[int]) -> None:
+        assert _structure(parent, degree) == structure_assessment(t), t
+        assert _quasi_caterpillar(parent, degree) == is_quasi_caterpillar(t), t
+        assert _unit_pendant_caterpillar(parent, degree) == is_unit_pendant_caterpillar(t), t
+
+    def test_every_tree_up_to_order_16(self):
+        for n in range(1, 17):
+            for level in _level_sequences(n):
+                self.assert_judged_alike(_tree_from_levels(level), *_parents(level))
+
+    def test_random_trees_in_non_canonical_preorder(self):
+        # random labelled trees and random quasi-caterpillars (degree 4 at
+        # inner and end branch vertices, long legs, valleys and bumps) up to
+        # order 130, each read in the preorder of a random search
+        rng = random.Random(26)
+        trees = [random_labeled_tree(rng.randint(1, 130), rng) for _ in range(300)]
+        while len(trees) < 600:
+            r = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 12)))
+            pend = [(j, rng.randint(1, 4)) for j in range(1, len(r)) for _ in range(rng.choice((1, 1, 2, 3)))]
+            pend += [(j, rng.randint(1, 3)) for j in (1, len(r) - 1) if len(r) > 1 and rng.random() < 0.5]
+            t = quasi_caterpillar(r, pend)
+            if t.n <= 130:
+                trees.append(t)
+        judged = set()
+        for t in trees:
+            parent, degree = _preorder(t, rng)
+            self.assert_judged_alike(t, parent, degree)
+            judged.add((_quasi_caterpillar(parent, degree), _structure(parent, degree)[1]))
+        assert judged == {(False, False), (True, False), (True, True)}
+
+
+class TestStarlikeRow:
+    """theorem1 and theorem5min sum the starlike construction as one more
+    row of its class, and rule off its value."""
+
+    @pytest.mark.parametrize(
+        "verifier, construction",
+        [
+            (verify_min_starlike, lambda fields: starlike(fields["segments"])),
+            (verify_min_balanced, lambda fields: balanced_starlike(fields["n"], fields["m"])),
+        ],
+        ids=["theorem1", "theorem5min"],
+    )
+    def test_row_and_verdict_match_the_built_construction(self, monkeypatch, verifier, construction):
+        # every class of order <= 12 at every k: the extra row is the
+        # construction's SW_k, and the verdict is the one its canonical
+        # code among the extremal trees' codes gives
+        rows = []
+
+        def recording(n, side_lists, ks, _fn=verify_module._class_sums):
+            columns = _fn(n, side_lists, ks)
+            rows.append(dict(zip(ks, (column[-1] for column in columns))))
+            return columns
+
+        monkeypatch.setattr(verify_module, "_class_sums", recording)
+        reports = verifier(12, range(1, 13))
+        by_class: dict[str, list[VerificationReport]] = {}
+        for r in reports:
+            by_class.setdefault(json.dumps({key: value for key, value in r.instance.items() if key != "k"}), []).append(r)
+        assert len(rows) == len(by_class)
+        for row, class_reports in zip(rows, by_class.values()):
+            fields = {key: value for key, value in class_reports[0].instance.items() if key != "k"}
+            tree = construction(fields)
+            assert row == {k: sw_k(tree, k) for k in range(1, tree.n + 1)}, fields
+            for r in class_reports:
+                assert r.verdict == attains_by_code(tree, r.arg_trees), r.instance
+
+
 class TestClassOrder:
     def test_classes_come_in_the_order_of_their_keys(self):
         # the classes are ordered by the keys of their buckets: sequences
@@ -305,7 +407,8 @@ class TestTheorem5:
 
     def test_max_family_missing_from_argmax_is_violated(self):
         def ruling(check, *trees):
-            return check.rule([(canonical_code(t).decode(), check.outcome(t)) for t in trees])
+            judged = [(canonical_code(t).decode(), check.outcome(*_parents(rooted_level_sequence(t, 0)))) for t in trees]
+            return check.rule(judged, False)
 
         # (8, 5) defines family ii only; another unit-pendant caterpillar
         # with 5 segments does not confirm it
@@ -427,21 +530,18 @@ class TestReports:
         "verifier, judgements",
         [
             (verify_min_starlike, ()),
-            (verify_max_quasi_caterpillar, ("is_quasi_caterpillar",)),
-            (verify_structure, ("structure_assessment",)),
+            (verify_max_quasi_caterpillar, ("_quasi_caterpillar",)),
+            (verify_structure, ("_structure",)),
             (verify_min_balanced, ()),
-            (verify_max_caterpillar_family, ("is_unit_pendant_caterpillar",)),
+            (verify_max_caterpillar_family, ("_unit_pendant_caterpillar",)),
         ],
         ids=["theorem1", "theorem2", "structure", "theorem5min", "theorem5max"],
     )
     def test_each_tree_coded_and_judged_once_per_class(self, monkeypatch, verifier, judgements):
         # the calls made from the verifier: a tree is coded at most once per
-        # class, and so is every judgement on it; each construction built
-        # adds one code (a family undefined for (n, m) raises, uncounted)
-        counted = (
-            "canonical_code", "structure_assessment", "is_quasi_caterpillar", "is_unit_pendant_caterpillar",
-            "starlike", "balanced_starlike", "caterpillar_family",
-        )
+        # class, and so is every judgement on it; each family built adds
+        # one code (a family undefined for (n, m) raises, uncounted)
+        counted = ("_level_code", "canonical_code", "_quasi_caterpillar", "_structure", "_unit_pendant_caterpillar")
         calls = dict.fromkeys(counted, 0)
         for name in counted:
             def counting(*args, _name=name, _fn=getattr(verify_module, name)):
@@ -456,20 +556,24 @@ class TestReports:
             instance = json.dumps({key: value for key, value in r.instance.items() if key != "k"})
             arg_codes.setdefault(instance, set()).update(r.arg_trees)
         distinct = sum(len(codes) for codes in arg_codes.values())
-        constructions = calls["starlike"] + calls["balanced_starlike"] + calls["caterpillar_family"]
-        assert calls["canonical_code"] <= distinct + constructions
+        assert calls["_level_code"] == distinct
+        assert calls["canonical_code"] <= 4 * len(arg_codes)
         for name in judgements:
-            assert 0 < calls[name] <= distinct, name
+            assert calls[name] == distinct, name
+        for name in set(counted[2:]) - set(judgements):
+            assert calls[name] == 0, name
 
     @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
     def test_sums_each_class_once(self, monkeypatch, verifier):
         # the requested indices of a class come from one call over the side
-        # sizes of all its trees, and no tree is summed on its own
+        # sizes of all its trees (plus, for theorem1 and theorem5min, one
+        # row for the starlike construction), and no tree is summed on its own
         classes: list[tuple[int, int]] = []
         per_tree: list[int] = []
+        extra_rows = 1 if verifier in (verify_min_starlike, verify_min_balanced) else 0
 
         def counting(n, side_lists, ks, _fn=verify_module._class_sums):
-            classes.append((n, len(side_lists)))
+            classes.append((n, len(side_lists) - extra_rows))
             return _fn(n, side_lists, ks)
 
         def summing_one_tree(n, sides, ks, _fn=steiner_module._index_sums):
@@ -490,34 +594,53 @@ class TestReports:
 
     def test_structure_reads_each_judged_tree_once(self, monkeypatch):
         # one shape read of the series-reduced tree both tells a
-        # quasi-caterpillar and gives its backbone
-        read: list[bytes] = []
+        # quasi-caterpillar and gives its backbone: one per distinct tied
+        # tree of each class, off its parents and degrees
+        read: list[tuple[int, ...]] = []
 
-        def counting(t, _fn=trees_module._shape):
-            read.append(canonical_code(t))
-            return _fn(t)
+        def counting(parent, order, degree, _fn=trees_module._spine):
+            read.append(tuple(parent))
+            return _fn(parent, order, degree)
 
-        monkeypatch.setattr(trees_module, "_shape", counting)
-        verify_structure(10, range(1, 11))
-        assert read and len(read) == len(set(read))
-
-    @pytest.mark.parametrize("ks", [range(1, 11), (2, 3)], ids=["every-k", "k-2-3"])
-    @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
-    def test_builds_only_the_trees_it_codes(self, tree_builds, verifier, ks):
-        # a tree is built from its level sequence only when it first ties
-        # on an extremum of its class and its judge reads a tree: each
-        # distinct tied tree exactly once for theorem2, structure and
-        # theorem5max, none for theorem1 and theorem5min, whose rules read
-        # the tie codes alone; at k = 1 every tree ties, so only the k = 2,
-        # 3 case tells a verifier that builds every tree apart
-        reports = verifier(10, ks)
+        monkeypatch.setattr(verify_module, "_spine", counting)
+        reports = verify_structure(10, range(1, 11))
         arg_codes: dict[str, set[str]] = {}
         for r in reports:
             instance = json.dumps({key: value for key, value in r.instance.items() if key != "k"})
             arg_codes.setdefault(instance, set()).update(r.arg_trees)
-        tied = sum(len(codes) for codes in arg_codes.values())
-        reads_trees = verifier not in (verify_min_starlike, verify_min_balanced)
-        assert tree_builds[0] == (tied if reads_trees else 0)
+        assert len(read) == sum(len(codes) for codes in arg_codes.values())
+
+    @pytest.mark.parametrize("ks", [range(1, 11), (2, 3)], ids=["every-k", "k-2-3"])
+    @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
+    def test_builds_only_the_trees_it_codes(self, monkeypatch, tree_builds, verifier, ks):
+        # no tree is built from its level sequence: every judge reads the
+        # tied trees off their parents and degrees, and the starlike
+        # constructions are one more row of their class's sums; the only
+        # Trees constructed at all are the families theorem5max matches its
+        # maximizers against, at most four per (n, m), each one Tree
+        built = [0]
+        families = [0]
+        init = trees_module.Tree.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        def counting_family(*args, _fn=verify_module.caterpillar_family):
+            families[0] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(trees_module.Tree, "__init__", counting_init)
+        monkeypatch.setattr(verify_module, "caterpillar_family", counting_family)
+        for name in ("starlike", "balanced_starlike"):
+            monkeypatch.setattr(generators_module, name, lambda *args, _name=name: pytest.fail(f"{_name} built"))
+        reports = verifier(10, ks)
+        assert tree_builds[0] == 0
+        classes = {json.dumps({key: value for key, value in r.instance.items() if key != "k"}) for r in reports}
+        if verifier is verify_max_caterpillar_family:
+            assert 0 < built[0] <= families[0] <= 4 * len(classes)
+        else:
+            assert built[0] == families[0] == 0
 
 
 class TestReportEncoder:
