@@ -11,19 +11,21 @@ vertices labelled by preorder index).
 A tree is read, coded and filtered straight off its level sequence, and a
 ``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
 gives the level sequences (every tree of an order, one segment sequence or
-one segment count), in stream order, to ``count_trees``, the ``Tree``
-streams and the codes ``segwiener enumerate`` prints.  Neither a segment
-class nor a segment count is filtered out of its order: both are generated
-from their skeletons, the trees with one edge per segment and no vertex of
-degree 2, by placing the segment lengths on their edges once per orbit of
-the skeleton's automorphisms (`_class_members`); a count takes the classes
+one segment count), in stream order, to the ``Tree`` streams and the
+codes ``segwiener enumerate`` prints.  Neither a segment class nor a
+segment count is filtered out of its order: both are generated from their
+skeletons, the trees with one edge per segment and no vertex of degree 2,
+by placing the segment lengths on their edges once per orbit of the
+skeleton's automorphisms (`_class_members`); a count takes the classes
 of every partition of n - 1 into that many parts (`_partitions`) on the
 same skeletons.  The skeletons themselves are built directly, as the
 centred joins of rooted trees in which no vertex has exactly one child
 (`_skeletons`), not scanned out of the stream of their order.
 `_segment_class` re-roots each member at its centre and sorts the
-sequences into stream order; ``count_trees`` counts the members as they
-are placed, since a count needs neither.  One pass, `_parents`, gives the
+sequences into stream order.  ``count_trees`` places no member of a
+segment class or count: it counts the orbits on the same skeletons
+(`_orbit_count`), each vertex's placements a polynomial in the parts they
+consume, memoised by subtree shape.  One pass, `_parents`, gives the
 preorder parents and degrees that the placements, the reader
 (``trees._read``) and `_tree_from_levels` share.  Every sequence the
 stream emits is canonical, each vertex's children in non-increasing
@@ -36,6 +38,8 @@ Cayley-formula check live in the test suite.
 from __future__ import annotations
 
 from bisect import insort
+from itertools import groupby
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .generators import UnrealizableError, normalize_segment_lengths
@@ -229,14 +233,20 @@ def trees_with_segment_count(n: int, m: int) -> Iterator[Tree]:
 def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> int:
     """How many trees `trees_with_segment_sequence(segments)`,
     `trees_with_segment_count(n, num_segments)` or `all_trees(n)` yields,
-    the first whose argument is given; no tree is built, and the members of
-    a segment class or count are counted as they are placed on their
-    skeletons, neither re-rooted nor sorted.  *segments* must sum to n - 1."""
+    the first whose argument is given; no tree is built.  A segment class
+    or count is counted over its skeletons' orbits (`_orbit_count`), with
+    no member placed; every tree of an order is counted off the stream.
+    *segments* must sum to n - 1."""
     if segments is not None:
         lengths = _class_lengths(n, segments)
-        return sum(1 for _ in _class_members([lengths], _shifts(n)))
+        caps = tuple(lengths.count(x) for x in sorted(set(lengths)))
+        units = [tuple(int(i == j) for j in range(len(caps))) for i in range(len(caps))]
+        return _orbit_count(_skeletons(len(lengths) + 1), caps, units)
     if num_segments is not None:
-        return sum(1 for _ in _class_members(_count_classes(n, num_segments), _shifts(n)))
+        _check_count(n, num_segments)
+        if num_segments > n - 1:
+            return 0
+        return _orbit_count(_skeletons(num_segments + 1), (n - 1,), [(length,) for length in range(1, n)])
     return sum(1 for _ in _level_sequences(n))
 
 
@@ -271,10 +281,16 @@ def _count_classes(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """The candidate segment sequences of the trees of order *n* with *m*
     segments (not negative), within the order guard: the partitions of
     n - 1 into m parts, in non-increasing order."""
+    _check_count(n, m)
+    return _partitions(n - 1, m, n - 1)
+
+
+def _check_count(n: int, m: int) -> None:
+    """The checks of a segment count: *m* not negative, then *n* within
+    the order guard."""
     if m < 0:
         raise ValueError(f"segment count {m} is negative")
     _check_order(n)
-    return _partitions(n - 1, m, n - 1)
 
 
 def _partitions(total: int, parts: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -447,6 +463,80 @@ def _placements(skeleton: list[int], lengths: tuple[int, ...], shift: list[bytes
             for branches, _ in hang(kids[0][1:], 0, rest, 0, b"", ()):
                 if b"\0" + b"".join(sorted(branches, reverse=True)) <= far:
                     yield b"\0" + b"".join(sorted((*branches, central), reverse=True))
+
+
+def _orbit_count(skeletons: list[list[int]], caps: tuple[int, ...], parts: list[tuple[int, ...]]) -> int:
+    """How many trees the *skeletons* (stream sequences of one order) make
+    with an edge part on every edge, where each of *parts* consumes a
+    vector of amounts and the parts placed consume exactly *caps* in all;
+    counted once per orbit of each skeleton's automorphisms, as
+    `_placements` places them, with no tree placed.  A segment count
+    consumes the one total length n - 1, in parts of any length 1 or more;
+    a segment class consumes each part length as often as it occurs.
+
+    A vertex's placements are counted as a polynomial in what they consume,
+    a dict from the consumption (packed into one int, a field per amount,
+    each a bit wider than its cap, so that a guard bit shows a sum over its
+    cap) to the number of placements, memoised by the vertex's subtree
+    shape.  A child's branches are its edge part times its own placements;
+    a run of r children of one shape takes a multiset of r branches, which
+    is the t^r coefficient of the product over consumptions d of
+    (1 - t y^d)^(-b_d), b_d the branches consuming d: C(b_d + j - 1, j)
+    ways to take j of them.  The two halves of a bicentral skeleton of one
+    shape are such a multiset of two around the central edge's part."""
+    bit = target = offset = guard = 0
+    fields = []
+    for cap in caps:
+        width = cap.bit_length() + 1
+        fields.append(bit)
+        target += cap << bit
+        offset += ((1 << width - 1) - 1 - cap) << bit
+        guard |= 1 << bit + width - 1
+        bit += width
+    edge = {sum(amount << field for amount, field in zip(part, fields)): 1 for part in parts}
+    up = _shifts(1)[-1]
+    grown: dict[bytes, dict[int, int]] = {}
+
+    def times(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for a, x in p.items():
+            for b, y in q.items():
+                if not (a + b + offset) & guard:
+                    out[a + b] = out.get(a + b, 0) + x * y
+        return out
+
+    def multisets(branches: dict[int, int], r: int) -> dict[int, int]:
+        # layers[j]: the multisets of j branches of the consumptions seen so far
+        layers = [{0: 1}] + [{} for _ in range(r)]
+        for d, b in branches.items():
+            for j in range(r, 0, -1):
+                layer = layers[j]
+                for i in range(1, j + 1):
+                    if (i * d + offset) & guard:
+                        break
+                    ways = comb(b + i - 1, i)
+                    for a, x in layers[j - i].items():
+                        if not (a + i * d + offset) & guard:
+                            layer[a + i * d] = layer.get(a + i * d, 0) + x * ways
+        return layers[r]
+
+    def grow(shape: bytes) -> dict[int, int]:
+        # the placements of a subtree, its root at level 0
+        if shape not in grown:
+            poly = {0: 1}
+            for kid, run in groupby(shape[1:].translate(up).split(b"\0")[1:]):
+                poly = times(poly, multisets(times(edge, grow(b"\0" + kid)), len(list(run))))
+            grown[shape] = poly
+        return grown[shape]
+
+    total = 0
+    for skeleton in skeletons:
+        level = bytes(skeleton)
+        m = _first_subtree_end(skeleton)
+        half = b"\0" + level[m:]
+        poly = times(edge, multisets(grow(half), 2)) if level[1:m].translate(up) == half else grow(level)
+        total += poly.get(target, 0)
+    return total
 
 
 def _recentre(level: bytes, shift: list[bytes]) -> bytes:

@@ -225,8 +225,8 @@ class TestLevelReader:
 
     def test_classes_match_the_bucketed_stream(self):
         # every segment class of order 13..16 from its skeletons against the
-        # stream's sequences of that class, in order (orders up to 12 are in
-        # the filter test above)
+        # stream's sequences of that class, in order, and counted over the
+        # skeletons' orbits (orders up to 12 are in the filter test above)
         for n in range(13, MAX_ORDER + 1):
             classes = defaultdict(list)
             for segments, _, level in read_trees(n):
@@ -234,6 +234,7 @@ class TestLevelReader:
             assert sorted(classes, reverse=True) == segment_sequences_of_order(n)
             for seq in segment_sequences_of_order(n):
                 assert [list(level) for level in _levels(n, seq)] == classes[seq], seq
+                assert count_trees(n, seq) == len(classes[seq]), seq
 
     def test_class_counts_sum_to_the_tree_count(self):
         # the skeleton route's class sizes against the stream's count and
@@ -243,8 +244,8 @@ class TestLevelReader:
             assert total == count_trees(n) == {**FREE_TREE_COUNTS, **A000055_ABOVE_10}[n], n
 
     def test_class_counts_are_the_ordered_class_sizes(self, monkeypatch):
-        # a class is counted as its members are placed, neither re-rooted
-        # nor sorted, and the count is the size of the ordered class
+        # a class is counted with no member re-rooted, and the count is the
+        # size of the ordered class
         sizes = {(n, seq): len(list(_levels(n, seq))) for n in range(2, 16) for seq in segment_sequences_of_order(n)}
 
         def unused(level, shift):
@@ -320,8 +321,57 @@ class TestPastTheGuard:
             labelled = sum(factorial(n) // automorphisms_of_levels(level) for level in levels)
             assert labelled == labelled_trees_with_segment_count(n, m), m
 
+    def test_segment_counts_past_the_guard(self, monkeypatch):
+        # the orbit count's sizes of segment-count classes at orders 30 and
+        # 40, where no stream reaches, against the sizes their placements
+        # gave one by one; and the counts of every m at order 18 sum to
+        # A000055(18)
+        monkeypatch.setattr(enumeration, "MAX_ORDER", 40)
+        assert [count_trees(30, num_segments=m) for m in range(5, 9)] == [3315, 12152, 85589, 316259]
+        assert [count_trees(40, num_segments=m) for m in range(3, 9)] == [127, 441, 11319, 56119, 568409, 2911004]
+        assert sum(count_trees(18, num_segments=m) for m in range(18)) == 123867
+
+    def test_segment_classes_past_the_guard(self, monkeypatch):
+        # classes of orders 45, 55 and 20, counted over the skeletons'
+        # orbits, against the sizes their placements gave one by one
+        monkeypatch.setattr(enumeration, "MAX_ORDER", 55)
+        assert count_trees(45, range(9, 1, -1)) == 6329
+        assert count_trees(55, range(10, 1, -1)) == 89272
+        assert count_trees(20, (3, 3, 2, 2, 2, *[1] * 7)) == 23082
+
 
 class TestCountRoute:
+    def test_counts_place_nothing(self, capsys, monkeypatch):
+        # a segment class or count of order n is counted with no member
+        # placed or re-rooted and no skeleton of order above n built: every
+        # count of order n sums to the number of trees, and the classes
+        # with m >= 1 parts to the count of m
+        order = [0]
+        skeletons = enumeration._skeletons
+
+        def bounded(size):
+            assert size <= order[0], (size, order[0])
+            return skeletons(size)
+
+        def unused(*args):
+            raise AssertionError("a count placed or re-rooted a tree")
+
+        monkeypatch.setattr(enumeration, "_skeletons", bounded)
+        monkeypatch.setattr(enumeration, "_placements", unused)
+        monkeypatch.setattr(enumeration, "_recentre", unused)
+        for n in range(1, MAX_ORDER + 1):
+            order[0] = n
+            counts = [count_trees(n, num_segments=m) for m in range(n + 2)]
+            assert counts[n:] == [0, 0] and count_trees(n, num_segments=10**6) == 0
+            assert sum(counts) == {**FREE_TREE_COUNTS, **A000055_ABOVE_10}[n], n
+            by_parts = defaultdict(int)
+            for seq in segment_sequences_of_order(n):
+                by_parts[len(seq)] += count_trees(n, seq)
+            assert all(by_parts[m] == counts[m] for m in range(1, n)), n
+        order[0] = 0
+        assert main(["enumerate", "--n", "16", "--num-segments", "1000000", "--count-only"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_count_route_matches_the_stream_filter(self):
         # every order up to the guard and every m from -1 to n + 1: the
         # placements on the skeletons against the stream's sequences with m
