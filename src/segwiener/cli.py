@@ -88,7 +88,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(enumeration.count_trees(args.n, args.segments, args.num_segments))
         return 0
     levels = enumeration._levels(args.n, args.segments, args.num_segments)
-    sys.stdout.write(b"".join([enumeration._level_code(level) + b"\n" for level in levels]).decode("ascii"))
+    # the empty last item ends the last line, and leaves an empty listing empty
+    sys.stdout.write(b"\n".join([*map(enumeration._level_code, levels), b""]).decode("ascii"))
     return 0
 
 

@@ -25,14 +25,16 @@ centred joins of rooted trees in which no vertex has exactly one child
 sequences into stream order.  ``count_trees`` places no member of a
 segment class or count: it counts the orbits on the same skeletons
 (`_orbit_count`), each vertex's placements a polynomial in the parts they
-consume, memoised by subtree shape.  One pass, `_parents`, gives the
-preorder parents and degrees that the placements, the reader
-(``trees._read``) and `_tree_from_levels` share.  Every sequence the
-stream emits is canonical, each vertex's children in non-increasing
-order, so a tree's code is its sequence written as parentheses
-(`_parens`), with no sorting.  The Prüfer-plus-canonical-dedup oracle, the
-stream filters the skeletons and counts are checked against, and the
-Cayley-formula check live in the test suite.
+consume, memoised by subtree shape; and it counts a whole order by Otter's
+formula over the rooted-tree counts (`_otter_count`), with no tree
+generated.  One pass, `_parents`, gives the preorder parents and degrees
+that the placements, the reader (``trees._read``) and `_tree_from_levels`
+share.  Every sequence the stream emits is canonical, each vertex's
+children in non-increasing order, so a tree's code is its sequence written
+as parentheses (`_parens`), with no sorting.  The
+Prüfer-plus-canonical-dedup oracle, the stream filters the skeletons and
+counts are checked against, and the Cayley-formula check live in the test
+suite.
 """
 
 from __future__ import annotations
@@ -133,14 +135,18 @@ def _level_code(level: list[int]) -> bytes:
     """The canonical code of the tree of a canonical centre-rooted level
     sequence: its parentheses (`_parens`).  The root is a centre; the tree
     is bicentral exactly when the root's first subtree is higher than the
-    rest, and then vertex 1 is the other centre, and the code is the smaller
-    of the two rooted at the centres (at vertex 1, the root's side is one
-    more child, put in code order).  Every subtree's code is a slice of the
-    rooted code: that of vertices v..j-1 is ``code[2v - level[v] : 2j -
-    level[v]]``, since v - level[v] closing parentheses come before v's."""
+    rest, that is, since the first path runs to a deepest vertex, when a
+    tree of more than one vertex has no vertex that deep after its first
+    subtree.  Then vertex 1 is the other centre, and the code is the
+    smaller of the two rooted at the centres (at vertex 1, the root's side
+    is one more child, put in code order).  Every subtree's code is a
+    slice of the rooted code: that of vertices v..j-1 is ``code[2v -
+    level[v] : 2j - level[v]]``, since v - level[v] closing parentheses
+    come before v's."""
     code = _parens(level)
     m = _first_subtree_end(level)
-    if max(level[1:m], default=0) <= max(level[m:], default=0):
+    height = max(level)
+    if not height or height in level[m:]:
         return code
     starts = [i for i in range(2, m) if level[i] == 2]
     kids = [code[2 * i - 2 : 2 * j - 2] for i, j in zip(starts, [*starts[1:], m])]
@@ -233,9 +239,9 @@ def trees_with_segment_count(n: int, m: int) -> Iterator[Tree]:
 def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> int:
     """How many trees `trees_with_segment_sequence(segments)`,
     `trees_with_segment_count(n, num_segments)` or `all_trees(n)` yields,
-    the first whose argument is given; no tree is built.  A segment class
+    the first whose argument is given; no tree is listed.  A segment class
     or count is counted over its skeletons' orbits (`_orbit_count`), with
-    no member placed; every tree of an order is counted off the stream.
+    no member placed; a whole order by Otter's formula (`_otter_count`).
     *segments* must sum to n - 1."""
     if segments is not None:
         lengths = _class_lengths(n, segments)
@@ -247,7 +253,28 @@ def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int
         if num_segments > n - 1:
             return 0
         return _orbit_count(_skeletons(num_segments + 1), (n - 1,), [(length,) for length in range(1, n)])
-    return sum(1 for _ in _level_sequences(n))
+    _check_order(n)
+    return _otter_count(n)
+
+
+def _otter_count(n: int) -> int:
+    """The number of free trees of order *n* (OEIS A000055), from the
+    numbers r(i) of rooted trees of order i (OEIS A000081) by Otter's
+    dissimilarity theorem (R. Otter, "The number of trees", Ann. of Math.
+    49, 1948): r(n) less the unordered pairs of two different rooted trees
+    whose orders sum to n, (sum_{i=1..n-1} r(i) r(n - i) - [n even]
+    r(n / 2)) / 2.  The r(i) come from the Euler transform r(i + 1) =
+    (1 / i) sum_{k=1..i} (sum_{d | k} d r(d)) r(i - k + 1), in exact
+    integers."""
+    rooted = [0, 1]
+    weight = [0]  # weight[k]: the sum of d r(d) over the divisors d of k
+    for i in range(1, n):
+        weight.append(sum(d * rooted[d] for d in range(1, i + 1) if i % d == 0))
+        rooted.append(sum(weight[k] * rooted[i - k + 1] for k in range(1, i + 1)) // i)
+    pairs = sum(rooted[i] * rooted[n - i] for i in range(1, n))
+    if n % 2 == 0:
+        pairs -= rooted[n // 2]
+    return rooted[n] - pairs // 2
 
 
 def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> Iterator[list[int]]:

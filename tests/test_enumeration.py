@@ -152,8 +152,11 @@ class TestCountFilter:
         assert len(ts) == 1
         assert canonical_code(ts[0]) == canonical_code(path_tree(5))
 
-    def test_two_segments_empty(self):
+    def test_two_segments_empty(self, capsys):
         assert list(trees_with_segment_count(5, 2)) == []
+        # an empty listing prints nothing, not a blank line
+        assert main(["enumerate", "--n", "5", "--num-segments", "2"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_three_segments_order_six(self):
         ts = list(trees_with_segment_count(6, 3))
@@ -331,6 +334,14 @@ class TestPastTheGuard:
         assert [count_trees(40, num_segments=m) for m in range(3, 9)] == [127, 441, 11319, 56119, 568409, 2911004]
         assert sum(count_trees(18, num_segments=m) for m in range(18)) == 123867
 
+    def test_order_counts_past_the_guard(self, monkeypatch):
+        # Otter's formula against the segment counts' orbit counts summed
+        # over m at orders 17 and 18, and against A000055 up to order 20
+        monkeypatch.setattr(enumeration, "MAX_ORDER", 20)
+        for n in (17, 18):
+            assert count_trees(n) == sum(count_trees(n, num_segments=m) for m in range(n)), n
+        assert [count_trees(n) for n in range(17, 21)] == [48629, 123867, 317955, 823065]
+
     def test_segment_classes_past_the_guard(self, monkeypatch):
         # classes of orders 45, 55 and 20, counted over the skeletons'
         # orbits, against the sizes their placements gave one by one
@@ -371,6 +382,20 @@ class TestCountRoute:
         order[0] = 0
         assert main(["enumerate", "--n", "16", "--num-segments", "1000000", "--count-only"]) == 0
         assert capsys.readouterr().out == "0\n"
+
+    def test_order_count_generates_nothing(self, monkeypatch):
+        # a whole order is counted with no stream started, no skeleton
+        # built and no tree placed or re-rooted, and the guard still holds
+        def unused(*args):
+            raise AssertionError("counting an order generated a tree")
+
+        for name in ("_level_sequences", "_skeletons", "_placements", "_recentre"):
+            monkeypatch.setattr(enumeration, name, unused)
+        for n in range(1, MAX_ORDER + 1):
+            assert count_trees(n) == {**FREE_TREE_COUNTS, **A000055_ABOVE_10}[n], n
+        for n in (0, MAX_ORDER + 1):
+            with pytest.raises(ValueError, match=f"order must be in 1..{MAX_ORDER}"):
+                count_trees(n)
 
     def test_count_route_matches_the_stream_filter(self):
         # every order up to the guard and every m from -1 to n + 1: the
