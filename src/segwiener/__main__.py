@@ -1,0 +1,6 @@
+"""``python -m segwiener``: the command line (`cli.main`)."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

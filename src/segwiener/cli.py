@@ -87,9 +87,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(enumeration.count_trees(args.n, args.segments, args.num_segments))
         return 0
-    levels = enumeration._levels(args.n, args.segments, args.num_segments)
-    # the empty last item ends the last line, and leaves an empty listing empty
-    sys.stdout.write(b"\n".join([*map(enumeration._level_code, levels), b""]).decode("ascii"))
+    sys.stdout.write(enumeration._listing(enumeration._levels(args.n, args.segments, args.num_segments)))
     return 0
 
 

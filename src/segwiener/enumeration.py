@@ -11,36 +11,30 @@ vertices labelled by preorder index).
 A tree is read, coded and filtered straight off its level sequence, and a
 ``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
 gives the level sequences (every tree of an order, one segment sequence or
-one segment count), in stream order, to the ``Tree`` streams and the
-codes ``segwiener enumerate`` prints.  Neither a segment class nor a
-segment count is filtered out of its order: both are generated from their
-skeletons, the trees with one edge per segment and no vertex of degree 2,
-by placing the segment lengths on their edges once per orbit of the
-skeleton's automorphisms (`_class_members`); a count takes the classes
-of every partition of n - 1 into that many parts (`_partitions`) on the
-same skeletons.  The skeletons themselves are built directly, as the
-centred joins of rooted trees in which no vertex has exactly one child
-(`_skeletons`), not scanned out of the stream of their order.
-`_segment_class` re-roots each member at its centre and sorts the
-sequences into stream order.  ``count_trees`` places no member of a
-segment class or count: it counts the orbits on the same skeletons
-(`_orbit_count`), each vertex's placements a polynomial in the parts they
-consume, memoised by subtree shape; and it counts a whole order by Otter's
-formula over the rooted-tree counts (`_otter_count`), with no tree
-generated.  One pass, `_parents`, gives the preorder parents and degrees
-that the placements, the reader (``trees._read``) and `_tree_from_levels`
-share.  Every sequence the stream emits is canonical, each vertex's
-children in non-increasing order, so a tree's code is its sequence written
-as parentheses (`_parens`), with no sorting.  The
-Prüfer-plus-canonical-dedup oracle, the stream filters the skeletons and
-counts are checked against, and the Cayley-formula check live in the test
-suite.
+one segment count), in stream order, to the ``Tree`` streams and to the
+listing ``segwiener enumerate`` prints.  A segment class or count is not
+filtered out of its order but placed on its skeletons, the trees with one
+edge per segment and no vertex of degree 2, built directly (`_skeletons`):
+the segment lengths, or each partition of n - 1 into that many parts
+(`_partitions`), go on their edges once per orbit of the skeleton's
+automorphisms (`_class_members`), and `_segment_class` re-roots each member
+at its centre and sorts the sequences into stream order.  ``count_trees``
+lists nothing: it counts a class or count over the same orbits
+(`_orbit_count`, each vertex's placements a polynomial in the parts they
+consume, memoised by subtree shape), and a whole order by Otter's formula
+(`_otter_count`).  One pass, `_parents`, gives the preorder parents and
+degrees that the placements, the reader (``trees._read``) and
+`_tree_from_levels` share.  Every sequence emitted is canonical, so a
+listing is coded in one pass (`_listing`), with no sorting: each tree rooted
+at the centre its code is rooted at, on its level bytes (`_rooting`), then
+the parentheses of many trees from one integer difference (`_parens`).
+The Prüfer-plus-canonical-dedup oracle, the stream filters the skeletons
+and counts are checked against, and the Cayley check are in the tests.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from itertools import groupby
+from itertools import groupby, islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -117,41 +111,50 @@ def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
     return _read(parent, range(len(level)), degree)
 
 
-def _parens(level: list[int]) -> bytes:
-    """The AHU code of the tree of a canonical rooted level sequence (its
-    first entry the root's level, each vertex's children in non-increasing
-    sequence order): one ``(`` per vertex, and after each vertex one ``)``
-    per level closed before the next vertex (after the last, back above the
-    root).
-
-    Of two different sequences the lexicographically larger writes the
-    smaller string, since where they first differ it opens a vertex where
-    the other closes one; so canonical children come in non-decreasing
-    code order, which is the order the AHU code sorts them into."""
-    return b"(" + b"(".join([b")" * (a - b + 1) for a, b in zip(level, [*level[1:], level[0]])])
+def _listing(levels: Iterable[Sequence[int]]) -> str:
+    """The canonical codes of the trees of the stream sequences *levels*, a
+    line each, all made before any is returned; `_parens` writes 2048 at a time."""
+    rooted = map(_rooting, levels)
+    return "".join(map(_parens, iter(lambda: b"".join(islice(rooted, 2048)), b"")))
 
 
-def _level_code(level: list[int]) -> bytes:
-    """The canonical code of the tree of a canonical centre-rooted level
-    sequence: its parentheses (`_parens`).  The root is a centre; the tree
-    is bicentral exactly when the root's first subtree is higher than the
-    rest, that is, since the first path runs to a deepest vertex, when a
-    tree of more than one vertex has no vertex that deep after its first
-    subtree.  Then vertex 1 is the other centre, and the code is the
-    smaller of the two rooted at the centres (at vertex 1, the root's side
-    is one more child, put in code order).  Every subtree's code is a
-    slice of the rooted code: that of vertices v..j-1 is ``code[2v -
-    level[v] : 2j - level[v]]``, since v - level[v] closing parentheses
-    come before v's."""
-    code = _parens(level)
+def _level_code(level: Sequence[int]) -> str:
+    """`_listing` of one stream sequence, without its line end."""
+    return _parens(_rooting(level))[:-1]
+
+
+def _rooting(level: Sequence[int]) -> bytes:
+    """The canonical sequence of the tree of a stream sequence rooted where
+    its code is.  A tree of two or more vertices is bicentral, vertex 1 the
+    other centre, exactly when no vertex after the root's first subtree is
+    as deep as the deepest (the first path runs to one); then of the two
+    sequences, rooted at the centres, the larger writes the smaller code."""
+    level = bytes(level)
     m = _first_subtree_end(level)
     height = max(level)
-    if not height or height in level[m:]:
-        return code
-    starts = [i for i in range(2, m) if level[i] == 2]
-    kids = [code[2 * i - 2 : 2 * j - 2] for i, j in zip(starts, [*starts[1:], m])]
-    insort(kids, b"(" + code[2 * m - 1 : 2 * len(level) - 1] + b")")
-    return min(code, b"(" + b"".join(kids) + b")")
+    if not height or level.find(height, m) >= 0:
+        return level
+    kids = [*level[2:m].translate(_UP).split(b"\1")[1:], level[m:].translate(_DOWN)]  # each less its first 1
+    return max(level, b"\0\1" + b"\1".join(sorted(kids, reverse=True)))
+
+
+def _parens(levels: bytes) -> str:
+    """The AHU code, a line each, of the trees of concatenated canonical
+    rooted level sequences: a ``(`` per vertex, then a ``)`` per level
+    closed before the next vertex or, after a tree's last, above its root
+    (the only level 0).  The larger of two sequences writes the smaller
+    code, opening a vertex where the other first closes one, so canonical
+    children come in AHU order.  As little-endian integers, byte v of
+    levels + 0x80...80 - (`_NEXT` of levels >> 8) is level[v] + 1 -
+    level[v + 1] <= 127 before a non-root, and level[v] + 128 before a root
+    or the end, with no borrow while levels stay at most 127, as in
+    centre-rooted trees of order up to 255: `_FIELDS` writes each."""
+    if not levels.isascii():
+        raise ValueError("the coder takes levels up to 127, so centre-rooted trees of order up to 255")
+    size = len(levels)
+    fields = int.from_bytes(levels, "little") + int.from_bytes(b"\x80" * size, "little")
+    fields -= int.from_bytes(levels.translate(_NEXT), "little") >> 8
+    return "(" + "(".join(map(_FIELDS.__getitem__, fields.to_bytes(size, "little")))
 
 
 def _tree_from_levels(level: list[int]) -> Tree:
@@ -184,7 +187,7 @@ def _next_rooted(level: list[int], p: int | None = None) -> bool:
     return True
 
 
-def _first_subtree_end(level: list[int]) -> int:
+def _first_subtree_end(level: Sequence[int]) -> int:
     """Index of the root's second child (n if it has only one)."""
     try:
         return level.index(1, 2)
@@ -287,7 +290,8 @@ def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | N
     if segments is not None:
         yield from _segment_class(n, [_class_lengths(n, segments)])
     elif num_segments is not None:
-        yield from _segment_class(n, _count_classes(n, num_segments))
+        _check_count(n, num_segments)
+        yield from _segment_class(n, _partitions(n - 1, num_segments, n - 1))
     else:
         yield from _level_sequences(n)
 
@@ -304,17 +308,8 @@ def _class_lengths(n: int, segments: Iterable[int]) -> tuple[int, ...]:
     return lengths
 
 
-def _count_classes(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """The candidate segment sequences of the trees of order *n* with *m*
-    segments (not negative), within the order guard: the partitions of
-    n - 1 into m parts, in non-increasing order."""
-    _check_count(n, m)
-    return _partitions(n - 1, m, n - 1)
-
-
 def _check_count(n: int, m: int) -> None:
-    """The checks of a segment count: *m* not negative, then *n* within
-    the order guard."""
+    """A segment count's checks: *m* not negative, then the order guard."""
     if m < 0:
         raise ValueError(f"segment count {m} is negative")
     _check_order(n)
@@ -341,10 +336,8 @@ def _segment_class(n: int, classes: Iterable[tuple[int, ...]]) -> Iterator[list[
     their centres (`_recentre`) and sorted into the stream's descending
     order."""
     shift = _shifts(n)
-    found = [_recentre(level, shift) for level in _class_members(classes, shift)]
-    found.sort(reverse=True)
-    for level in found:
-        yield list(level)
+    found = sorted([_recentre(level, shift) for level in _class_members(classes, shift)], reverse=True)
+    yield from map(list, found)
 
 
 def _class_members(classes: Iterable[tuple[int, ...]], shift: list[bytes]) -> Iterator[bytes]:
@@ -384,7 +377,6 @@ def _skeletons(order: int) -> list[list[int]]:
     smaller, or at equal size not lexicographically later."""
     if order == 1:
         return [[0]]
-    down = _shifts(1)[1]
     pool: list[tuple[bytes, int]] = []  # (sequence, height) of every rooted tree built, by size
     below = [0]  # below[s]: how many pooled trees have at most s vertices
 
@@ -398,7 +390,7 @@ def _skeletons(order: int) -> list[list[int]]:
                 yield (i, *rest)
 
     def grown(children: tuple[int, ...]) -> tuple[bytes, int]:
-        kids = sorted([pool[i][0].translate(down) for i in children], reverse=True)
+        kids = sorted([pool[i][0].translate(_DOWN) for i in children], reverse=True)
         return b"\0" + b"".join(kids), 1 + max(pool[i][1] for i in children)
 
     for size in range(1, order):
@@ -413,7 +405,7 @@ def _skeletons(order: int) -> list[list[int]]:
         for near, height in pool[below[small - 1] : below[small]]:
             for far, other in pool[below[order - small - 1] : below[order - small]]:
                 if other == height and (2 * small < order or near <= far):
-                    found.append(b"\0" + near.translate(down) + far[1:])
+                    found.append(b"\0" + near.translate(_DOWN) + far[1:])
     found.sort(reverse=True)
     return [list(level) for level in found]
 
@@ -423,6 +415,11 @@ def _shifts(n: int) -> list[bytes]:
     ``level.translate(shift[k])`` adds k to every level, for -n <= k <= n
     (a negative k by its negative index)."""
     return [bytes(range(k % 256, 256)) + bytes(range(k % 256)) for k in (*range(n + 1), *range(-n, 0))]
+
+
+_DOWN, _UP = _shifts(1)[1:]  # a level one deeper, one higher
+_NEXT = b"\0" + bytes(range(128, 256)) + bytes(127)  # a root as 0, a level b >= 1 as b + 127
+_FIELDS = [")" * d for d in range(128)] + [")" * (d - 127) + "\n" for d in range(128, 256)]
 
 
 def _placements(skeleton: list[int], lengths: tuple[int, ...], shift: list[bytes]) -> Iterator[bytes]:
@@ -521,7 +518,6 @@ def _orbit_count(skeletons: list[list[int]], caps: tuple[int, ...], parts: list[
         guard |= 1 << bit + width - 1
         bit += width
     edge = {sum(amount << field for amount, field in zip(part, fields)): 1 for part in parts}
-    up = _shifts(1)[-1]
     grown: dict[bytes, dict[int, int]] = {}
 
     def times(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
@@ -551,7 +547,7 @@ def _orbit_count(skeletons: list[list[int]], caps: tuple[int, ...], parts: list[
         # the placements of a subtree, its root at level 0
         if shape not in grown:
             poly = {0: 1}
-            for kid, run in groupby(shape[1:].translate(up).split(b"\0")[1:]):
+            for kid, run in groupby(shape[1:].translate(_UP).split(b"\0")[1:]):
                 poly = times(poly, multisets(times(edge, grow(b"\0" + kid)), len(list(run))))
             grown[shape] = poly
         return grown[shape]
@@ -561,7 +557,7 @@ def _orbit_count(skeletons: list[list[int]], caps: tuple[int, ...], parts: list[
         level = bytes(skeleton)
         m = _first_subtree_end(skeleton)
         half = b"\0" + level[m:]
-        poly = times(edge, multisets(grow(half), 2)) if level[1:m].translate(up) == half else grow(level)
+        poly = times(edge, multisets(grow(half), 2)) if level[1:m].translate(_UP) == half else grow(level)
         total += poly.get(target, 0)
     return total
 

@@ -10,8 +10,8 @@ one reverse pass over a rooted order, either a breadth-first search of a
 ``Tree`` (`_read_built`, from vertex 0) or an enumerator's level
 sequence.  A built tree's canonical code comes out of one coder, `_codes`,
 which sorts the child codes at every vertex of a breadth-first search; an
-enumerator's level sequence is canonical already, and its code is the
-sequence written as parentheses (``enumeration._level_code``).  `_bfs`
+enumerator's level sequences are canonical already, and a listing's codes
+are their parentheses, written in one pass (``enumeration._listing``).  `_bfs`
 is the one breadth-first search, `_centers` peels leaves, and `_walk`
 follows one segment for the shape read below and the moves.  The path
 between two vertices and a relabelling are test oracles, not ``Tree``

@@ -324,7 +324,7 @@ def _verify(
                         if j not in judged:
                             level = members[j][0]
                             outcome = None if outcome_of is None else outcome_of(*_parents(level))
-                            judged[j] = (_level_code(level).decode("ascii"), outcome)
+                            judged[j] = (_level_code(level), outcome)
                     arg = sorted((judged[j] for j in ties), key=lambda e: e[0])
                     # the construction is a member, so this is a function of the ties
                     outcomes, verdict, notes = class_judge.rule(arg, own == best)

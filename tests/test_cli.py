@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +127,15 @@ def test_enumerate_filters(capsys):
 )
 def test_enumerate_segments_errors(capsys, argv, message, count_only):
     assert run(capsys, "enumerate", *argv, *count_only) == (2, "", message + "\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for n, code, out, err in (("5", 0, "3\n", ""), ("0", 2, "", "error: order must be in 1..16\n")):
+        argv = [sys.executable, "-m", "segwiener", "enumerate", "--n", n, "--count-only"]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (code, out, err), n
 
 
 def test_verify_writes_report_and_exits_zero(tmp_path, capsys):

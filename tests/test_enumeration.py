@@ -18,6 +18,7 @@ from segwiener.enumeration import (
     _level_code,
     _level_sequences,
     _levels,
+    _listing,
     _parens,
     _parents,
     _partitions,
@@ -35,7 +36,7 @@ from segwiener.enumeration import (
 from segwiener.generators import UnrealizableError
 from segwiener.trees import Tree, _codes, canonical_code, is_starlike, segment_sequence
 
-from .conftest import path_tree
+from .conftest import double_broom, path_tree
 from .oracles import (
     ahu_code_by_recursion,
     automorphism_count,
@@ -185,7 +186,7 @@ class TestLevelReader:
         for n in range(1, MAX_ORDER + 1):
             for level in _level_sequences(n):
                 t = _tree_from_levels(level)
-                code = _level_code(level)
+                code = _level_code(level).encode("ascii")
                 assert code == canonical_code(t), level
                 if n <= 12:
                     assert code == ahu_code_by_recursion(t), level
@@ -201,16 +202,17 @@ class TestLevelReader:
         # code rooted at vertex 0, on every tree of order 1..16
         for n in range(1, MAX_ORDER + 1):
             for level in _level_sequences(n):
-                assert _parens(level) == _codes(_parents(level)[0], range(n))[1], level
+                assert _parens(bytes(level)) == _codes(_parents(level)[0], range(n))[1].decode() + "\n", level
 
     def test_level_code_edge_cases(self):
-        assert _level_code([0]) == b"()"
-        assert _level_code([0, 1]) == b"(())"
+        assert _level_code([0]) == "()"
+        assert _level_code([0, 1]) == "(())"
         # the path rooted at its centre; for even n the first subtree is the
         # longer side and vertex 1 the other centre
         for n in range(1, MAX_ORDER + 1):
             level = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-            assert _level_code(level) == canonical_code(path_tree(n)) == ahu_code_by_recursion(path_tree(n))
+            code = _level_code(level).encode("ascii")
+            assert code == canonical_code(path_tree(n)) == ahu_code_by_recursion(path_tree(n))
 
     def test_filters_match_filtering_all_trees(self):
         for n in range(1, 13):
@@ -292,7 +294,82 @@ class TestSkeletons:
             for level in skeletons:
                 assert 2 not in _parents(level)[1], level
                 assert list(_recentre(bytes(level), shift)) == level, level
-                assert _level_code(level) == canonical_code(_tree_from_levels(level)), level
+                assert _level_code(level).encode("ascii") == canonical_code(_tree_from_levels(level)), level
+
+
+def built_codes(levels) -> str:
+    """The listing of *levels* by the independent route: each sequence
+    built into a ``Tree`` and coded by `canonical_code`, a line each."""
+    return "".join(canonical_code(_tree_from_levels(level)).decode() + "\n" for level in levels)
+
+
+def listed(capsys, *argv) -> str:
+    assert main(["enumerate", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == "", argv
+    return out
+
+
+class TestListing:
+    def test_order_listings_are_the_built_codes(self, capsys):
+        # `enumerate --n N` against every stream tree built and coded, for
+        # every order 1..16
+        for n in range(1, MAX_ORDER + 1):
+            assert listed(capsys, "--n", str(n)) == built_codes(_levels(n)), n
+
+    def test_filtered_listings_are_the_built_codes(self, capsys):
+        # every segment count of order 1..12 and every segment class of
+        # order 1..10, two listings at order 16, and the empty listing
+        for n in range(1, 13):
+            for m in range(n + 1):
+                assert listed(capsys, "--n", str(n), "--num-segments", str(m)) == built_codes(_levels(n, num_segments=m))
+            if n <= 10:
+                for seq in segment_sequences_of_order(n):
+                    text = ",".join(map(str, seq))
+                    assert listed(capsys, "--n", str(n), "--segments", text) == built_codes(_levels(n, seq)), seq
+        assert listed(capsys, "--n", "16", "--num-segments", "9") == built_codes(_levels(16, num_segments=9))
+        seq = (5, 3, 2, 2, 1, 1, 1)
+        assert listed(capsys, "--n", "16", "--segments", "5,3,2,2,1,1,1") == built_codes(_levels(16, seq))
+        assert listed(capsys, "--n", "1") == "()\n"
+        assert listed(capsys, "--n", "5", "--num-segments", "2") == ""
+
+    def test_byte_bound(self):
+        # levels are bytes, and the coder takes them up to 127: the path and
+        # two brooms (a path with leaves at one end) of orders 254 and 255,
+        # centre-rooted at heights up to 127; the path of order 256 has a
+        # vertex at level 128
+        for n in (254, 255):
+            shift = _shifts(n)
+            path = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+            trees = [(path, path_tree(n))]
+            for length, right in ((n - 3, 2), (200, n - 201)):
+                broom = _recentre(bytes([*range(length + 1), *[length + 1] * right]), shift)
+                trees.append((broom, double_broom(length, 0, right)))
+            for level, t in trees:
+                assert _level_code(level).encode("ascii") == canonical_code(t), (n, level)
+            assert _listing(level for level, _ in trees) == "".join(canonical_code(t).decode() + "\n" for _, t in trees)
+        with pytest.raises(ValueError, match="levels up to 127"):
+            _level_code(list(range(129)) + list(range(1, 128)))
+
+    def test_nothing_printed_before_a_coding_error(self, capsys, monkeypatch):
+        # the order guard's errors are unchanged; a listing whose last tree
+        # cannot be coded prints nothing of the trees before it, which fill
+        # several chunks; past the guard, the path of order 255 is listed
+        # and that of order 256 is not
+        for n in ("0", "17"):
+            assert main(["enumerate", "--n", n]) == 2
+            assert capsys.readouterr() == ("", "error: order must be in 1..16\n")
+        path = list(range(129)) + list(range(1, 128))
+        monkeypatch.setattr(enumeration, "_levels", lambda *args: [*map(list, _level_sequences(14)), path])
+        assert main(["enumerate", "--n", "14"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "levels up to 127" in err
+        monkeypatch.undo()
+        monkeypatch.setattr(enumeration, "MAX_ORDER", 256)
+        assert listed(capsys, "--n", "255", "--num-segments", "1") == canonical_code(path_tree(255)).decode() + "\n"
+        assert main(["enumerate", "--n", "256", "--num-segments", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "levels up to 127" in err
 
 
 class TestPastTheGuard:
@@ -323,6 +400,15 @@ class TestPastTheGuard:
             assert len({_level_code(level) for level in levels}) == len(levels) == counts[m], m
             labelled = sum(factorial(n) // automorphisms_of_levels(level) for level in levels)
             assert labelled == labelled_trees_with_segment_count(n, m), m
+
+    def test_codes_past_the_guard(self, monkeypatch):
+        # the listing of the 3315 trees of order 30 with 5 segments: each
+        # code that of the built member, all distinct, as many as counted
+        monkeypatch.setattr(enumeration, "MAX_ORDER", 30)
+        levels = [list(level) for level in _levels(30, num_segments=5)]
+        codes = _listing(levels).splitlines()
+        assert codes == built_codes(levels).splitlines()
+        assert len(set(codes)) == len(codes) == count_trees(30, num_segments=5) == 3315
 
     def test_segment_counts_past_the_guard(self, monkeypatch):
         # the orbit count's sizes of segment-count classes at orders 30 and

@@ -215,4 +215,13 @@ def _canonical_levels(parent: list[int], order: list[int]) -> list[int]:
 @given(rooted_trees())
 def test_parens_of_canonical_levels_are_the_rooted_code(case):
     parent, order = case
-    assert _parens(_canonical_levels(parent, order)) == _codes(parent, order)[1]
+    assert _parens(bytes(_canonical_levels(parent, order))) == _codes(parent, order)[1].decode() + "\n"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(st.lists(rooted_trees(), min_size=1, max_size=20))
+def test_parens_of_a_mixed_batch_are_each_rooted_code(cases):
+    # trees of mixed orders 1..60, each rooted at a drawn vertex, coded in
+    # one call
+    levels = b"".join(bytes(_canonical_levels(parent, order)) for parent, order in cases)
+    assert _parens(levels) == "".join(_codes(parent, order)[1].decode() + "\n" for parent, order in cases)
