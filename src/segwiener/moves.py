@@ -14,42 +14,48 @@ components so that the segment-length multiset never changes:
 One stream, `_moves`, yields a tree's neighbourhood in its one order, each
 move as a light record (`Record`) with its segment, or with a slide's
 locator in the search that found it, off which `_path` builds the anchored
-path; there is no lister per kind.  Validity is defined per segment or
-path: an `apply_*` function accepts exactly the descriptors that
-`_switches_on`, `_reattaches_on` or `slide_move` gives over the same
-segment or path.  `_descriptor` turns a record and its path into its
-descriptor.  What a built move does
-is written once, in `_relocations`: a list of (root, i, j) along its path,
-the component hanging at path[i] through root moving to path[j].  `_built`
-rewires the source's adjacency by that list (a result that is not a tree
-raises InvalidTreeError), and `neighbors` and the `apply_*` functions
-recompute each result's SW_k from scratch, off the one read
-(`trees._read`) that also checks its segment sequence; the source is read
-once per neighbourhood.
+path; there is no lister per kind.  The stream walks the tree's skeleton
+(`_skeleton`): its anchors, the vertices of degree other than 2, and the
+segments between them, each with the side size at its ends off one read
+of the tree; and it searches the skeleton from one branch vertex at a time
+(`_search`).  Validity is defined per segment or path: an `apply_*`
+function accepts exactly the descriptors that `_switches_on`,
+`_reattaches_on` or `slide_move` gives over the same segment or path.
+`_descriptor` turns a record and its path into its descriptor.  What a
+built move does is written once, in `_relocations`: a list of (root, i, j)
+along its path, the component hanging at path[i] through root moving to
+path[j].  `_built` rewires the source's adjacency by that list, and one
+breadth-first search of the result checks it is a tree (else
+InvalidTreeError) and reads its side sizes and segment sequence
+(`trees._read`).  `neighbors` and the `apply_*` functions recompute each
+result's SW_k from scratch off that read and check its segment sequence
+against the source's, which is evaluated once per neighbourhood.
 
-`hill_climb` ranks the records by their closed-form deltas
-(`_move_deltas`), off one read of the source, with no path, descriptor or
-side-size closure built per move: the moved components change side sizes
-only on the edges of the path, and along degree-2 vertices those sizes are
-consecutive, so a switch's or a reattach's delta is two prefix sums of the
-`_weights(n, k)` row plus a term taken once per segment, and a slide's
-adds one term per edge of the block it moves, read off the one search
-(`_search`) from its branch vertex that found it.  Only the moves tied on
-the best gain get a path and a descriptor and are built, their outcomes
-taken against the ranking's read of the source, and a built step whose
+`hill_climb` ranks the moves by their closed-form deltas (`_rank`), off
+the one skeleton of the source, in plain loops over its segments and
+anchor pairs that keep only the best gain and its ties, with no record,
+path, descriptor or side-size closure built per move: the moved components
+change side sizes only on the edges of the path, and along degree-2
+vertices those sizes are consecutive, so a switch's or a reattach's delta
+is two prefix sums of the `_weights(n, k)` row plus a term taken once per
+segment, and a slide's adds a term per segment of the block it moves, read
+off the search from its branch vertex.  Only the moves tied on the best
+gain get a path and a descriptor and are built, their outcomes taken
+against the ranking's read of the source, and a built step whose
 recomputed delta differs from its closed form raises
-ClosedFormMismatchError.
+ClosedFormMismatchError.  The tie-break codes one result per `_twin` key,
+and the next step ranks the result it takes off the read that built it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Generator, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .exact import I128_MAX, checked
 from .steiner import _check_k, _index_sums, _weights
-from .trees import InvalidTreeError, Tree, _bfs, _read_built, _walk, canonical_code
+from .trees import InvalidTreeError, Tree, _bfs, _read, _read_built, _walk, canonical_code
 
 
 class InvalidDescriptorError(ValueError):
@@ -99,6 +105,13 @@ MoveDescriptor = Union[Switch, Slide, Reattach]
 Record = tuple[type, int, int]
 
 
+# A tree's read, as `_read_built` gives it: the parents of its breadth-first
+# search from vertex 0, its side sizes and its segment sequence; and a
+# rewired tree with its read (`_rewire`).
+Read = tuple[list[int], list[int], tuple[int, ...]]
+Built = tuple[Tree, list[int], list[int], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class MoveOutcome:
     move: MoveDescriptor
@@ -121,36 +134,35 @@ def _segment_path(t: Tree, u: int, v: int) -> tuple[int, ...]:
     raise InvalidDescriptorError(f"{u} and {v} are not the branch endpoints of one segment")
 
 
-def _rewire(t: Tree, drop: list[tuple[int, int]], add: list[tuple[int, int]]) -> Tree:
-    """*t* with the edges *drop* removed, then the edges *add* inserted.
-    Raises InvalidTreeError unless the result is again a tree."""
+def _rewire(t: Tree, drop: list[tuple[int, int]], add: list[tuple[int, int]]) -> Built:
+    """*t* with the edges *drop* removed, then the edges *add* inserted,
+    with its read: the one breadth-first search (from vertex 0) that checks
+    the result is connected, and the side sizes and segment sequence that
+    `_read` takes off it.  Raises InvalidTreeError unless the result is
+    again a tree."""
     adj: list = list(t.adj)
-    touched: set[int] = set()
-
-    def nbrs(v: int) -> list[int]:
-        if v not in touched:
-            touched.add(v)
-            adj[v] = list(adj[v])
-        return adj[v]
-
+    touched = {v for edge in (*drop, *add) for v in edge}
+    for v in touched:
+        adj[v] = list(adj[v])
     for u, v in drop:
-        if v not in nbrs(u):
+        if v not in adj[u]:
             raise InvalidDescriptorError(f"edge ({u}, {v}) not present")
-        nbrs(u).remove(v)
-        nbrs(v).remove(u)
+        adj[u].remove(v)
+        adj[v].remove(u)
     for u, v in add:
-        if u == v or v in nbrs(u):
+        if u == v or v in adj[u]:
             raise InvalidTreeError(f"added edge ({u}, {v}) is a self-loop or already present")
-        nbrs(u).append(v)
-        nbrs(v).append(u)
+        adj[u].append(v)
+        adj[v].append(u)
     for v in touched:
         adj[v] = tuple(sorted(adj[v]))
     # n - 1 edges + connected <=> tree
     if len(add) != len(drop):
         raise InvalidTreeError(f"rewiring leaves {t.n - 1 - len(drop) + len(add)} edges for {t.n} vertices")
-    if len(_bfs(adj, 0)[1]) != t.n:
+    parent, order = _bfs(adj, 0)
+    if len(order) != t.n:
         raise InvalidTreeError("rewiring disconnects the tree")
-    return Tree(t.n, tuple(adj))
+    return Tree(t.n, tuple(adj)), parent, *_read(parent, order, [len(a) for a in adj])
 
 
 def _evaluate(t: Tree, k: int) -> tuple[tuple[int, ...], int]:
@@ -160,27 +172,27 @@ def _evaluate(t: Tree, k: int) -> tuple[tuple[int, ...], int]:
 
 
 def _outcomes(
-    t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Tree]], source: tuple[tuple[int, ...], int] | None = None
+    t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Built | None]], source: tuple[tuple[int, ...], int] | None = None
 ) -> list[MoveOutcome]:
-    """The outcome of each (move, result tree) on the source *t*, after
-    checking k.  *source* is the (segment sequence, SW_k) of *t* when the
-    caller has read it already; else the source is evaluated once, when
-    first needed, so a tree without moves (a path, a star, one vertex) is
-    never evaluated.  A result that is *t* itself is the identity move.
-    Each result is evaluated off one read, which also checks its segment
-    sequence."""
+    """The outcome of each (move, built result) on the source *t*, after
+    checking k; a result of None is the identity move.  *source* is the
+    (segment sequence, SW_k) of *t* when the caller has read it already;
+    else the source is evaluated once, when first needed, so a tree without
+    moves (a path, a star, one vertex) is never evaluated.  Each result's
+    SW_k is summed over the side sizes of the search that built it, whose
+    segment sequence must be the source's."""
     _check_k(t, k)
     out = []
     for move, result in results:
-        if result is t:
+        if result is None:
             out.append(MoveOutcome(move=move, tree=t, delta=0))
             continue
         if source is None:
             source = _evaluate(t, k)
-        segments, value = _evaluate(result, k)
+        tree, _, sides, segments = result
         if segments != source[0]:
             raise InvalidDescriptorError("move would change the segment sequence")
-        out.append(MoveOutcome(move=move, tree=result, delta=value - source[1]))
+        out.append(MoveOutcome(move=move, tree=tree, delta=_index_sums(t.n, sides, (k,))[0] - source[1]))
     return out
 
 
@@ -215,12 +227,13 @@ def _relocations(t: Tree, move: MoveDescriptor, path: tuple[int, ...]) -> list[R
     return [(w, x, x + shift) for x in range(i, j + 1) for w in t.adj[path[x]] if w != path[x - 1] and w != path[x + 1]]
 
 
-def _built(t: Tree, move: MoveDescriptor, path: tuple[int, ...]) -> Tree:
+def _built(t: Tree, move: MoveDescriptor, path: tuple[int, ...]) -> Built | None:
     """The result of *move*, valid on *t*, with its path as in
-    `_relocations`; *t* itself when it relocates nothing."""
+    `_relocations`, and its read (`_rewire`); None when it relocates
+    nothing."""
     moved = _relocations(t, move, path)
     if not moved:
-        return t
+        return None
     return _rewire(t, [(path[i], root) for root, i, _ in moved], [(path[j], root) for root, _, j in moved])
 
 
@@ -271,15 +284,40 @@ def apply_reattach(t: Tree, move: Reattach, k: int) -> MoveOutcome:
     return _outcomes(t, k, [(move, _built(t, expected, path))])[0]
 
 
-def _branch_segments(t: Tree) -> Iterator[tuple[int, ...]]:
-    """Segments whose two endpoints are both branch vertices, as paths
-    walked (`_walk`) from the smaller endpoint, in ascending order of it."""
+# The series-reduced tree of a tree that has a move, annotated off one read
+# of it (`_read_built`): its anchors (the vertices of degree other than 2),
+# ascending; by anchor v, each segment that leaves v, walked (`_walk`) from
+# v through a neighbour in adjacency order, with the vertex count on v's
+# side of its first edge (None at a vertex of degree 2); and the read.
+Skeleton = tuple[list[int], list, Read]
+
+
+def _skeleton(t: Tree, read: Read | None = None) -> Skeleton | None:
+    """The `Skeleton` of *t*, off *read* when the caller has read *t*
+    already, or None when *t* has no move, which is not read: when it has
+    no branch vertex, or one whose legs all have one length.  Two branch
+    vertices are joined by a segment between branch vertices, which has
+    switches; a lone branch vertex with legs of two lengths has a slide
+    from the leaf of the one to the leaf of the other."""
+    adj, n = t.adj, t.n
+    anchors = [v for v in range(n) if len(adj[v]) != 2]
+    branch = [v for v in anchors if len(adj[v]) >= 3]
+    if not branch or (len(branch) == 1 and len({len(_walk(adj, branch[0], w)) for w in adj[branch[0]]}) == 1):
+        return None
+    read = parent, sides, _ = read or _read_built(t)
+    size = [n, *sides]
+    hang: list = [None] * n
+    for v in anchors:
+        hang[v] = [(_walk(adj, v, w), n - size[w] if parent[w] == v else size[v]) for w in adj[v]]
+    return anchors, hang, read
+
+
+def _branch_segments(t: Tree, hang: list) -> list[tuple[tuple[int, ...], int]]:
+    """The segments of the skeleton whose two endpoints are both branch
+    vertices, as walked from the smaller endpoint, in ascending order of
+    it, each with its side size there."""
     adj = t.adj
-    for u in t.branch_vertices():
-        for w in adj[u]:
-            path = _walk(adj, u, w)
-            if u < path[-1] and len(adj[path[-1]]) >= 3:
-                yield path
+    return [s for u in range(t.n) if len(adj[u]) >= 3 for s in hang[u] if u < s[0][-1] and len(adj[s[0][-1]]) >= 3]
 
 
 def _switches_on(t: Tree, path: tuple[int, ...]) -> Iterator[Record]:
@@ -299,60 +337,58 @@ def _reattaches_on(path: tuple[int, ...]) -> Iterator[tuple[Record, tuple[int, .
         yield (Reattach, p[0], p[-1]), p
 
 
-# One search from a branch vertex b (`_search`), as lists by vertex v: the
-# parent toward b, the depth, the depth of the first interior attachment
-# (a vertex of degree at least 3 strictly between b and v) on the path
-# from b, 0 for none, the last one (b for none), v's depth less that of
-# the last one, which is where that one's mirror lies on the path, and the
-# vertex count on b's side of the edge from v to its parent.
-Search = tuple[list[int], list[int], list[int], list[int], list[int], list[int]]
+# One search from a branch vertex b (`_search`) over the skeleton, as lists
+# by anchor y: the anchor before y on the path from b, which is the last
+# interior attachment (a vertex of degree at least 3 strictly between b
+# and y) or b for none, the segment from that anchor to y, y's depth, the
+# depth of the first interior attachment (0 for none), the segment's
+# length, which is where the mirror of the last one lies on the path, and
+# the vertex count on b's side of the edge that enters y.
+Search = tuple[list[int], list[tuple[int, ...]], list[int], list[int], list[int], list[int]]
 
 # A slide as `_moves` locates it: the leg from its first anchor to the
 # branch vertex b of the search, its last anchor and b's search.
 SlideAt = tuple[tuple[int, ...], int, Search]
 
 
-def _search(adj, b: int) -> Search:
-    """The `Search` from *b*: one breadth-first search, then one reverse
-    pass over its order for the side sizes."""
-    n = len(adj)
-    parent, order = _bfs(adj, b)
-    depth, first, last, mirror, size = [0] * n, [0] * n, [b] * n, [0] * n, [1] * n
-    for v in order[1:]:
-        p = parent[v]
-        depth[v] = depth[p] + 1
-        if p != b and len(adj[p]) >= 3:
-            first[v], last[v], mirror[v] = first[p] or depth[p], p, 1
-        else:
-            first[v], last[v], mirror[v] = first[p], last[p], mirror[p] + 1
-    for v in order[:0:-1]:
-        size[parent[v]] += size[v]
-    return parent, depth, first, last, mirror, [n - s for s in size]
+def _search(hang: list, b: int) -> Search:
+    """The `Search` from *b*: one breadth-first search over the anchors.
+    The side sizes along a segment grow by one per edge from the size at
+    its first, so each is read off the skeleton."""
+    n = len(hang)
+    up, seg, depth, first, mirror, side = [-1] * n, [()] * n, [0] * n, [0] * n, [0] * n, [0] * n
+    order = [b]
+    for p in order:
+        at = first[p] or depth[p] if p != b else 0
+        for path, near in hang[p]:
+            y = path[-1]
+            if y != up[p]:
+                m = len(path) - 1
+                up[y], seg[y], depth[y], first[y], mirror[y], side[y] = p, path, depth[p] + m, at, m, near + m - 1
+                if len(hang[y]) > 1:
+                    order.append(y)
+    return up, seg, depth, first, mirror, side
 
 
-def _slides(t: Tree) -> Iterator[tuple[Record, SlideAt]]:
+def _slides(t: Tree, anchors: list[int], hang: list) -> Iterator[tuple[Record, SlideAt]]:
     """Non-trivial slides only: the mirrored position must differ.  Anchor
     pairs (x, y), x < y, come in ascending order of x, then of y.  One
     `_search` per branch vertex b, made when first needed, serves b and
-    every leaf whose leg (`_walk`) ends at b, ℓ edges away.  Such a leaf's
-    path to an anchor y ≠ b is its leg, then b's path to y: the first
-    interior attachment is b, at depth ℓ, and the last is b's last shifted
-    by ℓ, or b when b's path has none, so either way the last one's mirror
-    is at b's mirror of y.  The pair (x, b) has no interior attachment.  A
-    leg that ends at a leaf spans a path, which has no slides.  Each slide
-    comes as its locator; `_slide_path` builds its path."""
+    every leaf whose leg ends at b, ℓ edges away.  Such a leaf's path to an
+    anchor y ≠ b is its leg, then b's path to y: the first interior
+    attachment is b, at ℓ, and the last is the anchor before y, so its
+    mirror lies at b's mirror of y either way.  The pair (x, b) has no
+    interior attachment.  Each slide comes as its locator; `_slide_path`
+    builds its path."""
     adj = t.adj
-    anchors = [v for v in range(t.n) if len(adj[v]) != 2]
     searches: dict[int, Search] = {}
     for idx, x in enumerate(anchors[:-1]):
-        leg = _walk(adj, x, adj[x][0]) if len(adj[x]) == 1 else (x,)
+        leg = hang[x][0][0] if len(adj[x]) == 1 else (x,)
         b, ell = leg[-1], len(leg) - 1
-        if len(adj[b]) == 1:
-            return
         if b not in searches:
-            searches[b] = _search(adj, b)
+            searches[b] = _search(hang, b)
         search = searches[b]
-        first, mirror = search[2], search[4]
+        first, mirror = search[3], search[4]
         for y in anchors[idx + 1 :]:
             i, m = ell or first[y], mirror[y]
             if i and i != m and y != b:
@@ -361,12 +397,12 @@ def _slides(t: Tree) -> Iterator[tuple[Record, SlideAt]]:
 
 def _slide_path(leg: tuple[int, ...], y: int, search: Search) -> tuple[int, ...]:
     """The anchored path of the slide at (*leg*, *y*, *search*): the leg,
-    then the search's path from its root to y."""
-    parent, b, tail = search[0], leg[-1], []
+    then the search's segments from its root to y."""
+    up, seg, b, parts = search[0], search[1], leg[-1], []
     while y != b:
-        tail.append(y)
-        y = parent[y]
-    return leg + tuple(reversed(tail))
+        parts.append(seg[y])
+        y = up[y]
+    return leg + tuple(v for part in reversed(parts) for v in part[1:])
 
 
 def _path(record: Record, where: tuple) -> tuple[int, ...]:
@@ -378,12 +414,16 @@ def _moves(t: Tree) -> Iterator[tuple[Record, tuple]]:
     """Every move on *t* in neighbourhood order (switches, slides,
     reattaches) as a record, with its segment (from u1 for a reattach; one
     tuple for every switch across it) or a slide's locator (`SlideAt`), off
-    which `_path` reads the path.  The branch segments are walked once."""
-    segments = list(_branch_segments(t))
+    which `_path` reads the path.  The segments are walked once."""
+    skeleton = _skeleton(t)
+    if skeleton is None:
+        return
+    anchors, hang, _ = skeleton
+    segments = [path for path, _ in _branch_segments(t, hang)]
     for path in segments:
         for record in _switches_on(t, path):
             yield record, path
-    yield from _slides(t)
+    yield from _slides(t, anchors, hang)
     for path in segments:
         yield from _reattaches_on(path)
 
@@ -396,12 +436,19 @@ def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
     return _outcomes(t, k, ((move, _built(t, move, path)) for move, path in described))
 
 
-def _move_deltas(t: Tree, k: int) -> Generator[tuple[Record, tuple, int], None, tuple[tuple[int, ...], int] | None]:
-    """Every move of `_moves(t)`, as it comes, with its delta, off one read
-    of *t* and the `_weights(n, k)` row w with its prefix sums (prefix[x] =
-    w[0] + ... + w[x - 1]): no path, descriptor or neighbour is built.  It
-    returns what that read gave, the (segment sequence, SW_k) of *t*, or
-    None for a tree without moves, which is not read.
+# A ranked move: its record, its segment or slide locator, and its delta.
+Ranked = tuple[Record, tuple, int]
+
+
+def _rank(t: Tree, k: int, sign: int, read: Read | None = None) -> tuple[int, list[Ranked], tuple[tuple[int, ...], int] | None]:
+    """The moves of `_moves(t)` whose gain, *sign* times the closed-form
+    delta, is largest and at least 0, in move order, with that gain and the
+    (segment sequence, SW_k) of *t*; with *sign* 0 every move ties.  One
+    read of *t* and the `_weights(n, k)` row w with its prefix sums
+    (prefix[x] = w[0] + ... + w[x - 1]) price every move in plain loops
+    that keep only the best gain and its ties: no path, descriptor or
+    neighbour is built.  A tree without moves is not read, and its rank is
+    (0, [], None).
 
     Components move whole, so only the L edges of the move's path change
     side sizes.  Write b_e for the path[0] side of edge e, which joins
@@ -417,51 +464,121 @@ def _move_deltas(t: Tree, k: int) -> Generator[tuple[Record, tuple, int], None, 
     slide carries every component from its first interior attachment i to
     its last, j, by s = m - i, where m = L - j is the mirror of j.  The run
     before the block, which ends at b_i, then ends at b_i + s; b_{i+1},
-    ..., b_j shift by s each, read off the search's sides from path[j] up
-    to path[i]; and from edge j + 1 on the sizes, which ran from b_{j+1} =
-    b_L - m + 1, start at b_{j+1} + s and end where they did.  The leg's
-    sizes are 1, ..., ℓ and b's own side is 0, so b_i is ℓ plus the side
-    of path[i] either way.
+    ..., b_j shift by s each, a run per segment of the search from path[j]
+    up to path[i]; and from edge j + 1 on the sizes, which ran from
+    b_{j+1} = b_L - m + 1, start at b_{j+1} + s and end where they did.
+    The leg's sizes are 1, ..., ℓ and b's own side is 0, so b_i is ℓ plus
+    the side of path[i] either way.
 
-    As in `neighbors`, the source is evaluated only once it has a move, and
-    a source or neighbour whose SW_k leaves i128 raises CountOverflowError.
-    Every SW_k is >= 0, so a neighbour leaves i128 exactly when its delta
-    exceeds the source's headroom, I128_MAX - SW_k, and only such a delta
-    is checked."""
-    n, prefix, segment = t.n, None, None
-    for record, where in _moves(t):
-        if prefix is None:
-            parent, sides, segments = _read_built(t)
-            value = _index_sums(n, sides, (k,))[0]
-            headroom, size = I128_MAX - value, [n, *sides]
-            w = _weights(n, k)
-            prefix = list(accumulate(w, initial=0))
-        kind, x, y = record
-        if kind is Slide:
-            leg, z, (up, depth, _, last, _, side) = where
-            shift, ell, v = y - x, len(leg) - 1, last[z]
-            tail = side[z] - y + 1
-            delta = prefix[tail] - prefix[tail + shift]
-            for _ in range(ell + depth[z] - y - x):
-                a = side[v]
-                delta += w[a + shift] - w[a]
+    As in `neighbors`, a source or neighbour whose SW_k leaves i128 raises
+    CountOverflowError.  Every SW_k is >= 0, so a neighbour leaves i128
+    exactly when its delta exceeds the source's headroom, I128_MAX - SW_k,
+    and only such a delta is checked."""
+    skeleton = _skeleton(t, read)
+    if skeleton is None:
+        return 0, [], None
+    anchors, hang, (_, sides, segments) = skeleton
+    n, adj = t.n, t.adj
+    value = _index_sums(n, sides, (k,))[0]
+    headroom = I128_MAX - value
+    prefix = list(accumulate(_weights(n, k), initial=0))
+    gain, ties, runs = 0, [], []
+    for path, first in _branch_segments(t, hang):
+        u, c, ws, back, length = path[0], path[1], path[-1], path[-2], len(path) - 1
+        run = prefix[first] - prefix[first + length]
+        runs.append((path, first, length, run))
+        ends = [(far[1], near) for far, near in hang[ws] if far[1] != back]
+        for near_path, near in hang[u]:
+            a = near_path[1]
+            if a != c:
+                top = first + near
+                for b, far in ends:
+                    start = top - far
+                    delta = prefix[start + length] - prefix[start] + run
+                    if delta > headroom:
+                        checked(value + delta)
+                    if sign * delta > gain:
+                        gain, ties = sign * delta, [((Switch, a, b), path, delta)]
+                    elif sign * delta == gain:
+                        ties.append(((Switch, a, b), path, delta))
+    searches: dict[int, Search] = {}
+    for idx, x in enumerate(anchors[:-1]):
+        leg = hang[x][0][0] if len(adj[x]) == 1 else (x,)
+        b, ell = leg[-1], len(leg) - 1
+        search = searches.get(b)
+        if search is None:
+            search = searches[b] = _search(hang, b)
+        up, _, depth, first, mirror, side = search
+        for y in anchors[idx + 1 :]:
+            if y == b:
+                continue
+            i, m = ell or first[y], mirror[y]
+            if not i or i == m:
+                continue
+            s = m - i
+            tail = side[y] - m + 1
+            delta = prefix[tail] - prefix[tail + s]
+            v, stop = up[y], i - ell
+            while depth[v] > stop:
+                hi = side[v] + 1
+                lo = hi - mirror[v]
+                delta += prefix[hi + s] - prefix[lo + s] - prefix[hi] + prefix[lo]
                 v = up[v]
             head = ell + side[v] + 1
-            delta += prefix[head + shift] - prefix[head]
-        else:
-            if where is not segment:
-                segment, length, u, ws = where, len(where) - 1, where[0], where[-1]
-                first = size[u] if parent[u] == where[1] else n - size[where[1]]
-                run = prefix[first] - prefix[first + length]
-            if kind is Switch:
-                start = first + (size[y] if parent[y] == ws else n - size[ws]) - (size[x] if parent[x] == u else n - size[u])
-            else:
-                start = 1
-            delta = prefix[start + length] - prefix[start] + run
-        if delta > headroom:
-            checked(value + delta)
-        yield record, where, delta
-    return None if prefix is None else (segments, value)
+            delta += prefix[head + s] - prefix[head]
+            if delta > headroom:
+                checked(value + delta)
+            if sign * delta > gain:
+                gain, ties = sign * delta, [((Slide, i, m), (leg, y, search), delta)]
+            elif sign * delta == gain:
+                ties.append(((Slide, i, m), (leg, y, search), delta))
+    for path, first, length, run in runs:
+        # from the far end the first side is n less the near end's last one
+        reach, back = prefix[length + 1] - prefix[1], n - first - length + 1
+        for delta, u1 in ((reach + run, 0), (reach + prefix[back] - prefix[back + length], -1)):
+            if delta > headroom:
+                checked(value + delta)
+            if sign * delta >= gain:
+                tie = ((Reattach, path[u1], path[-1 - u1]), path[::-1] if u1 else path, delta)
+                if sign * delta > gain:
+                    gain, ties = sign * delta, [tie]
+                else:
+                    ties.append(tie)
+    return gain, ties, (segments, value)
+
+
+def _leg(adj, v: int, w: int) -> int | tuple[int, int]:
+    """The segment that leaves *v* through *w* as (its end that is not a
+    leaf, its length) when it is a leg, one end a leaf; else *w*."""
+    path = _walk(adj, v, w)
+    if len(adj[path[-1]]) == 1:
+        return v, len(path)
+    if len(adj[v]) == 1:
+        return path[-1], len(path)
+    return w
+
+
+def _twin(t: Tree, record: Record, path: tuple[int, ...]) -> tuple:
+    """A key under which moves of *t* have isomorphic results, so their
+    canonical codes are equal.
+
+    Two legs of one length at one vertex are exchanged by an automorphism
+    of *t*, which carries a move through one leg to the same move through
+    the other.  So a switch is keyed by its segment and the two components
+    it exchanges, and a slide, which is fixed by the two ends of its path,
+    by those ends, each a leg taken as (its vertex, its length) (`_leg`).
+    The two reattaches across one segment are keyed alike: either leaves
+    every off-segment component of both ends at one end, with the segment
+    hanging from it, and reversing the segment maps the one result onto
+    the other."""
+    kind, x, y = record
+    if kind is Reattach:
+        return kind, frozenset((x, y))
+    adj = t.adj
+    if kind is Switch:
+        return kind, path[0], path[-1], _leg(adj, path[0], x), _leg(adj, path[-1], y)
+    ends = ((path[0], path[1]), (path[-1], path[-2]))
+    return kind, frozenset(_leg(adj, v, w) if len(adj[v]) == 1 else v for v, w in ends)
 
 
 @dataclass(frozen=True)
@@ -474,46 +591,49 @@ def hill_climb(t: Tree, k: int, direction: str = "minimize") -> ClimbResult:
     """Steepest ascent/descent over the move neighbourhood.
 
     Each step ranks every move of `neighbors`, as its record, by its
-    closed-form delta (`_move_deltas`), off one read of the current tree,
-    and builds the path and the descriptor of only the moves that tie on
-    the best strictly improving gain.  Each of those goes through
-    `_relocations`, the one builder and the one read of `neighbors` (tree
-    check, segment-sequence check and SW_k recomputed from scratch),
-    compared with the segment sequence and SW_k of the ranking's read, so
-    the current tree is read once per step; and a
-    recomputed delta that differs from its closed form raises
-    ClosedFormMismatchError.  Ties are broken deterministically by (delta,
-    canonical code of the result), the first in move order among equal
-    codes.  The climb stops when no move improves; the endpoint is a local
-    optimum within the segment-sequence class.  Raises ValueError unless
-    1 <= k <= n.
+    closed-form delta (`_rank`), off one read of the current tree, and
+    builds the path and the descriptor of only the moves that tie on the
+    best strictly improving gain.  Each of those goes through
+    `_relocations` and the one builder of `neighbors`, whose one search
+    checks the result is a tree and reads its side sizes and segment
+    sequence: its SW_k is recomputed from scratch off those sides, its
+    segment sequence and SW_k compared with those of the ranking's read of
+    the current tree, and a recomputed delta that differs from its closed
+    form raises ClosedFormMismatchError.  Every tree the climb visits is
+    read once: the start by its first ranking, every later one by the
+    build that made it, whose read its ranking takes.
+
+    Ties are broken deterministically by the canonical code of the result,
+    the first in move order among equal codes.  Moves with one `_twin` key
+    have isomorphic results, so only the first tie of each key is coded,
+    and none when one key holds every tie.  The climb stops when no move
+    improves; the endpoint is a local optimum within the segment-sequence
+    class.  Raises ValueError unless 1 <= k <= n.
     """
     if direction not in ("minimize", "maximize"):
         raise ValueError("direction must be 'minimize' or 'maximize'")
     _check_k(t, k)
     sign = -1 if direction == "minimize" else 1
-    current = t
+    current, read = t, None
     steps: list[MoveOutcome] = []
     while True:
-        gain, ties, ranking = 0, [], _move_deltas(current, k)
-        while True:  # the ranking returns its read of the source, which the ties reuse
-            try:
-                record, where, delta = next(ranking)
-            except StopIteration as end:
-                source = end.value
-                break
-            if sign * delta > gain:
-                gain, ties = sign * delta, [(record, where, delta)]
-            elif sign * delta == gain and gain:
-                ties.append((record, where, delta))
-        if not ties:
+        gain, ties, source = _rank(current, k, sign, read)
+        if not gain:
             return ClimbResult(tree=current, steps=tuple(steps))
         paths = [(record, _path(record, where), delta) for record, where, delta in ties]
         described = [(_descriptor(current, record, path), path, delta) for record, path, delta in paths]
-        built = _outcomes(current, k, [(move, _built(current, move, path)) for move, path, _ in described], source)
-        for (move, _, delta), outcome in zip(described, built):
+        results = [_built(current, move, path) for move, path, _ in described]
+        outcomes = _outcomes(current, k, [(move, result) for (move, _, _), result in zip(described, results)], source)
+        for (move, _, delta), outcome in zip(described, outcomes):
             if outcome.delta != delta:
                 raise ClosedFormMismatchError(f"{move!r}: closed form {delta}, recomputed {outcome.delta}")
-        best = built[0] if len(built) == 1 else min(built, key=lambda o: canonical_code(o.tree))
-        steps.append(best)
-        current = best.tree
+        best = 0
+        if len(paths) > 1:
+            # the first tie of each key, in move order, is coded for them all
+            firsts: dict[tuple, int] = {}
+            for i, (record, path, _) in enumerate(paths):
+                firsts.setdefault(_twin(current, record, path), i)
+            if len(firsts) > 1:
+                best = min(firsts.values(), key=lambda i: canonical_code(outcomes[i].tree))
+        steps.append(outcomes[best])
+        current, read = outcomes[best].tree, results[best][1:]

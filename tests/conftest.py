@@ -34,10 +34,17 @@ def moves_of_kind(t: Tree, kind: type) -> list[MoveDescriptor]:
     return [moves._descriptor(t, record, moves._path(record, where)) for record, where in moves._moves(t) if record[0] is kind]
 
 
+def every_move(t: Tree, k: int) -> list[tuple[moves.Record, tuple, int]]:
+    """Every move that `hill_climb` ranks on *t*, in its order, as its
+    record, its segment or slide locator and its closed-form delta: the
+    ranking `moves._rank` with sign 0, under which every move ties."""
+    return moves._rank(t, k, 0)[1]
+
+
 def ranked(t: Tree, k: int) -> Iterator[tuple[MoveDescriptor, tuple[int, ...], int]]:
-    """Every move that `hill_climb` ranks on *t* (`moves._move_deltas`), in
-    its order, as its descriptor, its path and its closed-form delta."""
-    for record, where, delta in moves._move_deltas(t, k):
+    """Every move that `hill_climb` ranks on *t* (`every_move`), in its
+    order, as its descriptor, its path and its closed-form delta."""
+    for record, where, delta in every_move(t, k):
         path = moves._path(record, where)
         yield moves._descriptor(t, record, path), path, delta
 

@@ -843,7 +843,7 @@ def _slide_span(move: Slide) -> tuple[int, int, int]:
 
 def _switched(t: Tree, move: Switch) -> Tree:
     w0, ws, a, b = move.w0, move.ws, move.a_root, move.b_root
-    return _rewire(t, drop=[(w0, a), (ws, b)], add=[(ws, a), (w0, b)])
+    return _rewire(t, drop=[(w0, a), (ws, b)], add=[(ws, a), (w0, b)])[0]
 
 
 def _slide_rewired(t: Tree, move: Slide) -> Tree:
@@ -861,11 +861,11 @@ def _slide_rewired(t: Tree, move: Slide) -> Tree:
                 continue
             drop.append((v, w))
             add.append((path[x + shift], w))
-    return _rewire(t, drop, add)
+    return _rewire(t, drop, add)[0]
 
 
 def _reattached(t: Tree, move: Reattach) -> Tree:
-    return _rewire(t, drop=[(move.u1, w) for w in move.moved], add=[(move.u2, w) for w in move.moved])
+    return _rewire(t, drop=[(move.u1, w) for w in move.moved], add=[(move.u2, w) for w in move.moved])[0]
 
 
 def built_by_kind(t: Tree, move: MoveDescriptor) -> Tree:

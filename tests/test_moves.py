@@ -15,7 +15,6 @@ from segwiener.moves import (
     ClosedFormMismatchError,
     InvalidDescriptorError,
     Reattach,
-    _move_deltas,
     _rewire,
     Slide,
     Switch,
@@ -28,7 +27,9 @@ from segwiener.moves import (
 )
 from segwiener.steiner import _weights, sw_k
 from segwiener.trees import (
+    InvalidTreeError,
     Tree,
+    _read_built,
     canonical_code,
     is_isomorphic,
     is_quasi_caterpillar,
@@ -36,7 +37,7 @@ from segwiener.trees import (
 )
 from segwiener.verify import random_switch_instance
 
-from .conftest import double_broom, moves_of_kind, path_tree, ranked
+from .conftest import double_broom, every_move, moves_of_kind, path_tree, ranked
 from .oracles import (
     built_by_kind,
     delta_by_kind,
@@ -343,7 +344,8 @@ class TestNeighbors:
     def test_relocations_match_the_per_kind_routes(self):
         # the one builder reads `_relocations` and the closed form the
         # prefix sums; each move kind's own builder and formula are the
-        # second route
+        # second route, and the builder's read of its result is that of
+        # the result read afresh
         rng = random.Random(15)
         trees = [t for n in range(1, 10) for t in all_trees(n)]
         trees += [random_labeled_tree(rng.randint(1, 30), rng) for _ in range(200)]
@@ -353,7 +355,9 @@ class TestNeighbors:
             for record, where in moves._moves(t):
                 path = moves._path(record, where)
                 move = moves._descriptor(t, record, path)
-                assert moves._built(t, move, path) == built_by_kind(t, move)
+                result, *read = moves._built(t, move, path)
+                assert result == built_by_kind(t, move)
+                assert tuple(read) == _read_built(result)
                 kinds[type(move)] += 1
             for k in range(1, min(4, t.n) + 1):
                 w = _weights(t.n, k)
@@ -422,7 +426,7 @@ class TestNeighbors:
 
     def test_rewire_refuses_non_trees(self):
         t = path_tree(5)  # 0-1-2-3-4
-        assert _rewire(t, drop=[(0, 1)], add=[(0, 4)]) == Tree.from_edges([(1, 2), (2, 3), (3, 4), (4, 0)])
+        assert _rewire(t, drop=[(0, 1)], add=[(0, 4)])[0] == Tree.from_edges([(1, 2), (2, 3), (3, 4), (4, 0)])
         with pytest.raises(InvalidDescriptorError):
             _rewire(t, drop=[(0, 2)], add=[(0, 2)])
         for drop, add in (
@@ -465,6 +469,48 @@ class TestNeighbors:
                 for o in neighbors(t, 2):
                     assert o.tree.n == n
                     assert segment_sequence(o.tree) == seq
+
+
+class TestMergedBuild:
+    """A rewired tree is checked and read off one breadth-first search."""
+
+    def test_rewire_keeps_its_messages(self):
+        t = path_tree(5)  # 0-1-2-3-4
+        for drop, add, message in (
+            ([(0, 1)], [(2, 4)], "rewiring disconnects the tree"),
+            ([(0, 1)], [], "rewiring leaves 3 edges for 5 vertices"),
+            ([], [(0, 4)], "rewiring leaves 5 edges for 5 vertices"),
+            ([(0, 1)], [(1, 2)], "added edge (1, 2) is a self-loop or already present"),
+        ):
+            with pytest.raises(InvalidTreeError) as error:
+                _rewire(t, drop, add)
+            assert str(error.value) == message
+        with pytest.raises(InvalidDescriptorError, match=r"^edge \(0, 2\) not present$"):
+            _rewire(t, [(0, 2)], [(0, 2)])
+
+    def test_a_disconnecting_build_raises(self, monkeypatch):
+        # each built move drops the first edge of its path, of at least four
+        # vertices here, and joins path[1] to path[3] instead: n - 1 edges,
+        # but path[0] is cut off and path[1..3] closes a cycle
+        t = double_broom(3, 2, 2)
+        monkeypatch.setattr(moves, "_relocations", lambda t, move, path: [(path[1], 0, 3)])
+        with pytest.raises(InvalidTreeError, match="^rewiring disconnects the tree$"):
+            hill_climb(t, 2, "minimize")
+        with pytest.raises(InvalidTreeError, match="^rewiring disconnects the tree$"):
+            neighbors(t, 2)
+
+    def test_a_changed_segment_sequence_raises(self, fig1_bottom, monkeypatch):
+        # each component lands one vertex short of its place: the result is
+        # a tree of another segment class, which its read shows
+        relocations = moves._relocations
+        monkeypatch.setattr(
+            moves, "_relocations", lambda t, move, path: [(root, i, j - 1 if j > i else j + 1) for root, i, j in relocations(t, move, path)]
+        )
+        for k, direction in ((2, "maximize"), (3, "minimize")):
+            with pytest.raises(InvalidDescriptorError, match="^move would change the segment sequence$"):
+                hill_climb(fig1_bottom, k, direction)
+        with pytest.raises(InvalidDescriptorError, match="^move would change the segment sequence$"):
+            neighbors(fig1_bottom, 2)
 
 
 class TestHillClimb:
@@ -533,7 +579,7 @@ class TestHillClimb:
             sign = 1 if direction == "maximize" else -1
             expected, moves_seen = [], 0
             for source in (fig1_bottom, *(o.tree for o in res.steps[:-1])):
-                gains = [sign * delta for _, _, delta in _move_deltas(source, k)]
+                gains = [sign * delta for _, _, delta in every_move(source, k)]
                 expected += [source] * gains.count(max(gains))
                 moves_seen += len(gains)
             assert res.steps and rewired == expected
@@ -553,7 +599,7 @@ class TestHillClimb:
             sign = 1 if direction == "maximize" else -1
             tied = moves_seen = 0
             for source in (fig1_bottom, *(o.tree for o in res.steps)):
-                gains = [sign * delta for _, _, delta in _move_deltas(source, k)]
+                gains = [sign * delta for _, _, delta in every_move(source, k)]
                 tied += gains.count(max(gains)) if max(gains) > 0 else 0
                 moves_seen += len(gains)
             assert described == []
@@ -576,7 +622,7 @@ class TestHillClimb:
                 sign = 1 if direction == "maximize" else -1
                 expected = []
                 for source in (t, *(o.tree for o in res.steps)):
-                    ranking = list(moves._move_deltas(source, k))
+                    ranking = every_move(source, k)
                     gain = max((sign * delta for _, _, delta in ranking), default=0)
                     expected += [where for record, where, delta in ranking if record[0] is Slide and sign * delta == gain > 0]
                     slides += sum(record[0] is Slide for record, _, _ in ranking)
@@ -585,10 +631,12 @@ class TestHillClimb:
         assert 0 < tied < slides
 
     def test_reads_each_step_source_once(self, fig1_bottom, monkeypatch):
-        # one read (`trees._read_built`) per step source that has a move, to
-        # rank it, and one per neighbour tied on its best gain, to recompute
-        # it; the ties' outcomes take the source's segments and SW_k off the
-        # ranking's read
+        # one read (`trees._read_built`) of the start, when it has a move,
+        # to rank it, and one (`trees._read`, off the search that checks the
+        # rewired tree) per neighbour tied on its best gain, to recompute
+        # it; each later step ranks its source off the read of the tie that
+        # became it, and the ties' outcomes take the source's segments and
+        # SW_k off the ranking's read
         rng = random.Random(25)
         trees = [path_tree(6), fig1_bottom, *(random_labeled_tree(rng.randint(12, 32), rng) for _ in range(12))]
         cases = [(t, k, direction) for t in trees for k in (2, 3) for direction in ("minimize", "maximize")]
@@ -596,28 +644,57 @@ class TestHillClimb:
         for t, k, direction in cases:
             res = hill_climb(t, k, direction)
             sign = 1 if direction == "maximize" else -1
-            reads = 0
+            ties = 0
             for source in (t, *(o.tree for o in res.steps)):
-                gains = [sign * delta for _, _, delta in _move_deltas(source, k)]
+                gains = [sign * delta for _, _, delta in every_move(source, k)]
                 if gains:
-                    ties = gains.count(max(gains)) if max(gains) > 0 else 0
-                    reads += 1 + ties
-                    tied += ties > 1
-            expected.append(reads)
-        read, seen = moves._read_built, []
-        monkeypatch.setattr(moves, "_read_built", lambda t: seen.append(t) or read(t))
+                    step = gains.count(max(gains)) if max(gains) > 0 else 0
+                    ties += step
+                    tied += step > 1
+            expected.append((len(every_move(t, k)) > 0, ties))
+        seen = {"source": [], "tie": []}
+        for name, label in (("_read_built", "source"), ("_read", "tie")):
+            read = getattr(moves, name)
+            monkeypatch.setattr(moves, name, lambda *a, _read=read, _label=label: seen[_label].append(a) or _read(*a))
         for (t, k, direction), reads in zip(cases, expected):
-            seen.clear()
+            seen["source"].clear()
+            seen["tie"].clear()
             hill_climb(t, k, direction)
-            assert len(seen) == reads, (t, k, direction)
-        assert expected[0] == 0 and tied > 0
+            assert (len(seen["source"]), len(seen["tie"])) == reads, (t, k, direction)
+        assert expected[0] == (False, 0) and tied > 0
 
     def test_closed_form_mismatch_raises(self, fig1_bottom, monkeypatch):
         # a ranked delta one off from the rebuilt neighbour's is caught
-        move_deltas = moves._move_deltas
-        monkeypatch.setattr(moves, "_move_deltas", lambda t, k: ((r, w, d + 1) for r, w, d in move_deltas(t, k)))
+        rank = moves._rank
+
+        def off_by_one(t, k, sign, read):
+            gain, ties, source = rank(t, k, sign, read)
+            return gain, [(record, where, delta + 1) for record, where, delta in ties], source
+
+        monkeypatch.setattr(moves, "_rank", off_by_one)
         with pytest.raises(ClosedFormMismatchError):
             hill_climb(fig1_bottom, 2, "maximize")
+
+    def test_twin_keys_hold_isomorphic_results(self):
+        # moves that share a `_twin` key have one canonical code, so coding
+        # the first of them decides the tie-break; over every move of these
+        # trees, not only the tied ones
+        rng = random.Random(30)
+        trees = [t for n in range(1, 10) for t in all_trees(n)]
+        trees += [random_labeled_tree(rng.randint(5, 30), rng) for _ in range(300)]
+        shared = Counter()
+        for t in trees:
+            codes = {}
+            for record, where in moves._moves(t):
+                path = moves._path(record, where)
+                result = moves._built(t, moves._descriptor(t, record, path), path)
+                code = canonical_code(result[0])
+                key = moves._twin(t, record, path)
+                if key in codes:
+                    assert codes[key] == code, (t, record)
+                    shared[record[0]] += 1
+                codes[key] = code
+        assert min(shared[kind] for kind in (Switch, Slide, Reattach)) > 100
 
     def test_reach_fraction_reported(self):
         # how often steepest ascent lands on the global maximum is measured,
