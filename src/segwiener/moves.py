@@ -11,25 +11,25 @@ components so that the segment-length multiset never changes:
 * reattach — move every off-segment component of one branch endpoint of a
             segment to the other endpoint, turning the segment pendant.
 
-One stream, `_moves`, yields a tree's neighbourhood in its one order, each
-move as a light record (`Record`) with its segment, or with a slide's
-locator in the search that found it, off which `_path` builds the anchored
-path; there is no lister per kind.  The stream walks the tree's skeleton
-(`_skeleton`): its anchors, the vertices of degree other than 2, and the
-segments between them, each with the side size at its ends off one read
-of the tree; and it searches the skeleton from one branch vertex at a time
-(`_search`).  Validity is defined per segment or path: an `apply_*`
-function accepts exactly the descriptors that `_switches_on`,
-`_reattaches_on` or `slide_move` gives over the same segment or path.
+One lister, `_rank`, gives a tree's neighbourhood in its one order, each
+move as a light record (`Record`) with its closed-form delta and its
+segment, or a slide's locator in the search that found it, off which
+`_path` builds the anchored path; there is no lister per kind.  It walks
+the tree's skeleton (`_skeleton`): its anchors, the vertices of degree
+other than 2, and the segments between them, each with the side size at
+its ends off one read of the tree; and it searches the skeleton from one
+branch vertex at a time (`_search`).  An `apply_*` function accepts
+exactly the switches or reattaches that `_rank` lists across the same
+segment, or the slide that `slide_move` gives for the same path.
 `_descriptor` turns a record and its path into its descriptor.  What a
 built move does is written once, in `_relocations`: a list of (root, i, j)
 along its path, the component hanging at path[i] through root moving to
 path[j].  `_built` rewires the source's adjacency by that list, and one
 breadth-first search of the result checks it is a tree (else
 InvalidTreeError) and reads its side sizes and segment sequence
-(`trees._read`).  `neighbors` and the `apply_*` functions recompute each
-result's SW_k from scratch off that read and check its segment sequence
-against the source's, which is evaluated once per neighbourhood.
+(`trees._read`).  `neighbors` builds every move `_rank` lists, and it and
+the `apply_*` functions recompute each result's SW_k from scratch off that
+read and check its segment sequence against the source's.
 
 `hill_climb` ranks the moves by their closed-form deltas (`_rank`), off
 the one skeleton of the source, in plain loops over its segments and
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .exact import I128_MAX, checked
 from .steiner import _check_k, _index_sums, _weights
@@ -99,8 +99,8 @@ class Reattach:
 
 MoveDescriptor = Union[Switch, Slide, Reattach]
 
-# A move as the stream yields it, read along its path: (Switch, a_root,
-# b_root), (Slide, source index, dest index) or (Reattach, u1, u2);
+# A move as `_rank`, the one lister, gives it, read along its path: (Switch,
+# a_root, b_root), (Slide, source index, dest index) or (Reattach, u1, u2);
 # `_descriptor` builds its descriptor.
 Record = tuple[type, int, int]
 
@@ -238,9 +238,10 @@ def _built(t: Tree, move: MoveDescriptor, path: tuple[int, ...]) -> Built | None
 
 
 def apply_switch(t: Tree, move: Switch, k: int) -> MoveOutcome:
-    """A switch is valid iff `_switches_on` its segment yields its record."""
+    """A switch is valid iff its roots are off-segment neighbours of its two
+    ends, the pairs `_rank` lists across its segment."""
     path = _segment_path(t, move.w0, move.ws)
-    if (Switch, move.a_root, move.b_root) not in _switches_on(t, path):
+    if not (move.a_root in t.adj[path[0]] and move.a_root != path[1] and move.b_root in t.adj[path[-1]] and move.b_root != path[-2]):
         raise InvalidDescriptorError(f"{move} does not exchange off-segment neighbours of {move.w0} and {move.ws}")
     return _outcomes(t, k, [(move, _built(t, move, path))])[0]
 
@@ -275,10 +276,10 @@ def apply_slide(t: Tree, move: Slide, k: int) -> MoveOutcome:
 
 
 def apply_reattach(t: Tree, move: Reattach, k: int) -> MoveOutcome:
-    """A reattach is valid iff its sorted *moved* is that of the
-    `_reattaches_on` move from u1; the outcome keeps *move* as given."""
-    record, path = next(_reattaches_on(_segment_path(t, move.u1, move.u2)))
-    expected = _descriptor(t, record, path)
+    """A reattach is valid iff its sorted *moved* is that of the move
+    `_rank` lists from u1; the outcome keeps *move* as given."""
+    path = _segment_path(t, move.u1, move.u2)
+    expected = _descriptor(t, (Reattach, move.u1, move.u2), path)
     if tuple(sorted(move.moved)) != expected.moved:
         raise InvalidDescriptorError(f"reattach must move every off-segment neighbour of {move.u1}: {expected.moved}")
     return _outcomes(t, k, [(move, _built(t, expected, path))])[0]
@@ -320,23 +321,6 @@ def _branch_segments(t: Tree, hang: list) -> list[tuple[tuple[int, ...], int]]:
     return [s for u in range(t.n) if len(adj[u]) >= 3 for s in hang[u] if u < s[0][-1] and len(adj[s[0][-1]]) >= 3]
 
 
-def _switches_on(t: Tree, path: tuple[int, ...]) -> Iterator[Record]:
-    """The switches across the segment *path*."""
-    ws = path[-1]
-    for a in t.adj[path[0]]:
-        if a != path[1]:
-            for b in t.adj[ws]:
-                if b != path[-2]:
-                    yield Switch, a, b
-
-
-def _reattaches_on(path: tuple[int, ...]) -> Iterator[tuple[Record, tuple[int, ...]]]:
-    """The two reattaches across the segment *path*, each with the path
-    oriented from u1 to u2."""
-    for p in (path, path[::-1]):
-        yield (Reattach, p[0], p[-1]), p
-
-
 # One search from a branch vertex b (`_search`) over the skeleton, as lists
 # by anchor y: the anchor before y on the path from b, which is the last
 # interior attachment (a vertex of degree at least 3 strictly between b
@@ -346,7 +330,7 @@ def _reattaches_on(path: tuple[int, ...]) -> Iterator[tuple[Record, tuple[int, .
 # the vertex count on b's side of the edge that enters y.
 Search = tuple[list[int], list[tuple[int, ...]], list[int], list[int], list[int], list[int]]
 
-# A slide as `_moves` locates it: the leg from its first anchor to the
+# A slide as `_rank` locates it: the leg from its first anchor to the
 # branch vertex b of the search, its last anchor and b's search.
 SlideAt = tuple[tuple[int, ...], int, Search]
 
@@ -370,31 +354,6 @@ def _search(hang: list, b: int) -> Search:
     return up, seg, depth, first, mirror, side
 
 
-def _slides(t: Tree, anchors: list[int], hang: list) -> Iterator[tuple[Record, SlideAt]]:
-    """Non-trivial slides only: the mirrored position must differ.  Anchor
-    pairs (x, y), x < y, come in ascending order of x, then of y.  One
-    `_search` per branch vertex b, made when first needed, serves b and
-    every leaf whose leg ends at b, ℓ edges away.  Such a leaf's path to an
-    anchor y ≠ b is its leg, then b's path to y: the first interior
-    attachment is b, at ℓ, and the last is the anchor before y, so its
-    mirror lies at b's mirror of y either way.  The pair (x, b) has no
-    interior attachment.  Each slide comes as its locator; `_slide_path`
-    builds its path."""
-    adj = t.adj
-    searches: dict[int, Search] = {}
-    for idx, x in enumerate(anchors[:-1]):
-        leg = hang[x][0][0] if len(adj[x]) == 1 else (x,)
-        b, ell = leg[-1], len(leg) - 1
-        if b not in searches:
-            searches[b] = _search(hang, b)
-        search = searches[b]
-        first, mirror = search[3], search[4]
-        for y in anchors[idx + 1 :]:
-            i, m = ell or first[y], mirror[y]
-            if i and i != m and y != b:
-                yield (Slide, i, m), (leg, y, search)
-
-
 def _slide_path(leg: tuple[int, ...], y: int, search: Search) -> tuple[int, ...]:
     """The anchored path of the slide at (*leg*, *y*, *search*): the leg,
     then the search's segments from its root to y."""
@@ -406,34 +365,8 @@ def _slide_path(leg: tuple[int, ...], y: int, search: Search) -> tuple[int, ...]
 
 
 def _path(record: Record, where: tuple) -> tuple[int, ...]:
-    """The segment or anchored path of a move as `_moves` yields it."""
+    """The segment or anchored path of a move as `_rank` lists it."""
     return _slide_path(*where) if record[0] is Slide else where
-
-
-def _moves(t: Tree) -> Iterator[tuple[Record, tuple]]:
-    """Every move on *t* in neighbourhood order (switches, slides,
-    reattaches) as a record, with its segment (from u1 for a reattach; one
-    tuple for every switch across it) or a slide's locator (`SlideAt`), off
-    which `_path` reads the path.  The segments are walked once."""
-    skeleton = _skeleton(t)
-    if skeleton is None:
-        return
-    anchors, hang, _ = skeleton
-    segments = [path for path, _ in _branch_segments(t, hang)]
-    for path in segments:
-        for record in _switches_on(t, path):
-            yield record, path
-    yield from _slides(t, anchors, hang)
-    for path in segments:
-        yield from _reattaches_on(path)
-
-
-def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
-    """Every valid switch, slide and reattach on *t*, each applied and
-    evaluated from scratch."""
-    paths = ((record, _path(record, where)) for record, where in _moves(t))
-    described = ((_descriptor(t, record, path), path) for record, path in paths)
-    return _outcomes(t, k, ((move, _built(t, move, path)) for move, path in described))
 
 
 # A ranked move: its record, its segment or slide locator, and its delta.
@@ -441,14 +374,28 @@ Ranked = tuple[Record, tuple, int]
 
 
 def _rank(t: Tree, k: int, sign: int, read: Read | None = None) -> tuple[int, list[Ranked], tuple[tuple[int, ...], int] | None]:
-    """The moves of `_moves(t)` whose gain, *sign* times the closed-form
-    delta, is largest and at least 0, in move order, with that gain and the
-    (segment sequence, SW_k) of *t*; with *sign* 0 every move ties.  One
+    """The one lister of the moves on *t*: those whose gain, *sign* times
+    the closed-form delta, is largest and at least 0, in move order, with
+    that gain and the (segment sequence, SW_k) of *t*.  With *sign* 0 every
+    move ties, so every move is listed; `neighbors` builds that list.  One
     read of *t* and the `_weights(n, k)` row w with its prefix sums
     (prefix[x] = w[0] + ... + w[x - 1]) price every move in plain loops
     that keep only the best gain and its ties: no path, descriptor or
     neighbour is built.  A tree without moves is not read, and its rank is
     (0, [], None).
+
+    Move order is switches, slides, reattaches.  The switches go by the
+    segments with two branch ends (`_branch_segments`), then a_root at the
+    smaller end and b_root at the other, each in adjacency order; the
+    reattaches go by the same segments, from the smaller end first.  The
+    slides are the non-trivial ones, whose mirrored position differs, by
+    anchor pair (x, y), x < y, in ascending order of x, then of y.  One
+    `_search` per branch vertex b, made when first needed, serves b and
+    every leaf whose leg ends at b, ℓ edges away.  Such a leaf's path to an
+    anchor y ≠ b is its leg, then b's path to y: the first interior
+    attachment is b, at ℓ, and the last is the anchor before y, so its
+    mirror lies at b's mirror of y either way.  The pair (x, b) has no
+    interior attachment.
 
     Components move whole, so only the L edges of the move's path change
     side sizes.  Write b_e for the path[0] side of edge e, which joins
@@ -545,6 +492,20 @@ def _rank(t: Tree, k: int, sign: int, read: Read | None = None) -> tuple[int, li
                 else:
                     ties.append(tie)
     return gain, ties, (segments, value)
+
+
+def neighbors(t: Tree, k: int) -> list[MoveOutcome]:
+    """Every valid switch, slide and reattach on *t*, in the order `_rank`
+    lists them: the switches, then the non-trivial slides, then the
+    reattaches.  Each is built and its SW_k recomputed from scratch off the
+    read of the result, not taken from its closed form, against the
+    (segment sequence, SW_k) of `_rank`'s read of *t*.  Raises ValueError
+    unless 1 <= k <= n, also on a tree without moves."""
+    _check_k(t, k)
+    _, ranking, source = _rank(t, k, 0)
+    paths = ((record, _path(record, where)) for record, where, _ in ranking)
+    described = ((_descriptor(t, record, path), path) for record, path in paths)
+    return _outcomes(t, k, ((move, _built(t, move, path)) for move, path in described), source)
 
 
 def _leg(adj, v: int, w: int) -> int | tuple[int, int]:

@@ -29,9 +29,10 @@ def double_broom(length: int, left: int, right: int) -> Tree:
 
 def moves_of_kind(t: Tree, kind: type) -> list[MoveDescriptor]:
     """The descriptors of the moves of one kind (`Switch`, `Slide` or
-    `Reattach`) on *t*, in the order of `moves._moves`, the one stream that
-    `neighbors` and `hill_climb` read."""
-    return [moves._descriptor(t, record, moves._path(record, where)) for record, where in moves._moves(t) if record[0] is kind]
+    `Reattach`) on *t*, in the order of `moves._rank`, the one lister that
+    `neighbors` and `hill_climb` read (`every_move`; with sign 0 the list
+    does not depend on k)."""
+    return [moves._descriptor(t, record, moves._path(record, where)) for record, where, _ in every_move(t, 1) if record[0] is kind]
 
 
 def every_move(t: Tree, k: int) -> list[tuple[moves.Record, tuple, int]]:

@@ -930,9 +930,11 @@ def delta_over_relocations(w, side: Side, path: tuple[int, ...], moved: list[Rel
     return delta
 
 
-def switch_descriptor_count(t: Tree) -> int:
-    """Count valid switches by scanning all vertex pairs directly."""
-    count = 0
+def _switchable_segments(t: Tree) -> list[tuple[int, ...]]:
+    """The segments whose two ends are branch vertices, found by scanning
+    all vertex pairs directly, each walked from its smaller end: ordered by
+    that end ascending, then by that end's first edge in adjacency order."""
+    found = []
     for w0 in range(t.n):
         if t.degree(w0) < 3:
             continue
@@ -940,25 +942,32 @@ def switch_descriptor_count(t: Tree) -> int:
             if t.degree(ws) < 3:
                 continue
             segment = path(t, w0, ws)
-            if any(t.degree(x) != 2 for x in segment[1:-1]):
-                continue
-            count += (t.degree(w0) - 1) * (t.degree(ws) - 1)
-    return count
+            if all(t.degree(x) == 2 for x in segment[1:-1]):
+                found.append(segment)
+    return sorted(found, key=lambda s: (s[0], t.adj[s[0]].index(s[1])))
 
 
-def reattach_descriptor_count(t: Tree) -> int:
-    count = 0
-    for w0 in range(t.n):
-        if t.degree(w0) < 3:
-            continue
-        for ws in range(w0 + 1, t.n):
-            if t.degree(ws) < 3:
-                continue
-            segment = path(t, w0, ws)
-            if any(t.degree(x) != 2 for x in segment[1:-1]):
-                continue
-            count += 2
-    return count
+def switch_descriptors(t: Tree) -> list[Switch]:
+    """Every valid switch, by segment (`_switchable_segments`), then a_root
+    at its smaller end and b_root at the other, each in adjacency order."""
+    return [
+        Switch(w0=s[0], ws=s[-1], a_root=a, b_root=b)
+        for s in _switchable_segments(t)
+        for a in t.adj[s[0]]
+        if a != s[1]
+        for b in t.adj[s[-1]]
+        if b != s[-2]
+    ]
+
+
+def reattach_descriptors(t: Tree) -> list[Reattach]:
+    """Every valid reattach, by segment (`_switchable_segments`), from its
+    smaller end first, each moving every off-segment neighbour of u1."""
+    return [
+        Reattach(u1=u[0], u2=u[-1], moved=tuple(sorted(w for w in t.adj[u[0]] if w != u[1])))
+        for s in _switchable_segments(t)
+        for u in (s, s[::-1])
+    ]
 
 
 def slide_descriptor_count(t: Tree) -> int:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter, defaultdict
+from typing import Iterator
 
 import pytest
 
@@ -44,12 +45,14 @@ from .oracles import (
     delta_over_relocations,
     path,
     random_labeled_tree,
+    reattach_descriptors,
     relabel,
     segment_decomposition,
     side_reader,
     slide_descriptor_count,
     slide_moves_per_anchor,
     sw_k_bruteforce,
+    switch_descriptors,
 )
 
 
@@ -230,6 +233,22 @@ def branch_segments(t: Tree) -> list[tuple[int, ...]]:
     return [s.vertices for s in segment_decomposition(t) if min(map(t.degree, s.endpoints)) >= 3]
 
 
+def listed_trees() -> Iterator[Tree]:
+    """Every tree of order up to 11, four random labelled trees of each
+    order 12..60, short paths and starlike trees, each also under a random
+    relabelling, since anchors and segments are listed in vertex-id
+    order."""
+    rng = random.Random(17)
+    trees = [t for n in range(1, 12) for t in all_trees(n)]
+    trees += [random_labeled_tree(n, rng) for n in range(12, 61) for _ in range(4)]
+    trees += [path_tree(n) for n in range(1, 9)]
+    trees += [starlike((1,) * m) for m in range(3, 9)]
+    trees += [starlike(legs) for legs in ((2, 1, 1), (3, 2, 2), (2, 2, 2, 2), (5, 3, 1, 1, 1), (4, 4, 4))]
+    for t in trees:
+        yield t
+        yield relabel(t, rng.sample(range(t.n), t.n))
+
+
 class TestValidationMatchesEnumeration:
     def test_switch_accepted_iff_enumerated(self):
         rejected = 0
@@ -285,33 +304,21 @@ class TestNeighbors:
                 apply_slide(t, identity, k)
 
     def test_fig1_bottom_counts_match_naive_enumerators(self, fig1_bottom):
-        from .oracles import (
-            reattach_descriptor_count,
-            slide_descriptor_count,
-            switch_descriptor_count,
-        )
-
         outs = neighbors(fig1_bottom, 2)
         assert len(outs) > 0
         by_kind = defaultdict(int)
         for o in outs:
             by_kind[type(o.move).__name__] += 1
-        assert by_kind["Switch"] == switch_descriptor_count(fig1_bottom)
+        assert by_kind["Switch"] == len(switch_descriptors(fig1_bottom))
         assert by_kind["Slide"] == slide_descriptor_count(fig1_bottom)
-        assert by_kind["Reattach"] == reattach_descriptor_count(fig1_bottom)
+        assert by_kind["Reattach"] == len(reattach_descriptors(fig1_bottom))
 
     def test_descriptor_counts_match_naive_exhaustive(self):
-        from .oracles import (
-            reattach_descriptor_count,
-            slide_descriptor_count,
-            switch_descriptor_count,
-        )
-
         for n in range(2, 9):
             for t in all_trees(n):
-                assert len(moves_of_kind(t, Switch)) == switch_descriptor_count(t)
+                assert len(moves_of_kind(t, Switch)) == len(switch_descriptors(t))
                 assert len(moves_of_kind(t, Slide)) == slide_descriptor_count(t)
-                assert len(moves_of_kind(t, Reattach)) == reattach_descriptor_count(t)
+                assert len(moves_of_kind(t, Reattach)) == len(reattach_descriptors(t))
 
     def test_random_neighbourhoods_match_oracles(self):
         # each neighbour is a valid tree in the source's class, and the
@@ -329,17 +336,20 @@ class TestNeighbors:
                 assert o.delta == sw_k(o.tree, k) - sw_k(t, k)
 
     def test_slides_match_the_per_anchor_search(self):
-        # anchors go in vertex-id order, so each tree is also tried under a
-        # random relabelling; the list must match order included
-        rng = random.Random(17)
-        trees = [t for n in range(1, 12) for t in all_trees(n)]
-        trees += [random_labeled_tree(n, rng) for n in range(12, 61) for _ in range(4)]
-        trees += [path_tree(n) for n in range(1, 9)]
-        trees += [starlike((1,) * m) for m in range(3, 9)]
-        trees += [starlike(legs) for legs in ((2, 1, 1), (3, 2, 2), (2, 2, 2, 2), (5, 3, 1, 1, 1), (4, 4, 4))]
-        for t in trees:
-            for labelled in (t, relabel(t, rng.sample(range(t.n), t.n))):
-                assert moves_of_kind(labelled, Slide) == list(slide_moves_per_anchor(labelled))
+        # the list must match order included
+        for labelled in listed_trees():
+            assert moves_of_kind(labelled, Slide) == list(slide_moves_per_anchor(labelled))
+
+    def test_switches_and_reattaches_match_the_pairwise_scan(self):
+        # ties in a climb go to the first move in move order, so the order
+        # of these two kinds is pinned too, not only their sets
+        listed = Counter()
+        for labelled in listed_trees():
+            switches, reattaches = moves_of_kind(labelled, Switch), moves_of_kind(labelled, Reattach)
+            assert switches == switch_descriptors(labelled)
+            assert reattaches == reattach_descriptors(labelled)
+            listed.update(map(type, switches + reattaches))
+        assert min(listed[Switch], listed[Reattach]) > 1000
 
     def test_relocations_match_the_per_kind_routes(self):
         # the one builder reads `_relocations` and the closed form the
@@ -352,7 +362,7 @@ class TestNeighbors:
         kinds = Counter()
         for t in trees:
             side = side_reader(t)
-            for record, where in moves._moves(t):
+            for record, where, _ in every_move(t, 1):
                 path = moves._path(record, where)
                 move = moves._descriptor(t, record, path)
                 result, *read = moves._built(t, move, path)
@@ -685,7 +695,7 @@ class TestHillClimb:
         shared = Counter()
         for t in trees:
             codes = {}
-            for record, where in moves._moves(t):
+            for record, where, _ in every_move(t, 1):
                 path = moves._path(record, where)
                 result = moves._built(t, moves._descriptor(t, record, path), path)
                 code = canonical_code(result[0])
