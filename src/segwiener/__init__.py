@@ -24,11 +24,8 @@ from .moves import (
 )
 from .steiner import sw_k, sw_profile, wiener
 from .trees import (
-    BackboneView,
     Tree,
-    backbone,
     canonical_code,
-    is_isomorphic,
     is_quasi_caterpillar,
     is_starlike,
     segment_sequence,
@@ -46,7 +43,6 @@ from .verify import (
 )
 
 __all__ = [
-    "BackboneView",
     "CountOverflowError",
     "MoveOutcome",
     "Reattach",
@@ -59,13 +55,11 @@ __all__ = [
     "apply_reattach",
     "apply_slide",
     "apply_switch",
-    "backbone",
     "balanced_starlike",
     "binomial",
     "canonical_code",
     "caterpillar_family",
     "hill_climb",
-    "is_isomorphic",
     "is_quasi_caterpillar",
     "is_starlike",
     "neighbors",

@@ -25,16 +25,14 @@ degrees, in one reverse pass over a rooted order as `_read` does, sorts them
 into legs (ending in a leaf) and inner segments, and walks H's spine.  A
 tree is a quasi-caterpillar exactly when H is a caterpillar; then every
 branch vertex lies on H's spine, and a backbone, a longest path through
-every branch vertex, is the spine plus a longest leg at each end.  The
-verifiers judge a tied tree off its level sequence's parents with this read
-alone, no ``Tree`` built.  On a built tree, `_shape` runs it over a
-breadth-first search and walks the segments it names.  `all_backbones`
-lists every backbone candidate, but they differ only in which of several
-equal-length legs they take, so they all read the same: `backbone` reads
-the first (`_first_backbone`).  Every component hanging off a backbone is
-a pendant path, so the segment lengths answer each question, and
-`backbone` orients its candidate by the pendant lengths along it, with no
-subtree codes.
+every branch vertex, is the spine plus a longest leg at each end.  Every
+component hanging off a backbone is a pendant path, so the segment lengths
+answer each question.  The verifiers judge a tied tree off its level
+sequence's parents with this read alone, no ``Tree`` built, and
+`is_quasi_caterpillar` runs it over a built tree's breadth-first search.
+`all_backbones` lists every backbone candidate off the same read, with the
+segments it names walked (`_shape`); the candidates differ only in which
+of several equal-length legs they take.
 
 Both shapes the extremal results name are read off the segments at each
 vertex:
@@ -57,7 +55,6 @@ Conventions for degenerate cases (the literature does not pin these down):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -220,28 +217,6 @@ class Tree:
         return tuple(v for v in range(self.n) if len(self.adj[v]) >= 3)
 
 
-@dataclass(frozen=True)
-class BackboneView:
-    """A quasi-caterpillar read along one oriented backbone.
-
-    ``pendant_groups[i]`` holds the pendant segment lengths at the i-th
-    branch vertex (non-increasing within the group); the flat
-    ``pendant_segment_lengths`` is their concatenation in backbone order.
-    """
-
-    path: tuple[int, ...]
-    branch_indices: tuple[int, ...]
-    backbone_segment_lengths: tuple[int, ...]
-    pendant_groups: tuple[tuple[int, ...], ...]
-    pendant_segment_lengths: tuple[int, ...]
-
-
-def _view(path: tuple[int, ...], lengths: tuple[int, ...], groups: tuple[tuple[int, ...], ...]) -> BackboneView:
-    """The view along *path*, whose backbone segments of these *lengths*
-    meet at branch vertices carrying these pendant *groups*."""
-    return BackboneView(path, tuple(accumulate(lengths))[:-1], lengths, groups, tuple(x for g in groups for x in g))
-
-
 def _walk(adj: tuple[tuple[int, ...], ...], u: int, w: int) -> tuple[int, ...]:
     """The vertices of the segment that leaves *u* through its neighbour *w*,
     from *u* to the first vertex whose degree is not 2."""
@@ -358,71 +333,32 @@ def _shape(t: Tree) -> tuple[_Walk, tuple[_Walk, ...], tuple[tuple[_Walk, ...], 
 def is_quasi_caterpillar(t: Tree) -> bool:
     """True iff no branch vertex has more than two segments that do not end
     in a leaf, i.e. removing every pendant segment (keeping its non-leaf
-    end) leaves a path, a single vertex, or nothing."""
-    return _shape(t) is not None
+    end) leaves a path, a single vertex, or nothing: `_spine` of *t* off its
+    breadth-first search from vertex 0 finds H a caterpillar."""
+    parent, order = _bfs(t.adj, 0)
+    return _spine(parent, order, [len(a) for a in t.adj]) is not None
 
 
-def _candidates(t: Tree) -> tuple[_Walk, tuple[_Walk, ...], tuple[tuple[_Walk, ...], ...], list[tuple[_Walk, _Walk]]]:
-    """`_shape` with the spine as one walk, plus every pair of legs, one at
-    each end of the spine (two distinct ones at a lone spine vertex), whose
-    total length is largest, in adjacency order.  A tree without a branch
-    vertex is one walk from its smaller-id leaf, with no legs or pairs."""
+def all_backbones(t: Tree) -> list[tuple[int, ...]]:
+    """Every longest path containing all branch vertices, one orientation
+    each, from the smaller-id end: H's spine (`_shape`) plus each pair of
+    legs, one at each end of the spine (two distinct ones at a lone spine
+    vertex), whose total length is largest, in adjacency order.  A tree
+    without a branch vertex is one path from its smaller-id leaf."""
     shape = _shape(t)
     if shape is None:
         raise NotQuasiCaterpillarError("backbone is only defined for quasi-caterpillars")
     spine, joins, legs = shape
     if not spine:
         if t.n == 1:
-            return (0,), (), (), []
+            return [(0,)]
         leaf = t.leaves()[0]
-        return _walk(t.adj, leaf, t.adj[leaf][0]), (), (), []
+        return [_walk(t.adj, leaf, t.adj[leaf][0])]
     left, right = legs[0], legs[-1]
     pairs = [(p, q) for i, p in enumerate(left) for j, q in enumerate(right) if len(spine) > 1 or i < j]
     best = max(len(p) + len(q) for p, q in pairs)
     middle = spine[:1] + tuple(v for s in joins for v in s[1:])
-    return middle, joins, legs, [(p, q) for p, q in pairs if len(p) + len(q) == best]
-
-
-def all_backbones(t: Tree) -> list[tuple[int, ...]]:
-    """Every longest path containing all branch vertices, one orientation
-    each: H's spine plus each longest pair of legs at its two ends
-    (`_candidates`), from the smaller-id end."""
-    middle, _, _, pairs = _candidates(t)
-    return [p[:0:-1] + middle + q[1:] for p, q in pairs] or [middle]
-
-
-def _first_backbone(t: Tree) -> BackboneView:
-    """The view along the first candidate of `all_backbones`, as listed:
-    the two legs and the joins are its backbone segments, the legs it does
-    not take its pendant segments."""
-    middle, joins, legs, pairs = _candidates(t)
-    if not pairs:
-        return _view(middle, (len(middle) - 1,) if len(middle) > 1 else (), ())
-    p, q = pairs[0]
-    lengths = (len(p) - 1, *(len(s) - 1 for s in joins), len(q) - 1)
-    groups = tuple(tuple(sorted((len(s) - 1 for s in at if s not in (p, q)), reverse=True)) for at in legs)
-    return _view(p[:0:-1] + middle + q[1:], lengths, groups)
-
-
-def backbone(t: Tree) -> BackboneView:
-    """The canonical backbone: the first candidate of `all_backbones` in the
-    orientation whose key is smaller, forward on a tie.
-
-    The key reads the components hanging at each backbone vertex, which are
-    pendant paths: () off the branch vertices, the negated pendant lengths
-    at each.  A longer path has the smaller canonical code, so the key
-    orders the two orientations as the sorted codes of the hanging
-    components would.  One candidate suffices: every candidate is the spine
-    between the two end branch vertices plus a longest leg at each end (a
-    starlike tree's two longest legs at its centre), so all candidates have
-    the same keys up to orientation."""
-    view = _first_backbone(t)
-    key = [()] * len(view.path)
-    for i, group in zip(view.branch_indices, view.pendant_groups):
-        key[i] = tuple(-x for x in group)
-    if key[::-1] < key:
-        return _view(view.path[::-1], view.backbone_segment_lengths[::-1], view.pendant_groups[::-1])
-    return view
+    return [p[:0:-1] + middle + q[1:] for p, q in pairs if len(p) + len(q) == best]
 
 
 def _centers(t: Tree) -> list[int]:
@@ -454,10 +390,6 @@ def canonical_code(t: Tree) -> bytes:
     breadth-first search from the first centre)."""
     centres = _centers(t)
     return _codes(*_bfs(t.adj, centres[0]), centres[-1] if len(centres) == 2 else -1)[1]
-
-
-def is_isomorphic(a: Tree, b: Tree) -> bool:
-    return a.n == b.n and canonical_code(a) == canonical_code(b)
 
 
 def tree_from_code(code: bytes | str) -> Tree:

@@ -14,16 +14,17 @@ degrees and neighbour sums and keys the tree while peeling its leaves,
 automorphism counts come from nested-tuple AHU codes, canonical codes from
 recursive string encodings at the middle of a longest path, the
 quasi-caterpillar test re-derives pendant removal from leaf walks, the
-structure predicates and the canonical backbone are read over every
-backbone candidate instead of one, each by walking the candidate path and
-the pendant segments off it (`backbone_view`) instead of reading the
+structure predicates are read over every backbone candidate instead of
+one, each by walking the candidate path and the pendant segments off it
+into a `BackboneView` (`backbone_view`) instead of reading the
 series-reduced tree, the valley test runs a greedy state machine over the
 groups (`groups_admit_valley_greedy`) instead of checking where they turn,
-a backbone is oriented by the sorted subtree codes of the components
-hanging at its vertices (`_orientation_key`) instead of by pendant
-lengths, each move kind is built and given a closed-form delta
-by a routine of its own instead of from one relocation list, a move's
-delta is also stepped edge by edge over its relocation list
+the canonical backbone, which the package does not compute, is the
+orientation of a candidate with the smallest sorted subtree codes of the
+components hanging at its vertices (`_orientation_key`,
+`backbone_over_all_candidates`), each move kind is built and given a
+closed-form delta by a routine of its own instead of from one relocation
+list, a move's delta is also stepped edge by edge over its relocation list
 (`delta_over_relocations`) instead of read off prefix sums, slides are
 listed by a search from every anchor instead of one per branch vertex,
 reports are written by the stdlib ``json`` encoder, the realizable
@@ -39,15 +40,15 @@ permutes a tree's vertex ids.
 
 The judges the verifiers read off level sequences are checked against the
 routes they replaced, which read a built ``Tree``: `structure_assessment`
-along the first backbone candidate of ``trees._first_backbone`` (with this
-module's greedy valley test), `is_unit_pendant_caterpillar` off adjacency
-lists, and `attains_by_code`, a construction attaining the extremum when
-its canonical code is among the extremal trees' codes, where the verifier
-compares its SW_k, summed as one more row of its class, with the column's
-extremum.  |Aut T| is also read off a level sequence
-(`automorphisms_of_levels`, by slices of the sequence) and against that the
-number of labelled trees with a given segment count comes from Prüfer
-sequences in closed form (`labelled_trees_with_segment_count`), so that
+along `backbone_view`'s walk of the first candidate of
+``trees.all_backbones`` (with this module's greedy valley test),
+`is_unit_pendant_caterpillar` off adjacency lists, and `attains_by_code`,
+a construction attaining the extremum when its canonical code is among the
+extremal trees' codes, where the verifier compares its SW_k, summed as one
+more row of its class, with the column's extremum.  |Aut T| is also read
+off a level sequence (`automorphisms_of_levels`, by slices of the
+sequence) and against that the number of labelled trees with a given
+segment count comes from Prüfer sequences in closed form (`labelled_trees_with_segment_count`), so that
 segment-count classes past the stream's order limit have a second route.
 The Prüfer class-key sweep can be split over worker processes
 (`prufer_class_keys_in_parts`), its keys de-interned
@@ -71,13 +72,11 @@ from segwiener.exact import checked
 from segwiener.moves import MoveDescriptor, Reattach, Relocation, Slide, Switch, _rewire
 from segwiener.steiner import _weights
 from segwiener.trees import (
-    BackboneView,
     EmptyDecompositionError,
     NotQuasiCaterpillarError,
     Tree,
     _bfs,
     _codes,
-    _first_backbone,
     all_backbones,
     canonical_code,
     is_quasi_caterpillar,
@@ -649,6 +648,22 @@ def segment_decomposition(t: Tree) -> list[Segment]:
     ]
 
 
+@dataclass(frozen=True)
+class BackboneView:
+    """A quasi-caterpillar read along one oriented backbone.
+
+    ``pendant_groups[i]`` holds the pendant segment lengths at the i-th
+    branch vertex (non-increasing within the group); the flat
+    ``pendant_segment_lengths`` is their concatenation in backbone order.
+    """
+
+    path: tuple[int, ...]
+    branch_indices: tuple[int, ...]
+    backbone_segment_lengths: tuple[int, ...]
+    pendant_groups: tuple[tuple[int, ...], ...]
+    pendant_segment_lengths: tuple[int, ...]
+
+
 def backbone_view(t: Tree, path: tuple[int, ...]) -> BackboneView:
     """Read off the segment structure of a quasi-caterpillar along *path*
     by walking the path and every pendant segment off it."""
@@ -742,13 +757,14 @@ def groups_admit_valley_greedy(groups: Sequence[Sequence[int]]) -> bool:
 
 
 def structure_assessment(t: Tree) -> tuple[StructurePredicateSet, bool]:
-    """Per-predicate outcomes, read along the first backbone candidate
-    (``trees._first_backbone``, which raises for a tree that is not a
-    quasi-caterpillar), plus whether all of them hold at once: the route
-    the verifier took before it read the level sequence."""
+    """Per-predicate outcomes, read along the first candidate of
+    ``trees.all_backbones`` (which raises for a tree that is not a
+    quasi-caterpillar) by `backbone_view`'s walk, plus whether all of them
+    hold at once: the route the verifier took before it read the level
+    sequence."""
     le4 = max((t.degree(v) for v in range(t.n)), default=0) <= 4
     try:
-        view = _first_backbone(t)
+        view = backbone_view(t, all_backbones(t)[0])
     except NotQuasiCaterpillarError:
         return StructurePredicateSet(False, le4, False, False, False), False
     ends = {view.path[i] for i in view.branch_indices[:1] + view.branch_indices[-1:]}

@@ -18,7 +18,6 @@ from segwiener.generators import (
 )
 from segwiener.io import format_edge_list
 from segwiener.trees import (
-    backbone,
     canonical_code,
     is_quasi_caterpillar,
     is_starlike,
@@ -26,7 +25,7 @@ from segwiener.trees import (
 )
 
 from .conftest import path_tree
-from .oracles import segment_sequences_of_order
+from .oracles import backbone_over_all_candidates, segment_sequences_of_order
 
 
 class TestStarlike:
@@ -122,7 +121,7 @@ class TestCaterpillarFamily:
         t = build.tree
         assert t.n == 8
         assert len(segment_sequence(t)) == 5
-        view = backbone(t)
+        view = backbone_over_all_candidates(t)
         assert view.pendant_segment_lengths == (1, 1)
         assert build.t_used == 5
         assert build.params.t == 6
@@ -181,7 +180,7 @@ class TestCaterpillarFamily:
                     degrees = [t.degree(v) for v in range(t.n)]
                     assert max(degrees) <= 4
                     if m > 1:
-                        view = backbone(t)
+                        view = backbone_over_all_candidates(t)
                         assert set(view.pendant_segment_lengths) <= {1}
                         deg4 = [v for v in range(t.n) if t.degree(v) == 4]
                         ends = {

@@ -32,7 +32,6 @@ from segwiener.trees import (
     Tree,
     _read_built,
     canonical_code,
-    is_isomorphic,
     is_quasi_caterpillar,
     segment_sequence,
 )
@@ -88,7 +87,7 @@ class TestSwitch:
             tree, move = random_switch_instance(rng, relation="equal")
             out = apply_switch(tree, move, 3)
             assert out.delta == 0
-            assert is_isomorphic(out.tree, tree)
+            assert canonical_code(out.tree) == canonical_code(tree)
 
     def test_delta_matches_brute_force(self):
         rng = random.Random(8)
@@ -302,6 +301,21 @@ class TestNeighbors:
                 neighbors(k13, k)
             with pytest.raises(ValueError):
                 apply_slide(t, identity, k)
+
+    def test_bad_k_raises_before_the_tree_is_read(self, fig1_bottom, monkeypatch):
+        # on a tree with moves, a bad k must fail before `_rank` reads and
+        # prices the tree, not when the first outcome is evaluated
+        calls = []
+        for name in ("_rank", "_read_built"):
+            fn = getattr(moves, name)
+            monkeypatch.setattr(moves, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        assert neighbors(fig1_bottom, 2)
+        assert calls
+        calls.clear()
+        for k in (0, fig1_bottom.n + 1):
+            with pytest.raises(ValueError):
+                neighbors(fig1_bottom, k)
+        assert calls == []
 
     def test_fig1_bottom_counts_match_naive_enumerators(self, fig1_bottom):
         outs = neighbors(fig1_bottom, 2)

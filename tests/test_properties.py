@@ -1,12 +1,12 @@
 """Property tests on random labelled trees up to order 200: the index, the
 segment sequence and the canonical code do not depend on the labels; the
 one read of a tree agrees with the reference routes; the one shape read
-answers the quasi-caterpillar test, the structure predicates and the
-canonical backbone as the reference routes do; paths are paths; every move
-keeps the segment sequence; the hill climber's closed-form move deltas
-equal the recomputed ones of `neighbors`; and, on rooted trees up to order
-60 (past the enumerator's cap), a canonical level sequence written as
-parentheses is the sorting coder's rooted code."""
+answers the quasi-caterpillar test and the structure predicates as the
+reference routes do; paths are paths; every move keeps the segment
+sequence; the hill climber's closed-form move deltas equal the recomputed
+ones of `neighbors`; and, on rooted trees up to order 60 (past the
+enumerator's cap), a canonical level sequence written as parentheses is
+the sorting coder's rooted code."""
 
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ from segwiener.exact import CountOverflowError
 from segwiener.generators import quasi_caterpillar, starlike
 from segwiener.moves import neighbors
 from segwiener.steiner import sw_k
-from segwiener.trees import Tree, _bfs, _codes, _read, backbone, canonical_code, is_quasi_caterpillar, segment_sequence
+from segwiener.trees import Tree, _bfs, _codes, _read, canonical_code, is_quasi_caterpillar, segment_sequence
 
 from .conftest import ranked
 from .oracles import (
-    backbone_over_all_candidates,
     edge_side_sizes,
     path,
     prufer_to_adjacency,
@@ -135,7 +134,6 @@ def relabelled_quasi_caterpillars(draw) -> Tree:
 @given(relabelled_quasi_caterpillars())
 def test_one_shape_read_answers_as_every_backbone_candidate(t):
     assert structure_assessment(t) == structure_assessment_over_all_backbones(t)
-    assert backbone(t) == backbone_over_all_candidates(t)
 
 
 @st.composite
