@@ -17,17 +17,17 @@ filtered out of its order but placed on its skeletons, the trees with one
 edge per segment and no vertex of degree 2, built directly (`_skeletons`):
 the segment lengths, or each partition of n - 1 into that many parts
 (`_partitions`), go on their edges once per orbit of the skeleton's
-automorphisms (`_class_members`), and `_segment_class` re-roots each member
-at its centre and sorts the sequences into stream order.  ``count_trees``
-lists nothing: it counts a class or count over the same orbits
-(`_orbit_count`, each vertex's placements a polynomial in the parts they
-consume, memoised by subtree shape), and a whole order by Otter's formula
-(`_otter_count`).  One pass, `_parents`, gives the preorder parents and
-degrees that the placements, the reader (``trees._read``) and
-`_tree_from_levels` share.  Every sequence emitted is canonical, so a
-listing is coded in one pass (`_listing`), with no sorting: each tree rooted
-at the centre its code is rooted at, on its level bytes (`_rooting`), then
-the parentheses of many trees from one integer difference (`_parens`).
+automorphisms, and `_segment_class` re-roots each member at its centre and
+sorts the sequences into stream order.  ``count_trees`` lists nothing: it
+counts a class or count over the same orbits (`_orbit_count`, each vertex's
+placements a polynomial in the parts they consume, memoised by subtree
+shape), and a whole order by Otter's formula (`_otter_count`).  One pass,
+`_parents`, gives the preorder parents and degrees that the placements, the
+reader (``trees._read``) and `_tree_from_levels` share.  Every sequence
+emitted is canonical, so a listing is coded in one pass (`_listing`), with
+no sorting: each tree rooted at the centre its code is rooted at, on its
+level bytes (`_rooting`), then the parentheses of many trees from one
+integer difference (`_parens`).
 The Prüfer-plus-canonical-dedup oracle, the stream filters the skeletons
 and counts are checked against, and the Cayley check are in the tests.
 """
@@ -38,7 +38,7 @@ from itertools import groupby, islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .generators import UnrealizableError, normalize_segment_lengths
+from .generators import normalize_segment_lengths
 from .trees import Tree, _read
 
 MAX_ORDER = 16
@@ -288,10 +288,10 @@ def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | N
     classes of its partitions of n - 1, is built from its skeletons
     (`_segment_class`), not filtered out of the stream."""
     if segments is not None:
-        yield from _segment_class(n, [_class_lengths(n, segments)])
+        yield from _segment_class([_class_lengths(n, segments)])
     elif num_segments is not None:
         _check_count(n, num_segments)
-        yield from _segment_class(n, _partitions(n - 1, num_segments, n - 1))
+        yield from _segment_class(_partitions(n - 1, num_segments, n - 1))
     else:
         yield from _level_sequences(n)
 
@@ -300,8 +300,6 @@ def _class_lengths(n: int, segments: Iterable[int]) -> tuple[int, ...]:
     """*segments* in non-increasing order, checked to be the segment
     sequence of some tree of order *n* within the order guard."""
     lengths = normalize_segment_lengths(segments)
-    if len(lengths) == 2:
-        raise UnrealizableError("no tree has exactly two segments")
     if 1 + sum(lengths) != n:
         raise ValueError(f"segments summing to {sum(lengths)} give order {1 + sum(lengths)}, not {n}")
     _check_order(n)
@@ -329,35 +327,28 @@ def _partitions(total: int, parts: int, largest: int) -> Iterator[tuple[int, ...
             yield (first, *rest)
 
 
-def _segment_class(n: int, classes: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
-    """The level sequence of every tree of order *n* whose segment sequence
-    is one of *classes* (non-increasing, of n - 1 in all and of one number
-    of parts), in stream order: the members (`_class_members`) re-rooted at
-    their centres (`_recentre`) and sorted into the stream's descending
-    order."""
-    shift = _shifts(n)
-    found = sorted([_recentre(level, shift) for level in _class_members(classes, shift)], reverse=True)
-    yield from map(list, found)
-
-
-def _class_members(classes: Iterable[tuple[int, ...]], shift: list[bytes]) -> Iterator[bytes]:
-    """Every tree whose segment sequence is one of *classes* (non-increasing,
-    of one order n and one number of parts m) once, in no set order, as a
-    canonical level sequence (as bytes) rooted at its skeleton's centre.
+def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
+    """The level sequence of every tree whose segment sequence is one of
+    *classes* (non-increasing, of one order n and one number of parts m),
+    in stream order.
 
     A tree's vertices of degree other than 2, joined along its segments,
     form its skeleton: a tree with m edges and no vertex of degree 2
     (`_skeletons`), of which the tree is a subdivision with the parts as
     edge lengths.  A skeleton's placements of the parts up to its
     automorphisms (`_placements`) are distinct trees, since a tree has one
-    skeleton.  The skeletons are built once, for the first class.  *shift*
-    is `_shifts(n)`."""
+    skeleton.  The skeletons are built once, for the first class; each
+    member is re-rooted at its centre (`_recentre`), and the sequences are
+    sorted into the stream's descending order."""
+    found: list[bytes] = []
     skeletons = None
     for lengths in classes:
         if skeletons is None:
             skeletons = _skeletons(len(lengths) + 1)
         for skeleton in skeletons:
-            yield from _placements(skeleton, lengths, shift)
+            found += map(_recentre, _placements(skeleton, lengths))
+    found.sort(reverse=True)
+    yield from map(list, found)
 
 
 def _skeletons(order: int) -> list[list[int]]:
@@ -404,25 +395,23 @@ def _skeletons(order: int) -> list[list[int]]:
     for small in range(1, order // 2 + 1):
         for near, height in pool[below[small - 1] : below[small]]:
             for far, other in pool[below[order - small - 1] : below[order - small]]:
-                if other == height and (2 * small < order or near <= far):
-                    found.append(b"\0" + near.translate(_DOWN) + far[1:])
+                if other == height:
+                    join = b"\0" + near.translate(_DOWN) + far[1:]
+                    if _is_centred(join, small + 1):
+                        found.append(join)
     found.sort(reverse=True)
     return [list(level) for level in found]
 
 
-def _shifts(n: int) -> list[bytes]:
-    """Translation tables for bytes level sequences of order up to *n*:
-    ``level.translate(shift[k])`` adds k to every level, for -n <= k <= n
-    (a negative k by its negative index)."""
-    return [bytes(range(k % 256, 256)) + bytes(range(k % 256)) for k in (*range(n + 1), *range(-n, 0))]
-
-
-_DOWN, _UP = _shifts(1)[1:]  # a level one deeper, one higher
+# ``level.translate(_SHIFT[k])`` adds k to every level of a bytes sequence,
+# mod 256, so ``_SHIFT[-k]`` subtracts k
+_SHIFT = [r[k:] + r[:k] for r in [bytes(range(256))] for k in range(256)]
+_DOWN, _UP = _SHIFT[1], _SHIFT[-1]  # a level one deeper, one higher
 _NEXT = b"\0" + bytes(range(128, 256)) + bytes(127)  # a root as 0, a level b >= 1 as b + 127
 _FIELDS = [")" * d for d in range(128)] + [")" * (d - 127) + "\n" for d in range(128, 256)]
 
 
-def _placements(skeleton: list[int], lengths: tuple[int, ...], shift: list[bytes]) -> Iterator[bytes]:
+def _placements(skeleton: list[int], lengths: tuple[int, ...]) -> Iterator[bytes]:
     """For each placement of *lengths* on the edges of *skeleton* (a stream
     sequence, so rooted at a centre), up to the skeleton's automorphisms,
     the canonical level sequence (as bytes) of the tree it makes, rooted at
@@ -434,8 +423,7 @@ def _placements(skeleton: list[int], lengths: tuple[int, ...], shift: list[bytes
     vertex's placement is the canonical sequence of its subtree in the
     tree, built from its children's; children of one shape take their
     (part, placement) pairs in non-decreasing order, and the root's half
-    takes a placement no later than vertex 1's.  *shift* is `_shifts(n)`
-    for the tree's order n."""
+    takes a placement no later than vertex 1's."""
     size = len(skeleton)
     values = sorted(set(lengths))
     counts = tuple(lengths.count(x) for x in values)
@@ -472,7 +460,7 @@ def _placements(skeleton: list[int], lengths: tuple[int, ...], shift: list[bytes
             length = values[x]
             for below, after in ((b"\0", rest),) if leaf else grow(c, rest):
                 if x > low or below >= floor:
-                    branch = chains[length] + below.translate(shift[length])
+                    branch = chains[length] + below.translate(_SHIFT[length])
                     yield from hang(children, i + 1, after, x, below, (*branches, branch))
 
     m = _first_subtree_end(skeleton)
@@ -483,7 +471,7 @@ def _placements(skeleton: list[int], lengths: tuple[int, ...], shift: list[bytes
     for x in range(len(values)):
         length = values[x]
         for far, rest in grow(1, (*counts[:x], counts[x] - 1, *counts[x + 1 :])):
-            central = chains[length] + far.translate(shift[length])
+            central = chains[length] + far.translate(_SHIFT[length])
             for branches, _ in hang(kids[0][1:], 0, rest, 0, b"", ()):
                 if b"\0" + b"".join(sorted(branches, reverse=True)) <= far:
                     yield b"\0" + b"".join(sorted((*branches, central), reverse=True))
@@ -562,7 +550,7 @@ def _orbit_count(skeletons: list[list[int]], caps: tuple[int, ...], parts: list[
     return total
 
 
-def _recentre(level: bytes, shift: list[bytes]) -> bytes:
+def _recentre(level: bytes) -> bytes:
     """The stream's level sequence of the tree of *level*, a canonical
     level sequence (as bytes) rooted at any vertex.
 
@@ -571,8 +559,7 @@ def _recentre(level: bytes, shift: list[bytes]) -> bytes:
     first path, at depth c = height - (diameter + 1) // 2, and at c + 1 too
     when the diameter is odd.  Walking down to c, the part above each path
     vertex becomes one more of its children, put in order; of two centres
-    the root is the one `_is_centred` accepts.  *shift* is `_shifts(n)`
-    for the tree's order n or more."""
+    the root is the one `_is_centred` accepts."""
     n = len(level)
     height = max(level)
     # end[j]: where the subtree of the path vertex at depth j ends
@@ -590,13 +577,13 @@ def _recentre(level: bytes, shift: list[bytes]) -> bytes:
         end[c + 1] = c + 1  # the centre keeps every child
     up = b"\0" + level[end[1] :]
     for j in range(1, c + 1):
-        kids = [b"\1" + kid for kid in level[end[j + 1] : end[j]].translate(shift[-j]).split(b"\1")[1:]]
-        kids.append(up.translate(shift[1]))
+        kids = [b"\1" + kid for kid in level[end[j + 1] : end[j]].translate(_SHIFT[-j]).split(b"\1")[1:]]
+        kids.append(up.translate(_DOWN))
         kids.sort(reverse=True)
         up = b"\0" + b"".join(kids)
     if diameter % 2 == 0:
         return up
-    half = level[c + 1 : end[c + 1]].translate(shift[-c - 1])
-    rooted = b"\0" + half.translate(shift[1]) + up[1:]
-    return rooted if _is_centred(rooted, len(half) + 1) else b"\0" + up.translate(shift[1]) + half[1:]
+    half = level[c + 1 : end[c + 1]].translate(_SHIFT[-c - 1])
+    rooted = b"\0" + half.translate(_DOWN) + up[1:]
+    return rooted if _is_centred(rooted, len(half) + 1) else b"\0" + up.translate(_DOWN) + half[1:]
 

@@ -48,11 +48,15 @@ class InconsistentOrderError(ValueError):
 
 
 def normalize_segment_lengths(lengths: Iterable[int]) -> tuple[int, ...]:
+    """*lengths* in non-increasing order, checked to be the segment sequence
+    of some tree: non-empty, positive, and not of exactly two parts."""
     out = tuple(sorted((int(x) for x in lengths), reverse=True))
     if not out:
         raise UnrealizableError("segment sequence must be non-empty")
     if out[-1] < 1:
         raise UnrealizableError("segment lengths must be positive")
+    if len(out) == 2:
+        raise UnrealizableError("no tree has exactly two segments")
     return out
 
 
@@ -75,10 +79,7 @@ def starlike(lengths: Iterable[int]) -> Tree:
     One centre of degree m carries pendant paths of the given lengths; m = 1
     yields the path.  m = 2 is unrealizable (the two segments would merge).
     """
-    lens = normalize_segment_lengths(lengths)
-    if len(lens) == 2:
-        raise UnrealizableError("no tree has exactly two segments")
-    return _hang(0, ((0, length) for length in lens))
+    return _hang(0, ((0, length) for length in normalize_segment_lengths(lengths)))
 
 
 def _balanced_legs(n: int, m: int) -> list[int]:

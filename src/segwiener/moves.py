@@ -165,22 +165,16 @@ def _rewire(t: Tree, drop: list[tuple[int, int]], add: list[tuple[int, int]]) ->
     return Tree(t.n, tuple(adj)), parent, *_read(parent, order, [len(a) for a in adj])
 
 
-def _evaluate(t: Tree, k: int) -> tuple[tuple[int, ...], int]:
-    """The segment sequence and SW_k of *t*, off one read (`_read_built`)."""
-    _, sides, segments = _read_built(t)
-    return segments, _index_sums(t.n, sides, (k,))[0]
-
-
 def _outcomes(
     t: Tree, k: int, results: Iterable[tuple[MoveDescriptor, Built | None]], source: tuple[tuple[int, ...], int] | None = None
 ) -> list[MoveOutcome]:
     """The outcome of each (move, built result) on the source *t*, after
     checking k; a result of None is the identity move.  *source* is the
     (segment sequence, SW_k) of *t* when the caller has read it already;
-    else the source is evaluated once, when first needed, so a tree without
-    moves (a path, a star, one vertex) is never evaluated.  Each result's
-    SW_k is summed over the side sizes of the search that built it, whose
-    segment sequence must be the source's."""
+    else the source is evaluated once, off one read (`_read_built`), when
+    first needed, so a tree without moves (a path, a star, one vertex) is
+    never evaluated.  Each result's SW_k is summed over the side sizes of
+    the search that built it, whose segment sequence must be the source's."""
     _check_k(t, k)
     out = []
     for move, result in results:
@@ -188,7 +182,8 @@ def _outcomes(
             out.append(MoveOutcome(move=move, tree=t, delta=0))
             continue
         if source is None:
-            source = _evaluate(t, k)
+            _, sides, segments = _read_built(t)
+            source = segments, _index_sums(t.n, sides, (k,))[0]
         tree, _, sides, segments = result
         if segments != source[0]:
             raise InvalidDescriptorError("move would change the segment sequence")

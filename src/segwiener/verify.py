@@ -254,10 +254,6 @@ def _ks_for(n: int, k_set: Sequence[int]) -> tuple[int, ...]:
     return tuple(k for k in sorted(set(k_set)) if k <= n)
 
 
-def _code(t: Tree) -> str:
-    return canonical_code(t).decode("ascii")
-
-
 def _classes(n: int, by_count: bool) -> list[tuple[dict, list[Member]]]:
     """Instance classes of order *n* with their instance fields: one per
     segment sequence or one per segment count, in the order of the keys of
@@ -389,7 +385,7 @@ def _family_check(n: int, m: int) -> _Judge:
             build = caterpillar_family(n, m, which)
         except (ParityMismatchError, InconsistentOrderError, UnrealizableError):
             continue
-        family_codes[which] = (_code(build.tree), f"t_used={build.t_used}, t_formula={build.params.t}")
+        family_codes[which] = (canonical_code(build.tree).decode("ascii"), f"t_used={build.t_used}, t_formula={build.params.t}")
 
     def rule(arg: list[tuple[str, bool]], attained: bool) -> Ruling:
         outcomes = {code: {"caterpillar_unit_pendants": cat} for code, cat in arg}

@@ -24,7 +24,7 @@ from segwiener.enumeration import (
     _partitions,
     _read_levels,
     _recentre,
-    _shifts,
+    _SHIFT,
     _skeletons,
     _tree_from_levels,
     all_trees,
@@ -253,7 +253,7 @@ class TestLevelReader:
         # size of the ordered class
         sizes = {(n, seq): len(list(_levels(n, seq))) for n in range(2, 16) for seq in segment_sequences_of_order(n)}
 
-        def unused(level, shift):
+        def unused(level):
             raise AssertionError("a count re-rooted a tree")
 
         monkeypatch.setattr(enumeration, "_recentre", unused)
@@ -264,12 +264,18 @@ class TestLevelReader:
         # every tree of order 1..11, its canonical sequence rooted at each
         # vertex in turn, re-rooted to the stream's sequence
         for n in range(1, 12):
-            shift = _shifts(n)
             for level in _level_sequences(n):
                 t = _tree_from_levels(level)
                 for root in range(n):
                     rooted = bytes(rooted_level_sequence(t, root))
-                    assert list(_recentre(rooted, shift)) == level, (level, root)
+                    assert list(_recentre(rooted)) == level, (level, root)
+
+    def test_shift_table_adds_every_amount(self):
+        # a level shift of k adds k and of -k subtracts it, for every k in
+        # 1..255, most of which no listing reaches
+        for k in range(1, 256):
+            assert bytes(range(256 - k)).translate(_SHIFT[k]) == bytes(range(k, 256)), k
+            assert bytes(range(k, 256)).translate(_SHIFT[-k]) == bytes(range(256 - k)), k
 
 
 class TestSkeletons:
@@ -288,12 +294,12 @@ class TestSkeletons:
         # tree's stream sequence (rooted at a centre, coded as the built
         # tree), no tree twice, in descending order
         for n in range(MAX_ORDER + 1, 19):
-            skeletons, shift = _skeletons(n), _shifts(n)
+            skeletons = _skeletons(n)
             assert skeletons == sorted(skeletons, reverse=True)
             assert len({_level_code(level) for level in skeletons}) == len(skeletons) == A000014[n - 1]
             for level in skeletons:
                 assert 2 not in _parents(level)[1], level
-                assert list(_recentre(bytes(level), shift)) == level, level
+                assert list(_recentre(bytes(level))) == level, level
                 assert _level_code(level).encode("ascii") == canonical_code(_tree_from_levels(level)), level
 
 
@@ -339,11 +345,10 @@ class TestListing:
         # centre-rooted at heights up to 127; the path of order 256 has a
         # vertex at level 128
         for n in (254, 255):
-            shift = _shifts(n)
             path = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
             trees = [(path, path_tree(n))]
             for length, right in ((n - 3, 2), (200, n - 201)):
-                broom = _recentre(bytes([*range(length + 1), *[length + 1] * right]), shift)
+                broom = _recentre(bytes([*range(length + 1), *[length + 1] * right]))
                 trees.append((broom, double_broom(length, 0, right)))
             for level, t in trees:
                 assert _level_code(level).encode("ascii") == canonical_code(t), (n, level)
@@ -526,7 +531,7 @@ class TestCountRoute:
         # count re-roots nothing
         recentred = []
         recentre = enumeration._recentre
-        monkeypatch.setattr(enumeration, "_recentre", lambda level, shift: recentred.append(level) or recentre(level, shift))
+        monkeypatch.setattr(enumeration, "_recentre", lambda level: recentred.append(level) or recentre(level))
         assert main(["enumerate", "--n", "16", "--num-segments", "9", *extra]) == 0
         out = capsys.readouterr().out.split()
         if extra:
