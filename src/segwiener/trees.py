@@ -12,10 +12,11 @@ sequence.  A built tree's canonical code comes out of one coder, `_codes`,
 which sorts the child codes at every vertex of a breadth-first search; an
 enumerator's level sequences are canonical already, and a listing's codes
 are their parentheses, written in one pass (``enumeration._listing``).  `_bfs`
-is the one breadth-first search, `_centers` peels leaves, and `_walk`
-follows one segment for the shape read below and the moves.  The path
-between two vertices and a relabelling are test oracles, not ``Tree``
-methods: nothing in the package asks for them.
+is the one breadth-first search: `_centers` takes the middle of a longest
+path off two of its sweeps, and every other read of a built tree starts
+from one.  `_walk` follows one segment for `all_backbones` and the moves.
+The path between two vertices and a relabelling are test oracles, not
+``Tree`` methods: nothing in the package asks for them.
 
 Every quasi-caterpillar question is answered by one read, `_spine`, of the
 series-reduced tree H: the vertices of degree other than 2, joined by the
@@ -30,9 +31,9 @@ component hanging off a backbone is a pendant path, so the segment lengths
 answer each question.  The verifiers judge a tied tree off its level
 sequence's parents with this read alone, no ``Tree`` built, and
 `is_quasi_caterpillar` runs it over a built tree's breadth-first search.
-`all_backbones` lists every backbone candidate off the same read, with the
-segments it names walked (`_shape`); the candidates differ only in which
-of several equal-length legs they take.
+`all_backbones` lists every backbone candidate off the same read, walking
+only the segments that join the spine and the legs at its two ends; the
+candidates differ only in which of several equal-length legs they take.
 
 Both shapes the extremal results name are read off the segments at each
 vertex:
@@ -241,9 +242,6 @@ def is_starlike(t: Tree) -> bool:
     return len(t.branch_vertices()) <= 1
 
 
-_Walk = tuple[int, ...]  # a segment, a spine or a backbone, as its vertices
-
-
 _Segment = tuple[int, int, int]  # (end a, end b, length), leaving a through its parent
 
 
@@ -307,29 +305,6 @@ def _spine(
     return spine, joins, [legs[v] for v in spine]
 
 
-def _shape(t: Tree) -> tuple[_Walk, tuple[_Walk, ...], tuple[tuple[_Walk, ...], ...]] | None:
-    """`_spine` of *t* off its breadth-first search from vertex 0, with each
-    segment walked: None when H is not a caterpillar, else the spine, the
-    joining segments, each walked from the spine vertex before it, and the
-    legs at each spine vertex in adjacency order, each walked from it."""
-    adj = t.adj
-    parent, order = _bfs(adj, 0)
-    read = _spine(parent, order, [len(a) for a in adj])
-    if read is None:
-        return None
-    spine, joins, legs = read
-
-    def walk(seg: _Segment, start: int) -> _Walk:
-        verts = _walk(adj, seg[0], parent[seg[0]])
-        return verts if seg[0] == start else verts[::-1]
-
-    return (
-        tuple(spine),
-        tuple(walk(seg, v) for seg, v in zip(joins, spine)),
-        tuple(tuple(sorted((walk(seg, v) for seg in at), key=lambda w: w[1])) for v, at in zip(spine, legs)),
-    )
-
-
 def is_quasi_caterpillar(t: Tree) -> bool:
     """True iff no branch vertex has more than two segments that do not end
     in a leaf, i.e. removing every pendant segment (keeping its non-leaf
@@ -341,45 +316,46 @@ def is_quasi_caterpillar(t: Tree) -> bool:
 
 def all_backbones(t: Tree) -> list[tuple[int, ...]]:
     """Every longest path containing all branch vertices, one orientation
-    each, from the smaller-id end: H's spine (`_shape`) plus each pair of
-    legs, one at each end of the spine (two distinct ones at a lone spine
-    vertex), whose total length is largest, in adjacency order.  A tree
-    without a branch vertex is one path from its smaller-id leaf."""
-    shape = _shape(t)
-    if shape is None:
+    each: H's spine (`_spine` of *t* off its breadth-first search from
+    vertex 0), with its joining segments walked from the spine vertex
+    before each, plus each pair of legs, one at each end of the spine (two
+    distinct ones at a lone spine vertex), whose total length is largest,
+    the legs at an end walked from it in adjacency order.  A tree without a
+    branch vertex is one path from its smaller-id leaf."""
+    adj = t.adj
+    parent, order = _bfs(adj, 0)
+    read = _spine(parent, order, [len(a) for a in adj])
+    if read is None:
         raise NotQuasiCaterpillarError("backbone is only defined for quasi-caterpillars")
-    spine, joins, legs = shape
+    spine, joins, _ = read
     if not spine:
         if t.n == 1:
             return [(0,)]
         leaf = t.leaves()[0]
-        return [_walk(t.adj, leaf, t.adj[leaf][0])]
-    left, right = legs[0], legs[-1]
-    pairs = [(p, q) for i, p in enumerate(left) for j, q in enumerate(right) if len(spine) > 1 or i < j]
+        return [_walk(adj, leaf, adj[leaf][0])]
+    middle = (spine[0],)
+    for (a, _, _), v in zip(joins, spine):
+        verts = _walk(adj, a, parent[a])
+        middle += verts[1:] if a == v else verts[-2::-1]
+    lone = len(spine) == 1
+    left = [_walk(adj, middle[0], w) for w in adj[middle[0]] if lone or w != middle[1]]
+    right = left if lone else [_walk(adj, middle[-1], w) for w in adj[middle[-1]] if w != middle[-2]]
+    pairs = [(p, q) for i, p in enumerate(left) for j, q in enumerate(right) if not lone or i < j]
     best = max(len(p) + len(q) for p, q in pairs)
-    middle = spine[:1] + tuple(v for s in joins for v in s[1:])
     return [p[:0:-1] + middle + q[1:] for p, q in pairs if len(p) + len(q) == best]
 
 
 def _centers(t: Tree) -> list[int]:
-    """The one or two central vertices, by iterated leaf removal."""
-    if t.n <= 2:
-        return list(range(t.n))
-    deg = [t.degree(v) for v in range(t.n)]
-    layer = [v for v in range(t.n) if deg[v] == 1]
-    remaining = t.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in t.adj[v]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(layer)
+    """The one or two middle vertices of a longest path, in id order: the
+    path from the last vertex *u* that a breadth-first search from vertex 0
+    reaches to the last vertex that one from *u* reaches."""
+    u = _bfs(t.adj, 0)[1][-1]
+    parent, order = _bfs(t.adj, u)
+    path = [order[-1]]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    mid = (len(path) - 1) // 2
+    return sorted(path[mid : len(path) - mid])
 
 
 def canonical_code(t: Tree) -> bytes:

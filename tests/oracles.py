@@ -307,7 +307,8 @@ def random_labeled_tree(n: int, rng: random.Random) -> Tree:
 
 
 def _centres(adj, n: int) -> list[int]:
-    """The one or two central vertices of a tree with n >= 2, by leaf peeling."""
+    """The one or two central vertices of a tree with n >= 2, by leaf
+    peeling (``trees._centers`` sweeps for a longest path)."""
     degc = [len(a) for a in adj]
     layer = [i for i in range(n) if degc[i] == 1]
     remaining = n

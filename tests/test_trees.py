@@ -14,6 +14,7 @@ from segwiener.trees import (
     InvalidTreeError,
     NotQuasiCaterpillarError,
     Tree,
+    _centers,
     all_backbones,
     canonical_code,
     is_quasi_caterpillar,
@@ -22,8 +23,9 @@ from segwiener.trees import (
     tree_from_code,
 )
 
-from .conftest import path_tree
+from .conftest import double_broom, path_tree
 from .oracles import (
+    _centres,
     ahu_code_by_recursion,
     backbone_over_all_candidates,
     centres_by_longest_path,
@@ -33,6 +35,23 @@ from .oracles import (
     relabel,
     segment_decomposition,
 )
+
+
+def _relabelled(t: Tree, rng: random.Random) -> Tree:
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return relabel(t, perm)
+
+
+def _longest_branch_covering_paths(t: Tree) -> set[tuple[int, ...]]:
+    """The longest leaf-to-leaf paths of *t* (n >= 2) that contain every
+    branch vertex, each as the smaller of its two orientations."""
+    branches = set(t.branch_vertices())
+    leaves = t.leaves()
+    paths = [path(t, u, v) for i, u in enumerate(leaves) for v in leaves[i + 1 :]]
+    covering = [p for p in paths if branches <= set(p)]
+    longest = max(map(len, covering))
+    return {min(p, p[::-1]) for p in covering if len(p) == longest}
 
 # sha256 of `TestBackbone.test_golden_backbones`, recorded off the
 # package's own canonical backbone, which oriented a candidate by pendant
@@ -248,6 +267,50 @@ class TestBackbone:
                 assert a.backbone_segment_lengths == b.backbone_segment_lengths
                 assert a.pendant_groups == b.pendant_groups
 
+    def test_candidates_are_the_longest_branch_covering_paths(self):
+        # brute force over every leaf pair of every quasi-caterpillar of
+        # order <= 12, as enumerated and relabelled; every other tree raises
+        rng = random.Random(34)
+        checked = 0
+        for n in range(1, 13):
+            for t in all_trees(n):
+                quasi = quasi_caterpillar_by_leaf_walks(t)
+                checked += quasi
+                for u in (t, _relabelled(t, rng)):
+                    if not quasi:
+                        with pytest.raises(NotQuasiCaterpillarError):
+                            all_backbones(u)
+                        continue
+                    cands = [min(c, c[::-1]) for c in all_backbones(u)]
+                    assert len(cands) == len(set(cands))
+                    assert set(cands) == ({(0,)} if n == 1 else _longest_branch_covering_paths(u))
+        assert checked == 963
+        for n in range(2, 8):
+            assert all_backbones(path_tree(n)) == [tuple(range(n))]
+            assert all_backbones(relabel(path_tree(n), range(n)[::-1])) == [tuple(range(n))]
+
+    def test_candidates_come_in_adjacency_order(self):
+        # every candidate runs along the spine in one direction; the legs it
+        # takes at the first and last branch vertex on it are ranked by
+        # their place in those vertices' adjacency, and the candidates come
+        # in increasing order of the two ranks (two distinct legs of a lone
+        # spine vertex in increasing order)
+        rng = random.Random(35)
+        for n in range(4, 13):
+            for t in (_relabelled(t, rng) for t in all_trees(n)):
+                if not t.branch_vertices() or not is_quasi_caterpillar(t):
+                    continue
+                keys, ends = [], set()
+                for c in all_backbones(t):
+                    at = [i for i, v in enumerate(c) if t.degree(v) > 2]
+                    s, e = at[0], at[-1]
+                    ends.add((c[s], c[e]))
+                    keys.append((t.adj[c[s]].index(c[s - 1]), t.adj[c[e]].index(c[e + 1])))
+                assert len(ends) == 1
+                assert keys == sorted(set(keys))
+                if len(t.branch_vertices()) == 1:
+                    assert all(i < j for i, j in keys)
+
     def test_golden_backbones(self):
         # sha256 over the full view (oriented path, backbone segments,
         # pendant groups) of every quasi-caterpillar of order <= 12 and of
@@ -323,6 +386,19 @@ class TestCanonicalCode:
             assert canonical_code(relabel(t, perm)) == code
             assert canonical_code(tree_from_code(code)) == code
         assert {len(centres_by_longest_path(t)) for t in random_trees} == {1, 2}
+
+    def test_centres_match_leaf_peeling(self):
+        # the package sweeps for a longest path; the oracle peels leaves
+        rng = random.Random(37)
+        trees = [_relabelled(t, rng) for n in range(2, 13) for t in all_trees(n)]
+        trees += [path_tree(n) for n in (2, 3, 50, 101, 300)]
+        trees += [starlike((1,) * legs) for legs in (3, 49, 299)]
+        trees += [double_broom(*shape) for shape in ((1, 2, 2), (2, 3, 1), (5, 2, 7), (40, 30, 30), (99, 100, 100))]
+        trees += [random_labeled_tree(rng.randint(2, 300), rng) for _ in range(300)]
+        for t in trees:
+            for u in (t, _relabelled(t, rng)):
+                assert _centers(u) == _centres(u.adj, u.n)
+        assert _centers(Tree.from_edges([], n=1)) == [0]
 
     def test_bad_codes_rejected(self):
         for bad in ("", "(", "(()", "()()", "(x)"):
