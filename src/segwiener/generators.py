@@ -15,7 +15,9 @@ The order then fixes t = n - 1 - sum(d - 2) and the gap of degree-2
 vertices.  The published backbone-length formula disagrees with this order
 accounting by one (consistently, for every family).  The constructor trusts
 the accounting, builds an order-n tree, and records both values in the
-result metadata.
+result metadata.  `verify` sums a family tree as one more row of its (n, m)
+class and matches it by value; the tests keep the lookup of its canonical
+code among the tied trees as the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .trees import Tree, segment_sequence
+from .trees import Tree
 
 
 class UnrealizableError(ValueError):
@@ -41,10 +43,6 @@ class InvalidIndexError(ValueError):
 
 class ParityMismatchError(ValueError):
     """Segment count has the wrong parity (or is too small) for the family."""
-
-
-class InconsistentOrderError(ValueError):
-    """No caterpillar of this order realizes the family's degree pattern."""
 
 
 def normalize_segment_lengths(lengths: Iterable[int]) -> tuple[int, ...]:
@@ -108,7 +106,8 @@ def quasi_caterpillar(
     segments given as (joint index, length) pairs, joints numbered 1..k-1.
 
     Every interior joint needs at least one pendant, otherwise it would have
-    degree 2 and the adjacent backbone segments would merge.
+    degree 2 and the adjacent backbone segments would merge; with one at
+    each, the tree decomposes into exactly the requested lengths.
     """
     r = [int(x) for x in backbone_lengths]
     if not r or min(r) < 1:
@@ -125,11 +124,7 @@ def quasi_caterpillar(
     if missing:
         raise JointWithoutPendantError(f"joints {missing} have no pendant segment")
     cum = list(accumulate(r, initial=0))
-    tree = _hang(cum[-1], ((cum[i], length) for i, length in pend))
-    wanted = tuple(sorted(r + [length for _, length in pend], reverse=True))
-    if segment_sequence(tree) != wanted:
-        raise UnrealizableError("constructed tree does not re-decompose to the requested segments")
-    return tree
+    return _hang(cum[-1], ((cum[i], length) for i, length in pend))
 
 
 FAMILY_LABELS = ("i", "ii", "iii", "iv")
@@ -188,21 +183,17 @@ def _degree_runs(m: int, which: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def caterpillar_family(n: int, m: int, which: str) -> FamilyBuild:
     """Caterpillar of order n with m segments following family *which*:
     unit pendants hung so that v_1 .. v_{t-1} have the degrees
-    head + (2,)*gap + tail of the family's degree runs."""
+    head + (2,)*gap + tail of the family's degree runs.  Their B branch
+    vertices carry P unit pendants with B + 1 + P = m, so gap = n - m - 1
+    >= 0 and the tree has exactly m segments."""
     if which not in FAMILY_LABELS:
         raise ValueError(f"unknown family {which!r}; expected one of {FAMILY_LABELS}")
     if m < 1 or m == 2 or m > n - 1:
         raise UnrealizableError(f"no tree of order {n} has {m} segments")
     head, tail = _degree_runs(m, which)
     t_used = n - 1 - sum(d - 2 for d in head + tail)
-    gap = t_used - 1 - len(head) - len(tail)
     t_paper = (2 * n - m + _T_FORMULA_OFFSET[which]) // 2
-    if gap < 0:  # also covers t_used < 1
-        raise InconsistentOrderError(f"family {which} with n={n}, m={m} does not fit a backbone of {t_used} edges")
-    pattern = head + (2,) * gap + tail
+    pattern = head + (2,) * (n - m - 1) + tail
     tree = _hang(t_used, ((pos, 1) for pos, d in enumerate(pattern, 1) for _ in range(d - 2)))
-    seq = segment_sequence(tree)
-    if len(seq) != m:
-        raise InconsistentOrderError(f"family {which} construction yields {len(seq)} segments, wanted {m}")
     params = CaterpillarFamilyParams(n=n, m=m, which=which, t=t_paper, degree_pattern=pattern)
     return FamilyBuild(tree=tree, params=params, t_used=t_used, t_adjusted=t_used != t_paper)

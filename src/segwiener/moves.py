@@ -415,7 +415,9 @@ def _rank(t: Tree, k: int, sign: int, read: Read | None = None) -> tuple[int, li
     As in `neighbors`, a source or neighbour whose SW_k leaves i128 raises
     CountOverflowError.  Every SW_k is >= 0, so a neighbour leaves i128
     exactly when its delta exceeds the source's headroom, I128_MAX - SW_k,
-    and only such a delta is checked."""
+    and only such a delta is checked.  A reattach brings the moved
+    components closer to the far end's and keeps their distances to the
+    segment, so no k-set spans more: its delta is never positive."""
     skeleton = _skeleton(t, read)
     if skeleton is None:
         return 0, [], None
@@ -478,8 +480,6 @@ def _rank(t: Tree, k: int, sign: int, read: Read | None = None) -> tuple[int, li
         # from the far end the first side is n less the near end's last one
         reach, back = prefix[length + 1] - prefix[1], n - first - length + 1
         for delta, u1 in ((reach + run, 0), (reach + prefix[back] - prefix[back + length], -1)):
-            if delta > headroom:
-                checked(value + delta)
             if sign * delta >= gain:
                 tie = ((Reattach, path[u1], path[-1 - u1]), path[::-1] if u1 else path, delta)
                 if sign * delta > gain:

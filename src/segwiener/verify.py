@@ -15,17 +15,10 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import MAX_ORDER, _level_code, _parents, read_trees
-from .generators import (
-    FAMILY_LABELS,
-    ParityMismatchError,
-    InconsistentOrderError,
-    UnrealizableError,
-    _balanced_legs,
-    caterpillar_family,
-)
+from .generators import FAMILY_LABELS, ParityMismatchError, UnrealizableError, _balanced_legs, caterpillar_family
 from .moves import Switch, apply_switch
 from .steiner import _class_sums
-from .trees import Tree, _spine, canonical_code
+from .trees import Tree, _read_built, _spine
 
 CONFIRMED = "confirmed"
 CONFIRMED_WITH_NOTES = "confirmed-with-notes"
@@ -162,9 +155,12 @@ def groups_admit_valley(groups: Sequence[Sequence[int]]) -> bool:
     rise to the back: past the first step where a group's smallest value is
     below the next one's largest, every step must rise."""
     spans = [(min(g), max(g)) for g in groups if g]
-    steps = list(zip(spans, spans[1:]))
-    turn = next((i for i, ((lo, _), (_, hi)) in enumerate(steps) if lo < hi), len(steps))
-    return all(hi <= lo for (_, hi), (lo, _) in steps[turn + 1 :])
+    turned = False
+    for (lo, hi), (next_lo, next_hi) in zip(spans, spans[1:]):
+        if turned and hi > next_lo:
+            return False
+        turned = turned or lo < next_hi
+    return True
 
 
 def _structure(parent: list[int], degree: list[int]) -> tuple[StructurePredicateSet, bool]:
@@ -184,7 +180,7 @@ def _structure(parent: list[int], degree: list[int]) -> tuple[StructurePredicate
     if read is None:
         return StructurePredicateSet(False, le4, False, False, False), False
     spine, joins, legs = read
-    groups = [sorted(seg[2] for seg in at) for at in legs]
+    groups = [sorted([seg[2] for seg in at]) for at in legs]
     if not spine:  # a path is one backbone segment, a single vertex none
         lengths = [len(parent) - 1] if len(parent) > 1 else []
     elif len(spine) == 1:
@@ -195,13 +191,6 @@ def _structure(parent: list[int], degree: list[int]) -> tuple[StructurePredicate
     uni = is_unimodal(lengths)
     valley = groups_admit_valley(groups)
     return StructurePredicateSet(True, le4, d4, uni, valley), le4 and d4 and uni and valley
-
-
-def _quasi_caterpillar(parent: list[int], degree: list[int]) -> bool:
-    """Whether the tree with these preorder parents and degrees is a
-    quasi-caterpillar: its series-reduced tree is a caterpillar
-    (`trees._spine`)."""
-    return _spine(parent, range(len(parent)), degree) is not None
 
 
 def _unit_pendant_caterpillar(parent: list[int], degree: list[int]) -> bool:
@@ -233,16 +222,16 @@ class _Judge:
     """How the extremal trees of one class are judged: *outcome* reads one
     tree off its preorder parents and degrees (`enumeration._parents`;
     None: the rule reads no tree), and *rule* decides one k from the (code,
-    outcome) pairs of all its tied trees, sorted by code, and from whether
-    the construction attains the extremum.  *sides* are the edge side sizes
-    of a construction that is a member of the class (None: there is none):
-    they are one more row of the class's sums, kept out of the extremum and
-    the ties, and the construction attains the extremum exactly when its
-    value equals the column's."""
+    outcome) pairs of all its tied trees, sorted by code, and from one flag
+    per construction row: whether that construction attains the extremum.
+    *rows* are the edge side sizes of constructions that are members of
+    the class: each is one more row of the class's sums, kept out of the
+    extremum and the ties, and its construction attains the extremum
+    exactly when its value equals the column's."""
 
     outcome: Callable[[list[int], list[int]], object] | None
-    rule: Callable[[list[tuple[str, object]], bool], Ruling]
-    sides: list[int] | None = None
+    rule: Callable[[list[tuple[str, object]], tuple[bool, ...]], Ruling]
+    rows: tuple[list[int], ...] = ()
 
 
 def _check_ks(k_set: Sequence[int]) -> None:
@@ -281,7 +270,8 @@ def _verify(
     indices of the whole class at once (`steiner._class_sums`: one packed
     sum per tree over the edge side sizes the enumerator read, then one
     column of values per k), and let *judge*'s rule decide each k on all
-    the extremal trees, sorted by canonical code.  Each k's extremum and
+    the extremal trees, sorted by canonical code, and on which of the
+    judge's construction rows attain the extremum.  Each k's extremum and
     ties are read straight off its column.
 
     Within a class a tree is coded and judged (off its level sequence) at
@@ -303,15 +293,14 @@ def _verify(
         for fields, members in _classes(n, by_count):
             class_judge = judge(fields)
             outcome_of = class_judge.outcome
-            side_lists = [sides for _, sides in members]
-            if class_judge.sides is not None:
-                side_lists.append(class_judge.sides)
-            columns = _class_sums(n, side_lists, ks)
+            size = len(members)
+            columns = _class_sums(n, [sides for _, sides in members] + list(class_judge.rows), ks)
             judged: dict[int, tuple[str, object]] = {}
             rulings: dict[tuple[int, ...], tuple[tuple[str, ...], dict | None, str, str]] = {}
-            size_note = f"class size {len(members)}"
+            size_note = f"class size {size}"
             for k, column in zip(ks, columns):
-                own = None if class_judge.sides is None else column.pop()
+                own = column[size:]
+                del column[size:]
                 best = pick(column)
                 ties = tuple([j for j, v in enumerate(column) if v == best])
                 ruling = rulings.get(ties)
@@ -322,8 +311,8 @@ def _verify(
                             outcome = None if outcome_of is None else outcome_of(*_parents(level))
                             judged[j] = (_level_code(level), outcome)
                     arg = sorted((judged[j] for j in ties), key=lambda e: e[0])
-                    # the construction is a member, so this is a function of the ties
-                    outcomes, verdict, notes = class_judge.rule(arg, own == best)
+                    # the constructions are members, so this is a function of the ties
+                    outcomes, verdict, notes = class_judge.rule(arg, tuple([v == best for v in own]))
                     ruling = rulings[ties] = (
                         tuple(code for code, _ in arg), outcomes, verdict, "; ".join([size_note, *notes])
                     )
@@ -348,16 +337,20 @@ def _starlike_attains(legs: Sequence[int]) -> _Judge:
     """Judge: the starlike tree with these legs is among the extremal trees.
     Its side sizes, rooted at its centre, are 1..l along each leg l."""
     sides = [a for length in legs for a in range(1, length + 1)]
-    return _Judge(None, lambda arg, attained: (None, CONFIRMED if attained else VIOLATED, []), sides)
+    return _Judge(None, lambda arg, attained: (None, CONFIRMED if attained[0] else VIOLATED, []), (sides,))
 
 
-def _quasi_caterpillar_rule(arg: list[tuple[str, bool]], attained: bool) -> Ruling:
-    flags = [qc for _, qc in arg]
-    outcomes = {code: {"is_quasi_caterpillar": qc} for code, qc in arg}
+# a tied tree's code and `_structure`'s read of it
+Shaped = list[tuple[str, tuple[StructurePredicateSet, bool]]]
+
+
+def _quasi_caterpillar_rule(arg: Shaped, attained: tuple[bool, ...]) -> Ruling:
+    outcomes = {code: {"is_quasi_caterpillar": preds.is_quasi_caterpillar} for code, (preds, _) in arg}
+    flags = [preds.is_quasi_caterpillar for _, (preds, _) in arg]
     return outcomes, CONFIRMED if any(flags) else VIOLATED, [f"all_argmax_quasi_caterpillar={all(flags)}"]
 
 
-def _structure_rule(arg: list[tuple[str, tuple[StructurePredicateSet, bool]]], attained: bool) -> Ruling:
+def _structure_rule(arg: Shaped, attained: tuple[bool, ...]) -> Ruling:
     outcomes = {}
     ok = True
     for code, (preds, all_at_once) in arg:
@@ -369,36 +362,40 @@ def _structure_rule(arg: list[tuple[str, tuple[StructurePredicateSet, bool]]], a
     return outcomes or None, CONFIRMED if ok else VIOLATED, notes
 
 
-# the outcomes look their predicate up when called, so that a replaced
-# module attribute (a tracer, a counting test) sees every call
-_QUASI_CATERPILLAR = _Judge(lambda parent, degree: _quasi_caterpillar(parent, degree), _quasi_caterpillar_rule)
+# theorem2 and structure judge a tree by the one shape read; the outcome
+# looks it up when called, so that a replaced module attribute (a tracer, a
+# counting test) sees every call
 _STRUCTURE = _Judge(lambda parent, degree: _structure(parent, degree), _structure_rule)
 
 
 def _family_check(n: int, m: int) -> _Judge:
     """Judge: some maximizer is a unit-pendant caterpillar and, when a named
     family is defined for (n, m), one of them is among the maximizers; which
-    of them are goes to the notes."""
-    family_codes: dict[str, tuple[str, str]] = {}
+    of them are goes to the notes.  Each defined family is an order-n tree
+    with m segments, a member of the class, so it is one more row of the
+    class's sums (its side sizes off one read, `trees._read_built`) and
+    matches exactly when its value is the extremum."""
+    labels, rows = [], []
     for which in FAMILY_LABELS:
         try:
             build = caterpillar_family(n, m, which)
-        except (ParityMismatchError, InconsistentOrderError, UnrealizableError):
+        except (ParityMismatchError, UnrealizableError):
             continue
-        family_codes[which] = (canonical_code(build.tree).decode("ascii"), f"t_used={build.t_used}, t_formula={build.params.t}")
+        labels.append(f"{which} (t_used={build.t_used}, t_formula={build.params.t})")
+        rows.append(_read_built(build.tree)[1])
 
-    def rule(arg: list[tuple[str, bool]], attained: bool) -> Ruling:
+    def rule(arg: list[tuple[str, bool]], attained: tuple[bool, ...]) -> Ruling:
         outcomes = {code: {"caterpillar_unit_pendants": cat} for code, cat in arg}
         exists_cat = any(cat for _, cat in arg)
-        matches = sorted(which for which, (fcode, _) in family_codes.items() if fcode in outcomes)
+        matches = [label for label, hit in zip(labels, attained) if hit]
         if matches:
-            note = "matches family " + ", ".join(f"{w} ({family_codes[w][1]})" for w in matches)
+            note = "matches family " + ", ".join(matches)
         else:
             note = "no family construction matches the maximizer"
-        ok = exists_cat and (matches or not family_codes)
+        ok = exists_cat and (matches or not labels)
         return outcomes, CONFIRMED_WITH_NOTES if ok else VIOLATED, [note]
 
-    return _Judge(lambda parent, degree: _unit_pendant_caterpillar(parent, degree), rule)
+    return _Judge(lambda parent, degree: _unit_pendant_caterpillar(parent, degree), rule, tuple(rows))
 
 
 def verify_min_starlike(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:
@@ -412,7 +409,7 @@ def verify_max_quasi_caterpillar(max_n: int, k_set: Sequence[int]) -> list[Verif
     """For every (sequence, k): some maximizer is a quasi-caterpillar.  The
     universal variant (all maximizers) is reported as supplementary data."""
     return _verify("theorem2", max_n, k_set, by_count=False, want_max=True,
-                   judge=lambda c: _QUASI_CATERPILLAR)
+                   judge=lambda c: _Judge(_STRUCTURE.outcome, _quasi_caterpillar_rule))
 
 
 def verify_structure(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:

@@ -56,6 +56,14 @@ def test_gen_family_records_backbone_adjustment(capsys):
     assert t.n == 8 and len(segment_sequence(t)) == 5
 
 
+def test_gen_family_dot_records_backbone_adjustment(capsys):
+    code, out, _ = run(capsys, "gen", "family", "--n", "8", "--m", "5", "--which", "ii", "--format", "dot")
+    assert code == 0
+    header, rest = out.split("\n", 1)
+    assert header == "// family ii: published backbone formula gives t=6, order accounting gives t=5"
+    assert rest.startswith("graph tree {")
+
+
 def test_gen_unrealizable_is_usage_error(capsys):
     code, _, err = run(capsys, "gen", "starlike", "--segments", "2,2")
     assert code == 2 and "error" in err
@@ -186,6 +194,26 @@ def test_verify_k_below_one_is_usage_error(capsys, argv, bad):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert f"k={bad} is below 1" in err
+
+
+def test_verify_k_list_not_integers_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "theorem1", "--k", "2,x"])
+    assert exc.value.code == 2
+    assert "expected a comma-separated integer list, got '2,x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", "0"], "need at least one sample"),
+        (["--samples", "5", "--k", "99"], "no k in [99] fits any sampled tree"),
+    ],
+)
+def test_verify_lemma31_that_checks_nothing_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "lemma31", *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_verify_above_enumeration_cap_is_usage_error(capsys):

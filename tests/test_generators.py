@@ -158,11 +158,12 @@ class TestCaterpillarFamily:
             caterpillar_family(6, 2, "ii")
 
     def test_family_invariants_exhaustive(self):
-        # every feasible (n, m, which) with n <= 12 builds an order-n
-        # m-segment caterpillar: unit pendants, max degree 4, degree-4 only
-        # next to the backbone ends
+        # every feasible (n, m, which) with n <= 16, the verifier's whole
+        # range, builds an order-n m-segment caterpillar: unit pendants, max
+        # degree 4, degree-4 only next to the backbone ends; so each family
+        # is a member of its (n, m) class
         built = 0
-        for n in range(2, 13):
+        for n in range(2, 17):
             for m in range(1, n):
                 if m == 2:
                     continue

@@ -188,6 +188,12 @@ class TestSlide:
         with pytest.raises(InvalidDescriptorError):
             slide_move(t, path(t, 0, 4))
 
+    def test_slide_rejects_short_and_revisiting_paths(self):
+        with pytest.raises(InvalidDescriptorError, match="needs interior vertices"):
+            slide_move(path_tree(2), (0, 1))
+        with pytest.raises(InvalidDescriptorError, match="revisits a vertex"):
+            slide_move(path_tree(3), (0, 1, 0))
+
     def test_slide_rejects_mismatched_endpoints(self):
         t = quasi_caterpillar((1, 3), [(1, 2)])
         move = slide_move(t, path(t, 0, 4))
@@ -207,6 +213,22 @@ class TestReattach:
                 for k in (2, 3, 4):
                     out = apply_reattach(tree, Reattach(u1=u1, u2=u2, moved=moved), k)
                     assert out.delta < 0
+
+    def test_never_raises_the_index(self):
+        # a reattach brings the moved components closer to the far end's
+        # components by the segment's length and leaves their distances to
+        # the segment as they were, so no k-set spans more: every reattach
+        # on every tree of order <= 10, at every k, recomputed, lowers SW_k
+        # or keeps it, and so no reattach leaves i128 where its source fits
+        reattaches = 0
+        for n in range(4, 11):
+            for t in all_trees(n):
+                for k in range(1, n + 1):
+                    for out in neighbors(t, k):
+                        if isinstance(out.move, Reattach):
+                            reattaches += 1
+                            assert out.delta <= 0, (t, out.move, k)
+        assert reattaches > 1000
 
     def test_fig1_bottom_collapse(self, fig1_bottom):
         move = moves_of_kind(fig1_bottom, Reattach)[0]
@@ -447,6 +469,26 @@ class TestNeighbors:
         _, message = run(lambda: list(ranked(t, 40)))
         assert message is not None and not message.startswith("C(")
         assert message == run(lambda: neighbors(t, 40))[1]
+
+    def test_a_switch_overflows_first(self):
+        # SW_40 of this quasi-caterpillar of order 146 fits, and the first
+        # move in `_rank` order whose result leaves i128 is a switch (some
+        # later slides leave it too): the ranking raises at that switch, with
+        # the message of building it, and so does `neighbors`
+        t = quasi_caterpillar((5, 1, 121, 5), [(1, 6), (2, 6), (3, 1)])
+        assert t.n == 146 and sw_k(t, 40) > 0
+        expected = None
+        for move in moves_of_kind(t, Switch):
+            try:
+                apply_switch(t, move, 40)
+            except CountOverflowError as error:
+                expected = str(error)
+                break
+        assert expected is not None and not expected.startswith("C(")
+        for route in (lambda: list(ranked(t, 40)), lambda: neighbors(t, 40)):
+            with pytest.raises(CountOverflowError) as raised:
+                route()
+            assert str(raised.value) == expected
 
     def test_rewire_refuses_non_trees(self):
         t = path_tree(5)  # 0-1-2-3-4

@@ -69,15 +69,25 @@ class TestConstruction:
         with pytest.raises(InvalidTreeError):
             Tree.from_edges([(0, 1)], n=3)
 
+    # each refusal below gets n - 1 edges, so the edge count check passes
+    # and the refusal named by its message is the one that runs
+
     def test_rejects_cycle(self):
-        with pytest.raises(InvalidTreeError):
-            Tree.from_edges([(0, 1), (1, 2), (2, 0)], n=3)
+        # n - 1 edges with a cycle leave a vertex unreached
+        with pytest.raises(InvalidTreeError, match="not connected"):
+            Tree.from_edges([(1, 2), (2, 3), (3, 1)], n=4)
 
     def test_rejects_self_loop_and_duplicates(self):
-        with pytest.raises(InvalidTreeError):
+        with pytest.raises(InvalidTreeError, match="self-loop at vertex 0"):
             Tree.from_edges([(0, 0)], n=2)
-        with pytest.raises(InvalidTreeError):
-            Tree.from_edges([(0, 1), (1, 0), (1, 2)], n=3)
+        with pytest.raises(InvalidTreeError, match=re.escape("duplicate edge (1, 0)")):
+            Tree.from_edges([(0, 1), (1, 0)], n=3)
+
+    def test_rejects_out_of_range_ids_and_empty_order(self):
+        with pytest.raises(InvalidTreeError, match=re.escape("vertex id out of range in edge (0, 5)")):
+            Tree.from_edges([(0, 5)], n=2)
+        with pytest.raises(InvalidTreeError, match="at least one vertex"):
+            Tree.from_edges([], n=0)
 
     def test_rejects_non_integer_ids(self):
         # a float is not truncated and a string is not parsed into an id
@@ -92,8 +102,8 @@ class TestConstruction:
                 Tree.from_edges(edges, n=3)
 
     def test_rejects_disconnected(self):
-        with pytest.raises(InvalidTreeError):
-            Tree.from_edges([(0, 1), (2, 3), (3, 4), (4, 2)][:2], n=4)
+        with pytest.raises(InvalidTreeError, match="not connected"):
+            Tree.from_edges([(0, 1), (2, 3), (3, 4), (4, 2)], n=5)
 
     def test_adjacency_is_sorted_and_symmetric(self):
         t = Tree.from_edges([(2, 0), (1, 2), (2, 3)])
@@ -404,3 +414,6 @@ class TestCanonicalCode:
         for bad in ("", "(", "(()", "()()", "(x)"):
             with pytest.raises(ValueError):
                 tree_from_code(bad)
+        # a close with no open parenthesis left is refused where it stands
+        with pytest.raises(ValueError, match="unbalanced code"):
+            tree_from_code("())(")

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,20 @@ from segwiener import trees as trees_module
 from segwiener import verify as verify_module
 from segwiener import generators as generators_module
 from segwiener.enumeration import _level_sequences, _parents, _tree_from_levels, all_trees, count_trees
-from segwiener.generators import balanced_starlike, caterpillar_family, quasi_caterpillar, starlike
+from segwiener.generators import (
+    FAMILY_LABELS,
+    ParityMismatchError,
+    UnrealizableError,
+    balanced_starlike,
+    caterpillar_family,
+    quasi_caterpillar,
+    starlike,
+)
 from segwiener.moves import apply_switch
 from segwiener.steiner import sw_k
 from segwiener.trees import (
     Tree,
+    _read_built,
     all_backbones,
     canonical_code,
     is_quasi_caterpillar,
@@ -29,7 +39,6 @@ from segwiener.verify import (
     VIOLATED,
     VerificationReport,
     _family_check,
-    _quasi_caterpillar,
     _structure,
     _unit_pendant_caterpillar,
     groups_admit_valley,
@@ -224,7 +233,7 @@ class TestLevelJudges:
     @staticmethod
     def assert_judged_alike(t: Tree, parent: list[int], degree: list[int]) -> None:
         assert _structure(parent, degree) == structure_assessment(t), t
-        assert _quasi_caterpillar(parent, degree) == is_quasi_caterpillar(t), t
+        assert _structure(parent, degree)[0].is_quasi_caterpillar == is_quasi_caterpillar(t), t
         assert _unit_pendant_caterpillar(parent, degree) == is_unit_pendant_caterpillar(t), t
 
     def test_every_tree_up_to_order_16(self):
@@ -249,13 +258,52 @@ class TestLevelJudges:
         for t in trees:
             parent, degree = _preorder(t, rng)
             self.assert_judged_alike(t, parent, degree)
-            judged.add((_quasi_caterpillar(parent, degree), _structure(parent, degree)[1]))
+            preds, all_at_once = _structure(parent, degree)
+            judged.add((preds.is_quasi_caterpillar, all_at_once))
         assert judged == {(False, False), (True, False), (True, True)}
 
 
+def _defined_families(n: int, m: int) -> list[tuple[str, Tree]]:
+    """The families i..iv defined for (n, m), each with its built tree."""
+    families = []
+    for which in FAMILY_LABELS:
+        try:
+            families.append((which, caterpillar_family(n, m, which).tree))
+        except (ParityMismatchError, UnrealizableError):
+            continue
+    return families
+
+
+def _recorded_rows(monkeypatch, verifier, max_n: int) -> list[tuple[dict, list[VerificationReport], dict]]:
+    """Each class of *verifier*'s run up to *max_n* at every k: its fields,
+    its reports and, per k, the values of the rows summed after its
+    members."""
+    recorded = []
+
+    def recording(n, side_lists, ks, _fn=verify_module._class_sums):
+        columns = _fn(n, side_lists, ks)
+        recorded.append({k: list(column) for k, column in zip(ks, columns)})
+        return columns
+
+    monkeypatch.setattr(verify_module, "_class_sums", recording)
+    reports = verifier(max_n, range(1, max_n + 1))
+    by_class: dict[str, list[VerificationReport]] = {}
+    for r in reports:
+        by_class.setdefault(json.dumps({key: value for key, value in r.instance.items() if key != "k"}), []).append(r)
+    assert len(recorded) == len(by_class)
+    classes = []
+    for columns, class_reports in zip(recorded, by_class.values()):
+        fields = {key: value for key, value in class_reports[0].instance.items() if key != "k"}
+        size = int(class_reports[0].notes.split(";")[0].removeprefix("class size "))
+        classes.append((fields, class_reports, {k: column[size:] for k, column in columns.items()}))
+    return classes
+
+
 class TestStarlikeRow:
-    """theorem1 and theorem5min sum the starlike construction as one more
-    row of its class, and rule off its value."""
+    """theorem1 and theorem5min sum the starlike construction, and
+    theorem5max each family defined for (n, m), as rows of the class, and
+    rule off their values; the lookup of their codes among the tied trees
+    is the oracle."""
 
     @pytest.mark.parametrize(
         "verifier, construction",
@@ -269,25 +317,27 @@ class TestStarlikeRow:
         # every class of order <= 12 at every k: the extra row is the
         # construction's SW_k, and the verdict is the one its canonical
         # code among the extremal trees' codes gives
-        rows = []
-
-        def recording(n, side_lists, ks, _fn=verify_module._class_sums):
-            columns = _fn(n, side_lists, ks)
-            rows.append(dict(zip(ks, (column[-1] for column in columns))))
-            return columns
-
-        monkeypatch.setattr(verify_module, "_class_sums", recording)
-        reports = verifier(12, range(1, 13))
-        by_class: dict[str, list[VerificationReport]] = {}
-        for r in reports:
-            by_class.setdefault(json.dumps({key: value for key, value in r.instance.items() if key != "k"}), []).append(r)
-        assert len(rows) == len(by_class)
-        for row, class_reports in zip(rows, by_class.values()):
-            fields = {key: value for key, value in class_reports[0].instance.items() if key != "k"}
+        for fields, class_reports, rows in _recorded_rows(monkeypatch, verifier, 12):
             tree = construction(fields)
-            assert row == {k: sw_k(tree, k) for k in range(1, tree.n + 1)}, fields
+            assert rows == {k: [sw_k(tree, k)] for k in range(1, tree.n + 1)}, fields
             for r in class_reports:
                 assert r.verdict == attains_by_code(tree, r.arg_trees), r.instance
+
+    def test_family_rows_and_matches_follow_the_built_families(self, monkeypatch):
+        # theorem5max, every class of order <= 12 at every k: the extra
+        # rows are the SW_k of the families defined for (n, m), in label
+        # order, and the notes name exactly the families whose canonical
+        # code is among the extremal trees' codes
+        matched = set()
+        for fields, class_reports, rows in _recorded_rows(monkeypatch, verify_max_caterpillar_family, 12):
+            families = _defined_families(fields["n"], fields["m"])
+            assert rows == {k: [sw_k(t, k) for _, t in families] for k in range(1, fields["n"] + 1)}, fields
+            for r in class_reports:
+                named = re.findall(r"([iv]+) \(t_used=", r.notes)
+                by_code = [which for which, t in families if attains_by_code(t, r.arg_trees) == CONFIRMED]
+                assert named == by_code, r.instance
+                matched.update(named)
+        assert matched == set(FAMILY_LABELS)
 
 
 class TestClassOrder:
@@ -404,25 +454,29 @@ class TestTheorem5:
             assert canonical_code(fam.tree).decode() in r.arg_trees
 
     def test_max_family_missing_from_argmax_is_violated(self):
-        def ruling(check, *trees):
+        def ruling(check, attained, *trees):
             judged = [(canonical_code(t).decode(), check.outcome(*_parents(rooted_level_sequence(t, 0)))) for t in trees]
-            return check.rule(judged, False)
+            return check.rule(judged, attained)
 
-        # (8, 5) defines family ii only; another unit-pendant caterpillar
-        # with 5 segments does not confirm it
+        # (8, 5) defines family ii only, one row; another unit-pendant
+        # caterpillar with 5 segments does not confirm it
         family_ii = caterpillar_family(8, 5, "ii").tree
         other = quasi_caterpillar((1, 1, 3), [(1, 1), (2, 1)])
         assert is_unit_pendant_caterpillar(other)
         assert canonical_code(other) != canonical_code(family_ii)
         check = _family_check(8, 5)
-        assert ruling(check, other)[1] == VIOLATED
-        assert ruling(check, other, family_ii)[1] == CONFIRMED_WITH_NOTES
+        assert check.rows == (_read_built(family_ii)[1],)
+        assert ruling(check, (False,), other)[1] == VIOLATED
+        _, verdict, notes = ruling(check, (True,), other, family_ii)
+        assert verdict == CONFIRMED_WITH_NOTES
+        assert notes == ["matches family ii (t_used=5, t_formula=6)"]
         # (8, 4) defines no family, so a unit-pendant caterpillar is enough
         four = quasi_caterpillar((1, 4), [(1, 1), (1, 1)])
-        _, verdict, notes = ruling(_family_check(8, 4), four)
+        assert _family_check(8, 4).rows == ()
+        _, verdict, notes = ruling(_family_check(8, 4), (), four)
         assert verdict == CONFIRMED_WITH_NOTES
         assert notes == ["no family construction matches the maximizer"]
-        assert ruling(_family_check(8, 4), quasi_caterpillar((2, 2), [(1, 3)]))[1] == VIOLATED
+        assert ruling(_family_check(8, 4), (), quasi_caterpillar((2, 2), [(1, 3)]))[1] == VIOLATED
 
 
 class TestLemma31:
@@ -528,7 +582,7 @@ class TestReports:
         "verifier, judgements",
         [
             (verify_min_starlike, ()),
-            (verify_max_quasi_caterpillar, ("_quasi_caterpillar",)),
+            (verify_max_quasi_caterpillar, ("_structure",)),
             (verify_structure, ("_structure",)),
             (verify_min_balanced, ()),
             (verify_max_caterpillar_family, ("_unit_pendant_caterpillar",)),
@@ -537,17 +591,18 @@ class TestReports:
     )
     def test_each_tree_coded_and_judged_once_per_class(self, monkeypatch, verifier, judgements):
         # the calls made from the verifier: a tree is coded at most once per
-        # class, and so is every judgement on it; each family built adds
-        # one code (a family undefined for (n, m) raises, uncounted)
-        counted = ("_level_code", "canonical_code", "_quasi_caterpillar", "_structure", "_unit_pendant_caterpillar")
-        calls = dict.fromkeys(counted, 0)
-        for name in counted:
-            def counting(*args, _name=name, _fn=getattr(verify_module, name)):
+        # class, and so is every judgement on it; no construction is coded,
+        # since each is judged by its row's value
+        counted = ("_level_code", "_structure", "_unit_pendant_caterpillar")
+        calls = dict.fromkeys(counted + ("canonical_code",), 0)
+        for module, name in [(verify_module, name) for name in counted] + [(trees_module, "canonical_code")]:
+            def counting(*args, _name=name, _fn=getattr(module, name)):
                 result = _fn(*args)
                 calls[_name] += 1
                 return result
 
-            monkeypatch.setattr(verify_module, name, counting)
+            monkeypatch.setattr(module, name, counting)
+        assert not hasattr(verify_module, "canonical_code")
         reports = verifier(10, range(1, 11))
         arg_codes: dict[str, set[str]] = {}
         for r in reports:
@@ -555,23 +610,30 @@ class TestReports:
             arg_codes.setdefault(instance, set()).update(r.arg_trees)
         distinct = sum(len(codes) for codes in arg_codes.values())
         assert calls["_level_code"] == distinct
-        assert calls["canonical_code"] <= 4 * len(arg_codes)
+        assert calls["canonical_code"] == 0
         for name in judgements:
             assert calls[name] == distinct, name
-        for name in set(counted[2:]) - set(judgements):
+        for name in set(counted[1:]) - set(judgements):
             assert calls[name] == 0, name
 
     @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
     def test_sums_each_class_once(self, monkeypatch, verifier):
         # the requested indices of a class come from one call over the side
-        # sizes of all its trees (plus, for theorem1 and theorem5min, one
-        # row for the starlike construction), and no tree is summed on its own
+        # sizes of all its trees (plus one row for the starlike construction
+        # of theorem1 and theorem5min, and one for each family theorem5max
+        # defines for (n, m)), and no tree is summed on its own
         classes: list[tuple[int, int]] = []
         per_tree: list[int] = []
-        extra_rows = 1 if verifier in (verify_min_starlike, verify_min_balanced) else 0
+
+        def extra_rows(fields):
+            if verifier in (verify_min_starlike, verify_min_balanced):
+                return 1
+            if verifier is verify_max_caterpillar_family:
+                return len(_defined_families(fields["n"], fields["m"]))
+            return 0
 
         def counting(n, side_lists, ks, _fn=verify_module._class_sums):
-            classes.append((n, len(side_lists) - extra_rows))
+            classes.append((n, len(side_lists)))
             return _fn(n, side_lists, ks)
 
         def summing_one_tree(n, sides, ks, _fn=steiner_module._index_sums):
@@ -585,9 +647,10 @@ class TestReports:
         sizes = {}
         for r in reports:
             instance = json.dumps({key: value for key, value in r.instance.items() if key != "k"})
-            sizes[instance] = (r.instance["n"], int(r.notes.split(";")[0].removeprefix("class size ")))
-        assert sorted(classes) == sorted(sizes.values())
-        assert sum(size for _, size in classes) == sum(count_trees(n) for n in range(2, 11))
+            size = int(r.notes.split(";")[0].removeprefix("class size "))
+            sizes[instance] = (r.instance["n"], size, extra_rows(r.instance))
+        assert sorted(classes) == sorted((n, size + extra) for n, size, extra in sizes.values())
+        assert sum(size for _, size, _ in sizes.values()) == sum(count_trees(n) for n in range(2, 11))
         assert per_tree == []
 
     def test_structure_reads_each_judged_tree_once(self, monkeypatch):
@@ -614,8 +677,8 @@ class TestReports:
         # no tree is built from its level sequence: every judge reads the
         # tied trees off their parents and degrees, and the starlike
         # constructions are one more row of their class's sums; the only
-        # Trees constructed at all are the families theorem5max matches its
-        # maximizers against, at most four per (n, m), each one Tree
+        # Trees constructed at all are the families theorem5max sums as
+        # rows of their class, at most four per (n, m), each one Tree
         built = [0]
         families = [0]
         init = trees_module.Tree.__init__
