@@ -87,7 +87,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(enumeration.count_trees(args.n, args.segments, args.num_segments))
         return 0
-    sys.stdout.write(enumeration._listing(enumeration._levels(args.n, args.segments, args.num_segments)))
+    sys.stdout.write(enumeration._listing(enumeration._listed(args.n, args.segments, args.num_segments)))
     return 0
 
 

@@ -6,15 +6,21 @@ which walks centre-rooted level sequences with the rooted-tree successor of
 Beyer & Hedetniemi (1980, "Constant time generation of rooted trees", SIAM
 J. Comput. 9).  It emits each isomorphism class exactly once, in a
 deterministic order (that of networkx's ``nonisomorphic_trees``, with
-vertices labelled by preorder index).
+vertices labelled by preorder index).  One centre rule, `_centres`, judges
+each candidate once; its answer also says whether the kept tree has one
+centre or two, so the stream (`_stream`) yields each sequence with the
+index of the root's second child and its number of centres, the facts the
+coder roots it by.
 
 A tree is read, coded and filtered straight off its level sequence, and a
 ``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
 gives the level sequences (every tree of an order, one segment sequence or
-one segment count), in stream order, to the ``Tree`` streams and to the
-listing ``segwiener enumerate`` prints.  A segment class or count is not
-filtered out of its order but placed on its skeletons, the trees with one
-edge per segment and no vertex of degree 2, built directly (`_skeletons`):
+one segment count), in stream order, to the ``Tree`` streams and, with
+those two facts (`_listed`: the stream's own for an order, the centre
+rule's, `_facts`, for a class), to the listing ``segwiener enumerate``
+prints.  A segment class or count is not filtered out of its order but
+placed on its skeletons, the trees with one edge per segment and no
+vertex of degree 2, built directly (`_skeletons`):
 the segment lengths, or each partition of n - 1 into that many parts
 (`_partitions`), go on their edges once per orbit of the skeleton's
 automorphisms, and `_segment_class` re-roots each member at its centre and
@@ -26,15 +32,17 @@ shape), and a whole order by Otter's formula (`_otter_count`).  One pass,
 reader (``trees._read``) and `_tree_from_levels` share.  Every sequence
 emitted is canonical, so a listing is coded in one pass (`_listing`), with
 no sorting: each tree rooted at the centre its code is rooted at, on its
-level bytes (`_rooting`), then the parentheses of many trees from one
-integer difference (`_parens`).
+level bytes (`_rooting`: a unicentral tree's own sequence, and only for a
+bicentral tree the rooting at vertex 1 too, off the second-child index),
+then the parentheses of many trees from one integer difference
+(`_parens`).
 The Prüfer-plus-canonical-dedup oracle, the stream filters the skeletons
 and counts are checked against, and the Cayley check are in the tests.
 """
 
 from __future__ import annotations
 
-from itertools import groupby, islice
+from itertools import groupby, islice, starmap
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -44,21 +52,53 @@ from .trees import Tree, _read
 MAX_ORDER = 16
 
 
-def _level_sequences(n: int) -> Iterator[list[int]]:
+def _stream(n: int) -> Iterator[tuple[list[int], int, int]]:
     """The canonical centre-rooted preorder level sequence of every free
-    tree of order *n*, in strictly decreasing lexicographic order.  Every
-    step rewrites the one list it yields: copy it to keep it."""
+    tree of order *n*, in strictly decreasing lexicographic order, with the
+    index of the root's second child (n if it has only one) and the number
+    of centres, as the centre rule (`_centres`) found them.  Every step
+    rewrites the one list it yields: copy it to keep it.
+
+    Each candidate, a canonical rooted sequence, is judged once by the
+    centre rule.  A kept one is yielded and followed by the next rooted
+    sequence (Beyer–Hedetniemi: repeat the subtree above the last vertex
+    deeper than level 1); a rejected one jumps past the rooted sequences
+    whose first subtree is too high, by repeating the subtree above that
+    subtree's last vertex and, if that vertex was deeper than level 2,
+    ending on a path from the root as deep as the new first subtree
+    (WROM)."""
     _check_order(n)
-    if n == 1:
-        yield [0]
-        return
     # the first candidate is the path, rooted at its centre
     level = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
-        _next_free(level)
+        m = _first_subtree_end(level)
+        centres = _centres(level, m)
+        if centres:
+            yield level, m, centres
+            p = n - 1
+            while level[p] == 1:
+                p -= 1
+            if not p:
+                return
+            deep = False
+        else:
+            p = m - 1
+            deep = level[p] > 2
+        q = p - 1
+        while level[q] != level[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            level[i] = level[i - p + q]
+        if deep:
+            height = max(level)  # every copy is below level 1: the first subtree runs to the end
+            level[n - height :] = range(1, height + 1)
+
+
+def _level_sequences(n: int) -> Iterator[list[int]]:
+    """The level sequences of `_stream(n)`, without the facts it hands the
+    coder, rewritten in place as there."""
+    for level, _, _ in _stream(n):
         yield level
-        if not _next_rooted(level):
-            return
 
 
 def _check_order(n: int) -> None:
@@ -80,7 +120,7 @@ def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]
     building it: (segment sequence, edge side sizes, level sequence).  The
     level sequence is rewritten by the next step; keep a copy to build the
     tree from with `_tree_from_levels`."""
-    for level in _level_sequences(n):
+    for level, _, _ in _stream(n):
         sides, segments = _read_levels(level)
         yield segments, sides, level
 
@@ -111,28 +151,45 @@ def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
     return _read(parent, range(len(level)), degree)
 
 
-def _listing(levels: Iterable[Sequence[int]]) -> str:
-    """The canonical codes of the trees of the stream sequences *levels*, a
-    line each, all made before any is returned; `_parens` writes 2048 at a time."""
-    rooted = map(_rooting, levels)
+def _listing(rooted: Iterable[tuple[Sequence[int], int, int]]) -> str:
+    """The canonical codes of the trees of stream sequences, each given with
+    its second-child index and number of centres as `_stream` yields them
+    (`_facts` finds them for a sequence from elsewhere), a line each, all
+    made before any is returned; `_parens` writes 2048 at a time."""
+    rooted = starmap(_rooting, rooted)
     return "".join(map(_parens, iter(lambda: b"".join(islice(rooted, 2048)), b"")))
+
+
+def _listed(
+    n: int, segments: Iterable[int] | None = None, num_segments: int | None = None
+) -> Iterator[tuple[Sequence[int], int, int]]:
+    """The sequences of `_levels`, with the facts `_listing` takes: the
+    stream's own for a whole order, the centre rule's for a class."""
+    if segments is None and num_segments is None:
+        return _stream(n)
+    return map(_facts, _levels(n, segments, num_segments))
 
 
 def _level_code(level: Sequence[int]) -> str:
     """`_listing` of one stream sequence, without its line end."""
-    return _parens(_rooting(level))[:-1]
+    return _parens(_rooting(*_facts(level)))[:-1]
 
 
-def _rooting(level: Sequence[int]) -> bytes:
-    """The canonical sequence of the tree of a stream sequence rooted where
-    its code is.  A tree of two or more vertices is bicentral, vertex 1 the
-    other centre, exactly when no vertex after the root's first subtree is
-    as deep as the deepest (the first path runs to one); then of the two
-    sequences, rooted at the centres, the larger writes the smaller code."""
-    level = bytes(level)
+def _facts(level: Sequence[int]) -> tuple[Sequence[int], int, int]:
+    """A stream sequence with the index of the root's second child and its
+    number of centres, as `_stream` yields it."""
     m = _first_subtree_end(level)
-    height = max(level)
-    if not height or level.find(height, m) >= 0:
+    return level, m, _centres(level, m)
+
+
+def _rooting(level: Sequence[int], m: int, centres: int) -> bytes:
+    """The canonical sequence, as bytes, of the tree of a stream sequence
+    rooted where its code is, given the root's second child at index *m*
+    and the number of *centres*.  A unicentral tree's is its own; a
+    bicentral tree's other centre is vertex 1, and of the two sequences,
+    rooted at the centres, the larger writes the smaller code."""
+    level = bytes(level)
+    if centres == 1:
         return level
     kids = [*level[2:m].translate(_UP).split(b"\1")[1:], level[m:].translate(_DOWN)]  # each less its first 1
     return max(level, b"\0\1" + b"\1".join(sorted(kids, reverse=True)))
@@ -168,25 +225,6 @@ def _tree_from_levels(level: list[int]) -> Tree:
     return Tree(len(level), tuple(map(tuple, adj)))
 
 
-def _next_rooted(level: list[int], p: int | None = None) -> bool:
-    """Beyer–Hedetniemi step in place: the next rooted level sequence, found
-    by repeating the subtree above position *p* (default: the last vertex
-    deeper than level 1).  False when *level* was the last one."""
-    n = len(level)
-    if p is None:
-        p = n - 1
-        while level[p] == 1:
-            p -= 1
-        if p == 0:
-            return False
-    q = p - 1
-    while level[q] != level[p] - 1:
-        q -= 1
-    for i in range(p, n):
-        level[i] = level[i - p + q]
-    return True
-
-
 def _first_subtree_end(level: Sequence[int]) -> int:
     """Index of the root's second child (n if it has only one)."""
     try:
@@ -195,35 +233,21 @@ def _first_subtree_end(level: Sequence[int]) -> int:
         return len(level)
 
 
-def _is_centred(level: Sequence[int], m: int) -> bool:
-    """Whether a canonical rooted level sequence, the root's second child at
-    index *m*, is the stream's sequence of its tree: the root's first
-    subtree is no higher than the rest (root included); at equal height
-    (the tree is bicentral, vertex 1 the other centre) no larger; at equal
-    size not lexicographically later."""
-    left_height = max(level[1:m]) - 1
-    rest_height = max(level[m:], default=0)
-    if left_height != rest_height:
-        return left_height < rest_height
-    if 2 * m != len(level) + 2:
-        return 2 * m < len(level) + 2
-    return [x - 1 for x in level[1:m]] <= [0, *level[m:]]
-
-
-def _next_free(level: list[int]) -> None:
-    """WROM step in place: keep *level* if it is the canonical centre-rooted
-    sequence of a free tree (`_is_centred`), else jump to the next
-    candidate."""
+def _centres(level: Sequence[int], m: int) -> int:
+    """The centre rule: the number of centres of the tree of a canonical
+    rooted level sequence, the root's second child at index *m*, if it is
+    the stream's sequence of its tree, else 0.  It is when the root's first
+    subtree, the highest of its children, is no higher than the rest (root
+    included); at equal height (the tree is bicentral, vertex 1 the other
+    centre) no larger; at equal size not lexicographically later."""
     n = len(level)
-    m = _first_subtree_end(level)
-    if _is_centred(level, m):
-        return
-    p = m - 1
-    deep = level[p] > 2
-    _next_rooted(level, p)
-    if deep:
-        height = max(level[1 : _first_subtree_end(level)])
-        level[n - height :] = range(1, height + 1)
+    left_height = max(level) - 1
+    rest_height = max(level[m:]) if m < n else 0
+    if left_height != rest_height:
+        return 1 if left_height < rest_height else 0
+    if 2 * m != n + 2:
+        return 2 if 2 * m < n + 2 else 0
+    return 2 if [x - 1 for x in level[1:m]] <= [0, *level[m:]] else 0
 
 
 def trees_with_segment_sequence(lengths: Iterable[int]) -> Iterator[Tree]:
@@ -364,7 +388,7 @@ def _skeletons(order: int) -> list[list[int]]:
     unicentral skeleton is one of *order* vertices whose root has none or at
     least three children, the two highest of equal height.  A bicentral
     one joins two of equal height, vertex 1's and the root's, by the
-    central edge; as `_is_centred` orders them, vertex 1's half is the
+    central edge; as `_centres` orders them, vertex 1's half is the
     smaller, or at equal size not lexicographically later."""
     if order == 1:
         return [[0]]
@@ -397,7 +421,7 @@ def _skeletons(order: int) -> list[list[int]]:
             for far, other in pool[below[order - small - 1] : below[order - small]]:
                 if other == height:
                     join = b"\0" + near.translate(_DOWN) + far[1:]
-                    if _is_centred(join, small + 1):
+                    if _centres(join, small + 1):
                         found.append(join)
     found.sort(reverse=True)
     return [list(level) for level in found]
@@ -559,7 +583,7 @@ def _recentre(level: bytes) -> bytes:
     first path, at depth c = height - (diameter + 1) // 2, and at c + 1 too
     when the diameter is odd.  Walking down to c, the part above each path
     vertex becomes one more of its children, put in order; of two centres
-    the root is the one `_is_centred` accepts."""
+    the root is the one `_centres` accepts."""
     n = len(level)
     height = max(level)
     # end[j]: where the subtree of the path vertex at depth j ends
@@ -585,5 +609,5 @@ def _recentre(level: bytes) -> bytes:
         return up
     half = level[c + 1 : end[c + 1]].translate(_SHIFT[-c - 1])
     rooted = b"\0" + half.translate(_DOWN) + up[1:]
-    return rooted if _is_centred(rooted, len(half) + 1) else b"\0" + up.translate(_DOWN) + half[1:]
+    return rooted if _centres(rooted, len(half) + 1) else b"\0" + up.translate(_DOWN) + half[1:]
 

@@ -340,14 +340,14 @@ def _starlike_attains(legs: Sequence[int]) -> _Judge:
     return _Judge(None, lambda arg, attained: (None, CONFIRMED if attained[0] else VIOLATED, []), (sides,))
 
 
+def _quasi_caterpillar_rule(arg: list[tuple[str, bool]], attained: tuple[bool, ...]) -> Ruling:
+    outcomes = {code: {"is_quasi_caterpillar": flag} for code, flag in arg}
+    flags = [flag for _, flag in arg]
+    return outcomes, CONFIRMED if any(flags) else VIOLATED, [f"all_argmax_quasi_caterpillar={all(flags)}"]
+
+
 # a tied tree's code and `_structure`'s read of it
 Shaped = list[tuple[str, tuple[StructurePredicateSet, bool]]]
-
-
-def _quasi_caterpillar_rule(arg: Shaped, attained: tuple[bool, ...]) -> Ruling:
-    outcomes = {code: {"is_quasi_caterpillar": preds.is_quasi_caterpillar} for code, (preds, _) in arg}
-    flags = [preds.is_quasi_caterpillar for _, (preds, _) in arg]
-    return outcomes, CONFIRMED if any(flags) else VIOLATED, [f"all_argmax_quasi_caterpillar={all(flags)}"]
 
 
 def _structure_rule(arg: Shaped, attained: tuple[bool, ...]) -> Ruling:
@@ -362,9 +362,13 @@ def _structure_rule(arg: Shaped, attained: tuple[bool, ...]) -> Ruling:
     return outcomes or None, CONFIRMED if ok else VIOLATED, notes
 
 
-# theorem2 and structure judge a tree by the one shape read; the outcome
-# looks it up when called, so that a replaced module attribute (a tracer, a
-# counting test) sees every call
+# theorem2 judges a tree by the spine read alone (a quasi-caterpillar is a
+# tree it reads a spine off), structure by the full shape read; each outcome
+# looks its function up when called, so that a replaced module attribute (a
+# tracer, a counting test) sees every call
+_QUASI_CATERPILLAR = _Judge(
+    lambda parent, degree: _spine(parent, range(len(parent)), degree) is not None, _quasi_caterpillar_rule
+)
 _STRUCTURE = _Judge(lambda parent, degree: _structure(parent, degree), _structure_rule)
 
 
@@ -409,7 +413,7 @@ def verify_max_quasi_caterpillar(max_n: int, k_set: Sequence[int]) -> list[Verif
     """For every (sequence, k): some maximizer is a quasi-caterpillar.  The
     universal variant (all maximizers) is reported as supplementary data."""
     return _verify("theorem2", max_n, k_set, by_count=False, want_max=True,
-                   judge=lambda c: _Judge(_STRUCTURE.outcome, _quasi_caterpillar_rule))
+                   judge=lambda c: _QUASI_CATERPILLAR)
 
 
 def verify_structure(max_n: int, k_set: Sequence[int]) -> list[VerificationReport]:

@@ -107,14 +107,14 @@ def level_reads(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def stream_starts(monkeypatch) -> Counter:
-    """Counts the level streams started (`enumeration._level_sequences`
-    calls), per order."""
+    """Counts the level streams started (`enumeration._stream` calls, which
+    every route to the stream makes), per order."""
     starts: Counter = Counter()
-    stream = enumeration._level_sequences
+    stream = enumeration._stream
 
     def counting(n):
         starts[n] += 1
         return stream(n)
 
-    monkeypatch.setattr(enumeration, "_level_sequences", counting)
+    monkeypatch.setattr(enumeration, "_stream", counting)
     return starts

@@ -15,6 +15,7 @@ from segwiener import enumeration
 from segwiener.cli import main
 from segwiener.enumeration import (
     MAX_ORDER,
+    _facts,
     _level_code,
     _level_sequences,
     _levels,
@@ -26,6 +27,7 @@ from segwiener.enumeration import (
     _recentre,
     _SHIFT,
     _skeletons,
+    _stream,
     _tree_from_levels,
     all_trees,
     count_trees,
@@ -34,7 +36,7 @@ from segwiener.enumeration import (
     trees_with_segment_sequence,
 )
 from segwiener.generators import UnrealizableError
-from segwiener.trees import Tree, _codes, canonical_code, is_starlike, segment_sequence
+from segwiener.trees import Tree, _centers, _codes, canonical_code, is_starlike, segment_sequence
 
 from .conftest import double_broom, path_tree
 from .oracles import (
@@ -62,6 +64,9 @@ A000014 = (1, 1, 0, 1, 1, 2, 2, 4, 5, 10, 14, 26, 42, 78, 132, 249, 445, 842, 15
 # sha256 of `segwiener enumerate --n 12` stdout: pins the enumeration order,
 # which the order-free code-set checks below do not
 ENUMERATE_12_SHA256 = "0d4c08c3da03f5c3a3d60ac996db64278e08451510e23644be00a5b5a63cbf79"
+# and of `segwiener enumerate --n 16`, the top order: the n = 12 digest
+# covers none of the rootings of orders 13 to 16
+ENUMERATE_16_SHA256 = "2d6f3e43802c84a847f19c362295984bf95598a4b990a5c89a3489937e0e4374"
 
 
 class TestAllTrees:
@@ -102,6 +107,11 @@ class TestAllTrees:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == ENUMERATE_12_SHA256
 
+    def test_top_order_listing_is_pinned(self, capsys):
+        assert main(["enumerate", "--n", "16"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == ENUMERATE_16_SHA256
+
     def test_stream_is_strictly_decreasing(self):
         # the order `enumerate` prints in: a route that yields the same
         # sequences reproduces it by sorting them in descending order
@@ -110,6 +120,19 @@ class TestAllTrees:
             for level in _level_sequences(n):
                 assert previous is None or level < previous, (previous, level)
                 previous = list(level)
+
+    def test_stream_facts_match_independent_routes(self):
+        # the second-child index and centre count the stream hands the coder:
+        # up to order 13 against the list's own search and the built tree's
+        # centres (the root and, for two, vertex 1); above it, the bicentral
+        # flag against the deepest level's absence after the first subtree
+        for n in range(1, MAX_ORDER + 1):
+            for level, m, centres in _stream(n):
+                assert m == (level.index(1, 2) if 1 in level[2:] else n), level
+                if n <= 13:
+                    assert _centers(_tree_from_levels(level)) == [0, 1][:centres], level
+                else:
+                    assert (centres == 2) == (max(level) not in level[m:]), level
 
     def test_cayley_orbit_stabilizer(self):
         # each class T stands for n!/|Aut T| labeled trees; Cayley counts n^(n-2)
@@ -352,7 +375,7 @@ class TestListing:
                 trees.append((broom, double_broom(length, 0, right)))
             for level, t in trees:
                 assert _level_code(level).encode("ascii") == canonical_code(t), (n, level)
-            assert _listing(level for level, _ in trees) == "".join(canonical_code(t).decode() + "\n" for _, t in trees)
+            assert _listing(_facts(level) for level, _ in trees) == "".join(canonical_code(t).decode() + "\n" for _, t in trees)
         with pytest.raises(ValueError, match="levels up to 127"):
             _level_code(list(range(129)) + list(range(1, 128)))
 
@@ -365,7 +388,7 @@ class TestListing:
             assert main(["enumerate", "--n", n]) == 2
             assert capsys.readouterr() == ("", "error: order must be in 1..16\n")
         path = list(range(129)) + list(range(1, 128))
-        monkeypatch.setattr(enumeration, "_levels", lambda *args: [*map(list, _level_sequences(14)), path])
+        monkeypatch.setattr(enumeration, "_listed", lambda *args: [*map(_facts, map(list, _level_sequences(14))), _facts(path)])
         assert main(["enumerate", "--n", "14"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "levels up to 127" in err
@@ -411,7 +434,7 @@ class TestPastTheGuard:
         # code that of the built member, all distinct, as many as counted
         monkeypatch.setattr(enumeration, "MAX_ORDER", 30)
         levels = [list(level) for level in _levels(30, num_segments=5)]
-        codes = _listing(levels).splitlines()
+        codes = _listing(map(_facts, levels)).splitlines()
         assert codes == built_codes(levels).splitlines()
         assert len(set(codes)) == len(codes) == count_trees(30, num_segments=5) == 3315
 
@@ -480,7 +503,7 @@ class TestCountRoute:
         def unused(*args):
             raise AssertionError("counting an order generated a tree")
 
-        for name in ("_level_sequences", "_skeletons", "_placements", "_recentre"):
+        for name in ("_stream", "_level_sequences", "_skeletons", "_placements", "_recentre"):
             monkeypatch.setattr(enumeration, name, unused)
         for n in range(1, MAX_ORDER + 1):
             assert count_trees(n) == {**FREE_TREE_COUNTS, **A000055_ABOVE_10}[n], n

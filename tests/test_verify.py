@@ -582,8 +582,8 @@ class TestReports:
         "verifier, judgements",
         [
             (verify_min_starlike, ()),
-            (verify_max_quasi_caterpillar, ("_structure",)),
-            (verify_structure, ("_structure",)),
+            (verify_max_quasi_caterpillar, ("_spine",)),
+            (verify_structure, ("_structure", "_spine")),
             (verify_min_balanced, ()),
             (verify_max_caterpillar_family, ("_unit_pendant_caterpillar",)),
         ],
@@ -591,9 +591,10 @@ class TestReports:
     )
     def test_each_tree_coded_and_judged_once_per_class(self, monkeypatch, verifier, judgements):
         # the calls made from the verifier: a tree is coded at most once per
-        # class, and so is every judgement on it; no construction is coded,
-        # since each is judged by its row's value
-        counted = ("_level_code", "_structure", "_unit_pendant_caterpillar")
+        # class, and so is every judgement on it (theorem2's spine read,
+        # structure's full read, which reads the spine once inside it); no
+        # construction is coded, since each is judged by its row's value
+        counted = ("_level_code", "_structure", "_spine", "_unit_pendant_caterpillar")
         calls = dict.fromkeys(counted + ("canonical_code",), 0)
         for module, name in [(verify_module, name) for name in counted] + [(trees_module, "canonical_code")]:
             def counting(*args, _name=name, _fn=getattr(module, name)):
