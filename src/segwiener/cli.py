@@ -55,7 +55,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         build = generators.caterpillar_family(args.n, args.m, args.which)
         tree = build.tree
-        header = build.note or None
+        header = build.note
     _write_tree(tree, args.format, args.out, header)
     return 0
 
@@ -87,7 +87,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(enumeration.count_trees(args.n, args.segments, args.num_segments))
         return 0
-    sys.stdout.write(enumeration._listing(enumeration._listed(args.n, args.segments, args.num_segments)))
+    sys.stdout.write(enumeration._listing(enumeration._levels(args.n, args.segments, args.num_segments)))
     return 0
 
 

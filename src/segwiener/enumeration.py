@@ -14,27 +14,28 @@ coder roots it by.
 
 A tree is read, coded and filtered straight off its level sequence, and a
 ``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
-gives the level sequences (every tree of an order, one segment sequence or
-one segment count), in stream order, to the ``Tree`` streams and, with
-those two facts (`_listed`: the stream's own for an order, the centre
-rule's, `_facts`, for a class), to the listing ``segwiener enumerate``
-prints.  A segment class or count is not filtered out of its order but
-placed on its skeletons, the trees with one edge per segment and no
-vertex of degree 2, built directly (`_skeletons`):
-the segment lengths, or each partition of n - 1 into that many parts
-(`_partitions`), go on their edges once per orbit of the skeleton's
-automorphisms, and `_segment_class` re-roots each member at its centre and
-sorts the sequences into stream order.  ``count_trees`` lists nothing: it
-counts a class or count over the same orbits (`_orbit_count`, each vertex's
-placements a polynomial in the parts they consume, memoised by subtree
-shape), and a whole order by Otter's formula (`_otter_count`).  One pass,
-`_parents`, gives the preorder parents and degrees that the placements, the
-reader (``trees._read``) and `_tree_from_levels` share.  Every sequence
-emitted is canonical, so a listing is coded in one pass (`_listing`), with
-no sorting: each tree rooted at the centre its code is rooted at, on its
+gives every tree of an order, one segment sequence or one segment count,
+in stream order, as the stream's triple (level sequence, second-child
+index, number of centres): the ``Tree`` streams unpack it and the listing
+``segwiener enumerate`` prints takes it whole.  A kept sequence is bytes;
+only the stream's one list, rewritten in place, is not.  A segment class
+or count is not filtered out of its order but placed on its skeletons,
+the trees with one edge per segment and no vertex of degree 2, built
+directly (`_skeletons`): the segment lengths, or each partition of n - 1
+into that many parts (`_partitions`), go on their edges once per orbit of
+the skeleton's automorphisms, and `_segment_class` re-roots each member
+at its centre, sorts the sequences into stream order and gives each its
+facts (`_facts`).  ``count_trees`` lists nothing: it counts a class or
+count over the same orbits (`_orbit_count`, each vertex's placements a
+polynomial in the parts they consume, memoised by subtree shape), and a
+whole order by Otter's formula (`_otter_count`).  One pass, `_parents`,
+gives the preorder parents and degrees that the placements, the reader
+(``trees._read``) and `_tree_from_levels` share.  Every sequence emitted
+is canonical, so a listing is coded in one pass (`_listing`), with no
+sorting: each tree rooted at the centre its code is rooted at, on its
 level bytes (`_rooting`: a unicentral tree's own sequence, and only for a
-bicentral tree the rooting at vertex 1 too, off the second-child index),
-then the parentheses of many trees from one integer difference
+bicentral tree the rooting at vertex 1 too, two slices of its sequence
+joined), then the parentheses of many trees from one integer difference
 (`_parens`).
 The Prüfer-plus-canonical-dedup oracle, the stream filters the skeletons
 and counts are checked against, and the Cayley check are in the tests.
@@ -94,13 +95,6 @@ def _stream(n: int) -> Iterator[tuple[list[int], int, int]]:
             level[n - height :] = range(1, height + 1)
 
 
-def _level_sequences(n: int) -> Iterator[list[int]]:
-    """The level sequences of `_stream(n)`, without the facts it hands the
-    coder, rewritten in place as there."""
-    for level, _, _ in _stream(n):
-        yield level
-
-
 def _check_order(n: int) -> None:
     """The enumerator's order guard, shared by every route."""
     if not 1 <= n <= MAX_ORDER:
@@ -111,7 +105,7 @@ def all_trees(n: int) -> Iterator[Tree]:
     """Every free tree of order *n*, one representative per isomorphism
     class, each built from its level sequence (vertex v is the v-th vertex
     in preorder from the centre)."""
-    for level in _levels(n):
+    for level, _, _ in _levels(n):
         yield _tree_from_levels(level)
 
 
@@ -125,7 +119,7 @@ def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]
         yield segments, sides, level
 
 
-def _parents(level: list[int]) -> tuple[list[int], list[int]]:
+def _parents(level: Sequence[int]) -> tuple[list[int], list[int]]:
     """Each vertex's parent (the root is its own) and degree in the tree of
     a preorder level sequence: vertex v's parent is the latest vertex before
     it one level up."""
@@ -152,22 +146,13 @@ def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
 
 
 def _listing(rooted: Iterable[tuple[Sequence[int], int, int]]) -> str:
-    """The canonical codes of the trees of stream sequences, each given with
-    its second-child index and number of centres as `_stream` yields them
-    (`_facts` finds them for a sequence from elsewhere), a line each, all
-    made before any is returned; `_parens` writes 2048 at a time."""
+    """The canonical codes, a line each, of the trees of the triples
+    `_levels` yields (a stream sequence, its second-child index and its
+    number of centres; `_facts` makes the triple of a sequence from
+    elsewhere), all made before any is returned; `_parens` writes 2048 at
+    a time."""
     rooted = starmap(_rooting, rooted)
     return "".join(map(_parens, iter(lambda: b"".join(islice(rooted, 2048)), b"")))
-
-
-def _listed(
-    n: int, segments: Iterable[int] | None = None, num_segments: int | None = None
-) -> Iterator[tuple[Sequence[int], int, int]]:
-    """The sequences of `_levels`, with the facts `_listing` takes: the
-    stream's own for a whole order, the centre rule's for a class."""
-    if segments is None and num_segments is None:
-        return _stream(n)
-    return map(_facts, _levels(n, segments, num_segments))
 
 
 def _level_code(level: Sequence[int]) -> str:
@@ -187,12 +172,18 @@ def _rooting(level: Sequence[int], m: int, centres: int) -> bytes:
     rooted where its code is, given the root's second child at index *m*
     and the number of *centres*.  A unicentral tree's is its own; a
     bicentral tree's other centre is vertex 1, and of the two sequences,
-    rooted at the centres, the larger writes the smaller code."""
+    rooted at the centres, the larger writes the smaller code.
+
+    Rooted at vertex 1 it needs no sort: the root's side (``level[m:]``
+    one level deeper under the root) is as high as vertex 1's half, the
+    halves of a bicentral tree being of equal height, so it is strictly
+    higher than, and in canonical order comes before, each of vertex 1's
+    own children (``level[2:m]`` one level higher), which are in canonical
+    order already."""
     level = bytes(level)
     if centres == 1:
         return level
-    kids = [*level[2:m].translate(_UP).split(b"\1")[1:], level[m:].translate(_DOWN)]  # each less its first 1
-    return max(level, b"\0\1" + b"\1".join(sorted(kids, reverse=True)))
+    return max(level, b"\0\1" + level[m:].translate(_DOWN) + level[2:m].translate(_UP))
 
 
 def _parens(levels: bytes) -> str:
@@ -214,7 +205,7 @@ def _parens(levels: bytes) -> str:
     return "(" + "(".join(map(_FIELDS.__getitem__, fields.to_bytes(size, "little")))
 
 
-def _tree_from_levels(level: list[int]) -> Tree:
+def _tree_from_levels(level: Sequence[int]) -> Tree:
     """The tree of a preorder level sequence, valid by construction:
     ``adj[v] = (parent, *children)`` comes out sorted."""
     parent = _parents(level)[0]
@@ -253,13 +244,13 @@ def _centres(level: Sequence[int], m: int) -> int:
 def trees_with_segment_sequence(lengths: Iterable[int]) -> Iterator[Tree]:
     """All trees whose segment sequence equals *lengths* (up to isomorphism)."""
     lengths = normalize_segment_lengths(lengths)
-    for level in _levels(1 + sum(lengths), lengths):
+    for level, _, _ in _levels(1 + sum(lengths), lengths):
         yield _tree_from_levels(level)
 
 
 def trees_with_segment_count(n: int, m: int) -> Iterator[Tree]:
     """All trees of order *n* with exactly *m* segments (possibly none)."""
-    for level in _levels(n, num_segments=m):
+    for level, _, _ in _levels(n, num_segments=m):
         yield _tree_from_levels(level)
 
 
@@ -304,20 +295,22 @@ def _otter_count(n: int) -> int:
     return rooted[n] - pairs // 2
 
 
-def _levels(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> Iterator[list[int]]:
-    """The level sequence of every tree of order *n*, or of those with
-    segment sequence *segments* (which must sum to n - 1) or with
-    *num_segments* segments (not negative), the first whose argument is
-    given, in stream order.  A segment class, and a segment count as the
-    classes of its partitions of n - 1, is built from its skeletons
-    (`_segment_class`), not filtered out of the stream."""
+def _levels(
+    n: int, segments: Iterable[int] | None = None, num_segments: int | None = None
+) -> Iterator[tuple[Sequence[int], int, int]]:
+    """Every tree of order *n*, or those with segment sequence *segments*
+    (which must sum to n - 1) or with *num_segments* segments (not
+    negative), the first whose argument is given, in stream order, as the
+    triples `_stream` yields: a whole order's are the stream's own, its one
+    list rewritten in place, and a segment class's, or a segment count's as
+    the classes of its partitions of n - 1, are built from its skeletons
+    (`_segment_class`), each sequence its own bytes."""
     if segments is not None:
-        yield from _segment_class([_class_lengths(n, segments)])
-    elif num_segments is not None:
+        return _segment_class([_class_lengths(n, segments)])
+    if num_segments is not None:
         _check_count(n, num_segments)
-        yield from _segment_class(_partitions(n - 1, num_segments, n - 1))
-    else:
-        yield from _level_sequences(n)
+        return _segment_class(_partitions(n - 1, num_segments, n - 1))
+    return _stream(n)
 
 
 def _class_lengths(n: int, segments: Iterable[int]) -> tuple[int, ...]:
@@ -351,10 +344,11 @@ def _partitions(total: int, parts: int, largest: int) -> Iterator[tuple[int, ...
             yield (first, *rest)
 
 
-def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
-    """The level sequence of every tree whose segment sequence is one of
-    *classes* (non-increasing, of one order n and one number of parts m),
-    in stream order.
+def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[bytes, int, int]]:
+    """Every tree whose segment sequence is one of *classes*
+    (non-increasing, of one order n and one number of parts m), in stream
+    order, as `_stream` yields it: its level sequence, as bytes, with the
+    root's second-child index and number of centres (`_facts`).
 
     A tree's vertices of degree other than 2, joined along its segments,
     form its skeleton: a tree with m edges and no vertex of degree 2
@@ -363,7 +357,7 @@ def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
     automorphisms (`_placements`) are distinct trees, since a tree has one
     skeleton.  The skeletons are built once, for the first class; each
     member is re-rooted at its centre (`_recentre`), and the sequences are
-    sorted into the stream's descending order."""
+    sorted into the stream's descending order and each given its facts."""
     found: list[bytes] = []
     skeletons = None
     for lengths in classes:
@@ -372,13 +366,13 @@ def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
         for skeleton in skeletons:
             found += map(_recentre, _placements(skeleton, lengths))
     found.sort(reverse=True)
-    yield from map(list, found)
+    yield from map(_facts, found)
 
 
-def _skeletons(order: int) -> list[list[int]]:
-    """The stream's level sequence of every tree of *order* vertices with
-    no vertex of degree 2 (the series-reduced trees, OEIS A000014), in
-    stream order, built without the stream of that order.
+def _skeletons(order: int) -> list[bytes]:
+    """The stream's level sequence, as bytes, of every tree of *order*
+    vertices with no vertex of degree 2 (the series-reduced trees, OEIS
+    A000014), in stream order, built without the stream of that order.
 
     Rooted at a centre, every vertex below the root has no children or at
     least two, so each branch is a rooted tree in which no vertex has
@@ -391,7 +385,7 @@ def _skeletons(order: int) -> list[list[int]]:
     central edge; as `_centres` orders them, vertex 1's half is the
     smaller, or at equal size not lexicographically later."""
     if order == 1:
-        return [[0]]
+        return [b"\0"]
     pool: list[tuple[bytes, int]] = []  # (sequence, height) of every rooted tree built, by size
     below = [0]  # below[s]: how many pooled trees have at most s vertices
 
@@ -424,7 +418,7 @@ def _skeletons(order: int) -> list[list[int]]:
                     if _centres(join, small + 1):
                         found.append(join)
     found.sort(reverse=True)
-    return [list(level) for level in found]
+    return found
 
 
 # ``level.translate(_SHIFT[k])`` adds k to every level of a bytes sequence,
@@ -435,7 +429,7 @@ _NEXT = b"\0" + bytes(range(128, 256)) + bytes(127)  # a root as 0, a level b >=
 _FIELDS = [")" * d for d in range(128)] + [")" * (d - 127) + "\n" for d in range(128, 256)]
 
 
-def _placements(skeleton: list[int], lengths: tuple[int, ...]) -> Iterator[bytes]:
+def _placements(skeleton: bytes, lengths: tuple[int, ...]) -> Iterator[bytes]:
     """For each placement of *lengths* on the edges of *skeleton* (a stream
     sequence, so rooted at a centre), up to the skeleton's automorphisms,
     the canonical level sequence (as bytes) of the tree it makes, rooted at
@@ -488,7 +482,7 @@ def _placements(skeleton: list[int], lengths: tuple[int, ...]) -> Iterator[bytes
                     yield from hang(children, i + 1, after, x, below, (*branches, branch))
 
     m = _first_subtree_end(skeleton)
-    if [x - 1 for x in skeleton[1:m]] != [0, *skeleton[m:]]:
+    if skeleton[1:m].translate(_UP) != b"\0" + skeleton[m:]:
         for level, _ in grow(0, counts):
             yield level
         return
@@ -501,7 +495,7 @@ def _placements(skeleton: list[int], lengths: tuple[int, ...]) -> Iterator[bytes
                     yield b"\0" + b"".join(sorted((*branches, central), reverse=True))
 
 
-def _orbit_count(skeletons: list[list[int]], caps: tuple[int, ...], parts: list[tuple[int, ...]]) -> int:
+def _orbit_count(skeletons: list[bytes], caps: tuple[int, ...], parts: list[tuple[int, ...]]) -> int:
     """How many trees the *skeletons* (stream sequences of one order) make
     with an edge part on every edge, where each of *parts* consumes a
     vector of amounts and the parts placed consume exactly *caps* in all;
@@ -566,10 +560,11 @@ def _orbit_count(skeletons: list[list[int]], caps: tuple[int, ...], parts: list[
 
     total = 0
     for skeleton in skeletons:
-        level = bytes(skeleton)
         m = _first_subtree_end(skeleton)
-        half = b"\0" + level[m:]
-        poly = times(edge, multisets(grow(half), 2)) if level[1:m].translate(_UP) == half else grow(level)
+        if skeleton[1:m].translate(_UP) == b"\0" + skeleton[m:]:
+            poly = times(edge, multisets(grow(b"\0" + skeleton[m:]), 2))
+        else:
+            poly = grow(skeleton)
         total += poly.get(target, 0)
     return total
 

@@ -152,8 +152,6 @@ class FamilyBuild:
 
     @property
     def note(self) -> str:
-        if not self.t_adjusted:
-            return ""
         return (
             f"family {self.params.which}: published backbone formula gives "
             f"t={self.params.t}, order accounting gives t={self.t_used}"

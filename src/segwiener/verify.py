@@ -211,7 +211,7 @@ def _unit_pendant_caterpillar(parent: list[int], degree: list[int]) -> bool:
 # exhaustive instance classes
 
 # one tree of a class, unbuilt: (level sequence, edge side sizes)
-Member = tuple[list[int], list[int]]
+Member = tuple[bytes, list[int]]
 # the rule's result for one k: (predicate outcomes, verdict, notes after the
 # class size)
 Ruling = tuple[dict | None, str, list[str]]
@@ -248,11 +248,11 @@ def _classes(n: int, by_count: bool) -> list[tuple[dict, list[Member]]]:
     segment sequence or one per segment count, in the order of the keys of
     the buckets the stream fills, sequences descending (the partitions of
     n - 1 into one part or at least three, lexicographically) and counts
-    ascending.  Members are in enumeration order, each a kept copy of its
-    level sequence with its edge side sizes; no tree is built here."""
+    ascending.  Members are in enumeration order, each its level sequence,
+    kept as bytes, with its edge side sizes; no tree is built here."""
     buckets: dict[object, list[Member]] = {}
     for seq, sides, level in read_trees(n):
-        buckets.setdefault(len(seq) if by_count else seq, []).append((level[:], sides))
+        buckets.setdefault(len(seq) if by_count else seq, []).append((bytes(level), sides))
     if by_count:
         return [({"n": n, "m": m}, buckets[m]) for m in sorted(buckets)]
     return [({"n": n, "segments": list(seq)}, buckets[seq]) for seq in sorted(buckets, reverse=True)]

@@ -34,9 +34,10 @@ off the keys of the enumerator's buckets, and the trees with a given
 number of segments and the skeletons (no vertex of degree 2) are filtered
 out of the package's whole level stream of their order, counting segments
 off the degrees (`segment_count`), instead of built from skeletons and
-partitions.  Two helpers the package does not need live here too: `path`
-reads the path between two vertices off the BFS parents, and `relabel`
-permutes a tree's vertex ids.
+partitions.  Three helpers the package does not need live here too: `path`
+reads the path between two vertices off the BFS parents, `relabel`
+permutes a tree's vertex ids, and `level_sequences` gives the package's
+level stream of an order without the facts it hands the coder.
 
 The judges the verifiers read off level sequences are checked against the
 routes they replaced, which read a built ``Tree``: `structure_assessment`
@@ -67,7 +68,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from segwiener.enumeration import _level_sequences, _parents
+from segwiener import enumeration
+from segwiener.enumeration import _parents
 from segwiener.exact import checked
 from segwiener.moves import MoveDescriptor, Reattach, Relocation, Slide, Switch, _rewire
 from segwiener.steiner import _weights
@@ -590,10 +592,18 @@ def segment_count(level: list[int]) -> int:
     return len(level) - 1 - _parents(level)[1].count(2)
 
 
-def skeletons_by_filter(n: int) -> list[list[int]]:
+def level_sequences(n: int) -> Iterator[list[int]]:
+    """The level sequences of the package's stream of order *n*
+    (``enumeration._stream``, looked up on each call), without the facts
+    it hands the coder, rewritten in place as there."""
+    for level, _, _ in enumeration._stream(n):
+        yield level
+
+
+def skeletons_by_filter(n: int) -> list[bytes]:
     """The stream's level sequences of order *n* with no vertex of degree 2,
-    filtered out of the whole stream of that order, in its order."""
-    return [list(level) for level in _level_sequences(n) if 2 not in _parents(level)[1]]
+    as bytes, filtered out of the whole stream of that order, in its order."""
+    return [bytes(level) for level in level_sequences(n) if 2 not in _parents(level)[1]]
 
 
 def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:

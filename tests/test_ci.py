@@ -1,0 +1,50 @@
+"""The CI workflow runs the tier-1 suite as it is run locally: it installs
+every third-party module the tests import, and its test step is the tier-1
+command.  The workflow is read as text and the tests' imports with ``ast``,
+so the check needs nothing outside the stdlib."""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+# the tier-1 command, as ROADMAP.md gives it
+TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+
+
+def _third_party_imports() -> set[str]:
+    """The top-level modules that ``tests/*.py`` import by absolute name,
+    less the stdlib and the package under test."""
+    roots = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots.add(node.module.split(".")[0])
+    return roots - set(sys.stdlib_module_names) - {"segwiener"}
+
+
+def _runs() -> list[str]:
+    """The command of every ``run:`` step of the workflow, one line each."""
+    return re.findall(r"^\s*run: (.+?)\s*$", WORKFLOW.read_text(encoding="utf-8"), re.M)
+
+
+def test_workflow_installs_every_test_import():
+    installed = set()
+    for run in _runs():
+        words = run.split()
+        if words[:4] == ["python", "-m", "pip", "install"]:
+            names = (re.split(r"[=<>!~\[]", word)[0] for word in words[4:] if not word.startswith("-"))
+            installed |= {name.lower().replace("-", "_") for name in names}
+    imported = _third_party_imports()
+    assert imported, "the tests import no third-party module: the scan found nothing"
+    assert imported <= installed, sorted(imported - installed)
+
+
+def test_workflow_runs_the_tier1_command():
+    assert [run for run in _runs() if "pytest" in run and " pip " not in run] == [TIER1]

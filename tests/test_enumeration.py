@@ -17,7 +17,6 @@ from segwiener.enumeration import (
     MAX_ORDER,
     _facts,
     _level_code,
-    _level_sequences,
     _levels,
     _listing,
     _parens,
@@ -46,6 +45,7 @@ from .oracles import (
     edge_side_sizes,
     free_trees_by_prufer,
     labelled_trees_with_segment_count,
+    level_sequences,
     rooted_level_sequence,
     segment_count,
     segment_decomposition,
@@ -117,22 +117,35 @@ class TestAllTrees:
         # sequences reproduces it by sorting them in descending order
         for n in range(1, MAX_ORDER + 1):
             previous = None
-            for level in _level_sequences(n):
+            for level in level_sequences(n):
                 assert previous is None or level < previous, (previous, level)
                 previous = list(level)
 
-    def test_stream_facts_match_independent_routes(self):
+    def test_stream_facts_match_independent_routes(self, monkeypatch):
         # the second-child index and centre count the stream hands the coder:
         # up to order 13 against the list's own search and the built tree's
         # centres (the root and, for two, vertex 1); above it, the bicentral
-        # flag against the deepest level's absence after the first subtree
-        for n in range(1, MAX_ORDER + 1):
-            for level, m, centres in _stream(n):
+        # flag against the deepest level's absence after the first subtree.
+        # The same for the facts `_levels` gives with every segment class and
+        # count of order up to 12, and every count of order 17 past the guard
+        def check(n, rooted):
+            for level, m, centres in rooted:
                 assert m == (level.index(1, 2) if 1 in level[2:] else n), level
                 if n <= 13:
                     assert _centers(_tree_from_levels(level)) == [0, 1][:centres], level
                 else:
                     assert (centres == 2) == (max(level) not in level[m:]), level
+
+        for n in range(1, MAX_ORDER + 1):
+            check(n, _stream(n))
+        for n in range(1, 13):
+            for seq in segment_sequences_of_order(n):
+                check(n, _levels(n, seq))
+            for m in range(n + 1):
+                check(n, _levels(n, num_segments=m))
+        monkeypatch.setattr(enumeration, "MAX_ORDER", 17)
+        for m in range(18):
+            check(17, _levels(17, num_segments=m))
 
     def test_cayley_orbit_stabilizer(self):
         # each class T stands for n!/|Aut T| labeled trees; Cayley counts n^(n-2)
@@ -195,7 +208,7 @@ class TestLevelReader:
         # multisets) and the segment walks of `segment_decomposition`
         assert _read_levels([0]) == ([], ())
         for n in range(2, MAX_ORDER + 1):
-            for level in _level_sequences(n):
+            for level in level_sequences(n):
                 sides, segments = _read_levels(level)
                 t = _tree_from_levels(level)
                 walked = sorted((s.length for s in segment_decomposition(t)), reverse=True)
@@ -207,7 +220,7 @@ class TestLevelReader:
         # tree's code, on every tree of order 1..16, and against the
         # recursive oracle up to order 12
         for n in range(1, MAX_ORDER + 1):
-            for level in _level_sequences(n):
+            for level in level_sequences(n):
                 t = _tree_from_levels(level)
                 code = _level_code(level).encode("ascii")
                 assert code == canonical_code(t), level
@@ -217,14 +230,14 @@ class TestLevelReader:
     def test_segment_count_matches_the_reader(self):
         assert segment_count([0]) == 0
         for n in range(1, MAX_ORDER + 1):
-            for level in _level_sequences(n):
+            for level in level_sequences(n):
                 assert segment_count(level) == len(_read_levels(level)[1]), level
 
     def test_parens_match_the_rooted_coder(self):
         # the parentheses of a stream sequence against the sorting coder's
         # code rooted at vertex 0, on every tree of order 1..16
         for n in range(1, MAX_ORDER + 1):
-            for level in _level_sequences(n):
+            for level in level_sequences(n):
                 assert _parens(bytes(level)) == _codes(_parents(level)[0], range(n))[1].decode() + "\n", level
 
     def test_level_code_edge_cases(self):
@@ -261,7 +274,7 @@ class TestLevelReader:
                 classes[segments].append(list(level))
             assert sorted(classes, reverse=True) == segment_sequences_of_order(n)
             for seq in segment_sequences_of_order(n):
-                assert [list(level) for level in _levels(n, seq)] == classes[seq], seq
+                assert [list(level) for level, _, _ in _levels(n, seq)] == classes[seq], seq
                 assert count_trees(n, seq) == len(classes[seq]), seq
 
     def test_class_counts_sum_to_the_tree_count(self):
@@ -287,7 +300,7 @@ class TestLevelReader:
         # every tree of order 1..11, its canonical sequence rooted at each
         # vertex in turn, re-rooted to the stream's sequence
         for n in range(1, 12):
-            for level in _level_sequences(n):
+            for level in level_sequences(n):
                 t = _tree_from_levels(level)
                 for root in range(n):
                     rooted = bytes(rooted_level_sequence(t, root))
@@ -322,14 +335,15 @@ class TestSkeletons:
             assert len({_level_code(level) for level in skeletons}) == len(skeletons) == A000014[n - 1]
             for level in skeletons:
                 assert 2 not in _parents(level)[1], level
-                assert list(_recentre(bytes(level))) == level, level
+                assert _recentre(level) == level, level
                 assert _level_code(level).encode("ascii") == canonical_code(_tree_from_levels(level)), level
 
 
-def built_codes(levels) -> str:
-    """The listing of *levels* by the independent route: each sequence
-    built into a ``Tree`` and coded by `canonical_code`, a line each."""
-    return "".join(canonical_code(_tree_from_levels(level)).decode() + "\n" for level in levels)
+def built_codes(rooted) -> str:
+    """The listing of the trees of *rooted*, triples as `_levels` yields
+    them, by the independent route: each sequence built into a ``Tree``
+    and coded by `canonical_code`, a line each."""
+    return "".join(canonical_code(_tree_from_levels(level)).decode() + "\n" for level, _, _ in rooted)
 
 
 def listed(capsys, *argv) -> str:
@@ -388,7 +402,7 @@ class TestListing:
             assert main(["enumerate", "--n", n]) == 2
             assert capsys.readouterr() == ("", "error: order must be in 1..16\n")
         path = list(range(129)) + list(range(1, 128))
-        monkeypatch.setattr(enumeration, "_listed", lambda *args: [*map(_facts, map(list, _level_sequences(14))), _facts(path)])
+        monkeypatch.setattr(enumeration, "_levels", lambda *args: [*map(_facts, map(list, level_sequences(14))), _facts(path)])
         assert main(["enumerate", "--n", "14"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "levels up to 127" in err
@@ -407,7 +421,7 @@ class TestPastTheGuard:
 
     def test_automorphisms_off_levels_match_the_built_count(self):
         for n in range(2, 13):
-            for level in _level_sequences(n):
+            for level in level_sequences(n):
                 assert automorphisms_of_levels(level) == automorphism_count(_tree_from_levels(level)), level
 
     def test_closed_form_sums_to_cayley(self):
@@ -424,7 +438,7 @@ class TestPastTheGuard:
         counts = [count_trees(n, num_segments=m) for m in range(n + 1)]
         assert sum(counts) == 48629
         for m in range(n + 1):
-            levels = list(_levels(n, num_segments=m))
+            levels = [level for level, _, _ in _levels(n, num_segments=m)]
             assert len({_level_code(level) for level in levels}) == len(levels) == counts[m], m
             labelled = sum(factorial(n) // automorphisms_of_levels(level) for level in levels)
             assert labelled == labelled_trees_with_segment_count(n, m), m
@@ -433,9 +447,9 @@ class TestPastTheGuard:
         # the listing of the 3315 trees of order 30 with 5 segments: each
         # code that of the built member, all distinct, as many as counted
         monkeypatch.setattr(enumeration, "MAX_ORDER", 30)
-        levels = [list(level) for level in _levels(30, num_segments=5)]
-        codes = _listing(map(_facts, levels)).splitlines()
-        assert codes == built_codes(levels).splitlines()
+        rooted = list(_levels(30, num_segments=5))
+        codes = _listing(rooted).splitlines()
+        assert codes == built_codes(rooted).splitlines()
         assert len(set(codes)) == len(codes) == count_trees(30, num_segments=5) == 3315
 
     def test_segment_counts_past_the_guard(self, monkeypatch):
@@ -503,7 +517,7 @@ class TestCountRoute:
         def unused(*args):
             raise AssertionError("counting an order generated a tree")
 
-        for name in ("_stream", "_level_sequences", "_skeletons", "_placements", "_recentre"):
+        for name in ("_stream", "_skeletons", "_placements", "_recentre"):
             monkeypatch.setattr(enumeration, name, unused)
         for n in range(1, MAX_ORDER + 1):
             assert count_trees(n) == {**FREE_TREE_COUNTS, **A000055_ABOVE_10}[n], n
@@ -517,11 +531,11 @@ class TestCountRoute:
         # segments counted off the degrees, counted and in stream order
         for n in range(1, MAX_ORDER + 1):
             by_count = defaultdict(list)
-            for level in _level_sequences(n):
+            for level in level_sequences(n):
                 by_count[segment_count(level)].append(list(level))
             for m in range(n + 2):
                 assert count_trees(n, num_segments=m) == len(by_count[m]), (n, m)
-                assert list(_levels(n, num_segments=m)) == by_count[m], (n, m)
+                assert [list(level) for level, _, _ in _levels(n, num_segments=m)] == by_count[m], (n, m)
             with pytest.raises(ValueError, match="-1"):
                 count_trees(n, num_segments=-1)
             with pytest.raises(ValueError, match="-1"):

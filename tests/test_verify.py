@@ -13,7 +13,7 @@ from segwiener import steiner as steiner_module
 from segwiener import trees as trees_module
 from segwiener import verify as verify_module
 from segwiener import generators as generators_module
-from segwiener.enumeration import _level_sequences, _parents, _tree_from_levels, all_trees, count_trees
+from segwiener.enumeration import _parents, _tree_from_levels, all_trees, count_trees
 from segwiener.generators import (
     FAMILY_LABELS,
     ParityMismatchError,
@@ -61,6 +61,7 @@ from .oracles import (
     backbone_over_all_candidates,
     groups_admit_valley_greedy,
     is_unit_pendant_caterpillar,
+    level_sequences,
     path,
     random_labeled_tree,
     relabel,
@@ -238,7 +239,7 @@ class TestLevelJudges:
 
     def test_every_tree_up_to_order_16(self):
         for n in range(1, 17):
-            for level in _level_sequences(n):
+            for level in level_sequences(n):
                 self.assert_judged_alike(_tree_from_levels(level), *_parents(level))
 
     def test_random_trees_in_non_canonical_preorder(self):
