@@ -24,13 +24,24 @@ the trees with one edge per segment and no vertex of degree 2, built
 directly (`_skeletons`): the segment lengths, or each partition of n - 1
 into that many parts (`_partitions`), go on their edges once per orbit of
 the skeleton's automorphisms, and `_segment_class` re-roots each member
-at its centre, sorts the sequences into stream order and gives each its
-facts (`_facts`).  ``count_trees`` lists nothing: it counts a class or
-count over the same orbits (`_orbit_count`, each vertex's placements a
-polynomial in the parts they consume, memoised by subtree shape), and a
-whole order by Otter's formula (`_otter_count`).  One pass, `_parents`,
-gives the preorder parents and degrees that the placements, the reader
-(``trees._read``) and `_tree_from_levels` share.  Every sequence emitted
+at its centre (`_recentre`, which also gives its number of centres),
+sorts the sequences into stream order and gives each its second-child
+index.  ``count_trees`` lists nothing: it counts a class or count over
+the same orbits (`_orbit_count`, each vertex's placements a polynomial in
+the parts they consume, memoised by subtree shape), and a whole order by
+Otter's formula (`_otter_count`).  One pass, `_parents`, gives the
+preorder parents and degrees that the placements, the reader
+(``trees._read``) and `_tree_from_levels` share.
+
+The verifiers read an order's trees for their segment sequences and
+packed index sums (`_tree_reads`) branch by branch, not tree by tree: a
+root branch, the root's edge to one child with that child's subtree,
+holds its edges' side sizes and all its segments but the one through a
+root of degree 2, and an order has far fewer distinct branches than trees
+(82 against 551 at order 12, 1230 against 19320 at order 16).  One walk
+of the stream splits each sequence at the root's children, reads each
+distinct branch once (`_read_branch`, with ``trees._read``), and sums and
+joins the reads per tree.  Every sequence emitted
 is canonical, so a listing is coded in one pass (`_listing`), with no
 sorting: each tree rooted at the centre its code is rooted at, on its
 level bytes (`_rooting`: a unicentral tree's own sequence, and only for a
@@ -48,6 +59,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .generators import normalize_segment_lengths
+from .steiner import _packed_sum
 from .trees import Tree, _read
 
 MAX_ORDER = 16
@@ -109,14 +121,56 @@ def all_trees(n: int) -> Iterator[Tree]:
         yield _tree_from_levels(level)
 
 
-def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
+def _tree_reads(n: int, row: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int, bytes]]:
     """Every free tree of order *n*, in `all_trees` order, read without
-    building it: (segment sequence, edge side sizes, level sequence).  The
-    level sequence is rewritten by the next step; keep a copy to build the
-    tree from with `_tree_from_levels`."""
+    building it: (segment sequence, packed total, level sequence as
+    bytes), the packed total being the sum of *row* over the tree's edge
+    side sizes (``steiner._packed(n, ks)[0]`` sums every SW_k of ks at
+    once).
+
+    A root branch, the edge from the root to one child with the child's
+    subtree, holds the side sizes of its edges and every segment but the
+    one through a root of degree 2.  So the trees are read branch by
+    branch: each level sequence is split at the root's children, each
+    distinct branch is read once in this call (`_read_branch`), and a
+    tree's total is its branches' totals, its segment sequence their
+    lengths with the two runs through a root of degree 2 joined into one."""
+    reads: dict[bytes, tuple[int, tuple[int, ...], int]] = {}
     for level, _, _ in _stream(n):
-        sides, segments = _read_levels(level)
-        yield segments, sides, level
+        level = bytes(level)
+        total = 0
+        lengths: list[int] = []
+        runs = []
+        for branch in level[2:].split(b"\1") if n > 1 else ():
+            read = reads.get(branch)
+            if read is None:
+                read = reads[branch] = _read_branch(branch, row)
+            total += read[0]
+            lengths += read[1]
+            runs.append(read[2])
+        if len(runs) == 2:
+            lengths.append(runs[0] + runs[1])
+        else:
+            lengths += runs
+        lengths.sort(reverse=True)
+        yield tuple(lengths), total, level
+
+
+def _read_branch(branch: bytes, row: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
+    """The root branch whose levels below the root's child are *branch*,
+    read (`trees._read`) as the tree of the root and that branch alone: the
+    sum of *row* over its side sizes, the lengths of its segments but the
+    one through the root's edge, and that one's length, the run down from
+    the root while each vertex has one child."""
+    level = b"\0\1" + branch
+    parent, degree = _parents(level)
+    sides, segments = _read(parent, range(len(level)), degree)
+    run = 1
+    while degree[run] == 2:
+        run += 1
+    lengths = list(segments)
+    lengths.remove(run)
+    return _packed_sum(row, sides), tuple(lengths), run
 
 
 def _parents(level: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -135,14 +189,6 @@ def _parents(level: Sequence[int]) -> tuple[list[int], list[int]]:
         degree[u] += 1
         latest[depth] = v
     return parent, degree
-
-
-def _read_levels(level: list[int]) -> tuple[list[int], tuple[int, ...]]:
-    """The vertex count on the child side of every edge, and the segment
-    sequence (empty for a single vertex), of the tree of a level sequence,
-    read (`trees._read`) off its preorder parents."""
-    parent, degree = _parents(level)
-    return _read(parent, range(len(level)), degree)
 
 
 def _listing(rooted: Iterable[tuple[Sequence[int], int, int]]) -> str:
@@ -348,7 +394,7 @@ def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[bytes, 
     """Every tree whose segment sequence is one of *classes*
     (non-increasing, of one order n and one number of parts m), in stream
     order, as `_stream` yields it: its level sequence, as bytes, with the
-    root's second-child index and number of centres (`_facts`).
+    root's second-child index and number of centres.
 
     A tree's vertices of degree other than 2, joined along its segments,
     form its skeleton: a tree with m edges and no vertex of degree 2
@@ -356,9 +402,10 @@ def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[bytes, 
     edge lengths.  A skeleton's placements of the parts up to its
     automorphisms (`_placements`) are distinct trees, since a tree has one
     skeleton.  The skeletons are built once, for the first class; each
-    member is re-rooted at its centre (`_recentre`), and the sequences are
-    sorted into the stream's descending order and each given its facts."""
-    found: list[bytes] = []
+    member is re-rooted at its centre (`_recentre`, which knows its number
+    of centres), and the sequences, all distinct, are sorted into the
+    stream's descending order, each then given its second-child index."""
+    found: list[tuple[bytes, int]] = []
     skeletons = None
     for lengths in classes:
         if skeletons is None:
@@ -366,7 +413,8 @@ def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[bytes, 
         for skeleton in skeletons:
             found += map(_recentre, _placements(skeleton, lengths))
     found.sort(reverse=True)
-    yield from map(_facts, found)
+    for level, centres in found:
+        yield level, _first_subtree_end(level), centres
 
 
 def _skeletons(order: int) -> list[bytes]:
@@ -569,9 +617,10 @@ def _orbit_count(skeletons: list[bytes], caps: tuple[int, ...], parts: list[tupl
     return total
 
 
-def _recentre(level: bytes) -> bytes:
+def _recentre(level: bytes) -> tuple[bytes, int]:
     """The stream's level sequence of the tree of *level*, a canonical
-    level sequence (as bytes) rooted at any vertex.
+    level sequence (as bytes) rooted at any vertex, and the tree's number
+    of centres.
 
     The first path 0, 1, ..., height runs from the root to a vertex as far
     from it as any, which ends a longest path; so the centres lie on the
@@ -592,7 +641,7 @@ def _recentre(level: bytes) -> bytes:
     c = height - (diameter + 1) // 2
     if diameter % 2 == 0:
         if c == 0:
-            return level
+            return level, 1
         end[c + 1] = c + 1  # the centre keeps every child
     up = b"\0" + level[end[1] :]
     for j in range(1, c + 1):
@@ -601,8 +650,8 @@ def _recentre(level: bytes) -> bytes:
         kids.sort(reverse=True)
         up = b"\0" + b"".join(kids)
     if diameter % 2 == 0:
-        return up
+        return up, 1
     half = level[c + 1 : end[c + 1]].translate(_SHIFT[-c - 1])
     rooted = b"\0" + half.translate(_DOWN) + up[1:]
-    return rooted if _centres(rooted, len(half) + 1) else b"\0" + up.translate(_DOWN) + half[1:]
+    return rooted if _centres(rooted, len(half) + 1) else b"\0" + up.translate(_DOWN) + half[1:], 2
 

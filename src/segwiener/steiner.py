@@ -20,6 +20,14 @@ is at most n * max(w) over the rows, and *width* is that bound's bit
 length: a field never carries into the next.  The packed rows are cached
 per (n, ks) in a cache of at most 128 entries; each is n + 1 integers of
 at most len(ks) * (128 + n.bit_length()) bits.
+
+A packed sum is a sum over edges, so the packed total of a tree is the sum
+of the totals of any split of its edges: the verifiers take each tree's as
+the sum of its root branches' (``enumeration._tree_reads`` reads each
+distinct branch of an order once), sum each construction's over its side
+sizes with the same row (`_packed_sum`), and split a whole class's totals
+into one checked column per k (`_class_sums`); no tree is summed over its
+own side list there.
 """
 
 from __future__ import annotations
@@ -59,33 +67,35 @@ def _packed(n: int, ks: Sequence[int]) -> tuple[tuple[int, ...], int, tuple[int,
     return tuple(packed), (1 << width) - 1, tuple(width * i for i in range(len(rows)))
 
 
+def _packed_sum(row: Sequence[int], sides: Sequence[int]) -> int:
+    """The sum of *row* (a packed row) over the side sizes *sides*: the
+    packed total of a tree, or of a part of one, that `_class_sums` splits."""
+    total = 0  # a plain loop adds faster than sum() over a map or a generator
+    for a in sides:
+        total += row[a]
+    return total
+
+
 def _index_sums(n: int, sides: Sequence[int], ks: Sequence[int]) -> tuple[int, ...]:
     """SW_k for each k in *ks* (a tuple or range, 1 <= k <= n) of the tree
     of order *n* with these edge side sizes, off one sum of the packed row.
     The first k, in *ks* order, whose row or sum leaves i128 raises."""
     row, mask, shifts = _packed(n, ks)
-    total = 0  # a plain loop adds faster than sum() over a map or a generator
-    for a in sides:
-        total += row[a]
+    total = _packed_sum(row, sides)
     values = tuple([checked(total >> s & mask) for s in shifts])
     if len(shifts) < len(ks):
         _weights(n, ks[len(shifts)])  # the first row left unpacked raises
     return values
 
 
-def _class_sums(n: int, side_lists: Sequence[Sequence[int]], ks: Sequence[int]) -> list[list[int]]:
+def _class_sums(n: int, totals: Sequence[int], ks: Sequence[int]) -> list[list[int]]:
     """One column per k in *ks* (as in `_index_sums`): column i holds
-    SW_{ks[i]} of each tree of order *n* given by its edge side sizes, off
-    one packed sum per tree.  Every value is >= 0, so a column is checked
-    at its maximum: the first column, in *ks* order, that leaves i128
-    raises with that maximum, and a row that leaves it as in `_index_sums`."""
-    row, mask, shifts = _packed(n, ks)
-    totals = []
-    for sides in side_lists:
-        total = 0
-        for a in sides:
-            total += row[a]
-        totals.append(total)
+    SW_{ks[i]} of each tree of order *n* given by its packed total, the
+    sum of the packed row of (n, ks) over its edge side sizes
+    (`_packed_sum`).  Every value is >= 0, so a column is checked at its
+    maximum: the first column, in *ks* order, that leaves i128 raises with
+    that maximum, and a row that leaves it as in `_index_sums`."""
+    _, mask, shifts = _packed(n, ks)
     columns = []
     for s in shifts:
         column = [total >> s & mask for total in totals]

@@ -7,9 +7,10 @@ workers; every function in this module is pure.
 A tree's two evaluated objects, its segment sequence and the side sizes of
 its edges (which SW_k sums weights over), come out of one reader, `_read`:
 one reverse pass over a rooted order, either a breadth-first search of a
-``Tree`` (`_read_built`, from vertex 0) or an enumerator's level
-sequence.  A built tree's canonical code comes out of one coder, `_codes`,
-which sorts the child codes at every vertex of a breadth-first search; an
+``Tree`` (`_read_built`, from vertex 0) or one root branch of an
+enumerator's level sequence (``enumeration._read_branch``).  A built
+tree's canonical code comes out of one coder, `_codes`, which sorts the
+child codes at every vertex of a breadth-first search; an
 enumerator's level sequences are canonical already, and a listing's codes
 are their parentheses, written in one pass (``enumeration._listing``).  `_bfs`
 is the one breadth-first search: `_centers` takes the middle of a longest

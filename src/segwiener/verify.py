@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, Iterable, Sequence
 
-from .enumeration import MAX_ORDER, _level_code, _parents, read_trees
+from .enumeration import MAX_ORDER, _level_code, _parents, _tree_reads
 from .generators import FAMILY_LABELS, ParityMismatchError, UnrealizableError, _balanced_legs, caterpillar_family
 from .moves import Switch, apply_switch
-from .steiner import _class_sums
+from .steiner import _class_sums, _packed, _packed_sum
 from .trees import Tree, _read_built, _spine
 
 CONFIRMED = "confirmed"
@@ -71,51 +71,56 @@ def _json(value: object, indent: str) -> str:
     raise TypeError(f"no report encoding for {type(value).__name__}")
 
 
-def _instance(instance: dict, heads: dict[tuple, str]) -> str:
-    """*instance* as `_json` writes it at a report field's indent.  The
-    reports of one class share every instance field but k, which comes
-    last, so all but the last item are encoded once per key list and value
-    objects, into *heads*."""
+def _head(theorem: str, instance: dict) -> str:
+    """A report as `reports_to_json` writes it, from its start up to the
+    value of its last instance field, or to the end of an empty instance."""
+    start = f'  {{\n{_FIELD}"theorem": {_string(theorem)},\n{_FIELD}"instance": '
     if not instance:
-        return "{}"
+        return start + "{}"
     inner = _FIELD + "  "
-    key = (tuple(instance), tuple(map(id, instance.values()))[:-1])
-    head = heads.get(key)
-    if head is None:
-        *items, (name, _) = instance.items()
-        fields = "".join(f"{inner}{_string(field)}: {_json(value, inner)},\n" for field, value in items)
-        head = heads[key] = "{\n" + fields + f"{inner}{_string(name)}: "
-    return head + _json(next(reversed(instance.values())), inner) + "\n" + _FIELD + "}"
+    *items, (name, _) = instance.items()
+    fields = "".join(f"{inner}{_string(field)}: {_json(value, inner)},\n" for field, value in items)
+    return start + "{\n" + fields + f"{inner}{_string(name)}: "
 
 
 def reports_to_json(reports: Iterable[VerificationReport]) -> str:
     """The reports as a JSON list, byte for byte what
     ``json.dumps(..., indent=2)`` writes for their dicts, plus a newline
-    (`extremal_value` as a decimal string).  Reports that share a ruling
-    hold the same `arg_trees` and `predicate_outcomes` objects, which are
-    encoded once, and the fields their instances share (`_instance`) are
-    too."""
+    (`extremal_value` as a decimal string).
+
+    A report is a head, its last instance field's value (k), its
+    extremal value and a tail, and only the middle two are encoded for
+    every report.  Reports that share a ruling hold the same `arg_trees`,
+    `predicate_outcomes`, `verdict` and `notes` objects, so a tail, those
+    four fields, is encoded once per the identities of all four.  The
+    reports of one class share their theorem and every instance field but
+    k, which comes last, so a head (`_head`) is encoded once per theorem,
+    instance key list and the identities of all but the last value."""
     reports = list(reports)  # alive for the call, so their ids stay unique
-    shared: dict[tuple[int, int], str] = {}
     heads: dict[tuple, str] = {}
+    tails: dict[tuple[int, int, int, int], str] = {}
+    inner = _FIELD + "  "
     items = []
     for r in reports:
-        key = (id(r.arg_trees), id(r.predicate_outcomes))
-        block = shared.get(key)
-        if block is None:
-            block = shared[key] = (
-                f'"arg_trees": {_json(r.arg_trees, _FIELD)},\n'
-                f'{_FIELD}"predicate_outcomes": {_json(r.predicate_outcomes, _FIELD)}'
+        instance = r.instance
+        values = list(instance.values())
+        # the keys are strs and the ids ints: the one flat tuple is unambiguous
+        key = (r.theorem, *instance, *map(id, values[:-1]))
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = _head(r.theorem, instance)
+        key = (id(r.arg_trees), id(r.predicate_outcomes), id(r.verdict), id(r.notes))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                f'{_FIELD}"arg_trees": {_json(r.arg_trees, _FIELD)},\n'
+                f'{_FIELD}"predicate_outcomes": {_json(r.predicate_outcomes, _FIELD)},\n'
+                f'{_FIELD}"verdict": {_string(r.verdict)},\n'
+                f'{_FIELD}"notes": {_string(r.notes)}\n  }}'
             )
-        value = None if r.extremal_value is None else str(r.extremal_value)
-        items.append(
-            f'  {{\n{_FIELD}"theorem": {_string(r.theorem)},\n'
-            f'{_FIELD}"instance": {_instance(r.instance, heads)},\n'
-            f'{_FIELD}"extremal_value": {_json(value, _FIELD)},\n'
-            f"{_FIELD}{block},\n"
-            f'{_FIELD}"verdict": {_string(r.verdict)},\n'
-            f'{_FIELD}"notes": {_string(r.notes)}\n  }}'
-        )
+        last = _json(values[-1], inner) + "\n" + _FIELD + "}" if values else ""
+        value = "null" if r.extremal_value is None else f'"{r.extremal_value}"'  # an int's digits need no escape
+        items.append(f'{head}{last},\n{_FIELD}"extremal_value": {value},\n{tail}')
     return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
@@ -210,8 +215,8 @@ def _unit_pendant_caterpillar(parent: list[int], degree: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 # exhaustive instance classes
 
-# one tree of a class, unbuilt: (level sequence, edge side sizes)
-Member = tuple[bytes, list[int]]
+# one tree of a class, unbuilt: (level sequence, packed total of its side sizes)
+Member = tuple[bytes, int]
 # the rule's result for one k: (predicate outcomes, verdict, notes after the
 # class size)
 Ruling = tuple[dict | None, str, list[str]]
@@ -243,16 +248,18 @@ def _ks_for(n: int, k_set: Sequence[int]) -> tuple[int, ...]:
     return tuple(k for k in sorted(set(k_set)) if k <= n)
 
 
-def _classes(n: int, by_count: bool) -> list[tuple[dict, list[Member]]]:
+def _classes(n: int, by_count: bool, row: Sequence[int]) -> list[tuple[dict, list[Member]]]:
     """Instance classes of order *n* with their instance fields: one per
     segment sequence or one per segment count, in the order of the keys of
     the buckets the stream fills, sequences descending (the partitions of
     n - 1 into one part or at least three, lexicographically) and counts
     ascending.  Members are in enumeration order, each its level sequence,
-    kept as bytes, with its edge side sizes; no tree is built here."""
+    as bytes, with the sum of the packed *row* over its edge side sizes,
+    read branch by branch (`enumeration._tree_reads`); no tree is built
+    here."""
     buckets: dict[object, list[Member]] = {}
-    for seq, sides, level in read_trees(n):
-        buckets.setdefault(len(seq) if by_count else seq, []).append((bytes(level), sides))
+    for seq, total, level in _tree_reads(n, row):
+        buckets.setdefault(len(seq) if by_count else seq, []).append((level, total))
     if by_count:
         return [({"n": n, "m": m}, buckets[m]) for m in sorted(buckets)]
     return [({"n": n, "segments": list(seq)}, buckets[seq]) for seq in sorted(buckets, reverse=True)]
@@ -267,18 +274,21 @@ def _verify(
     judge: Callable[[dict], _Judge],
 ) -> list[VerificationReport]:
     """Enumerate every class of order 2..max_n, evaluate the requested
-    indices of the whole class at once (`steiner._class_sums`: one packed
-    sum per tree over the edge side sizes the enumerator read, then one
-    column of values per k), and let *judge*'s rule decide each k on all
-    the extremal trees, sorted by canonical code, and on which of the
-    judge's construction rows attain the extremum.  Each k's extremum and
-    ties are read straight off its column.
+    indices of the whole class at once (one packed total per tree, the sum
+    of its root branches' totals, each distinct branch of an order read
+    once by `enumeration._tree_reads`; each construction row summed over
+    its side sizes with the same packed row; then `steiner._class_sums`
+    splits the totals into one column of values per k), and let *judge*'s
+    rule decide each k on all the extremal trees, sorted by canonical
+    code, and on which of the judge's construction rows attain the
+    extremum.  Each k's extremum and ties are read straight off its column.
 
     Within a class a tree is coded and judged (off its level sequence) at
     most once, when it first ties on an extremum, and no tree is built; a
     set of tied trees is ruled on once:
     another k with the same ties reuses the codes, the outcomes and the
-    ruling.  The memo lives in this call.
+    ruling.  These memos, and the branch reads of each order, live in
+    this call.
 
     A k below 1, or a run that checks nothing, raises ValueError."""
     if max_n > MAX_ORDER:
@@ -290,11 +300,14 @@ def _verify(
         ks = _ks_for(n, k_set)
         if not ks:
             continue
-        for fields, members in _classes(n, by_count):
+        row = _packed(n, ks)[0]
+        for fields, members in _classes(n, by_count, row):
             class_judge = judge(fields)
             outcome_of = class_judge.outcome
             size = len(members)
-            columns = _class_sums(n, [sides for _, sides in members] + list(class_judge.rows), ks)
+            totals = [total for _, total in members]
+            totals += [_packed_sum(row, sides) for sides in class_judge.rows]
+            columns = _class_sums(n, totals, ks)
             judged: dict[int, tuple[str, object]] = {}
             rulings: dict[tuple[int, ...], tuple[tuple[str, ...], dict | None, str, str]] = {}
             size_note = f"class size {size}"

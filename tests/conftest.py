@@ -92,16 +92,17 @@ def tree_builds(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def level_reads(monkeypatch) -> list[int]:
-    """Counts the level sequences read for their segment sequence and side
-    sizes (`enumeration._read_levels`), in a one-item list."""
+    """Counts the root branches read for their segment lengths and side
+    sizes (`enumeration._read_branch`, through which every tree of a
+    stream is read), in a one-item list."""
     count = [0]
-    read = enumeration._read_levels
+    read = enumeration._read_branch
 
-    def counting(level):
+    def counting(branch, row):
         count[0] += 1
-        return read(level)
+        return read(branch, row)
 
-    monkeypatch.setattr(enumeration, "_read_levels", counting)
+    monkeypatch.setattr(enumeration, "_read_branch", counting)
     return count
 
 

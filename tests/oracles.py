@@ -37,7 +37,10 @@ off the degrees (`segment_count`), instead of built from skeletons and
 partitions.  Three helpers the package does not need live here too: `path`
 reads the path between two vertices off the BFS parents, `relabel`
 permutes a tree's vertex ids, and `level_sequences` gives the package's
-level stream of an order without the facts it hands the coder.
+level stream of an order without the facts it hands the coder.  The
+verifiers read an order's trees branch by branch, each distinct root
+branch once; `read_trees` reads each tree of the stream whole instead
+(`read_levels`), and is the route the branch reads are checked against.
 
 The judges the verifiers read off level sequences are checked against the
 routes they replaced, which read a built ``Tree``: `structure_assessment`
@@ -79,6 +82,7 @@ from segwiener.trees import (
     Tree,
     _bfs,
     _codes,
+    _read,
     all_backbones,
     canonical_code,
     is_quasi_caterpillar,
@@ -598,6 +602,25 @@ def level_sequences(n: int) -> Iterator[list[int]]:
     it hands the coder, rewritten in place as there."""
     for level, _, _ in enumeration._stream(n):
         yield level
+
+
+def read_levels(level: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The vertex count on the child side of every edge, and the segment
+    sequence (empty for a single vertex), of the tree of a level sequence,
+    read whole by the package's one reader (``trees._read``) off its
+    preorder parents, where the package reads each distinct root branch of
+    an order once (``enumeration._tree_reads``)."""
+    parent, degree = _parents(level)
+    return _read(parent, range(len(level)), degree)
+
+
+def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
+    """Every tree of the package's stream of order *n*, each read whole
+    (`read_levels`): (segment sequence, edge side sizes, level sequence).
+    The level sequence is rewritten by the next step, as in the stream."""
+    for level in level_sequences(n):
+        sides, segments = read_levels(level)
+        yield segments, sides, level
 
 
 def skeletons_by_filter(n: int) -> list[bytes]:

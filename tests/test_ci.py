@@ -1,7 +1,8 @@
 """The CI workflow runs the tier-1 suite as it is run locally: it installs
 every third-party module the tests import, and its test step is the tier-1
 command.  The workflow is read as text and the tests' imports with ``ast``,
-so the check needs nothing outside the stdlib."""
+so the check needs nothing outside the stdlib.  The package's sources also
+parse as the oldest Python that ``pyproject.toml`` admits."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "segwiener"
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 # the tier-1 command, as ROADMAP.md gives it
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
@@ -48,3 +50,14 @@ def test_workflow_installs_every_test_import():
 
 def test_workflow_runs_the_tier1_command():
     assert [run for run in _runs() if "pytest" in run and " pip " not in run] == [TIER1]
+
+
+def test_package_parses_as_the_oldest_supported_python():
+    # the grammar of the requires-python floor; names and library calls
+    # added after it are not checked here, only the syntax
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert floor is not None, "pyproject.toml declares no requires-python floor"
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, int(floor.group(1))))

@@ -22,19 +22,20 @@ from segwiener.enumeration import (
     _parens,
     _parents,
     _partitions,
-    _read_levels,
+    _read_branch,
     _recentre,
     _SHIFT,
     _skeletons,
     _stream,
     _tree_from_levels,
+    _tree_reads,
     all_trees,
     count_trees,
-    read_trees,
     trees_with_segment_count,
     trees_with_segment_sequence,
 )
 from segwiener.generators import UnrealizableError
+from segwiener.steiner import _packed
 from segwiener.trees import Tree, _centers, _codes, canonical_code, is_starlike, segment_sequence
 
 from .conftest import double_broom, path_tree
@@ -47,6 +48,8 @@ from .oracles import (
     labelled_trees_with_segment_count,
     level_sequences,
     rooted_level_sequence,
+    read_levels,
+    read_trees,
     segment_count,
     segment_decomposition,
     segment_sequences_of_order,
@@ -206,14 +209,37 @@ class TestLevelReader:
         # the reader against two routes that do not share it, on every tree
         # of order 2..16: the subtree-size oracle (side sizes compared as
         # multisets) and the segment walks of `segment_decomposition`
-        assert _read_levels([0]) == ([], ())
+        assert read_levels([0]) == ([], ())
         for n in range(2, MAX_ORDER + 1):
             for level in level_sequences(n):
-                sides, segments = _read_levels(level)
+                sides, segments = read_levels(level)
                 t = _tree_from_levels(level)
                 walked = sorted((s.length for s in segment_decomposition(t)), reverse=True)
                 assert segments == tuple(walked), level
                 assert sorted(sides) == sorted(edge_side_sizes(t)), level
+
+    @pytest.mark.parametrize("which", ["k-2", "k-2-6", "every-k"])
+    def test_branch_reads_match_whole_tree_reads(self, which):
+        # every tree of order 1..16 read branch by branch, each distinct
+        # root branch once, against the tree read whole: its segment
+        # sequence and the plain sum of the packed row over its side sizes
+        for n in range(1, MAX_ORDER + 1):
+            ks = {"k-2": (2,), "k-2-6": tuple(range(2, 7)), "every-k": range(1, n + 1)}[which]
+            row = _packed(n, ks)[0]
+            expected = [(segments, sum(row[a] for a in sides), bytes(level)) for segments, sides, level in read_trees(n)]
+            assert list(_tree_reads(n, row)) == expected, n
+
+    def test_branch_reads_of_the_smallest_orders(self):
+        # a root with no child, one child and two: at order 3 the two runs
+        # through the root join into the one segment of the path
+        row = _packed(3, (2, 3))[0]
+        assert list(_tree_reads(1, _packed(1, (1,))[0])) == [((), 0, b"\0")]
+        assert list(_tree_reads(2, _packed(2, (1, 2))[0])) == [((1,), _packed(2, (1, 2))[0][1], b"\0\1")]
+        assert list(_tree_reads(3, row)) == [((2,), 2 * row[1], b"\0\1\1")]
+        # a branch is the root's edge to one child with the child's subtree
+        assert _read_branch(b"", row) == (row[1], (), 1)
+        assert _read_branch(b"\2", row) == (row[2] + row[1], (), 2)
+        assert _read_branch(b"\2\3\3", (0, 1, 10, 100, 1000)) == (1000 + 100 + 1 + 1, (1, 1), 2)
 
     def test_level_code_matches_canonical_code(self):
         # the coder over a level sequence's parentheses against the built
@@ -231,7 +257,7 @@ class TestLevelReader:
         assert segment_count([0]) == 0
         for n in range(1, MAX_ORDER + 1):
             for level in level_sequences(n):
-                assert segment_count(level) == len(_read_levels(level)[1]), level
+                assert segment_count(level) == len(read_levels(level)[1]), level
 
     def test_parens_match_the_rooted_coder(self):
         # the parentheses of a stream sequence against the sorting coder's
@@ -298,13 +324,15 @@ class TestLevelReader:
 
     def test_recentre_from_every_root(self):
         # every tree of order 1..11, its canonical sequence rooted at each
-        # vertex in turn, re-rooted to the stream's sequence
+        # vertex in turn, re-rooted to the stream's sequence, with the
+        # number of centres that the built tree's longest path gives
         for n in range(1, 12):
             for level in level_sequences(n):
                 t = _tree_from_levels(level)
+                centres = len(_centers(t))
                 for root in range(n):
                     rooted = bytes(rooted_level_sequence(t, root))
-                    assert list(_recentre(rooted)) == level, (level, root)
+                    assert _recentre(rooted) == (bytes(level), centres), (level, root)
 
     def test_shift_table_adds_every_amount(self):
         # a level shift of k adds k and of -k subtracts it, for every k in
@@ -335,7 +363,7 @@ class TestSkeletons:
             assert len({_level_code(level) for level in skeletons}) == len(skeletons) == A000014[n - 1]
             for level in skeletons:
                 assert 2 not in _parents(level)[1], level
-                assert _recentre(level) == level, level
+                assert _recentre(level)[0] == level, level
                 assert _level_code(level).encode("ascii") == canonical_code(_tree_from_levels(level)), level
 
 
@@ -385,7 +413,7 @@ class TestListing:
             path = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
             trees = [(path, path_tree(n))]
             for length, right in ((n - 3, 2), (200, n - 201)):
-                broom = _recentre(bytes([*range(length + 1), *[length + 1] * right]))
+                broom = _recentre(bytes([*range(length + 1), *[length + 1] * right]))[0]
                 trees.append((broom, double_broom(length, 0, right)))
             for level, t in trees:
                 assert _level_code(level).encode("ascii") == canonical_code(t), (n, level)

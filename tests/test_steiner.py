@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from segwiener.enumeration import all_trees, read_trees
+from segwiener.enumeration import all_trees
 from segwiener.exact import CountOverflowError
-from segwiener.steiner import _class_sums, _index_sums, sw_k, sw_profile, wiener
+from segwiener.steiner import _class_sums, _index_sums, _packed, sw_k, sw_profile, wiener
 from segwiener.trees import Tree
 
 from .conftest import double_broom, path_tree
@@ -17,6 +17,7 @@ from .oracles import (
     index_sums_per_k,
     path,
     random_labeled_tree,
+    read_trees,
     relabel,
     steiner_by_enumeration,
     steiner_distance,
@@ -175,6 +176,14 @@ def star_tree(n: int) -> Tree:
     return Tree.from_edges([(0, i) for i in range(1, n)], n=n)
 
 
+def packed_totals(n: int, side_lists, ks) -> list[int]:
+    """The packed total of each tree given by its side sizes, as
+    `_class_sums` takes them: the plain sum of the packed row of (n, ks)
+    over the side sizes."""
+    row = _packed(n, ks)[0]
+    return [sum(row[a] for a in sides) for sides in side_lists]
+
+
 def outcome(fn, *args):
     """*fn*'s value, or the message of the CountOverflowError it raises."""
     try:
@@ -185,7 +194,8 @@ def outcome(fn, *args):
 
 class TestPackedSums:
     """All requested k are summed at once over one packed row; the oracle
-    sums one weight row per k."""
+    sums one weight row per k.  `_class_sums` splits packed totals, each
+    summed here over a tree's side sizes (`packed_totals`)."""
 
     def test_every_small_tree_matches_the_per_k_oracle(self):
         # every tree of order <= 12 at k = 1..n, at an unsorted k list and
@@ -197,7 +207,7 @@ class TestPackedSums:
             for ks in (every_k, unsorted, *((k,) for k in every_k)):
                 expected = [index_sums_per_k(n, sides, ks) for sides in side_lists]
                 assert [_index_sums(n, sides, ks) for sides in side_lists] == expected, (n, ks)
-                assert _class_sums(n, side_lists, ks) == [list(column) for column in zip(*expected)], (n, ks)
+                assert _class_sums(n, packed_totals(n, side_lists, ks), ks) == [list(column) for column in zip(*expected)], (n, ks)
 
     def test_random_trees_match_the_per_k_oracle(self):
         # seeded random trees of order 13..130, at every k and at a random
@@ -212,7 +222,7 @@ class TestPackedSums:
                 expected = outcome(index_sums_per_k, n, sides, ks)
                 assert outcome(_index_sums, n, sides, ks) == expected, (n, ks)
                 columns = expected if expected[0] == "raises" else [[value] for value in expected]
-                assert outcome(_class_sums, n, [sides], ks) == columns, (n, ks)
+                assert outcome(_class_sums, n, packed_totals(n, [sides], ks), ks) == columns, (n, ks)
                 raised += expected[0] == "raises"
         assert raised > 0
 
@@ -227,9 +237,9 @@ class TestPackedSums:
             assert [outcome(_index_sums, n, sides, ks) for sides in side_lists] == expected, n
             if any(values[0] == "raises" for values in expected):
                 with pytest.raises(CountOverflowError):
-                    _class_sums(n, side_lists, ks)
+                    _class_sums(n, packed_totals(n, side_lists, ks), ks)
             else:
-                assert _class_sums(n, side_lists, ks) == [list(column) for column in zip(*expected)], n
+                assert _class_sums(n, packed_totals(n, side_lists, ks), ks) == [list(column) for column in zip(*expected)], n
 
     @pytest.mark.parametrize("n", range(128, 141))
     def test_profile_overflows_where_the_oracle_does(self, n):
@@ -245,6 +255,6 @@ class TestPackedSums:
                 expected = outcome(index_sums_per_k, n, sides, ks)
                 assert expected[0] == "raises"
                 assert outcome(_index_sums, n, sides, ks) == expected, ks
-                assert outcome(_class_sums, n, [sides], ks) == expected, ks
+                assert outcome(_class_sums, n, packed_totals(n, [sides], ks), ks) == expected, ks
             if n > 130:
                 assert outcome(_index_sums, n, sides, (2, n // 2))[1] == f"C({n},{n // 2}) exceeds the signed 128-bit range"

@@ -278,11 +278,12 @@ def _defined_families(n: int, m: int) -> list[tuple[str, Tree]]:
 def _recorded_rows(monkeypatch, verifier, max_n: int) -> list[tuple[dict, list[VerificationReport], dict]]:
     """Each class of *verifier*'s run up to *max_n* at every k: its fields,
     its reports and, per k, the values of the rows summed after its
-    members."""
+    members, as the one split of the class's packed totals into columns
+    (`_class_sums`) gives them."""
     recorded = []
 
-    def recording(n, side_lists, ks, _fn=verify_module._class_sums):
-        columns = _fn(n, side_lists, ks)
+    def recording(n, totals, ks, _fn=verify_module._class_sums):
+        columns = _fn(n, totals, ks)
         recorded.append({k: list(column) for k, column in zip(ks, columns)})
         return columns
 
@@ -347,10 +348,11 @@ class TestClassOrder:
         # as the partitions of n - 1 list them, counts ascending; the
         # golden report digests pin class order only at max_n = 9
         for n in range(2, 17):
-            by_sequence = [tuple(fields["segments"]) for fields, _ in verify_module._classes(n, False)]
+            row = steiner_module._packed(n, (2,))[0]
+            by_sequence = [tuple(fields["segments"]) for fields, _ in verify_module._classes(n, False, row)]
             assert by_sequence == segment_sequences_of_order(n)
             counts = sorted({len(seq) for seq in by_sequence})
-            assert [fields["m"] for fields, _ in verify_module._classes(n, True)] == counts
+            assert [fields["m"] for fields, _ in verify_module._classes(n, True, row)] == counts
 
 
 class TestTheorem1:
@@ -620,8 +622,8 @@ class TestReports:
 
     @pytest.mark.parametrize("verifier", VERIFIERS, ids=VERIFIER_IDS)
     def test_sums_each_class_once(self, monkeypatch, verifier):
-        # the requested indices of a class come from one call over the side
-        # sizes of all its trees (plus one row for the starlike construction
+        # the requested indices of a class come from one split of the packed
+        # totals of all its trees (plus one row for the starlike construction
         # of theorem1 and theorem5min, and one for each family theorem5max
         # defines for (n, m)), and no tree is summed on its own
         classes: list[tuple[int, int]] = []
@@ -634,9 +636,9 @@ class TestReports:
                 return len(_defined_families(fields["n"], fields["m"]))
             return 0
 
-        def counting(n, side_lists, ks, _fn=verify_module._class_sums):
-            classes.append((n, len(side_lists)))
-            return _fn(n, side_lists, ks)
+        def counting(n, totals, ks, _fn=verify_module._class_sums):
+            classes.append((n, len(totals)))
+            return _fn(n, totals, ks)
 
         def summing_one_tree(n, sides, ks, _fn=steiner_module._index_sums):
             per_tree.append(n)
@@ -654,6 +656,18 @@ class TestReports:
         assert sorted(classes) == sorted((n, size + extra) for n, size, extra in sizes.values())
         assert sum(size for _, size, _ in sizes.values()) == sum(count_trees(n) for n in range(2, 11))
         assert per_tree == []
+
+    def test_reads_each_root_branch_once_per_order(self, level_reads):
+        # orders 2..12 hold 986 trees but 189 distinct root branches (82 at
+        # order 12): each is read once per order of a call, and no read
+        # outlives the call, so a second call reads them all again
+        for _ in range(2):
+            level_reads[0] = 0
+            verify_min_starlike(12, [2, 3])
+            assert level_reads[0] == 189
+        level_reads[0] = 0
+        verify_max_caterpillar_family(12, [2, 3])
+        assert level_reads[0] == 189
 
     def test_structure_reads_each_judged_tree_once(self, monkeypatch):
         # one shape read of the series-reduced tree both tells a
@@ -716,6 +730,34 @@ class TestReportEncoder:
         reports = [verify_lemma31(20, 7, [2, 3, 9])]
         assert reports_to_json(reports) == reports_to_json_by_stdlib(reports)
         assert reports_to_json([]) == reports_to_json_by_stdlib([]) == "[]\n"
+
+    def test_rulings_differing_in_verdict_or_notes_alone(self):
+        # reports holding the same arg_trees and predicate_outcomes objects
+        # but other verdicts or notes, and the same instance fields but
+        # another theorem: every encoded part is keyed on all it writes
+        codes = ("(()())", "((()))")
+        outcomes = {code: {"is_quasi_caterpillar": True} for code in codes}
+        segments = [2, 1, 1]
+
+        def report(theorem, k, verdict, notes):
+            return VerificationReport(
+                theorem=theorem,
+                instance={"n": 5, "segments": segments, "k": k},
+                extremal_value=k * 10,
+                arg_trees=codes,
+                predicate_outcomes=outcomes,
+                verdict=verdict,
+                notes=notes,
+            )
+
+        reports = [
+            report("theorem2", 2, CONFIRMED, "class size 3"),
+            report("theorem2", 3, VIOLATED, "class size 3"),
+            report("theorem2", 4, CONFIRMED, "class size 3; other"),
+            report("structure", 2, CONFIRMED, "class size 3"),
+            report("structure", 3, CONFIRMED, "class size 3"),
+        ]
+        assert reports_to_json(reports) == reports_to_json_by_stdlib(reports)
 
     def test_escapes_strings_like_json(self):
         odd = 'quote " backslash \\ newline \n tab \t non-ASCII é ∑ 😀 \x01'
