@@ -1,32 +1,31 @@
 """Exhaustive generation of free trees up to isomorphism, with segment filters.
 
-The generator is the free-tree successor of Wright, Richmond, Odlyzko &
-McKay (1986, "Constant time generation of free trees", SIAM J. Comput. 15),
-which walks centre-rooted level sequences with the rooted-tree successor of
-Beyer & Hedetniemi (1980, "Constant time generation of rooted trees", SIAM
-J. Comput. 9).  It emits each isomorphism class exactly once, in a
-deterministic order (that of networkx's ``nonisomorphic_trees``, with
-vertices labelled by preorder index).  One centre rule, `_centres`, judges
-each candidate once; its answer also says whether the kept tree has one
-centre or two, so the stream (`_stream`) yields each sequence with the
-index of the root's second child and its number of centres, the facts the
-coder roots it by.
+One composition, `_compose`, gives every free tree of an order, each as
+its canonical centre-rooted preorder level sequence (bytes), in strictly
+decreasing order, one batch per first child of the root: it pools the
+rooted trees by height and joins them into forests, so a whole order and
+its skeletons, the trees with no vertex of degree 2, come from the same
+pool.  It emits each isomorphism class exactly once, in a deterministic
+order (that of networkx's ``nonisomorphic_trees``, with vertices labelled
+by preorder index), with the index of the root's second child and the
+number of centres, the facts the coder roots it by; the stream
+(`_stream`) is that composition behind the order guard.
 
 A tree is read, coded and filtered straight off its level sequence, and a
 ``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
 gives every tree of an order, one segment sequence or one segment count,
 in stream order, as the stream's triple (level sequence, second-child
 index, number of centres): the ``Tree`` streams unpack it and the listing
-``segwiener enumerate`` prints takes it whole.  A kept sequence is bytes;
-only the stream's one list, rewritten in place, is not.  A segment class
-or count is not filtered out of its order but placed on its skeletons,
-the trees with one edge per segment and no vertex of degree 2, built
-directly (`_skeletons`): the segment lengths, or each partition of n - 1
-into that many parts (`_partitions`), go on their edges once per orbit of
-the skeleton's automorphisms, and `_segment_class` re-roots each member
-at its centre (`_recentre`, which also gives its number of centres),
-sorts the sequences into stream order and gives each its second-child
-index.  ``count_trees`` lists nothing: it counts a class or count over
+``segwiener enumerate`` prints takes it whole.  A segment class or count
+is not filtered out of its order but placed on its skeletons, the trees
+with one edge per segment, composed directly (`_skeletons`, `_compose`
+keeping only the pooled trees with no child or at least two): the
+segment lengths, or each partition of n - 1 into that many parts
+(`_partitions`), go on their edges once per orbit of the skeleton's
+automorphisms, and `_segment_class` re-roots each member at its centre
+(`_recentre`, which also gives its number of centres), sorts the
+sequences into stream order and gives each its second-child index.
+``count_trees`` lists nothing: it counts a class or count over
 the same orbits (`_orbit_count`, each vertex's placements a polynomial in
 the parts they consume, memoised by subtree shape), and a whole order by
 Otter's formula (`_otter_count`).  One pass, `_parents`, gives the
@@ -48,13 +47,15 @@ level bytes (`_rooting`: a unicentral tree's own sequence, and only for a
 bicentral tree the rooting at vertex 1 too, two slices of its sequence
 joined), then the parentheses of many trees from one integer difference
 (`_parens`).
-The Prüfer-plus-canonical-dedup oracle, the stream filters the skeletons
-and counts are checked against, and the Cayley check are in the tests.
+The Prüfer-plus-canonical-dedup oracle, the free-tree successor of
+Wright, Richmond, Odlyzko & McKay the stream and the skeletons are
+checked against, the stream filters the counts are checked against, and
+the Cayley check are in the tests.
 """
 
 from __future__ import annotations
 
-from itertools import groupby, islice, starmap
+from itertools import groupby, islice, repeat, starmap
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -65,46 +66,105 @@ from .trees import Tree, _read
 MAX_ORDER = 16
 
 
-def _stream(n: int) -> Iterator[tuple[list[int], int, int]]:
-    """The canonical centre-rooted preorder level sequence of every free
-    tree of order *n*, in strictly decreasing lexicographic order, with the
-    index of the root's second child (n if it has only one) and the number
-    of centres, as the centre rule (`_centres`) found them.  Every step
-    rewrites the one list it yields: copy it to keep it.
-
-    Each candidate, a canonical rooted sequence, is judged once by the
-    centre rule.  A kept one is yielded and followed by the next rooted
-    sequence (Beyer–Hedetniemi: repeat the subtree above the last vertex
-    deeper than level 1); a rejected one jumps past the rooted sequences
-    whose first subtree is too high, by repeating the subtree above that
-    subtree's last vertex and, if that vertex was deeper than level 2,
-    ending on a path from the root as deep as the new first subtree
-    (WROM)."""
+def _stream(n: int) -> Iterator[tuple[bytes, int, int]]:
+    """The canonical centre-rooted preorder level sequence, as bytes, of
+    every free tree of order *n*, in strictly decreasing lexicographic
+    order, with the index of the root's second child (n if it has only
+    one) and the number of centres: `_compose` behind the order guard."""
     _check_order(n)
-    # the first candidate is the path, rooted at its centre
-    level = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while True:
-        m = _first_subtree_end(level)
-        centres = _centres(level, m)
-        if centres:
-            yield level, m, centres
-            p = n - 1
-            while level[p] == 1:
-                p -= 1
-            if not p:
-                return
-            deep = False
-        else:
-            p = m - 1
-            deep = level[p] > 2
-        q = p - 1
-        while level[q] != level[p] - 1:
-            q -= 1
-        for i in range(p, n):
-            level[i] = level[i - p + q]
-        if deep:
-            height = max(level)  # every copy is below level 1: the first subtree runs to the end
-            level[n - height :] = range(1, height + 1)
+    return _compose(n)
+
+
+def _compose(order: int, reduced: bool = False) -> Iterator[tuple[bytes, int, int]]:
+    """The stream's triples of every free tree of *order* vertices, or with
+    *reduced* of every one with no vertex of degree 2 (the series-reduced
+    trees, OEIS A000014), with no order guard: the tree's canonical
+    centre-rooted level sequence as bytes, in strictly decreasing order,
+    the index of the root's second child (*order* if it has only one) and
+    the number of centres.
+
+    Rooted trees are pooled one level down, as children, in ascending
+    order, which puts the lower first (a canonical sequence opens with the
+    path down to its deepest vertex).  One of height h >= 1 is a child of
+    height h - 1 followed by a forest of pooled trees no larger, with as
+    many vertices as are left; the forests of each (vertices, largest pool
+    index) are memoised (`_Forests`), their trees concatenated in
+    descending order.  The trees come in one batch per first child x, x
+    descending, each batch sorted: first the unicentral trees, whose
+    root's second child is of x's height h too, then the bicentral ones,
+    vertex 1's half x and the root's half led by a child of height h - 1,
+    so of height h as well, and as `_centres` orders them: vertex 1's half
+    no larger, or at equal size not lexicographically later.  Only one
+    batch is held at a time.  With *reduced*, every pooled tree has no
+    children or at least two, and the root at least three, two of them in
+    the root's half of a bicentral tree."""
+    if order <= 2:
+        yield b"\0\1"[:order], order, order  # a vertex (unicentral) or an edge (bicentral)
+        return
+    pool = [b"\1"]
+    ends = [0, 1]  # pool[ends[h] : ends[h + 1]]: the pooled trees of height h
+    groups = [[(1, 0)]]  # groups[h]: (size, pool index) of each of height h, by size
+    forests = _Forests(pool, groups, ends)
+
+    def joined(head: bytes, group: list[tuple[int, int]], vertices: int, largest: int) -> list[bytes]:
+        # head + y + f for each y of *group* up to pool index *largest* and each
+        # forest f no larger, *vertices* in all, f not empty if *reduced*
+        found = []
+        for size, j in group:
+            if size + reduced > vertices:
+                break
+            if j <= largest:
+                lead = head + pool[j]
+                found += map(lead.__add__, forests[vertices - size, j])
+        return found
+
+    for h in range(1, (order - 2) // 2 + 1):
+        limit = max(order - 2 - h, order // 2)  # the largest first child of this height
+        grown = []
+        for vertices in range(h, limit):  # below the root: a child of height h - 1, then a forest
+            grown += joined(b"\0", groups[h - 1], vertices, len(pool))
+        grown = sorted(map(bytes.translate, grown, repeat(_DOWN)))
+        groups.append(sorted(zip(map(len, grown), range(len(pool), len(pool) + len(grown)))))
+        pool += grown
+        ends.append(len(pool))
+    for h in range(len(groups) - 1, -1, -1):
+        for i in range(ends[h + 1] - 1, ends[h] - 1, -1):
+            x = pool[i]
+            m = 1 + len(x)
+            head = b"\0" + x
+            if order - m > h:
+                yield from [(level, m, 1) for level in sorted(joined(head, groups[h], order - m, i), reverse=True)]
+            if h and 2 * len(x) <= order:
+                found = sorted(joined(head, groups[h - 1], order - m, i), reverse=True)
+                if 2 * len(x) == order:  # halves of equal size: vertex 1's no later
+                    found = [level for level in found if x.translate(_UP) <= b"\0" + level[m:]]
+                yield from [(level, m, 2) for level in found]
+
+
+class _Forests(dict):
+    """The forests of `_compose`'s pooled rooted trees, memoised by
+    (vertices in all, largest pool index), each its trees concatenated in
+    descending order.  The pool is ascending, its trees of height h at
+    ``pool[ends[h] : ends[h + 1]]`` and in ``groups[h]`` as (size, pool
+    index) pairs by size.  A forest's trees are looked up here, not in a
+    closure that calls itself, so nothing holds the memo once its
+    composition ends."""
+
+    def __init__(self, pool: list[bytes], groups: list[list[tuple[int, int]]], ends: list[int]) -> None:
+        self.pool, self.groups, self.ends = pool, groups, ends
+
+    def __missing__(self, key: tuple[int, int]) -> list[bytes]:
+        vertices, largest = key
+        found = self[key] = [] if vertices else [b""]
+        for h, group in enumerate(self.groups):
+            if self.ends[h] > largest:
+                break
+            for size, i in group:
+                if size > vertices:
+                    break
+                if i <= largest:
+                    found += map(self.pool[i].__add__, self[vertices - size, i])
+        return found
 
 
 def _check_order(n: int) -> None:
@@ -137,7 +197,6 @@ def _tree_reads(n: int, row: Sequence[int]) -> Iterator[tuple[tuple[int, ...], i
     lengths with the two runs through a root of degree 2 joined into one."""
     reads: dict[bytes, tuple[int, tuple[int, ...], int]] = {}
     for level, _, _ in _stream(n):
-        level = bytes(level)
         total = 0
         lengths: list[int] = []
         runs = []
@@ -347,10 +406,9 @@ def _levels(
     """Every tree of order *n*, or those with segment sequence *segments*
     (which must sum to n - 1) or with *num_segments* segments (not
     negative), the first whose argument is given, in stream order, as the
-    triples `_stream` yields: a whole order's are the stream's own, its one
-    list rewritten in place, and a segment class's, or a segment count's as
-    the classes of its partitions of n - 1, are built from its skeletons
-    (`_segment_class`), each sequence its own bytes."""
+    triples `_stream` yields: a whole order's are the stream's own, and a
+    segment class's, or a segment count's as the classes of its partitions
+    of n - 1, are built from its skeletons (`_segment_class`)."""
     if segments is not None:
         return _segment_class([_class_lengths(n, segments)])
     if num_segments is not None:
@@ -420,53 +478,9 @@ def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[bytes, 
 def _skeletons(order: int) -> list[bytes]:
     """The stream's level sequence, as bytes, of every tree of *order*
     vertices with no vertex of degree 2 (the series-reduced trees, OEIS
-    A000014), in stream order, built without the stream of that order.
-
-    Rooted at a centre, every vertex below the root has no children or at
-    least two, so each branch is a rooted tree in which no vertex has
-    exactly one child: those of s vertices are the multisets of at least
-    two smaller ones with s - 1 vertices in all, each child's sequence
-    shifted one level down and the children in non-increasing order.  A
-    unicentral skeleton is one of *order* vertices whose root has none or at
-    least three children, the two highest of equal height.  A bicentral
-    one joins two of equal height, vertex 1's and the root's, by the
-    central edge; as `_centres` orders them, vertex 1's half is the
-    smaller, or at equal size not lexicographically later."""
-    if order == 1:
-        return [b"\0"]
-    pool: list[tuple[bytes, int]] = []  # (sequence, height) of every rooted tree built, by size
-    below = [0]  # below[s]: how many pooled trees have at most s vertices
-
-    def forests(total: int, top: int) -> Iterator[tuple[int, ...]]:
-        # multisets of pool[:top] with *total* vertices, as indices in non-increasing order
-        if total == 0:
-            yield ()
-            return
-        for i in range(min(top, below[total]) - 1, -1, -1):
-            for rest in forests(total - len(pool[i][0]), i + 1):
-                yield (i, *rest)
-
-    def grown(children: tuple[int, ...]) -> tuple[bytes, int]:
-        kids = sorted([pool[i][0].translate(_DOWN) for i in children], reverse=True)
-        return b"\0" + b"".join(kids), 1 + max(pool[i][1] for i in children)
-
-    for size in range(1, order):
-        pool += [(b"\0", 0)] if size == 1 else [grown(children) for children in forests(size - 1, below[size - 2])]
-        below.append(len(pool))
-    found = []
-    for children in forests(order - 1, below[order - 2]):
-        heights = sorted((pool[i][1] for i in children), reverse=True)
-        if len(children) >= 3 and heights[0] == heights[1]:
-            found.append(grown(children)[0])
-    for small in range(1, order // 2 + 1):
-        for near, height in pool[below[small - 1] : below[small]]:
-            for far, other in pool[below[order - small - 1] : below[order - small]]:
-                if other == height:
-                    join = b"\0" + near.translate(_DOWN) + far[1:]
-                    if _centres(join, small + 1):
-                        found.append(join)
-    found.sort(reverse=True)
-    return found
+    A000014), in stream order, composed directly (`_compose`), with no
+    order guard."""
+    return [level for level, _, _ in _compose(order, True)]
 
 
 # ``level.translate(_SHIFT[k])`` adds k to every level of a bytes sequence,

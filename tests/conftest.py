@@ -108,8 +108,9 @@ def level_reads(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def stream_starts(monkeypatch) -> Counter:
-    """Counts the level streams started (`enumeration._stream` calls, which
-    every route to the stream makes), per order."""
+    """Counts the whole-order level streams started (`enumeration._stream`
+    calls, which every route to a whole order makes; skeletons are composed
+    without one), per order."""
     starts: Counter = Counter()
     stream = enumeration._stream
 

@@ -31,13 +31,18 @@ reports are written by the stdlib ``json`` encoder, the realizable
 segment sequences of an order are listed as the partitions of n - 1 into
 one part or at least three (`segment_sequences_of_order`) instead of read
 off the keys of the enumerator's buckets, and the trees with a given
-number of segments and the skeletons (no vertex of degree 2) are filtered
-out of the package's whole level stream of their order, counting segments
-off the degrees (`segment_count`), instead of built from skeletons and
-partitions.  Three helpers the package does not need live here too: `path`
-reads the path between two vertices off the BFS parents, `relabel`
-permutes a tree's vertex ids, and `level_sequences` gives the package's
-level stream of an order without the facts it hands the coder.  The
+number of segments are filtered out of the package's whole level stream
+of their order, counting segments off the degrees (`segment_count`),
+instead of built from skeletons and partitions.  The package composes
+each order's level sequences from pooled rooted trees, and its skeletons
+(no vertex of degree 2) the same way; here they come from the free-tree
+successor of Wright, Richmond, Odlyzko & McKay instead (`wrom_stream`),
+which the package's stream is checked against triple for triple, and
+the skeletons are filtered out of it (`skeletons_by_filter`).  Three
+helpers the package does not need live here too: `path` reads the path
+between two vertices off the BFS parents, `relabel` permutes a tree's
+vertex ids, and `level_sequences` gives the package's level stream of an
+order without the facts it hands the coder.  The
 verifiers read an order's trees branch by branch, each distinct root
 branch once; `read_trees` reads each tree of the stream whole instead
 (`read_levels`), and is the route the branch reads are checked against.
@@ -72,7 +77,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from segwiener import enumeration
-from segwiener.enumeration import _parents
+from segwiener.enumeration import _centres as _centre_rule
+from segwiener.enumeration import _first_subtree_end, _parents
 from segwiener.exact import checked
 from segwiener.moves import MoveDescriptor, Reattach, Relocation, Slide, Switch, _rewire
 from segwiener.steiner import _weights
@@ -596,10 +602,56 @@ def segment_count(level: list[int]) -> int:
     return len(level) - 1 - _parents(level)[1].count(2)
 
 
-def level_sequences(n: int) -> Iterator[list[int]]:
+def wrom_stream(n: int) -> Iterator[tuple[list[int], int, int]]:
+    """The canonical centre-rooted preorder level sequence of every free
+    tree of order *n*, in strictly decreasing lexicographic order, with the
+    index of the root's second child (n if it has only one) and the number
+    of centres, as the package's centre rule (``enumeration._centres``)
+    finds them: the free-tree successor of Wright, Richmond, Odlyzko &
+    McKay (1986, "Constant time generation of free trees", SIAM J. Comput.
+    15), which walks centre-rooted level sequences with the rooted-tree
+    successor of Beyer & Hedetniemi (1980, "Constant time generation of
+    rooted trees", SIAM J. Comput. 9).  Every step rewrites the one list
+    it yields: copy it to keep it.
+
+    Each candidate, a canonical rooted sequence, is judged once by the
+    centre rule.  A kept one is yielded and followed by the next rooted
+    sequence (Beyer–Hedetniemi: repeat the subtree above the last vertex
+    deeper than level 1); a rejected one jumps past the rooted sequences
+    whose first subtree is too high, by repeating the subtree above that
+    subtree's last vertex and, if that vertex was deeper than level 2,
+    ending on a path from the root as deep as the new first subtree
+    (WROM)."""
+    # the first candidate is the path, rooted at its centre
+    level = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = _first_subtree_end(level)
+        centres = _centre_rule(level, m)
+        if centres:
+            yield level, m, centres
+            p = n - 1
+            while level[p] == 1:
+                p -= 1
+            if not p:
+                return
+            deep = False
+        else:
+            p = m - 1
+            deep = level[p] > 2
+        q = p - 1
+        while level[q] != level[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            level[i] = level[i - p + q]
+        if deep:
+            height = max(level)  # every copy is below level 1: the first subtree runs to the end
+            level[n - height :] = range(1, height + 1)
+
+
+def level_sequences(n: int) -> Iterator[bytes]:
     """The level sequences of the package's stream of order *n*
     (``enumeration._stream``, looked up on each call), without the facts
-    it hands the coder, rewritten in place as there."""
+    it hands the coder."""
     for level, _, _ in enumeration._stream(n):
         yield level
 
@@ -614,10 +666,9 @@ def read_levels(level: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
     return _read(parent, range(len(level)), degree)
 
 
-def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
+def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], bytes]]:
     """Every tree of the package's stream of order *n*, each read whole
-    (`read_levels`): (segment sequence, edge side sizes, level sequence).
-    The level sequence is rewritten by the next step, as in the stream."""
+    (`read_levels`): (segment sequence, edge side sizes, level sequence)."""
     for level in level_sequences(n):
         sides, segments = read_levels(level)
         yield segments, sides, level
@@ -625,8 +676,9 @@ def read_trees(n: int) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]
 
 def skeletons_by_filter(n: int) -> list[bytes]:
     """The stream's level sequences of order *n* with no vertex of degree 2,
-    as bytes, filtered out of the whole stream of that order, in its order."""
-    return [bytes(level) for level in level_sequences(n) if 2 not in _parents(level)[1]]
+    as bytes, filtered out of the whole WROM stream of that order
+    (`wrom_stream`), in its order."""
+    return [bytes(level) for level, _, _ in wrom_stream(n) if 2 not in _parents(level)[1]]
 
 
 def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:

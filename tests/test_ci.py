@@ -1,8 +1,10 @@
 """The CI workflow runs the tier-1 suite as it is run locally: it installs
 every third-party module the tests import, and its test step is the tier-1
-command.  The workflow is read as text and the tests' imports with ``ast``,
-so the check needs nothing outside the stdlib.  The package's sources also
-parse as the oldest Python that ``pyproject.toml`` admits."""
+command.  The workflow is read as text and the imports with ``ast``, so
+the check needs nothing outside the stdlib.  The package's sources also
+parse as the oldest Python that ``pyproject.toml`` admits, and import
+nothing but the stdlib and the package's own modules, as its empty
+``dependencies`` and the README's "no runtime dependencies" say."""
 
 from __future__ import annotations
 
@@ -18,17 +20,23 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
 
 
-def _third_party_imports() -> set[str]:
-    """The top-level modules that ``tests/*.py`` import by absolute name,
-    less the stdlib and the package under test."""
+def _absolute_imports(directory: Path) -> set[str]:
+    """The top-level modules that the ``*.py`` files of *directory* import
+    by absolute name."""
     roots = set()
-    for path in sorted((ROOT / "tests").glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 roots.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 roots.add(node.module.split(".")[0])
-    return roots - set(sys.stdlib_module_names) - {"segwiener"}
+    return roots
+
+
+def _third_party_imports() -> set[str]:
+    """The top-level modules that ``tests/*.py`` import by absolute name,
+    less the stdlib and the package under test."""
+    return _absolute_imports(ROOT / "tests") - set(sys.stdlib_module_names) - {"segwiener"}
 
 
 def _runs() -> list[str]:
@@ -61,3 +69,11 @@ def test_package_parses_as_the_oldest_supported_python():
     assert sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, int(floor.group(1))))
+
+
+def test_package_imports_only_the_stdlib_and_itself():
+    # its own modules are imported relatively; the tests' oracles and any
+    # third-party module stay out
+    imported = _absolute_imports(PACKAGE)
+    assert {"itertools", "typing"} <= imported, "the scan found none of the package's stdlib imports"
+    assert imported <= set(sys.stdlib_module_names) | {"segwiener"}, sorted(imported - set(sys.stdlib_module_names))

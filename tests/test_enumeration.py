@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial
@@ -54,6 +55,7 @@ from .oracles import (
     segment_decomposition,
     segment_sequences_of_order,
     skeletons_by_filter,
+    wrom_stream,
 )
 
 # number of free trees per order (verified against the Prüfer dedup oracle)
@@ -122,7 +124,31 @@ class TestAllTrees:
             previous = None
             for level in level_sequences(n):
                 assert previous is None or level < previous, (previous, level)
-                previous = list(level)
+                previous = level
+
+    def test_stream_is_the_wrom_successor(self):
+        # the composed stream against the free-tree successor it replaced,
+        # triple for triple at every order up to the guard
+        for n in range(1, MAX_ORDER + 1):
+            composed = _stream(n)
+            for level, m, centres in wrom_stream(n):
+                assert next(composed) == (bytes(level), m, centres), (n, level)
+            assert next(composed, None) is None, n
+
+    def test_stream_composes_one_batch_at_a_time(self):
+        # the first tree of the top order comes before most of the order is
+        # composed: pulling it peaks well below holding every sequence
+        def peak(pull):
+            tracemalloc.start()
+            try:
+                pull()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        first = peak(lambda: next(_stream(MAX_ORDER)))
+        whole = peak(lambda: list(_stream(MAX_ORDER)))
+        assert first < whole / 4, (first, whole)
 
     def test_stream_facts_match_independent_routes(self, monkeypatch):
         # the second-child index and centre count the stream hands the coder:
@@ -357,7 +383,7 @@ class TestSkeletons:
         # where the stream does not reach: no vertex of degree 2, each its
         # tree's stream sequence (rooted at a centre, coded as the built
         # tree), no tree twice, in descending order
-        for n in range(MAX_ORDER + 1, 19):
+        for n in range(MAX_ORDER + 1, 21):
             skeletons = _skeletons(n)
             assert skeletons == sorted(skeletons, reverse=True)
             assert len({_level_code(level) for level in skeletons}) == len(skeletons) == A000014[n - 1]
@@ -545,7 +571,7 @@ class TestCountRoute:
         def unused(*args):
             raise AssertionError("counting an order generated a tree")
 
-        for name in ("_stream", "_skeletons", "_placements", "_recentre"):
+        for name in ("_stream", "_compose", "_skeletons", "_placements", "_recentre"):
             monkeypatch.setattr(enumeration, name, unused)
         for n in range(1, MAX_ORDER + 1):
             assert count_trees(n) == {**FREE_TREE_COUNTS, **A000055_ABOVE_10}[n], n
