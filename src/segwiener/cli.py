@@ -77,7 +77,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.segments is not None and args.num_segments is not None:
         print("enumerate: --segments and --num-segments are mutually exclusive", file=sys.stderr)
         return 2
-    if args.segments is not None and args.n != 1 + sum(args.segments):
+    if args.segments is not None and args.n != 1 + sum(generators.normalize_segment_lengths(args.segments)):
         print(
             f"enumerate: --segments sums to {sum(args.segments)} edges, "
             f"which needs --n {1 + sum(args.segments)}",

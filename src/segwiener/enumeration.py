@@ -24,13 +24,14 @@ segment lengths, or each partition of n - 1 into that many parts
 (`_partitions`), go on their edges once per orbit of the skeleton's
 automorphisms, and `_segment_class` re-roots each member at its centre
 (`_recentre`, which also gives its number of centres), sorts the
-sequences into stream order and gives each its second-child index.
-``count_trees`` lists nothing: it counts a class or count over
-the same orbits (`_orbit_count`, each vertex's placements a polynomial in
-the parts they consume, memoised by subtree shape), and a whole order by
-Otter's formula (`_otter_count`).  One pass, `_parents`, gives the
-preorder parents and degrees that the placements, the reader
-(``trees._read``) and `_tree_from_levels` share.
+sequences into stream order and gives each its second-child index.  One
+skeleton walk (`_Orbits`, each vertex's placements a polynomial in the
+parts they consume, memoised by subtree shape) both lists and counts: the
+listing (`_placements`) runs it with the placements themselves as
+coefficients (`_Listed`), and ``count_trees`` with their numbers, so it
+lists nothing; a whole order it counts by Otter's formula
+(`_otter_count`).  One pass, `_parents`, gives the preorder parents and
+degrees that the reader (``trees._read``) and `_tree_from_levels` share.
 
 The verifiers read an order's trees for their segment sequences and
 packed index sums (`_tree_reads`) branch by branch, not tree by tree: a
@@ -55,9 +56,9 @@ the Cayley check are in the tests.
 
 from __future__ import annotations
 
-from itertools import groupby, islice, repeat, starmap
+from itertools import combinations_with_replacement, groupby, islice, repeat, starmap
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .generators import normalize_segment_lengths
 from .steiner import _packed_sum
@@ -363,19 +364,19 @@ def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int
     """How many trees `trees_with_segment_sequence(segments)`,
     `trees_with_segment_count(n, num_segments)` or `all_trees(n)` yields,
     the first whose argument is given; no tree is listed.  A segment class
-    or count is counted over its skeletons' orbits (`_orbit_count`), with
-    no member placed; a whole order by Otter's formula (`_otter_count`).
+    or count is counted by the walk that lists it (`_Orbits`), over its
+    skeletons' orbits with the numbers of placements as coefficients, so
+    no member is placed; a whole order by Otter's formula (`_otter_count`).
     *segments* must sum to n - 1."""
     if segments is not None:
         lengths = _class_lengths(n, segments)
-        caps = tuple(lengths.count(x) for x in sorted(set(lengths)))
-        units = [tuple(int(i == j) for j in range(len(caps))) for i in range(len(caps))]
-        return _orbit_count(_skeletons(len(lengths) + 1), caps, units)
+        caps, parts = _class_parts(lengths)
+        return sum(_Orbits(caps, dict.fromkeys(parts.values(), 1)).placed(_skeletons(len(lengths) + 1)))
     if num_segments is not None:
         _check_count(n, num_segments)
         if num_segments > n - 1:
             return 0
-        return _orbit_count(_skeletons(num_segments + 1), (n - 1,), [(length,) for length in range(1, n)])
+        return sum(_Orbits((n - 1,), {(x,): 1 for x in range(1, n)}).placed(_skeletons(num_segments + 1)))
     _check_order(n)
     return _otter_count(n)
 
@@ -468,8 +469,7 @@ def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[bytes, 
     for lengths in classes:
         if skeletons is None:
             skeletons = _skeletons(len(lengths) + 1)
-        for skeleton in skeletons:
-            found += map(_recentre, _placements(skeleton, lengths))
+        found += map(_recentre, _placements(skeletons, lengths))
     found.sort(reverse=True)
     for level, centres in found:
         yield level, _first_subtree_end(level), centres
@@ -491,144 +491,159 @@ _NEXT = b"\0" + bytes(range(128, 256)) + bytes(127)  # a root as 0, a level b >=
 _FIELDS = [")" * d for d in range(128)] + [")" * (d - 127) + "\n" for d in range(128, 256)]
 
 
-def _placements(skeleton: bytes, lengths: tuple[int, ...]) -> Iterator[bytes]:
-    """For each placement of *lengths* on the edges of *skeleton* (a stream
-    sequence, so rooted at a centre), up to the skeleton's automorphisms,
-    the canonical level sequence (as bytes) of the tree it makes, rooted at
-    the skeleton's root.
+def _placements(skeletons: list[bytes], lengths: tuple[int, ...]) -> Iterator[bytes]:
+    """For each placement of *lengths* on the edges of one of *skeletons*
+    (stream sequences of one order, so each rooted at a centre), up to the
+    skeleton's automorphisms, a canonical level sequence (as bytes) of the
+    tree it makes: the walk with the placements themselves as coefficients
+    (`_Listed`).  The pair {a, b} of a bicentral skeleton's halves is
+    rooted at a, b hung by the central part among a's branches."""
+    caps, parts = _class_parts(lengths)
+    for placed in _Listed(caps, {amounts: _Placed([(x,)]) for x, amounts in parts.items()}).placed(skeletons):
+        for tree in placed:
+            if len(tree) == 1:
+                yield tree[0]
+            else:
+                length, a, b = tree
+                branches = [b"\1" + kid for kid in a[1:].split(b"\1")[1:]]
+                yield b"\0" + b"".join(sorted([*branches, _hung(length, b)], reverse=True))
 
-    Every automorphism fixes the centre, so it only permutes children of one
-    shape (equal level slices, adjacent in a canonical sequence) and, when
-    the central edge joins two halves of one shape, swaps those.  A
-    vertex's placement is the canonical sequence of its subtree in the
-    tree, built from its children's; children of one shape take their
-    (part, placement) pairs in non-decreasing order, and the root's half
-    takes a placement no later than vertex 1's."""
-    size = len(skeleton)
+
+def _hung(length: int, below: bytes) -> bytes:
+    """The branch, from level 1, of a subtree (a level sequence from 0)
+    hung by a path of *length* edges."""
+    return _SHIFT[0][1:length] + below.translate(_SHIFT[length])
+
+
+def _class_parts(lengths: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """The caps of one segment class, an amount per distinct length capped
+    at how often it occurs, and the amounts each length consumes: one of
+    its own."""
     values = sorted(set(lengths))
-    counts = tuple(lengths.count(x) for x in values)
-    chains = [bytes(range(1, length)) for length in range(max(lengths, default=0) + 1)]
-    parent = _parents(skeleton)[0]
-    end = list(range(1, size + 1))
-    for v in range(size - 1, 0, -1):
-        end[parent[v]] = max(end[parent[v]], end[v])
-    shape = [skeleton[v : end[v]] for v in range(size)]
-    # each vertex's children as (child, is a leaf, has the previous child's shape)
-    kids: list[list[tuple[int, bool, bool]]] = [[] for _ in range(size)]
-    for v in range(1, size):
-        siblings = kids[parent[v]]
-        siblings.append((v, len(shape[v]) == 1, bool(siblings) and shape[siblings[-1][0]] == shape[v]))
-
-    def grow(v: int, left: tuple[int, ...]) -> Iterator[tuple[bytes, tuple[int, ...]]]:
-        # (placement of v's subtree, counts of the parts left) per placement
-        for branches, rest in hang(kids[v], 0, left, 0, b"", ()):
-            yield b"\0" + b"".join(sorted(branches, reverse=True)), rest
-
-    def hang(children, i, left, low, floor, branches):
-        # the branches of children[i:] added to *branches*; the first, if of
-        # the previous child's shape, no lower than (values[low], floor)
-        if i == len(children):
-            yield branches, left
-            return
-        c, leaf, same = children[i]
-        if not same:
-            low, floor = 0, b""
-        for x in range(low, len(values)):
-            if not left[x]:
-                continue
-            rest = (*left[:x], left[x] - 1, *left[x + 1 :])
-            length = values[x]
-            for below, after in ((b"\0", rest),) if leaf else grow(c, rest):
-                if x > low or below >= floor:
-                    branch = chains[length] + below.translate(_SHIFT[length])
-                    yield from hang(children, i + 1, after, x, below, (*branches, branch))
-
-    m = _first_subtree_end(skeleton)
-    if skeleton[1:m].translate(_UP) != b"\0" + skeleton[m:]:
-        for level, _ in grow(0, counts):
-            yield level
-        return
-    for x in range(len(values)):
-        length = values[x]
-        for far, rest in grow(1, (*counts[:x], counts[x] - 1, *counts[x + 1 :])):
-            central = chains[length] + far.translate(_SHIFT[length])
-            for branches, _ in hang(kids[0][1:], 0, rest, 0, b"", ()):
-                if b"\0" + b"".join(sorted(branches, reverse=True)) <= far:
-                    yield b"\0" + b"".join(sorted((*branches, central), reverse=True))
+    return tuple(map(lengths.count, values)), {x: tuple(int(x == y) for y in values) for x in values}
 
 
-def _orbit_count(skeletons: list[bytes], caps: tuple[int, ...], parts: list[tuple[int, ...]]) -> int:
-    """How many trees the *skeletons* (stream sequences of one order) make
-    with an edge part on every edge, where each of *parts* consumes a
-    vector of amounts and the parts placed consume exactly *caps* in all;
-    counted once per orbit of each skeleton's automorphisms, as
-    `_placements` places them, with no tree placed.  A segment count
-    consumes the one total length n - 1, in parts of any length 1 or more;
-    a segment class consumes each part length as often as it occurs.
+class _Orbits(dict):
+    """The placements of edge parts on skeletons, one per orbit of each
+    skeleton's automorphisms, counted.  *parts* maps the amounts each edge
+    part consumes to its coefficient; one part hangs a child's subtree by
+    one edge, and a vertex's placements are a polynomial in what they
+    consume: a dict from the consumption (packed into one int, a field per
+    amount, each a bit wider than its cap in *caps*, so that a guard bit
+    shows a sum over its cap) to a coefficient, memoised by the subtree's
+    shape (its root at level 0).  `_Listed` walks the same way with the
+    placements themselves as coefficients.
 
-    A vertex's placements are counted as a polynomial in what they consume,
-    a dict from the consumption (packed into one int, a field per amount,
-    each a bit wider than its cap, so that a guard bit shows a sum over its
-    cap) to the number of placements, memoised by the vertex's subtree
-    shape.  A child's branches are its edge part times its own placements;
-    a run of r children of one shape takes a multiset of r branches, which
-    is the t^r coefficient of the product over consumptions d of
-    (1 - t y^d)^(-b_d), b_d the branches consuming d: C(b_d + j - 1, j)
-    ways to take j of them.  The two halves of a bicentral skeleton of one
-    shape are such a multiset of two around the central edge's part."""
-    bit = target = offset = guard = 0
-    fields = []
-    for cap in caps:
-        width = cap.bit_length() + 1
-        fields.append(bit)
-        target += cap << bit
-        offset += ((1 << width - 1) - 1 - cap) << bit
-        guard |= 1 << bit + width - 1
-        bit += width
-    edge = {sum(amount << field for amount, field in zip(part, fields)): 1 for part in parts}
-    grown: dict[bytes, dict[int, int]] = {}
+    Every automorphism fixes the centre, so it only permutes children of
+    one shape (equal level slices, adjacent in a canonical sequence) and,
+    when the central edge joins two halves of one shape, swaps those.  A
+    child's branches are its edge parts times its own placements; a run of
+    r children of one shape takes a multiset of r branches, the t^r
+    coefficient of the product over consumptions d of the branches of d
+    taken i at a time (`take`), which for b_d branches is
+    (1 - t y^d)^(-b_d): C(b_d + i - 1, i) ways to take i.  The two halves
+    of a bicentral skeleton of one shape are such a multiset of two around
+    the central edge's part.  Shapes are looked up here, not in a closure
+    that calls itself, so nothing holds the memo once its walk ends."""
 
-    def times(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
+    one, zero = 1, 0
+
+    def __init__(self, caps: tuple[int, ...], parts: dict[tuple[int, ...], Any]) -> None:
+        bit = self.target = self.offset = self.guard = 0
+        fields = []
+        for cap in caps:
+            width = cap.bit_length() + 1
+            fields.append(bit)
+            self.target += cap << bit
+            self.offset += ((1 << width - 1) - 1 - cap) << bit
+            self.guard |= 1 << bit + width - 1
+            bit += width
+        self.edge = {sum(map(int.__lshift__, amounts, fields)): x for amounts, x in parts.items()}
+
+    @staticmethod
+    def take(branches: int, i: int) -> int:
+        return comb(branches + i - 1, i)
+
+    @staticmethod
+    def join(poly: dict[int, int]) -> dict[int, int]:
+        return poly
+
+    def __missing__(self, shape: bytes) -> dict[int, Any]:
+        poly = {0: self.one}
+        for kid, run in groupby(shape[1:].translate(_UP).split(b"\0")[1:]):
+            poly = self.times(poly, self.multisets(self.times(self.edge, self[b"\0" + kid]), len(list(run))))
+        found = self[shape] = self.join(poly)
+        return found
+
+    def placed(self, skeletons: Iterable[bytes]) -> Iterator:
+        """The coefficient of every cap consumed exactly, on each of
+        *skeletons* (stream sequences of one order)."""
+        for skeleton in skeletons:
+            m = _first_subtree_end(skeleton)
+            if skeleton[1:m].translate(_UP) == b"\0" + skeleton[m:]:
+                yield self.times(self.edge, self.multisets(self[b"\0" + skeleton[m:]], 2)).get(self.target, self.zero)
+            else:
+                yield self[skeleton].get(self.target, self.zero)
+
+    def times(self, p: dict[int, Any], q: dict[int, Any]) -> dict[int, Any]:
+        offset, guard, zero = self.offset, self.guard, self.zero
+        out = {}
         for a, x in p.items():
             for b, y in q.items():
                 if not (a + b + offset) & guard:
-                    out[a + b] = out.get(a + b, 0) + x * y
+                    out[a + b] = out.get(a + b, zero) + x * y
         return out
 
-    def multisets(branches: dict[int, int], r: int) -> dict[int, int]:
-        # layers[j]: the multisets of j branches of the consumptions seen so far
-        layers = [{0: 1}] + [{} for _ in range(r)]
+    def multisets(self, branches: dict[int, Any], r: int) -> dict[int, Any]:
+        # layers[j]: the multisets of j branches of the consumptions seen so
+        # far; a run of one child takes any one branch
+        if r == 1:
+            return branches
+        offset, guard, zero, take = self.offset, self.guard, self.zero, self.take
+        layers = [{0: self.one}] + [{} for _ in range(r)]
         for d, b in branches.items():
             for j in range(r, 0, -1):
                 layer = layers[j]
                 for i in range(1, j + 1):
                     if (i * d + offset) & guard:
                         break
-                    ways = comb(b + i - 1, i)
+                    ways = take(b, i)
                     for a, x in layers[j - i].items():
                         if not (a + i * d + offset) & guard:
-                            layer[a + i * d] = layer.get(a + i * d, 0) + x * ways
+                            layer[a + i * d] = layer.get(a + i * d, zero) + x * ways
         return layers[r]
 
-    def grow(shape: bytes) -> dict[int, int]:
-        # the placements of a subtree, its root at level 0
-        if shape not in grown:
-            poly = {0: 1}
-            for kid, run in groupby(shape[1:].translate(_UP).split(b"\0")[1:]):
-                poly = times(poly, multisets(times(edge, grow(b"\0" + kid)), len(list(run))))
-            grown[shape] = poly
-        return grown[shape]
 
-    total = 0
-    for skeleton in skeletons:
-        m = _first_subtree_end(skeleton)
-        if skeleton[1:m].translate(_UP) == b"\0" + skeleton[m:]:
-            poly = times(edge, multisets(grow(b"\0" + skeleton[m:]), 2))
-        else:
-            poly = grow(skeleton)
-        total += poly.get(target, 0)
-    return total
+class _Placed(list):
+    """Placements as coefficients: each a tuple, of edge lengths each
+    followed by the canonical sequence (bytes) of the subtree below it, or,
+    once joined at a vertex, of the vertex's own sequence alone.  A sum
+    concatenates; a product joins every pair."""
+
+    def __add__(self, other: list[tuple]) -> _Placed:
+        return _Placed([*self, *other])
+
+    def __mul__(self, other: list[tuple]) -> _Placed:
+        return _Placed([a + b for a in self for b in other])
+
+
+class _Listed(_Orbits):
+    """`_Orbits` with the placements as coefficients (`_Placed`)."""
+
+    one, zero = _Placed([()]), _Placed()
+
+    @staticmethod
+    def take(branches: _Placed, i: int) -> _Placed:
+        return _Placed([sum(chosen, ()) for chosen in combinations_with_replacement(branches, i)])
+
+    @staticmethod
+    def join(poly: dict[int, _Placed]) -> dict[int, _Placed]:
+        # each placement's branches, its edges' paths above their subtrees,
+        # sorted into the vertex's canonical sequence
+        return {
+            used: _Placed((b"\0" + b"".join(sorted(map(_hung, t[::2], t[1::2]), reverse=True)),) for t in placed)
+            for used, placed in poly.items()
+        }
 
 
 def _recentre(level: bytes) -> tuple[bytes, int]:

@@ -1,10 +1,11 @@
 """The CI workflow runs the tier-1 suite as it is run locally: it installs
 every third-party module the tests import, and its test step is the tier-1
 command.  The workflow is read as text and the imports with ``ast``, so
-the check needs nothing outside the stdlib.  The package's sources also
-parse as the oldest Python that ``pyproject.toml`` admits, and import
-nothing but the stdlib and the package's own modules, as its empty
-``dependencies`` and the README's "no runtime dependencies" say."""
+the check needs nothing outside the stdlib.  The workflow's Python matrix
+starts at the oldest Python that ``pyproject.toml`` admits, the package's
+sources parse as that Python, and they import nothing but the stdlib and
+the package's own modules, as its empty ``dependencies`` and the README's
+"no runtime dependencies" say."""
 
 from __future__ import annotations
 
@@ -60,15 +61,29 @@ def test_workflow_runs_the_tier1_command():
     assert [run for run in _runs() if "pytest" in run and " pip " not in run] == [TIER1]
 
 
+def _floor() -> int:
+    """The minor version of the ``requires-python`` floor in ``pyproject.toml``."""
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert floor is not None, "pyproject.toml declares no requires-python floor"
+    return int(floor.group(1))
+
+
+def test_workflow_matrix_starts_at_the_requires_python_floor():
+    # the oldest Python the package admits is the first, and oldest, the
+    # workflow tests
+    matrix = re.search(r"^\s*python-version: \[(.+)\]\s*$", WORKFLOW.read_text(encoding="utf-8"), re.M)
+    assert matrix is not None, "the workflow has no python-version matrix"
+    minors = [int(re.fullmatch(r'"3\.(\d+)"', version.strip()).group(1)) for version in matrix.group(1).split(",")]
+    assert minors[0] == min(minors) == _floor(), minors
+
+
 def test_package_parses_as_the_oldest_supported_python():
     # the grammar of the requires-python floor; names and library calls
     # added after it are not checked here, only the syntax
-    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
-    assert floor is not None, "pyproject.toml declares no requires-python floor"
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     for path in sources:
-        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, int(floor.group(1))))
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, _floor()))
 
 
 def test_package_imports_only_the_stdlib_and_itself():

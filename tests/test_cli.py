@@ -129,9 +129,10 @@ def test_enumerate_filters(capsys):
         (["--n", "7", "--segments", "3,3"], "error: no tree has exactly two segments"),
         (["--n", "4", "--segments", "3,0"], "error: segment lengths must be positive"),
         (["--n", "1", "--segments", ""], "error: segment sequence must be non-empty"),
-        (["--n", "2", "--segments", ""], "enumerate: --segments sums to 0 edges, which needs --n 1"),
+        (["--n", "2", "--segments", ""], "error: segment sequence must be non-empty"),
+        (["--n", "5", "--segments", "4,-1"], "error: segment lengths must be positive"),
     ],
-    ids=["order-17", "two-segments", "zero-part", "empty", "empty-at-order-2"],
+    ids=["order-17", "two-segments", "zero-part", "empty", "empty-at-order-2", "negative-part"],
 )
 def test_enumerate_segments_errors(capsys, argv, message, count_only):
     assert run(capsys, "enumerate", *argv, *count_only) == (2, "", message + "\n")

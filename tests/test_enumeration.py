@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -614,6 +615,25 @@ class TestCountRoute:
             assert sorted(ours, reverse=True) == segment_sequences_of_order(n), n
         assert list(_partitions(0, 0, 0)) == [()]
         assert list(_partitions(0, 1, 0)) == list(_partitions(3, 4, 3)) == []
+
+    def test_walks_leave_no_reference_cycles(self):
+        # a count or a listing frees its shape memo when it returns, with
+        # no help from the cyclic garbage collector
+        calls = [
+            lambda: count_trees(16, num_segments=9),
+            lambda: count_trees(16, (5, 3, 2, 2, 1, 1, 1)),
+            lambda: list(_levels(12, num_segments=5)),
+        ]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("extra", [[], ["--count-only"]], ids=["codes", "count-only"])
     def test_count_route_scans_no_stream(self, capsys, monkeypatch, level_reads, stream_starts, extra):
