@@ -2,21 +2,22 @@
 
 One composition, `_compose`, gives every free tree of an order, each as
 its canonical centre-rooted preorder level sequence (bytes), in strictly
-decreasing order, one batch per first child of the root: it pools the
-rooted trees by height and joins them into forests, so a whole order and
-its skeletons, the trees with no vertex of degree 2, come from the same
-pool.  It emits each isomorphism class exactly once, in a deterministic
-order (that of networkx's ``nonisomorphic_trees``, with vertices labelled
-by preorder index), with the index of the root's second child and the
-number of centres, the facts the coder roots it by; the stream
-(`_stream`) is that composition behind the order guard.
+decreasing order, in batches, up to two per first child of the root: it
+pools the rooted trees by height and joins them into forests, so a whole
+order and its skeletons, the trees with no vertex of degree 2, come from
+the same pool.  It emits each isomorphism class exactly once, in a
+deterministic order (that of networkx's ``nonisomorphic_trees``, with
+vertices labelled by preorder index), each batch as (list of level
+sequences, index of the root's second child, number of centres), the
+facts the coder roots a whole batch by; the stream (`_stream`) is that
+composition behind the order guard.
 
 A tree is read, coded and filtered straight off its level sequence, and a
 ``Tree`` is built only where a caller keeps one.  One selector, `_levels`,
 gives every tree of an order, one segment sequence or one segment count,
-in stream order, as the stream's triple (level sequence, second-child
-index, number of centres): the ``Tree`` streams unpack it and the listing
-``segwiener enumerate`` prints takes it whole.  A segment class or count
+in stream order, in the stream's batches: the ``Tree`` streams and the
+reader loop over each batch's list, and the listing ``segwiener
+enumerate`` prints takes each batch whole.  A segment class or count
 is not filtered out of its order but placed on its skeletons, the trees
 with one edge per segment, composed directly (`_skeletons`, `_compose`
 keeping only the pooled trees with no child or at least two): the
@@ -24,7 +25,8 @@ segment lengths, or each partition of n - 1 into that many parts
 (`_partitions`), go on their edges once per orbit of the skeleton's
 automorphisms, and `_segment_class` re-roots each member at its centre
 (`_recentre`, which also gives its number of centres), sorts the
-sequences into stream order and gives each its second-child index.  One
+sequences into stream order and cuts them into runs of one second-child
+index and number of centres.  One
 skeleton walk (`_Orbits`, each vertex's placements a polynomial in the
 parts they consume, memoised by subtree shape) both lists and counts: the
 listing (`_placements`) runs it with the placements themselves as
@@ -42,12 +44,14 @@ root of degree 2, and an order has far fewer distinct branches than trees
 of the stream splits each sequence at the root's children, reads each
 distinct branch once (`_read_branch`, with ``trees._read``), and sums and
 joins the reads per tree.  Every sequence emitted
-is canonical, so a listing is coded in one pass (`_listing`), with no
-sorting: each tree rooted at the centre its code is rooted at, on its
-level bytes (`_rooting`: a unicentral tree's own sequence, and only for a
-bicentral tree the rooting at vertex 1 too, two slices of its sequence
-joined), then the parentheses of many trees from one integer difference
-(`_parens`).
+is canonical, so a listing is coded in one pass (`_listing`), batch by
+batch, with no sorting: each tree rooted at the centre its code is
+rooted at, a unicentral batch on its own level bytes and a bicentral
+batch rooted at vertex 1 too, by one translate each way of its joined
+bytes sliced per tree, then the parentheses of about 2048 trees from one
+integer difference (`_parens`), read a window of fields, the bytes of
+one native unsigned int, at a time through one memo of each window's
+text (`_Windows`).
 The Prüfer-plus-canonical-dedup oracle, the free-tree successor of
 Wright, Richmond, Odlyzko & McKay the stream and the skeletons are
 checked against, the stream filters the counts are checked against, and
@@ -56,7 +60,9 @@ the Cayley check are in the tests.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, groupby, islice, repeat, starmap
+import struct
+import sys
+from itertools import combinations_with_replacement, groupby, repeat
 from math import comb
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -67,22 +73,23 @@ from .trees import Tree, _read
 MAX_ORDER = 16
 
 
-def _stream(n: int) -> Iterator[tuple[bytes, int, int]]:
+def _stream(n: int) -> Iterator[tuple[list[bytes], int, int]]:
     """The canonical centre-rooted preorder level sequence, as bytes, of
     every free tree of order *n*, in strictly decreasing lexicographic
-    order, with the index of the root's second child (n if it has only
-    one) and the number of centres: `_compose` behind the order guard."""
+    order, in batches that share the index of the root's second child (n
+    if it has only one) and the number of centres: `_compose` behind the
+    order guard."""
     _check_order(n)
     return _compose(n)
 
 
-def _compose(order: int, reduced: bool = False) -> Iterator[tuple[bytes, int, int]]:
-    """The stream's triples of every free tree of *order* vertices, or with
+def _compose(order: int, reduced: bool = False) -> Iterator[tuple[list[bytes], int, int]]:
+    """The stream's batches of every free tree of *order* vertices, or with
     *reduced* of every one with no vertex of degree 2 (the series-reduced
-    trees, OEIS A000014), with no order guard: the tree's canonical
-    centre-rooted level sequence as bytes, in strictly decreasing order,
-    the index of the root's second child (*order* if it has only one) and
-    the number of centres.
+    trees, OEIS A000014), with no order guard: each a list of the trees'
+    canonical centre-rooted level sequences as bytes, in strictly
+    decreasing order, with the index of the root's second child (*order*
+    if it has only one) and the number of centres that all of them share.
 
     Rooted trees are pooled one level down, as children, in ascending
     order, which puts the lower first (a canonical sequence opens with the
@@ -95,12 +102,15 @@ def _compose(order: int, reduced: bool = False) -> Iterator[tuple[bytes, int, in
     root's second child is of x's height h too, then the bicentral ones,
     vertex 1's half x and the root's half led by a child of height h - 1,
     so of height h as well, and as `_centres` orders them: vertex 1's half
-    no larger, or at equal size not lexicographically later.  Only one
-    batch is held at a time.  With *reduced*, every pooled tree has no
+    no larger, or at equal size not lexicographically later.  Each comes
+    out as the list it is sorted in, the unicentral and bicentral ones as
+    two batches, none empty, and only one batch is held at a time: a
+    batch's trees all hang from the root's first child x, so their second
+    child is at 1 + len(x).  With *reduced*, every pooled tree has no
     children or at least two, and the root at least three, two of them in
     the root's half of a bicentral tree."""
     if order <= 2:
-        yield b"\0\1"[:order], order, order  # a vertex (unicentral) or an edge (bicentral)
+        yield [b"\0\1"[:order]], order, order  # a vertex (unicentral) or an edge (bicentral)
         return
     pool = [b"\1"]
     ends = [0, 1]  # pool[ends[h] : ends[h + 1]]: the pooled trees of height h
@@ -134,12 +144,15 @@ def _compose(order: int, reduced: bool = False) -> Iterator[tuple[bytes, int, in
             m = 1 + len(x)
             head = b"\0" + x
             if order - m > h:
-                yield from [(level, m, 1) for level in sorted(joined(head, groups[h], order - m, i), reverse=True)]
+                found = sorted(joined(head, groups[h], order - m, i), reverse=True)
+                if found:
+                    yield found, m, 1
             if h and 2 * len(x) <= order:
                 found = sorted(joined(head, groups[h - 1], order - m, i), reverse=True)
                 if 2 * len(x) == order:  # halves of equal size: vertex 1's no later
                     found = [level for level in found if x.translate(_UP) <= b"\0" + level[m:]]
-                yield from [(level, m, 2) for level in found]
+                if found:
+                    yield found, m, 2
 
 
 class _Forests(dict):
@@ -178,8 +191,8 @@ def all_trees(n: int) -> Iterator[Tree]:
     """Every free tree of order *n*, one representative per isomorphism
     class, each built from its level sequence (vertex v is the v-th vertex
     in preorder from the centre)."""
-    for level, _, _ in _levels(n):
-        yield _tree_from_levels(level)
+    for levels, _, _ in _levels(n):
+        yield from map(_tree_from_levels, levels)
 
 
 def _tree_reads(n: int, row: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int, bytes]]:
@@ -197,23 +210,24 @@ def _tree_reads(n: int, row: Sequence[int]) -> Iterator[tuple[tuple[int, ...], i
     tree's total is its branches' totals, its segment sequence their
     lengths with the two runs through a root of degree 2 joined into one."""
     reads: dict[bytes, tuple[int, tuple[int, ...], int]] = {}
-    for level, _, _ in _stream(n):
-        total = 0
-        lengths: list[int] = []
-        runs = []
-        for branch in level[2:].split(b"\1") if n > 1 else ():
-            read = reads.get(branch)
-            if read is None:
-                read = reads[branch] = _read_branch(branch, row)
-            total += read[0]
-            lengths += read[1]
-            runs.append(read[2])
-        if len(runs) == 2:
-            lengths.append(runs[0] + runs[1])
-        else:
-            lengths += runs
-        lengths.sort(reverse=True)
-        yield tuple(lengths), total, level
+    for levels, _, _ in _stream(n):
+        for level in levels:
+            total = 0
+            lengths: list[int] = []
+            runs = []
+            for branch in level[2:].split(b"\1") if n > 1 else ():
+                read = reads.get(branch)
+                if read is None:
+                    read = reads[branch] = _read_branch(branch, row)
+                total += read[0]
+                lengths += read[1]
+                runs.append(read[2])
+            if len(runs) == 2:
+                lengths.append(runs[0] + runs[1])
+            else:
+                lengths += runs
+            lengths.sort(reverse=True)
+            yield tuple(lengths), total, level
 
 
 def _read_branch(branch: bytes, row: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
@@ -251,45 +265,59 @@ def _parents(level: Sequence[int]) -> tuple[list[int], list[int]]:
     return parent, degree
 
 
-def _listing(rooted: Iterable[tuple[Sequence[int], int, int]]) -> str:
-    """The canonical codes, a line each, of the trees of the triples
-    `_levels` yields (a stream sequence, its second-child index and its
-    number of centres; `_facts` makes the triple of a sequence from
-    elsewhere), all made before any is returned; `_parens` writes 2048 at
-    a time."""
-    rooted = starmap(_rooting, rooted)
-    return "".join(map(_parens, iter(lambda: b"".join(islice(rooted, 2048)), b"")))
+def _listing(batches: Iterable[tuple[list[bytes], int, int]]) -> str:
+    """The canonical codes, a line each, of the trees of the batches
+    `_levels` yields (stream sequences sharing a second-child index and a
+    number of centres; `_facts` makes the batch of one sequence from
+    elsewhere), all made before any is returned: each batch rooted where
+    its codes are (`_rooted`), then `_parens` writes about 2048 trees at a
+    time, never splitting a batch."""
+    codes = []
+    rooted: list[bytes] = []
+    for batch in batches:
+        rooted += _rooted(*batch)
+        if len(rooted) >= 2048:
+            codes.append(_parens(b"".join(rooted)))
+            rooted = []
+    codes.append(_parens(b"".join(rooted)))
+    return "".join(codes)
 
 
 def _level_code(level: Sequence[int]) -> str:
-    """`_listing` of one stream sequence, without its line end."""
-    return _parens(_rooting(*_facts(level)))[:-1]
+    """The code `_listing` writes for one stream sequence, by its rooting
+    and coder, without its line end."""
+    return _parens(_rooted(*_facts(level))[0])[:-1]
 
 
-def _facts(level: Sequence[int]) -> tuple[Sequence[int], int, int]:
-    """A stream sequence with the index of the root's second child and its
-    number of centres, as `_stream` yields it."""
-    m = _first_subtree_end(level)
-    return level, m, _centres(level, m)
-
-
-def _rooting(level: Sequence[int], m: int, centres: int) -> bytes:
-    """The canonical sequence, as bytes, of the tree of a stream sequence
-    rooted where its code is, given the root's second child at index *m*
-    and the number of *centres*.  A unicentral tree's is its own; a
-    bicentral tree's other centre is vertex 1, and of the two sequences,
-    rooted at the centres, the larger writes the smaller code.
+def _rooted(levels: list[bytes], m: int, centres: int) -> list[bytes]:
+    """The canonical sequences of the trees of a batch of stream sequences
+    rooted where their codes are, given the root's second child at index
+    *m* and the number of *centres* they share.  A unicentral tree's is its
+    own; a bicentral tree's other centre is vertex 1, and of the two
+    sequences, rooted at the centres, the larger writes the smaller code.
 
     Rooted at vertex 1 it needs no sort: the root's side (``level[m:]``
     one level deeper under the root) is as high as vertex 1's half, the
     halves of a bicentral tree being of equal height, so it is strictly
     higher than, and in canonical order comes before, each of vertex 1's
     own children (``level[2:m]`` one level higher), which are in canonical
-    order already."""
-    level = bytes(level)
+    order already.  So a bicentral batch is rooted at vertex 1 whole, by
+    one translate each way of its joined sequences, sliced per tree."""
     if centres == 1:
-        return level
-    return max(level, b"\0\1" + level[m:].translate(_DOWN) + level[2:m].translate(_UP))
+        return levels
+    joined = b"".join(levels)
+    n = len(levels[0])
+    down, up = joined.translate(_DOWN), joined.translate(_UP)
+    turned = [b"\0\1" + down[s + m : s + n] + up[s + 2 : s + m] for s in range(0, len(joined), n)]
+    return [a if a > b else b for a, b in zip(levels, turned)]  # the larger of each pair; faster than map(max)
+
+
+def _facts(level: Sequence[int]) -> tuple[list[bytes], int, int]:
+    """A stream sequence as a batch of one, with the index of the root's
+    second child and its number of centres, as `_stream` yields it."""
+    level = bytes(level)
+    m = _first_subtree_end(level)
+    return [level], m, _centres(level, m)
 
 
 def _parens(levels: bytes) -> str:
@@ -299,16 +327,26 @@ def _parens(levels: bytes) -> str:
     (the only level 0).  The larger of two sequences writes the smaller
     code, opening a vertex where the other first closes one, so canonical
     children come in AHU order.  As little-endian integers, byte v of
-    levels + 0x80...80 - (`_NEXT` of levels >> 8) is level[v] + 1 -
+    levels + 0x80...80 (each level plus 128, one translate) - (`_NEXT` of
+    levels >> 8) is level[v] + 1 -
     level[v + 1] <= 127 before a non-root, and level[v] + 128 before a root
     or the end, with no borrow while levels stay at most 127, as in
-    centre-rooted trees of order up to 255: `_FIELDS` writes each."""
+    centre-rooted trees of order up to 255.
+
+    The field bytes are read a window at a time, each window the bytes of
+    one native unsigned int (four on common platforms), through a
+    ``memoryview`` cast to ``"I"``, and each window's text is looked up in
+    `_WINDOWS`; the bytes are padded with zeros, which write a ``(`` each,
+    to whole windows, and the padding's text is trimmed off."""
     if not levels.isascii():
         raise ValueError("the coder takes levels up to 127, so centre-rooted trees of order up to 255")
     size = len(levels)
-    fields = int.from_bytes(levels, "little") + int.from_bytes(b"\x80" * size, "little")
+    pad = -size % _WINDOW
+    fields = int.from_bytes(levels.translate(_SHIFT[128]), "little")
     fields -= int.from_bytes(levels.translate(_NEXT), "little") >> 8
-    return "(" + "(".join(map(_FIELDS.__getitem__, fields.to_bytes(size, "little")))
+    windows = memoryview(fields.to_bytes(size + pad, "little")).cast("I")
+    text = "".join(map(_WINDOWS.__getitem__, windows))
+    return text[: len(text) - pad]
 
 
 def _tree_from_levels(level: Sequence[int]) -> Tree:
@@ -350,14 +388,14 @@ def _centres(level: Sequence[int], m: int) -> int:
 def trees_with_segment_sequence(lengths: Iterable[int]) -> Iterator[Tree]:
     """All trees whose segment sequence equals *lengths* (up to isomorphism)."""
     lengths = normalize_segment_lengths(lengths)
-    for level, _, _ in _levels(1 + sum(lengths), lengths):
-        yield _tree_from_levels(level)
+    for levels, _, _ in _levels(1 + sum(lengths), lengths):
+        yield from map(_tree_from_levels, levels)
 
 
 def trees_with_segment_count(n: int, m: int) -> Iterator[Tree]:
     """All trees of order *n* with exactly *m* segments (possibly none)."""
-    for level, _, _ in _levels(n, num_segments=m):
-        yield _tree_from_levels(level)
+    for levels, _, _ in _levels(n, num_segments=m):
+        yield from map(_tree_from_levels, levels)
 
 
 def count_trees(n: int, segments: Iterable[int] | None = None, num_segments: int | None = None) -> int:
@@ -403,13 +441,13 @@ def _otter_count(n: int) -> int:
 
 def _levels(
     n: int, segments: Iterable[int] | None = None, num_segments: int | None = None
-) -> Iterator[tuple[Sequence[int], int, int]]:
+) -> Iterator[tuple[list[bytes], int, int]]:
     """Every tree of order *n*, or those with segment sequence *segments*
     (which must sum to n - 1) or with *num_segments* segments (not
-    negative), the first whose argument is given, in stream order, as the
-    triples `_stream` yields: a whole order's are the stream's own, and a
-    segment class's, or a segment count's as the classes of its partitions
-    of n - 1, are built from its skeletons (`_segment_class`)."""
+    negative), the first whose argument is given, in stream order, in
+    batches as `_stream` yields them: a whole order's are the stream's
+    own, and a segment class's, or a segment count's as the classes of its
+    partitions of n - 1, are built from its skeletons (`_segment_class`)."""
     if segments is not None:
         return _segment_class([_class_lengths(n, segments)])
     if num_segments is not None:
@@ -449,11 +487,11 @@ def _partitions(total: int, parts: int, largest: int) -> Iterator[tuple[int, ...
             yield (first, *rest)
 
 
-def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[bytes, int, int]]:
+def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[list[bytes], int, int]]:
     """Every tree whose segment sequence is one of *classes*
     (non-increasing, of one order n and one number of parts m), in stream
-    order, as `_stream` yields it: its level sequence, as bytes, with the
-    root's second-child index and number of centres.
+    order, in batches as `_stream` yields them: level sequences, as bytes,
+    sharing the root's second-child index and number of centres.
 
     A tree's vertices of degree other than 2, joined along its segments,
     form its skeleton: a tree with m edges and no vertex of degree 2
@@ -463,7 +501,8 @@ def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[bytes, 
     skeleton.  The skeletons are built once, for the first class; each
     member is re-rooted at its centre (`_recentre`, which knows its number
     of centres), and the sequences, all distinct, are sorted into the
-    stream's descending order, each then given its second-child index."""
+    stream's descending order and cut into runs of one second-child index
+    and number of centres."""
     found: list[tuple[bytes, int]] = []
     skeletons = None
     for lengths in classes:
@@ -471,8 +510,8 @@ def _segment_class(classes: Iterable[tuple[int, ...]]) -> Iterator[tuple[bytes, 
             skeletons = _skeletons(len(lengths) + 1)
         found += map(_recentre, _placements(skeletons, lengths))
     found.sort(reverse=True)
-    for level, centres in found:
-        yield level, _first_subtree_end(level), centres
+    for (m, centres), run in groupby(found, lambda member: (_first_subtree_end(member[0]), member[1])):
+        yield [level for level, _ in run], m, centres
 
 
 def _skeletons(order: int) -> list[bytes]:
@@ -480,7 +519,7 @@ def _skeletons(order: int) -> list[bytes]:
     vertices with no vertex of degree 2 (the series-reduced trees, OEIS
     A000014), in stream order, composed directly (`_compose`), with no
     order guard."""
-    return [level for level, _, _ in _compose(order, True)]
+    return [level for levels, _, _ in _compose(order, True) for level in levels]
 
 
 # ``level.translate(_SHIFT[k])`` adds k to every level of a bytes sequence,
@@ -489,6 +528,23 @@ _SHIFT = [r[k:] + r[:k] for r in [bytes(range(256))] for k in range(256)]
 _DOWN, _UP = _SHIFT[1], _SHIFT[-1]  # a level one deeper, one higher
 _NEXT = b"\0" + bytes(range(128, 256)) + bytes(127)  # a root as 0, a level b >= 1 as b + 127
 _FIELDS = [")" * d for d in range(128)] + [")" * (d - 127) + "\n" for d in range(128, 256)]
+_WINDOW = struct.calcsize("I")  # bytes per item of a memoryview cast to "I"
+
+
+class _Windows(dict):
+    """The text `_parens` writes for a window of field bytes, memoised by
+    the window's value as the native unsigned int a ``memoryview`` cast
+    reads: a ``(`` and the field's `_FIELDS` text for each byte, in memory
+    order.  One memo serves every listing in the process, as windows
+    repeat across listings; it holds only the windows met: 646 after
+    listing every order up to 16, with 4-byte windows."""
+
+    def __missing__(self, window: int) -> str:
+        text = self[window] = "".join(["(" + _FIELDS[b] for b in window.to_bytes(_WINDOW, sys.byteorder)])
+        return text
+
+
+_WINDOWS = _Windows()
 
 
 def _placements(skeletons: list[bytes], lengths: tuple[int, ...]) -> Iterator[bytes]:

@@ -648,11 +648,20 @@ def wrom_stream(n: int) -> Iterator[tuple[list[int], int, int]]:
             level[n - height :] = range(1, height + 1)
 
 
+def triples(batches: Iterable[tuple[list[bytes], int, int]]) -> Iterator[tuple[bytes, int, int]]:
+    """The trees of the package's batches (as ``enumeration._stream`` and
+    ``enumeration._levels`` yield them) one at a time: each level sequence
+    with its batch's second-child index and number of centres."""
+    for levels, m, centres in batches:
+        for level in levels:
+            yield level, m, centres
+
+
 def level_sequences(n: int) -> Iterator[bytes]:
     """The level sequences of the package's stream of order *n*
     (``enumeration._stream``, looked up on each call), without the facts
     it hands the coder."""
-    for level, _, _ in enumeration._stream(n):
+    for level, _, _ in triples(enumeration._stream(n)):
         yield level
 
 

@@ -18,6 +18,7 @@ from segwiener.cli import main
 from segwiener.enumeration import (
     MAX_ORDER,
     _facts,
+    _FIELDS,
     _level_code,
     _levels,
     _listing,
@@ -31,6 +32,8 @@ from segwiener.enumeration import (
     _stream,
     _tree_from_levels,
     _tree_reads,
+    _WINDOW,
+    _Windows,
     all_trees,
     count_trees,
     trees_with_segment_count,
@@ -56,6 +59,7 @@ from .oracles import (
     segment_decomposition,
     segment_sequences_of_order,
     skeletons_by_filter,
+    triples,
     wrom_stream,
 )
 
@@ -131,7 +135,7 @@ class TestAllTrees:
         # the composed stream against the free-tree successor it replaced,
         # triple for triple at every order up to the guard
         for n in range(1, MAX_ORDER + 1):
-            composed = _stream(n)
+            composed = triples(_stream(n))
             for level, m, centres in wrom_stream(n):
                 assert next(composed) == (bytes(level), m, centres), (n, level)
             assert next(composed, None) is None, n
@@ -159,7 +163,7 @@ class TestAllTrees:
         # The same for the facts `_levels` gives with every segment class and
         # count of order up to 12, and every count of order 17 past the guard
         def check(n, rooted):
-            for level, m, centres in rooted:
+            for level, m, centres in triples(rooted):
                 assert m == (level.index(1, 2) if 1 in level[2:] else n), level
                 if n <= 13:
                     assert _centers(_tree_from_levels(level)) == [0, 1][:centres], level
@@ -288,10 +292,32 @@ class TestLevelReader:
 
     def test_parens_match_the_rooted_coder(self):
         # the parentheses of a stream sequence against the sorting coder's
-        # code rooted at vertex 0, on every tree of order 1..16
+        # code rooted at vertex 0, on every tree of order 1..16; and of
+        # concatenations, each whole order and the first trees of orders
+        # 1..n, whose lengths leave every remainder mod 4, so the coder's
+        # padded last window is checked past single trees
+        firsts = []
+        remainders = set()
         for n in range(1, MAX_ORDER + 1):
-            for level in level_sequences(n):
-                assert _parens(bytes(level)) == _codes(_parents(level)[0], range(n))[1].decode() + "\n", level
+            levels = list(level_sequences(n))
+            codes = [_codes(_parents(level)[0], range(n))[1].decode() + "\n" for level in levels]
+            for level, code in zip(levels, codes):
+                assert _parens(bytes(level)) == code, level
+            firsts.append((levels[0], codes[0]))
+            for joined, code in ((levels, codes), zip(*firsts)):
+                joined, code = b"".join(joined), "".join(code)
+                assert _parens(joined) == code, n
+                remainders.add(len(joined) % 4)
+        assert remainders == {0, 1, 2, 3}
+
+    def test_window_memo_decodes_in_native_byte_order(self):
+        # a window the coder reads through its memoryview is the native
+        # unsigned int of its bytes, and a fresh memo writes the bytes'
+        # texts in memory order
+        window = (bytes([3, 130, 0, 127]) * _WINDOW)[:_WINDOW]
+        key = memoryview(window).cast("I")[0]
+        assert key == int.from_bytes(window, sys.byteorder)
+        assert _Windows()[key] == "".join("(" + _FIELDS[b] for b in window)
 
     def test_level_code_edge_cases(self):
         assert _level_code([0]) == "()"
@@ -327,7 +353,7 @@ class TestLevelReader:
                 classes[segments].append(list(level))
             assert sorted(classes, reverse=True) == segment_sequences_of_order(n)
             for seq in segment_sequences_of_order(n):
-                assert [list(level) for level, _, _ in _levels(n, seq)] == classes[seq], seq
+                assert [list(level) for level, _, _ in triples(_levels(n, seq))] == classes[seq], seq
                 assert count_trees(n, seq) == len(classes[seq]), seq
 
     def test_class_counts_sum_to_the_tree_count(self):
@@ -340,7 +366,7 @@ class TestLevelReader:
     def test_class_counts_are_the_ordered_class_sizes(self, monkeypatch):
         # a class is counted with no member re-rooted, and the count is the
         # size of the ordered class
-        sizes = {(n, seq): len(list(_levels(n, seq))) for n in range(2, 16) for seq in segment_sequences_of_order(n)}
+        sizes = {(n, seq): len(list(triples(_levels(n, seq)))) for n in range(2, 16) for seq in segment_sequences_of_order(n)}
 
         def unused(level):
             raise AssertionError("a count re-rooted a tree")
@@ -395,10 +421,10 @@ class TestSkeletons:
 
 
 def built_codes(rooted) -> str:
-    """The listing of the trees of *rooted*, triples as `_levels` yields
+    """The listing of the trees of *rooted*, batches as `_levels` yields
     them, by the independent route: each sequence built into a ``Tree``
     and coded by `canonical_code`, a line each."""
-    return "".join(canonical_code(_tree_from_levels(level)).decode() + "\n" for level, _, _ in rooted)
+    return "".join(canonical_code(_tree_from_levels(level)).decode() + "\n" for level, _, _ in triples(rooted))
 
 
 def listed(capsys, *argv) -> str:
@@ -493,7 +519,7 @@ class TestPastTheGuard:
         counts = [count_trees(n, num_segments=m) for m in range(n + 1)]
         assert sum(counts) == 48629
         for m in range(n + 1):
-            levels = [level for level, _, _ in _levels(n, num_segments=m)]
+            levels = [level for level, _, _ in triples(_levels(n, num_segments=m))]
             assert len({_level_code(level) for level in levels}) == len(levels) == counts[m], m
             labelled = sum(factorial(n) // automorphisms_of_levels(level) for level in levels)
             assert labelled == labelled_trees_with_segment_count(n, m), m
@@ -590,7 +616,7 @@ class TestCountRoute:
                 by_count[segment_count(level)].append(list(level))
             for m in range(n + 2):
                 assert count_trees(n, num_segments=m) == len(by_count[m]), (n, m)
-                assert [list(level) for level, _, _ in _levels(n, num_segments=m)] == by_count[m], (n, m)
+                assert [list(level) for level, _, _ in triples(_levels(n, num_segments=m))] == by_count[m], (n, m)
             with pytest.raises(ValueError, match="-1"):
                 count_trees(n, num_segments=-1)
             with pytest.raises(ValueError, match="-1"):
